@@ -43,6 +43,8 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -304,6 +306,13 @@ def _read_sets_file(path: str, dataset: GenotypeDataset) -> list[tuple[int, ...]
     return sets
 
 
+def _number(tok: str, where: str, lineno: int) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise DataFormatError(f"{tok!r} in {where} is not a number", line=lineno) from None
+
+
 def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNamespace:
     """Rebuild a posterior summary from `map` output files."""
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
@@ -316,16 +325,25 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
             raise DataFormatError("posterior rows need 6 columns", line=lineno)
         if toks[0] not in index:
             raise DataFormatError(f"unknown SNP id {toks[0]!r} in posterior file", line=lineno)
-        assoc[index[toks[0]]] = float(toks[4])
+        assoc[index[toks[0]]] = _number(toks[4], "posterior file", lineno)
     sets: dict[tuple[int, ...], float] = {}
     inter_path = Path(prefix + ".interactions.tsv")
     if inter_path.exists():
         for lineno, raw in enumerate(inter_path.read_text(encoding="utf-8").splitlines(), start=1):
             if raw.startswith("#") or not raw.strip():
                 continue
-            members_str, freq_str = raw.split("\t")
-            key = tuple(index[s] for s in members_str.split(","))
-            sets[key] = float(freq_str)
+            toks = raw.split("\t")
+            if len(toks) != 2:
+                raise DataFormatError("interaction rows need 2 columns", line=lineno)
+            members = toks[0].split(",")
+            for sid in members:
+                if sid not in index:
+                    raise DataFormatError(
+                        f"unknown SNP id {sid!r} in interactions file", line=lineno
+                    )
+            sets[tuple(index[sid] for sid in members)] = _number(
+                toks[1], "interactions file", lineno
+            )
     return SimpleNamespace(assoc_posterior=assoc, interaction_sets=sets)
 
 

@@ -6,7 +6,7 @@ The on-disk format is UTF-8, tab-separated:
 * line 2: ``#pos`` followed by strictly increasing integer base-pair positions,
 * every further line: one individual, phenotype first (``1`` case, ``0``
   control), then one genotype code per SNP (``0``/``1``/``2`` minor-allele
-  dosage, ``N`` missing).
+  dosage; ``NA``, ``.``, ``-1`` or ``N`` missing).
 
 Canonical files list all cases before all controls and end with a newline;
 ``write_dataset`` emits exactly that shape, so load/write round-trips are
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2
 
-MISSING_TOKEN = "N"
+MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
 
 
@@ -92,7 +92,7 @@ class GenotypeDataset:
 def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDataset:
     """Parse a genotype table, validating structure and codes.
 
-    ``missing_policy`` is ``"reject"`` (any ``N`` is an error) or
+    ``missing_policy`` is ``"reject"`` (any missing token is an error) or
     ``"mode-impute"`` (``"impute"`` accepted as an alias): missing entries are
     replaced by the most frequent observed code at that SNP across both
     cohorts, ties resolved toward the smaller code.
@@ -142,10 +142,10 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
         for j, tok in enumerate(toks[1:]):
             code = _CODE_MAP.get(tok)
             if code is None:
-                if tok == MISSING_TOKEN:
+                if tok in MISSING_TOKENS:
                     if not impute:
                         raise DataFormatError(
-                            "missing genotype 'N' under reject policy", line=lineno
+                            f"missing genotype {tok!r} under reject policy", line=lineno
                         )
                     row[j] = -1
                     miss_cols.append(j)

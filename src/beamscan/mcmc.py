@@ -7,6 +7,14 @@ offers every group-1/2 SNP an exchange with a uniformly chosen SNP from
 another group (symmetric proposal). Chains are deterministic given
 (dataset, priors, schedule, seed); chain ``c`` of a multi-chain run uses
 ``base_seed + c``.
+
+The Gibbs sweep keeps each SNP's conditional label probabilities across
+sweeps and rebuilds one only after its block, the block's label mask or the
+group-2 set changed. A sweep therefore costs a few array operations over the
+panel plus one full conditional per SNP whose inputs changed, rather than n
+of them; a change of the group-2 set, which every conditional reads, still
+costs one full set. The sweep draws and decides exactly as the per-SNP form
+would, so outputs do not depend on the caching.
 """
 
 from __future__ import annotations
@@ -92,6 +100,86 @@ class BlockProposal:
     log_q_ratio: float
 
 
+class LabelRows:
+    """Per-SNP decision values of the Gibbs label sweep, kept across sweeps.
+
+    Row ``i`` holds SNP i's unnormalised conditional label probabilities as
+    running sums (``acc0 = p0``, ``acc1 = p0 + p1``), their ``total``, whether
+    label 2 is open under the interaction-order cap, and the ``label`` the
+    row was built for. A row depends only on the SNP's block, that block's
+    mask and the group-2 set, so it stays valid until one of those changes.
+    Masks stay Python ints: blocks of 40 or more SNPs overflow int64.
+    """
+
+    def __init__(self, n: int):
+        self.acc0 = np.zeros(n)
+        self.acc1 = np.zeros(n)
+        self.total = np.zeros(n)
+        self.allow2 = np.zeros(n, dtype=bool)
+        self.label = np.zeros(n, dtype=np.int8)
+        self.stale = np.ones(n, dtype=bool)
+        # the state the valid rows were built for, as of the last sweep's end
+        self.masks: dict[tuple[int, int], int] = {}
+        self.s2: tuple[int, ...] | None = None
+
+    def sync(self, state: "ChainState") -> None:
+        """Mark stale the rows whose block, mask or group-2 set changed.
+
+        Block moves, swaps and callers write the state's fields directly, so
+        the rows are checked against the fields themselves.
+        """
+        masks = state.block_masks
+        if masks != self.masks:
+            for (a, b), _ in masks.items() - self.masks.items():
+                self.stale[a:b] = True
+        if tuple(state.s2) != self.s2:
+            self.stale[:] = True
+
+    def build(self, state: "ChainState", i: int, r: float) -> int:
+        """Rebuild row ``i`` from the current state; return the label ``r`` picks."""
+        model = state.model
+        a, b = state.block_of(i)
+        mask = state.block_masks[(a, b)]
+        cur = state.labels[i]
+        power = 3 ** (i - a)
+        base = mask - cur * power
+        if cur == 2:
+            s2_without = tuple(v for v in state.s2 if v != i)
+            s2_with = tuple(state.s2)
+        else:
+            s2_without = tuple(state.s2)
+            s2_with = None  # built lazily below
+        allow2 = cur == 2 or len(state.s2) < model.max_order
+        log_label = model._log_label
+        weights = []
+        g2_without = model.group2_term(s2_without)
+        for lab in (0, 1, 2):
+            if lab == 2 and not allow2:
+                continue
+            if lab == 2:
+                if s2_with is None:
+                    tmp = list(s2_without)
+                    insort(tmp, i)
+                    s2_with = tuple(tmp)
+                g2 = model.group2_term(s2_with)
+            else:
+                g2 = g2_without
+            weights.append(model.block_term(a, b, base + lab * power) + g2 + log_label[lab])
+        top = max(weights)
+        probs = [math.exp(w - top) for w in weights]
+        total = sum(probs)
+        acc0 = probs[0]
+        acc1 = acc0 + probs[1]
+        self.acc0[i] = acc0
+        self.acc1[i] = acc1
+        self.total[i] = total
+        self.allow2[i] = allow2
+        self.label[i] = cur
+        self.stale[i] = False
+        u = r * total
+        return 0 if u < acc0 else 1 if u < acc1 or not allow2 else 2
+
+
 class ChainState:
     """Mutable sampler state bound to one :class:`JointModel`.
 
@@ -111,6 +199,8 @@ class ChainState:
         self.label_counts: list[int] = [n, 0, 0]
         self.iteration = 0
         self.counters: dict[str, int] = {}
+        self.label_rows = LabelRows(n)
+        self._terms: dict[tuple[int, int], tuple[int, float]] = {}  # block: (mask, term)
         for i in range(n):
             if not model.block_allowed(i, i + 1):
                 raise ConstraintError(
@@ -142,11 +232,20 @@ class ChainState:
         return MembershipVector(tuple(self.labels))
 
     def log_joint(self) -> float:
-        """Joint log probability assembled from cached per-block terms."""
+        """Joint log probability assembled from cached per-block terms.
+
+        A block's term is looked up in the model only when the block is new
+        or its mask changed since the previous call; the sum runs over the
+        blocks in the same order either way.
+        """
         model = self.model
+        terms = self._terms
         total = model.group2_term(tuple(self.s2))
-        for rng_key, mask in self.block_masks.items():
-            term = model.block_term(rng_key[0], rng_key[1], mask)
+        for key, mask in self.block_masks.items():
+            hit = terms.get(key)
+            if hit is None or hit[0] != mask:
+                hit = terms[key] = (mask, model.block_term(key[0], key[1], mask))
+            term = hit[1]
             if term == NEG_INF:
                 return NEG_INF
             total += term
@@ -217,11 +316,9 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         new_starts = tuple(starts[:k]) + (new_t,) + tuple(starts[k + 1 :])
         a = starts[k - 1]
         b = starts[k + 1] if k + 1 < nb else n
-        # neighbours are unchanged, so the reverse target count equals n_targets
-        log_q_ratio = math.log(n_targets) - math.log(hi - lo)
-        return BlockProposal(
-            kind, new_starts, ((a, t), (t, b)), ((a, new_t), (new_t, b)), log_q_ratio
-        )
+        # neighbours are unchanged, so the reverse move has the same n_targets
+        # choices and the proposal is symmetric
+        return BlockProposal(kind, new_starts, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
     raise ValueError(f"unknown move kind: {kind!r}")
 
 
@@ -263,66 +360,49 @@ def gibbs_membership_sweep(state: ChainState) -> int:
 
     Labels that would push the group-2 set over the interaction-order cap are
     skipped. Returns the number of labels that changed.
+
+    The sweep draws its n uniforms at once and compares them, as arrays,
+    against the decision rows kept in ``state.label_rows``. It jumps to the
+    next SNP whose row is stale or whose label changes; only there does it
+    build a row or apply a change. A change marks every row of the SNP's
+    block stale, and every row of the panel when the group-2 set changed.
     """
-    model = state.model
-    rng = state.rng
+    n = state.model.n_snps
+    rows = state.label_rows
+    rows.sync(state)
+    r = state.rng.random(n)
+    state.bump("gibbs_draws", n)
+    u = r * rows.total
+    pick = np.where(u < rows.acc0, 0, np.where((u < rows.acc1) | ~rows.allow2, 1, 2))
+    stop = rows.stale | (pick != rows.label)
     labels = state.labels
-    log_label = model._log_label
-    max_order = model.max_order
     changed = 0
-    for i in range(model.n_snps):
-        a, b = state.block_of(i)
-        mask = state.block_masks[(a, b)]
+    i = 0
+    while i < n:
+        i += int(stop[i:].argmax())
+        if not stop[i]:
+            break
+        lab = rows.build(state, i, float(r[i])) if rows.stale[i] else int(pick[i])
         cur = labels[i]
-        power = 3 ** (i - a)
-        base = mask - cur * power
-        if cur == 2:
-            s2_without = tuple(v for v in state.s2 if v != i)
-            s2_with = tuple(state.s2)
-        else:
-            s2_without = tuple(state.s2)
-            s2_with = None  # built lazily below
-        allow2 = cur == 2 or len(state.s2) < max_order
-        weights = []
-        labs = []
-        g2_without = model.group2_term(s2_without)
-        for lab in (0, 1, 2):
-            if lab == 2 and not allow2:
-                continue
-            if lab == 2:
-                if s2_with is None:
-                    tmp = list(s2_without)
-                    insort(tmp, i)
-                    s2_with = tuple(tmp)
-                g2 = model.group2_term(s2_with)
-            else:
-                g2 = g2_without
-            w = model.block_term(a, b, base + lab * power) + g2 + log_label[lab]
-            weights.append(w)
-            labs.append(lab)
-        top = max(weights)
-        probs = [math.exp(w - top) for w in weights]
-        total = sum(probs)
-        u = rng.random() * total
-        acc = 0.0
-        pick = labs[-1]
-        for lab, p in zip(labs, probs):
-            acc += p
-            if u < acc:
-                pick = lab
-                break
-        state.bump("gibbs_draws")
-        if pick != cur:
+        if lab != cur:
             changed += 1
             state.bump("gibbs_changes")
-            labels[i] = pick
-            state.block_masks[(a, b)] = base + pick * power
+            a, b = state.block_of(i)
+            labels[i] = lab
+            state.block_masks[(a, b)] += (lab - cur) * 3 ** (i - a)
             state.label_counts[cur] -= 1
-            state.label_counts[pick] += 1
+            state.label_counts[lab] += 1
             if cur == 2:
                 state.s2.remove(i)
-            if pick == 2:
+            if lab == 2:
                 insort(state.s2, i)
+            if cur == 2 or lab == 2:
+                a, b = 0, n
+            rows.stale[a:b] = True
+            stop[a:b] = True
+        i += 1
+    rows.masks = dict(state.block_masks)
+    rows.s2 = tuple(state.s2)
     return changed
 
 
@@ -450,9 +530,10 @@ def run_chain(
             trace.append(state.log_joint())
             if (t - schedule.burnin) % schedule.thin == 0:
                 samples += 1
-                lab = np.asarray(state.labels)
-                marg += lab == 1
-                epi += lab == 2
+                if sample_membership:
+                    lab = np.asarray(state.labels)
+                    marg += lab == 1
+                    epi += lab == 2
                 bound[state.starts] += 1
                 if len(state.s2) >= 2:
                     key = tuple(state.s2)

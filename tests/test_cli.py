@@ -365,7 +365,51 @@ def test_bstat_from_posterior_flow(workdir, signal_panel, mapped):
         assert 0.0 < float(r[5]) <= 1.0
 
 
+@pytest.fixture
+def sidecar_prefix(workdir, mapped):
+    """A copy of the mapped posterior whose interactions sidecar each test rewrites."""
+    prefix = workdir / "sidecar.post.tsv"
+    prefix.write_text(Path(mapped).read_text())
+    return prefix
+
+
+@pytest.mark.parametrize("row, message", [
+    ("snp0002,snp9999\t0.5", "unknown SNP id 'snp9999'"),
+    ("snp0002,snp0012\t0.5\textra", "need 2 columns"),
+    ("snp0002,snp0012", "need 2 columns"),
+    ("snp0002,snp0012\thalf", "not a number"),
+])
+def test_bstat_bad_interactions_sidecar_exits_3(workdir, signal_panel, sidecar_prefix,
+                                                row, message, capsys):
+    Path(str(sidecar_prefix) + ".interactions.tsv").write_text(
+        "#members\tfrequency\nsnp0002,snp0012\t0.25\n" + row + "\n"
+    )
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
+        "--out", str(workdir / "sidecar.bstat.tsv"), "--n-perm", "50",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "line 3:" in err and message in err
+    assert "Traceback" not in err
+
+
 # -- usage and error handling -------------------------------------------------------------
+
+
+def test_default_threads_follows_cpu_affinity(monkeypatch):
+    from beamscan import cli
+
+    monkeypatch.delenv("BEAMSCAN_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli._default_threads() == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._default_threads() == 16
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._default_threads() == 1
+    monkeypatch.setenv("BEAMSCAN_THREADS", "2")
+    assert cli._default_threads() == 2
 
 
 def test_usage_errors_raise_systemexit_2(workdir):
@@ -414,6 +458,18 @@ def test_malformed_input_returns_3(workdir):
     bad.write_text("this is not the format\n")
     rc = main(["map", "--in", str(bad), "--out", str(workdir / "z.tsv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("token", ["NA", ".", "-1"])
+def test_missing_tokens_exit_3_unless_imputed(tmp_path, token):
+    text = "#snp\ta\tb\n#pos\t5\t9\n" + "".join(
+        f"{i % 2}\t{i % 3}\t{(i // 3) % 3}\n" for i in range(40)
+    ) + f"1\t{token}\t1\n"
+    (tmp_path / "missing.tsv").write_text(text)
+    argv = ["partition", "--in", str(tmp_path / "missing.tsv"),
+            "--out", str(tmp_path / "out.tsv"), "--burnin", "5", "--iters", "20"]
+    assert main(argv) == 3
+    assert main(argv + ["--missing", "impute"]) == 0
 
 
 def test_small_cohort_returns_4(workdir):

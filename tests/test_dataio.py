@@ -131,6 +131,23 @@ def test_missing_rejected_by_default(tmp_path):
     assert "missing" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["NA", ".", "-1"])
+def test_documented_missing_tokens_are_rejected_by_default(tmp_path, token):
+    text = CANONICAL.replace("0\t2\t0\t0", f"0\t2\t{token}\t0")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(write_tmp(tmp_path, text))
+    assert err.value.line == 5
+    assert "missing" in str(err.value) and repr(token) in str(err.value)
+
+
+@pytest.mark.parametrize("token", ["NA", ".", "-1"])
+def test_documented_missing_tokens_are_imputed(tmp_path, token):
+    text = CANONICAL.replace("0\t2\t0\t0", f"0\t2\t{token}\t0")
+    for policy in ("mode-impute", "impute"):
+        ds = load_dataset(write_tmp(tmp_path, text), missing_policy=policy)
+        assert ds.controls[0, 1] == 1
+
+
 def test_mode_impute_fills_column_mode(tmp_path):
     # rs2 column has observed values {1, 1, 0}; the N becomes the mode, 1.
     text = CANONICAL.replace("0\t2\t0\t0", "0\t2\tN\t0")

@@ -6,10 +6,12 @@ against the exhaustive enumerator on panels small enough to enumerate.
 """
 
 import math
+from bisect import insort
 
 import numpy as np
 import pytest
 
+from beamscan import mcmc
 from beamscan.dataio import GenotypeDataset
 from beamscan.mcmc import (
     ChainState,
@@ -406,3 +408,214 @@ def test_null_data_association_stays_low():
                     constraints=cons)
     assert float(out.assoc_posterior.mean()) < 0.5 * (priors.p1 + priors.p2)
     assert float(out.assoc_posterior.max()) < 0.2
+
+
+# -- incremental Gibbs sweep against the per-SNP reference ----------------------------
+
+
+def reference_gibbs_sweep(state):
+    """The per-SNP sweep: every label's full conditional rebuilt on every sweep."""
+    model = state.model
+    rng = state.rng
+    labels = state.labels
+    log_label = model._log_label
+    max_order = model.max_order
+    changed = 0
+    for i in range(model.n_snps):
+        a, b = state.block_of(i)
+        mask = state.block_masks[(a, b)]
+        cur = labels[i]
+        power = 3 ** (i - a)
+        base = mask - cur * power
+        if cur == 2:
+            s2_without = tuple(v for v in state.s2 if v != i)
+            s2_with = tuple(state.s2)
+        else:
+            s2_without = tuple(state.s2)
+            s2_with = None
+        allow2 = cur == 2 or len(state.s2) < max_order
+        weights = []
+        labs = []
+        g2_without = model.group2_term(s2_without)
+        for lab in (0, 1, 2):
+            if lab == 2 and not allow2:
+                continue
+            if lab == 2:
+                if s2_with is None:
+                    tmp = list(s2_without)
+                    insort(tmp, i)
+                    s2_with = tuple(tmp)
+                g2 = model.group2_term(s2_with)
+            else:
+                g2 = g2_without
+            w = model.block_term(a, b, base + lab * power) + g2 + log_label[lab]
+            weights.append(w)
+            labs.append(lab)
+        top = max(weights)
+        probs = [math.exp(w - top) for w in weights]
+        total = sum(probs)
+        u = rng.random() * total
+        acc = 0.0
+        pick = labs[-1]
+        for lab, p in zip(labs, probs):
+            acc += p
+            if u < acc:
+                pick = lab
+                break
+        state.bump("gibbs_draws")
+        if pick != cur:
+            changed += 1
+            state.bump("gibbs_changes")
+            labels[i] = pick
+            state.block_masks[(a, b)] = base + pick * power
+            state.label_counts[cur] -= 1
+            state.label_counts[pick] += 1
+            if cur == 2:
+                state.s2.remove(i)
+            if pick == 2:
+                insort(state.s2, i)
+    return changed
+
+
+def assert_same_state(ref, new):
+    assert new.labels == ref.labels
+    assert new.starts == ref.starts
+    assert new.block_masks == ref.block_masks
+    assert new.s2 == ref.s2
+    assert new.label_counts == ref.label_counts
+    assert new.counters == ref.counters
+    assert list(new.counters) == list(ref.counters)
+
+
+def random_force(rng, n, max_order):
+    """A random admissible (starts, labels) pair with at most max_order group-2 SNPs."""
+    starts = [0] + sorted(int(v) for v in rng.choice(np.arange(1, n), rng.integers(0, n), replace=False))
+    labels = [int(v) for v in rng.choice(3, size=n, p=(0.5, 0.3, 0.2))]
+    for i in [i for i, v in enumerate(labels) if v == 2][max_order:]:
+        labels[i] = 1
+    return starts, labels
+
+
+def run_pair(ds, priors, constraints, seed, steps, moves=True, force_every=0, init=None):
+    """Drive a reference and an incremental state through the same kernels.
+
+    Each step applies one block move and one swap pass (with ``moves``), one
+    sweep, and every ``force_every`` steps a random ``force_state`` rewrite.
+    Returns the two states and the number of labels changed overall.
+    """
+    ref = init_state(ds, priors, seed, constraints)
+    new = init_state(ds, priors, seed, constraints)
+    if init is not None:
+        force_state(ref, *init)
+        force_state(new, *init)
+    side = np.random.default_rng(seed + 1000)
+    n = ds.n_snps
+    total_changed = 0
+    for t in range(steps):
+        if force_every and t % force_every == force_every - 1 and n > 1:
+            starts, labels = random_force(side, n, ref.model.max_order)
+            force_state(ref, starts, labels)
+            force_state(new, starts, labels)
+        if moves:
+            kind = mcmc._choose_kind(ref.rng)
+            assert mcmc._choose_kind(new.rng) == kind
+            props = propose_block_move(ref, kind), propose_block_move(new, kind)
+            assert (props[0] is None) == (props[1] is None)
+            if props[0] is not None:
+                ok = accept(ref, props[0])
+                assert accept(new, props[1]) == ok
+                for state in (ref, new):
+                    state.bump(f"{kind}_accepted", int(ok))
+        expected = reference_gibbs_sweep(ref)
+        assert gibbs_membership_sweep(new) == expected
+        total_changed += expected
+        assert_same_state(ref, new)
+        if moves:
+            assert swap_membership_move(ref) == swap_membership_move(new)
+            assert_same_state(ref, new)
+    assert new.rng.random() == ref.rng.random()
+    return ref, new, total_changed
+
+
+def test_incremental_sweep_matches_reference_with_moves_and_swaps():
+    ds = random_signal_dataset(31, 40, 40, 12, hot=5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
+    ref, _, changed = run_pair(ds, priors, cons, seed=3, steps=400)
+    assert changed > 100
+    assert ref.counters["gibbs_draws"] == 400 * 12
+    assert ref.counters.get("split_accepted", 0) + ref.counters.get("merge_accepted", 0) > 0
+    assert ref.counters.get("swap_accepted", 0) > 0
+    assert any(b - a > 1 for a, b in ref.blocks())
+
+
+def test_incremental_sweep_matches_reference_through_group2_entries_and_exits():
+    # empty data: labels follow the prior, so group 2 is entered and left often
+    priors = PriorConfig(p_boundary=0.3, p1=0.25, p2=0.35, p0=0.4, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=9)
+    seen = {"enter": 0, "exit": 0}
+    ref = init_state(empty_dataset(8), priors, 5, cons)
+    new = init_state(empty_dataset(8), priors, 5, cons)
+    force_state(ref, (0, 3, 5), (0,) * 8)
+    force_state(new, (0, 3, 5), (0,) * 8)
+    for _ in range(300):
+        before = set(ref.s2)
+        reference_gibbs_sweep(ref)
+        gibbs_membership_sweep(new)
+        assert_same_state(ref, new)
+        seen["enter"] += len(set(ref.s2) - before)
+        seen["exit"] += len(before - set(ref.s2))
+    assert new.rng.random() == ref.rng.random()
+    assert seen["enter"] > 50 and seen["exit"] > 50
+
+
+def test_incremental_sweep_matches_reference_when_the_order_cap_binds():
+    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.6, p0=0.3, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=2)
+    ref, _, changed = run_pair(empty_dataset(7), priors, cons, seed=6, steps=300)
+    assert len(ref.s2) <= 2 and changed > 100
+    ds = random_signal_dataset(32, 30, 30, 6, hot=2)
+    run_pair(ds, priors, cons, seed=7, steps=300, force_every=7)
+
+
+@pytest.mark.parametrize("p1, p2", [(0.0, 0.3), (0.3, 0.0)])
+def test_incremental_sweep_matches_reference_with_impossible_labels(p1, p2):
+    priors = PriorConfig(p_boundary=0.25, p1=p1, p2=p2, p0=1.0 - p1 - p2, rho=1.5)
+    ds = random_signal_dataset(33, 25, 25, 6, hot=1)
+    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
+    run_pair(ds, priors, cons, seed=8, steps=200, force_every=9)
+    run_pair(empty_dataset(5), priors, cons, seed=9, steps=200, force_every=4)
+
+
+def test_incremental_sweep_matches_reference_after_force_state_rewrites():
+    ds = random_signal_dataset(34, 30, 30, 10, hot=4)
+    priors, cons = default_priors(10, 100, 30, 30, p1=0.15, p2=0.15, max_order=3)
+    run_pair(ds, priors, cons, seed=10, steps=300, force_every=3)
+    run_pair(ds, priors, cons, seed=11, steps=150, moves=False, force_every=2)
+
+
+def test_incremental_sweep_matches_reference_on_a_block_wider_than_int64():
+    # 45 SNPs in one block: the ternary mask exceeds 3**40 > 2**63
+    n = 45
+    priors = PriorConfig(p_boundary=0.05, p1=0.3, p2=0.2, p0=0.5, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=4)
+    labels = [0] * (n - 1) + [1]
+    ref, _, changed = run_pair(empty_dataset(n), priors, cons, seed=12, steps=60,
+                               moves=False, init=((0,), labels))
+    assert ref.block_masks[(0, n)] > 2**63 and changed > 100
+
+
+def test_run_chain_is_unchanged_by_the_incremental_sweep(monkeypatch):
+    ds = random_signal_dataset(35, 40, 40, 8, hot=3)
+    priors, cons = default_priors(8, 80, 40, 40, p1=0.15, p2=0.15)
+    sched = Schedule(burnin=100, iterations=400)
+    new = run_chain(ds, priors, sched, seed=13, constraints=cons)
+    monkeypatch.setattr(mcmc, "gibbs_membership_sweep", reference_gibbs_sweep)
+    ref = run_chain(ds, priors, sched, seed=13, constraints=cons)
+    for field in ("marginal_posterior", "epistatic_posterior", "assoc_posterior",
+                  "boundary_posterior", "log_joint_trace"):
+        assert np.array_equal(getattr(new, field), getattr(ref, field)), field
+    assert new.interaction_sets == ref.interaction_sets
+    assert new.acceptance == ref.acceptance
+    assert new.samples_used == ref.samples_used
+    assert ref.acceptance["gibbs_change"] > 0
