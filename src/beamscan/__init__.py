@@ -16,15 +16,7 @@ from .dataio import (
     load_dataset,
     write_dataset,
 )
-from .likelihood import (
-    DiplotypeCounts,
-    DirichletConfig,
-    LikelihoodEngine,
-    count_diplotypes,
-    count_snp_set,
-    log_conditional,
-    log_marginal,
-)
+from .likelihood import LikelihoodEngine, log_marginal
 from .model import (
     BlockPartition,
     ConstraintError,
@@ -33,8 +25,6 @@ from .model import (
     ModelConstraints,
     PriorConfig,
     default_priors,
-    log_block_term,
-    log_joint,
 )
 from .mcmc import (
     Diagnostics,
@@ -49,9 +39,10 @@ from .bstat import (
     BStatResult,
     NullCalibration,
     bstat,
+    fit_shift_constant,
     null_calibration,
     permutation_null,
-    screen_candidates,
+    posterior_candidates,
 )
 from .simulate import (
     DiseaseModel,
@@ -75,12 +66,7 @@ __all__ = [
     "hwe_filter",
     "load_dataset",
     "write_dataset",
-    "DiplotypeCounts",
-    "DirichletConfig",
     "LikelihoodEngine",
-    "count_diplotypes",
-    "count_snp_set",
-    "log_conditional",
     "log_marginal",
     "BlockPartition",
     "ConstraintError",
@@ -89,8 +75,6 @@ __all__ = [
     "ModelConstraints",
     "PriorConfig",
     "default_priors",
-    "log_block_term",
-    "log_joint",
     "Diagnostics",
     "PosteriorSummary",
     "Schedule",
@@ -104,8 +88,9 @@ __all__ = [
     "NullCalibration",
     "bstat",
     "null_calibration",
+    "fit_shift_constant",
     "permutation_null",
-    "screen_candidates",
+    "posterior_candidates",
     "DiseaseModel",
     "FounderBlock",
     "FounderPool",

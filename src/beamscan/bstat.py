@@ -5,8 +5,9 @@ separate diplotype distributions over the set) against a null mixture of one
 shared distribution and per-SNP independence; both alternatives enter as
 equal-weight mixtures whose normalization cancels. Calibration is either by
 label permutation (empirical p-values with add-one smoothing) or by a shifted
-chi-square with 3^M - 1 degrees of freedom whose shift constant is fit once
-per (n_cases, n_controls, M, rho) by matching the permutation-null median.
+chi-square with 3^M - 1 degrees of freedom whose shift constant is fit by
+matching the permutation-null median (``fit_shift_constant``) and passed to
+``null_calibration`` by the caller.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from .dataio import GenotypeDataset
-from .likelihood import _log_marginal_from_counts, _pack_matrix
+from .likelihood import _pack_matrix, log_marginal
 from .model import ConstraintError
-
-_SHIFT_CONSTANT_CACHE: dict[tuple[int, int, int, float], float] = {}
 
 
 @dataclass
@@ -50,12 +49,12 @@ class _SetKernel:
         _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
         self.joint_inverse = inv
         self.joint_cells = counts.size
-        self.log_joint_both = _log_marginal_from_counts(counts, self.width, rho)
+        self.log_joint_both = log_marginal(counts, self.width, rho)
         self.single_cols = [np.ascontiguousarray(combined[:, j]) for j in snps]
         log_singles_both = 0.0
         for col in self.single_cols:
             c = np.bincount(col, minlength=3)
-            log_singles_both += _log_marginal_from_counts(c[c > 0], 1, rho)
+            log_singles_both += log_marginal(c[c > 0], 1, rho)
         self.log_singles_both = log_singles_both
 
     def statistic(self, case_mask: np.ndarray) -> float:
@@ -68,12 +67,12 @@ class _SetKernel:
             )
         else:
             case_counts = ctrl_counts = np.zeros(0, dtype=np.int64)
-        log_cases = _log_marginal_from_counts(case_counts[case_counts > 0], width, rho)
-        log_controls = _log_marginal_from_counts(ctrl_counts[ctrl_counts > 0], width, rho)
+        log_cases = log_marginal(case_counts[case_counts > 0], width, rho)
+        log_controls = log_marginal(ctrl_counts[ctrl_counts > 0], width, rho)
         log_singles_controls = 0.0
         for col in self.single_cols:
             c = np.bincount(col[~case_mask], minlength=3)
-            log_singles_controls += _log_marginal_from_counts(c[c > 0], 1, rho)
+            log_singles_controls += log_marginal(c[c > 0], 1, rho)
         return float(
             log_cases
             + np.logaddexp(log_controls, log_singles_controls)
@@ -158,18 +157,17 @@ def fit_shift_constant(
     n_perm: int = 1000,
     seed: int = 0,
 ) -> float:
-    """Fit (and cache) the shift constant by matching the permutation median."""
+    """Fit the analytic shift constant c by matching the permutation median.
+
+    Like permutation calibration, the fit needs at least 500 replicates.
+    """
     snps = _validated_set(dataset, snp_set, None)
-    m = len(snps)
+    if n_perm < 500:
+        raise ValueError("fitting the shift constant needs n_perm >= 500")
+    unit_shift = analytic_shift(dataset.n_cases, dataset.n_controls, len(snps), 1.0)
     null = permutation_null(dataset, snps, rho=rho, n_perm=n_perm, seed=seed)
-    df = 3**m - 1
-    shift_fit = float(np.median(null)) - float(chi2.ppf(0.5, df)) / 2.0
-    denom = df * math.log(
-        dataset.n_cases * dataset.n_controls / (dataset.n_cases + dataset.n_controls)
-    )
-    c = -shift_fit / denom
-    _SHIFT_CONSTANT_CACHE[(dataset.n_cases, dataset.n_controls, m, rho)] = c
-    return c
+    shift_fit = float(np.median(null)) - float(chi2.ppf(0.5, 3 ** len(snps) - 1)) / 2.0
+    return shift_fit / unit_shift
 
 
 def null_calibration(
@@ -187,8 +185,8 @@ def null_calibration(
     """Build the null reference for a size-``m`` set.
 
     Permutation mode (the default) needs the dataset, the set, and at least
-    500 replicates. Analytic mode reuses a cached fitted shift constant for
-    (n_cases, n_controls, m, rho), fitting one from the dataset when missing.
+    500 replicates. Analytic mode needs ``shift_constant``, as returned by
+    :func:`fit_shift_constant` for a set of the same size.
     """
     if m < 1:
         raise ValueError("set size must be at least 1")
@@ -206,77 +204,30 @@ def null_calibration(
         shift = float(np.median(null)) - float(chi2.ppf(0.5, df)) / 2.0
         return NullCalibration(mode="permutation", df=df, shift=shift, null_values=null)
     if mode == "analytic":
-        c = shift_constant
-        if c is None:
-            c = _SHIFT_CONSTANT_CACHE.get((n_cases, n_controls, m, rho))
-        if c is None:
-            if dataset is None or snp_set is None:
-                raise ValueError(
-                    "no cached shift constant; provide one, or a dataset and SNP set to fit it"
-                )
-            c = fit_shift_constant(dataset, snp_set, rho=rho, n_perm=n_perm, seed=seed)
-        shift = analytic_shift(n_cases, n_controls, m, c)
+        if shift_constant is None:
+            raise ValueError("analytic calibration needs a fitted shift constant")
+        shift = analytic_shift(n_cases, n_controls, m, shift_constant)
         return NullCalibration(mode="analytic", df=df, shift=shift)
     raise ValueError(f"unknown calibration mode: {mode!r}")
 
 
-def screen_candidates(
-    dataset: GenotypeDataset,
-    summary,
-    posterior_threshold: float,
-    alpha: float,
-    n_tests: int | None = None,
-    rho: float = 1.5,
-    mode: str = "permutation",
-    n_perm: int = 1000,
-    seed: int = 0,
-    max_order: int | None = None,
-) -> list[BStatResult]:
-    """Test every posterior candidate and flag Bonferroni significance.
+def posterior_candidates(summary, threshold: float) -> list[tuple[int, ...]]:
+    """The SNP sets a posterior summary puts forward for testing.
 
-    Single SNPs whose association posterior reaches ``posterior_threshold``
-    are tested marginally; sampled interaction sets at or above the threshold
-    are tested jointly. The per-test level is ``alpha / n_tests`` with
-    ``n_tests`` defaulting to C(L, M) for a size-M set.
+    Single SNPs whose association posterior reaches ``threshold`` come first,
+    in SNP order; sampled interaction sets at or above it follow, ordered by
+    size and then by members.
     """
     candidates: list[tuple[int, ...]] = [
-        (int(i),)
-        for i in np.flatnonzero(np.asarray(summary.assoc_posterior) >= posterior_threshold)
+        (int(i),) for i in np.flatnonzero(np.asarray(summary.assoc_posterior) >= threshold)
     ]
     joints = [
         tuple(int(v) for v in key)
         for key, freq in sorted(summary.interaction_sets.items())
-        if freq >= posterior_threshold
+        if freq >= threshold
     ]
     candidates.extend(sorted(joints, key=lambda s: (len(s), s)))
-    results: list[BStatResult] = []
-    for offset, snps in enumerate(candidates):
-        b = bstat(dataset, snps, rho=rho, max_order=max_order)
-        cal = null_calibration(
-            dataset.n_cases,
-            dataset.n_controls,
-            len(snps),
-            rho=rho,
-            mode=mode,
-            dataset=dataset,
-            snp_set=snps,
-            n_perm=n_perm,
-            seed=seed + offset,
-        )
-        p = cal.p_value(b)
-        nt = n_tests if n_tests is not None else math.comb(dataset.n_snps, len(snps))
-        results.append(
-            BStatResult(
-                snp_set=snps,
-                b_value=b,
-                df=cal.df,
-                shift=cal.shift,
-                p_value=p,
-                calibration=cal.mode,
-                significant=bool(p < alpha / max(nt, 1)),
-            )
-        )
-    return results
+    return candidates
 
 
 def results_to_tsv(results: list[BStatResult], snp_ids) -> str:

@@ -20,10 +20,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .bstat import bstat, null_calibration, results_to_tsv, screen_candidates, BStatResult
+from .bstat import (
+    BStatResult,
+    bstat,
+    fit_shift_constant,
+    null_calibration,
+    posterior_candidates,
+    results_to_tsv,
+)
 from .dataio import DataFormatError, GenotypeDataset, hwe_filter, load_dataset, write_dataset
 from .mcmc import Schedule, default_schedule, run_chains
-from .model import ConstraintError, ModelConstraints, PriorConfig, default_priors
+from .model import ConstraintError, default_priors
 from .oracle import enumerate_posterior
 from .simulate import (
     DiseaseModel,
@@ -125,30 +132,6 @@ def _load(args) -> GenotypeDataset:
     return dataset
 
 
-def _resolved_priors(dataset: GenotypeDataset, args):
-    if dataset.n_cases + dataset.n_controls == 0:
-        # No individuals: the likelihood is constant and the sample-size caps
-        # cannot bind, so echo the priors instead of rejecting the panel.
-        n = dataset.n_snps
-        p_boundary = min(0.5, args.prior_blocks * dataset.region_length / (3.0e9 * n))
-        p1 = min(0.1, 5.0 / n) if args.p1 is None else args.p1
-        p2 = min(0.1, 5.0 / n) if args.p2 is None else args.p2
-        priors = PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, p0=1.0 - p1 - p2, rho=args.rho)
-        order = args.max_order if args.max_order is not None else 1
-        return priors, ModelConstraints(max_distinct_diplotypes=1, max_order=order)
-    return default_priors(
-        dataset.n_snps,
-        dataset.region_length,
-        dataset.n_cases,
-        dataset.n_controls,
-        prior_blocks=args.prior_blocks,
-        rho=args.rho,
-        p1=args.p1,
-        p2=args.p2,
-        max_order=args.max_order,
-    )
-
-
 def _resolved_schedule(dataset: GenotypeDataset, args) -> Schedule:
     base = default_schedule(dataset.n_snps)
     burnin = base.burnin if args.burnin is None else args.burnin
@@ -198,13 +181,25 @@ def _write_interactions_tsv(path: str, dataset: GenotypeDataset, sets: dict) -> 
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_map(args) -> int:
+def cmd_chains(args) -> int:
+    """`map` samples labels and block boundaries; `partition` boundaries only."""
     started = time.time()
     dataset = _load(args)
-    priors, constraints = _resolved_priors(dataset, args)
+    priors, constraints = default_priors(
+        dataset.n_snps,
+        dataset.region_length,
+        dataset.n_cases,
+        dataset.n_controls,
+        prior_blocks=args.prior_blocks,
+        rho=args.rho,
+        p1=args.p1,
+        p2=args.p2,
+        max_order=args.max_order,
+    )
     schedule = _resolved_schedule(dataset, args)
     threads = args.threads if args.threads is not None else _default_threads()
     total = schedule.burnin + schedule.iterations
+    sample_membership = args.subcommand == "map"
     summary, _, _ = run_chains(
         dataset,
         priors,
@@ -212,60 +207,50 @@ def cmd_map(args) -> int:
         n_chains=args.chains,
         base_seed=args.seed,
         constraints=constraints,
-        sample_membership=True,
+        sample_membership=sample_membership,
         threads=threads,
         progress=max(1, total // 10) if total else 0,
     )
     if summary.warning:
         print(f"warning: {summary.warning}", file=sys.stderr)
-    _write_posterior_tsv(
-        args.outfile,
-        dataset,
-        summary.marginal_posterior,
-        summary.epistatic_posterior,
-        summary.assoc_posterior,
-        summary.boundary_posterior,
-    )
-    inter_path = args.outfile + ".interactions.tsv"
-    _write_interactions_tsv(inter_path, dataset, summary.interaction_sets)
-    _write_manifest(args, [args.infile], [args.outfile, inter_path], started)
-    return 0
-
-
-def cmd_partition(args) -> int:
-    started = time.time()
-    dataset = _load(args)
-    priors, constraints = _resolved_priors(dataset, args)
-    schedule = _resolved_schedule(dataset, args)
-    threads = args.threads if args.threads is not None else _default_threads()
-    total = schedule.burnin + schedule.iterations
-    summary, _, _ = run_chains(
-        dataset,
-        priors,
-        schedule,
-        n_chains=args.chains,
-        base_seed=args.seed,
-        constraints=constraints,
-        sample_membership=False,
-        threads=threads,
-        progress=max(1, total // 10) if total else 0,
-    )
-    if summary.warning:
-        print(f"warning: {summary.warning}", file=sys.stderr)
-    lines = ["#snp_id\tpos\tp_boundary"]
-    for i in range(dataset.n_snps):
-        lines.append(
-            f"{dataset.snp_ids[i]}\t{dataset.positions[i]}\t{summary.boundary_posterior[i]:.6f}"
+    outputs = [args.outfile]
+    if sample_membership:
+        _write_posterior_tsv(
+            args.outfile,
+            dataset,
+            summary.marginal_posterior,
+            summary.epistatic_posterior,
+            summary.assoc_posterior,
+            summary.boundary_posterior,
         )
-    Path(args.outfile).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(args, [args.infile], [args.outfile], started)
+        inter_path = args.outfile + ".interactions.tsv"
+        _write_interactions_tsv(inter_path, dataset, summary.interaction_sets)
+        outputs.append(inter_path)
+    else:
+        lines = ["#snp_id\tpos\tp_boundary"]
+        for i in range(dataset.n_snps):
+            lines.append(
+                f"{dataset.snp_ids[i]}\t{dataset.positions[i]}\t{summary.boundary_posterior[i]:.6f}"
+            )
+        Path(args.outfile).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_manifest(args, [args.infile], outputs, started)
     return 0
 
 
 def cmd_oracle(args) -> int:
     started = time.time()
     dataset = _load(args)
-    priors, constraints = _resolved_priors(dataset, args)
+    priors, constraints = default_priors(
+        dataset.n_snps,
+        dataset.region_length,
+        dataset.n_cases,
+        dataset.n_controls,
+        prior_blocks=args.prior_blocks,
+        rho=args.rho,
+        p1=args.p1,
+        p2=args.p2,
+        max_order=args.max_order,
+    )
     result = enumerate_posterior(dataset, priors, constraints)
     _write_posterior_tsv(
         args.outfile,
@@ -295,11 +280,12 @@ def _read_sets_file(path: str, dataset: GenotypeDataset) -> list[tuple[int, ...]
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = [t for chunk in line.split("\t") for t in chunk.split(",") if t]
         members = []
-        for tok in tokens:
+        for tok in line.replace(",", " ").split():
             if tok not in index:
                 raise DataFormatError(f"unknown SNP id {tok!r} in sets file", line=lineno)
+            if index[tok] in members:
+                raise DataFormatError(f"SNP id {tok!r} repeated in one set", line=lineno)
             members.append(index[tok])
         if members:
             sets.append(tuple(members))
@@ -347,54 +333,80 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
     return SimpleNamespace(assoc_posterior=assoc, interaction_sets=sets)
 
 
+def score_sets(
+    dataset: GenotypeDataset,
+    sets,
+    alpha: float,
+    n_tests: int | None = None,
+    rho: float = 1.5,
+    mode: str = "permutation",
+    n_perm: int = 1000,
+    seed: int = 0,
+    max_order: int | None = None,
+) -> list[BStatResult]:
+    """Test each SNP set in order and flag Bonferroni significance.
+
+    Set k is calibrated with seed ``seed + k``. In analytic mode the shift
+    constant is fit at the first set of each size and reused for the later
+    sets of that size. The per-test level is ``alpha / n_tests``, with
+    ``n_tests`` defaulting to C(L, M) for a size-M set.
+    """
+    constants: dict[int, float] = {}
+    results: list[BStatResult] = []
+    for offset, snps in enumerate(sets):
+        m = len(snps)
+        b = bstat(dataset, snps, rho=rho, max_order=max_order)
+        if mode == "analytic" and m not in constants:
+            constants[m] = fit_shift_constant(dataset, snps, rho=rho, n_perm=n_perm, seed=seed + offset)
+        cal = null_calibration(
+            dataset.n_cases,
+            dataset.n_controls,
+            m,
+            rho=rho,
+            mode=mode,
+            dataset=dataset,
+            snp_set=snps,
+            n_perm=n_perm,
+            seed=seed + offset,
+            shift_constant=constants.get(m),
+        )
+        p = cal.p_value(b)
+        nt = n_tests if n_tests is not None else math.comb(dataset.n_snps, m)
+        results.append(
+            BStatResult(
+                snp_set=snps,
+                b_value=b,
+                df=cal.df,
+                shift=cal.shift,
+                p_value=p,
+                calibration=cal.mode,
+                significant=bool(p < alpha / max(nt, 1)),
+            )
+        )
+    return results
+
+
 def cmd_bstat(args) -> int:
     started = time.time()
     dataset = _load(args)
-    inputs = [args.infile]
     if args.sets is not None:
-        inputs.append(args.sets)
-        results = []
-        for offset, snps in enumerate(_read_sets_file(args.sets, dataset)):
-            b = bstat(dataset, snps, rho=args.rho, max_order=args.max_order)
-            cal = null_calibration(
-                dataset.n_cases,
-                dataset.n_controls,
-                len(snps),
-                rho=args.rho,
-                mode=args.calibration,
-                dataset=dataset,
-                snp_set=snps,
-                n_perm=args.n_perm,
-                seed=args.seed + offset,
-            )
-            p = cal.p_value(b)
-            nt = args.n_tests if args.n_tests is not None else math.comb(dataset.n_snps, len(snps))
-            results.append(
-                BStatResult(
-                    snp_set=snps,
-                    b_value=b,
-                    df=cal.df,
-                    shift=cal.shift,
-                    p_value=p,
-                    calibration=cal.mode,
-                    significant=bool(p < args.alpha / max(nt, 1)),
-                )
-            )
+        inputs = [args.infile, args.sets]
+        sets = _read_sets_file(args.sets, dataset)
     else:
-        inputs.append(args.from_posterior)
+        inputs = [args.infile, args.from_posterior]
         summary = _read_posterior_prefix(args.from_posterior, dataset)
-        results = screen_candidates(
-            dataset,
-            summary,
-            posterior_threshold=args.threshold,
-            alpha=args.alpha,
-            n_tests=args.n_tests,
-            rho=args.rho,
-            mode=args.calibration,
-            n_perm=args.n_perm,
-            seed=args.seed,
-            max_order=args.max_order,
-        )
+        sets = posterior_candidates(summary, args.threshold)
+    results = score_sets(
+        dataset,
+        sets,
+        alpha=args.alpha,
+        n_tests=args.n_tests,
+        rho=args.rho,
+        mode=args.calibration,
+        n_perm=args.n_perm,
+        seed=args.seed,
+        max_order=args.max_order,
+    )
     Path(args.outfile).write_text(results_to_tsv(results, dataset.snp_ids), encoding="utf-8")
     _write_manifest(args, inputs, [args.outfile], started)
     return 0
@@ -448,17 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_map = subs.add_parser("map", help="sample the joint block/association posterior")
-    _add_io_args(p_map)
-    _add_model_args(p_map)
-    _add_mcmc_args(p_map)
-    p_map.set_defaults(func=cmd_map)
-
-    p_part = subs.add_parser("partition", help="sample block boundaries only")
-    _add_io_args(p_part)
-    _add_model_args(p_part)
-    _add_mcmc_args(p_part)
-    p_part.set_defaults(func=cmd_partition)
+    for name, help_text in (
+        ("map", "sample the joint block/association posterior"),
+        ("partition", "sample block boundaries only"),
+    ):
+        p_chain = subs.add_parser(name, help=help_text)
+        _add_io_args(p_chain)
+        _add_model_args(p_chain)
+        _add_mcmc_args(p_chain)
+        p_chain.set_defaults(func=cmd_chains)
 
     p_oracle = subs.add_parser("oracle", help="exact posterior by exhaustive enumeration")
     _add_io_args(p_oracle)

@@ -9,12 +9,17 @@ double precision past w ~ 650, so per-cell terms use the exact identity
     lnG(n + a) - lnG(a) = ln(a) + lnG(n + a) - lnG(1 + a)      (n >= 1)
 
 with ln(a) formed as ln(rho) - w * ln(3).
+
+Individuals' genotype rows are packed into integer keys (2 bits per SNP) by
+``_pack_matrix`` and counted with ``np.unique``; ``log_marginal`` turns the
+positive per-diplotype counts into the log marginal, and
+``LikelihoodEngine`` memoizes it per (SNP set, cohort) along with the number
+of distinct diplotypes that the block-diversity constraint reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,64 +31,6 @@ LOG3 = math.log(3.0)
 WHO_BOTH = "both"
 WHO_CASES = "cases"
 WHO_CONTROLS = "controls"
-
-
-@dataclass(frozen=True)
-class DirichletConfig:
-    """Total pseudocount mass shared by the 3^width diplotype cells."""
-
-    rho: float = 1.5
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-
-    def log_alpha(self, width: int) -> float:
-        return math.log(self.rho) - width * LOG3
-
-
-@dataclass
-class DiplotypeCounts:
-    """Sparse case/control counts of observed diplotypes in one SNP set.
-
-    ``entries`` maps a packed key (2 bits per SNP, first SNP in the low bits)
-    to an (n_cases, n_controls) pair. Unobserved diplotypes are absent.
-    """
-
-    width: int
-    entries: dict[int, tuple[int, int]] = field(default_factory=dict)
-    n_total: int = 0
-    m_total: int = 0
-
-    def validate(self) -> None:
-        if self.width < 0:
-            raise ValueError("width must be non-negative")
-        n = m = 0
-        for key, (cn, cm) in self.entries.items():
-            if key < 0 or key >= 1 << (2 * self.width):
-                raise ValueError(f"packed key {key} out of range for width {self.width}")
-            if cn < 0 or cm < 0 or cn + cm == 0:
-                raise ValueError("entries must hold non-negative counts, not both zero")
-            n += cn
-            m += cm
-        if (n, m) != (self.n_total, self.m_total):
-            raise ValueError("totals do not match entry sums")
-
-
-def pack_codes(codes) -> int:
-    """Pack a genotype code sequence into an integer key, 2 bits per SNP."""
-    key = 0
-    for j, c in enumerate(codes):
-        c = int(c)
-        if c not in (0, 1, 2):
-            raise ValueError(f"genotype code {c} out of range")
-        key |= c << (2 * j)
-    return key
-
-
-def unpack_codes(key: int, width: int) -> tuple[int, ...]:
-    """Inverse of :func:`pack_codes`."""
-    return tuple((key >> (2 * j)) & 3 for j in range(width))
 
 
 def _pack_matrix(mat: np.ndarray) -> np.ndarray:
@@ -108,52 +55,7 @@ def _pack_matrix(mat: np.ndarray) -> np.ndarray:
     return np.array(keys, dtype=object)
 
 
-def count_snp_set(dataset: GenotypeDataset, snps, who: str = WHO_BOTH) -> DiplotypeCounts:
-    """Count observed diplotypes over an arbitrary SNP index set."""
-    snps = tuple(int(s) for s in snps)
-    for s in snps:
-        if not 0 <= s < dataset.n_snps:
-            raise IndexError(f"SNP index {s} out of range")
-    if len(set(snps)) != len(snps):
-        raise ValueError("duplicate SNP indices")
-    cols = list(snps)
-    want_cases = who in (WHO_BOTH, WHO_CASES)
-    want_controls = who in (WHO_BOTH, WHO_CONTROLS)
-    if not (want_cases or want_controls):
-        raise ValueError(f"unknown cohort selector: {who!r}")
-
-    entries: dict[int, list[int]] = {}
-
-    def tally(mat: np.ndarray, slot: int) -> int:
-        if mat.shape[0] == 0:
-            return 0
-        if not cols:
-            # Zero-width set: every individual shares the empty diplotype.
-            entries.setdefault(0, [0, 0])[slot] += mat.shape[0]
-            return mat.shape[0]
-        keys = _pack_matrix(mat[:, cols])
-        vals, counts = np.unique(keys, return_counts=True)
-        for k, c in zip(vals.tolist(), counts.tolist()):
-            entries.setdefault(int(k), [0, 0])[slot] += int(c)
-        return mat.shape[0]
-
-    n_total = tally(dataset.cases, 0) if want_cases else 0
-    m_total = tally(dataset.controls, 1) if want_controls else 0
-    packed = {k: (v[0], v[1]) for k, v in entries.items()}
-    counts = DiplotypeCounts(width=len(snps), entries=packed, n_total=n_total, m_total=m_total)
-    counts.validate()
-    return counts
-
-
-def count_diplotypes(dataset: GenotypeDataset, block: tuple[int, int], who: str = WHO_BOTH) -> DiplotypeCounts:
-    """Count observed diplotypes in the half-open SNP range ``[a, b)``."""
-    a, b = int(block[0]), int(block[1])
-    if not (0 <= a < b <= dataset.n_snps):
-        raise ValueError(f"empty or out-of-range block [{a}, {b})")
-    return count_snp_set(dataset, range(a, b), who=who)
-
-
-def _log_marginal_from_counts(counts: np.ndarray, width: int, rho: float) -> float:
+def log_marginal(counts: np.ndarray, width: int, rho: float) -> float:
     """Log marginal of one multinomial sample under the width-scaled prior.
 
     ``counts`` holds the positive per-diplotype totals; absent diplotypes
@@ -168,32 +70,6 @@ def _log_marginal_from_counts(counts: np.ndarray, width: int, rho: float) -> flo
     k = counts.size
     per_cell = k * (log_alpha - float(gammaln(1.0 + alpha))) + float(gammaln(counts + alpha).sum())
     return per_cell + float(gammaln(rho)) - float(gammaln(total + rho))
-
-
-def log_marginal(counts: DiplotypeCounts, config: DirichletConfig = DirichletConfig()) -> float:
-    """Log marginal likelihood of the combined case+control counts."""
-    counts.validate()
-    if not counts.entries:
-        return 0.0
-    combined = np.fromiter(
-        (cn + cm for cn, cm in counts.entries.values()), dtype=np.float64, count=len(counts.entries)
-    )
-    return _log_marginal_from_counts(combined, counts.width, config.rho)
-
-
-def log_conditional(
-    full: DiplotypeCounts, sub: DiplotypeCounts, config: DirichletConfig = DirichletConfig()
-) -> float:
-    """Log probability of the full-set counts given counts on a subset.
-
-    Both count objects must cover the same individuals; the value is the
-    difference of the two log marginals.
-    """
-    if (full.n_total, full.m_total) != (sub.n_total, sub.m_total):
-        raise ValueError("mismatched individual totals between full set and subset")
-    if sub.width > full.width:
-        raise ValueError("subset is wider than the full set")
-    return log_marginal(full, config) - log_marginal(sub, config)
 
 
 class LikelihoodEngine:
@@ -227,35 +103,27 @@ class LikelihoodEngine:
         raise ValueError(f"unknown cohort selector: {who!r}")
 
     def marginal(self, snps: tuple[int, ...], who: str) -> float:
+        """Log marginal of ``snps`` in cohort ``who``; 0 for an empty set or cohort."""
         if not snps:
             return 0.0
         key = (snps, who)
         hit = self._marg.get(key)
         if hit is not None:
             return hit
-        rows = self._rows(who)
-        if rows.shape[0] == 0:
-            value = 0.0
-        else:
-            keys = _pack_matrix(rows[:, list(snps)])
-            _, counts = np.unique(keys, return_counts=True)
-            value = _log_marginal_from_counts(counts, len(snps), self.rho)
-            if who == WHO_BOTH:
-                self._distinct[snps] = int(counts.size)
+        keys = _pack_matrix(self._rows(who)[:, list(snps)])
+        _, counts = np.unique(keys, return_counts=True)
+        value = log_marginal(counts, len(snps), self.rho)
+        if who == WHO_BOTH:
+            self._distinct[snps] = int(counts.size)
         self._marg[key] = value
         return value
 
     def distinct_count(self, snps: tuple[int, ...]) -> int:
-        """Number of distinct diplotypes observed across both cohorts."""
-        if not snps:
-            return 0
-        hit = self._distinct.get(snps)
-        if hit is not None:
-            return hit
-        if self._all.shape[0] == 0:
-            self._distinct[snps] = 0
-            return 0
-        keys = _pack_matrix(self._all[:, list(snps)])
-        n = int(np.unique(keys).size)
-        self._distinct[snps] = n
-        return n
+        """Number of distinct diplotypes observed across both cohorts.
+
+        The count is recorded by the combined-cohort marginal, which is
+        evaluated here when it is not memoized yet.
+        """
+        if snps not in self._distinct:
+            self.marginal(snps, WHO_BOTH)
+        return self._distinct.get(snps, 0)

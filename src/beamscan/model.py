@@ -16,8 +16,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataio import GenotypeDataset
 from .likelihood import WHO_BOTH, WHO_CASES, WHO_CONTROLS, LikelihoodEngine
 
@@ -81,14 +79,16 @@ def default_priors(
     The boundary prior scales the expected genome-wide block count
     (``prior_blocks`` over 3 Gb) down to the panel; the association priors
     expect about five associated SNPs. Constraints require the pooled sample
-    to support per-block diplotype estimation: at least 30 individuals.
+    to support per-block diplotype estimation: at least 30 individuals, or
+    none at all, in which case the priors come with one-diplotype blocks and
+    an interaction order of ``max_order`` (default 1).
     """
     if n_snps < 1:
         raise ValueError("n_snps must be at least 1")
     if region_length < 1:
         raise ValueError("region_length must be at least 1")
     total = n_cases + n_controls
-    if total < 30:
+    if 0 < total < 30:
         raise ConstraintError(
             f"need at least 30 individuals for usable constraints, got {total}"
         )
@@ -97,6 +97,10 @@ def default_priors(
     p2 = min(0.1, 5.0 / n_snps) if p2 is None else p2
     p0 = 1.0 - p1 - p2
     priors = PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, p0=p0, rho=rho)
+    if total == 0:
+        # No individuals: the likelihood is constant and no block holds a
+        # diplotype, so the sample-size caps cannot bind and the priors echo.
+        return priors, ModelConstraints(1, 1 if max_order is None else max_order)
     cap = math.ceil(total / 10.0) - 1
     order = int(math.floor(math.log(total / 10.0, 3) + 1e-9)) if max_order is None else max_order
     constraints = ModelConstraints(max_distinct_diplotypes=cap, max_order=order)
@@ -274,9 +278,6 @@ class JointModel:
         self._block_terms[key] = value
         return value
 
-    def block_term_from_labels(self, a: int, b: int, labels) -> float:
-        return self.block_term(a, b, mask_from_labels(labels, a, b))
-
     def group2_term(self, epistatic: tuple[int, ...]) -> float:
         """Joint case + control log marginals of the genome-wide group-2 set."""
         if not epistatic:
@@ -332,26 +333,3 @@ def mask_from_labels(labels, a: int, b: int) -> int:
         power *= 3
     return mask
 
-
-def log_block_term(dataset: GenotypeDataset, block: tuple[int, int], memberships, rho: float = 1.5) -> float:
-    """Convenience wrapper: one block's conditional term for given labels.
-
-    ``memberships`` is the full-length label sequence; only ``block`` is read.
-    """
-    a, b = int(block[0]), int(block[1])
-    if not (0 <= a < b <= dataset.n_snps):
-        raise ValueError(f"empty or out-of-range block [{a}, {b})")
-    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, p0=0.8, rho=rho)
-    model = JointModel(dataset, priors, constraints=None)
-    return model.block_term_from_labels(a, b, list(memberships))
-
-
-def log_joint(
-    dataset: GenotypeDataset,
-    partition: BlockPartition,
-    membership: MembershipVector,
-    priors: PriorConfig,
-    constraints: ModelConstraints | None = None,
-) -> float:
-    """Convenience wrapper around :class:`JointModel` for one-off evaluation."""
-    return JointModel(dataset, priors, constraints).log_joint(partition, membership)

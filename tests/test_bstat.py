@@ -1,4 +1,4 @@
-"""Set-association statistic, permutation and analytic calibration, screening."""
+"""Set-association statistic, permutation and analytic calibration, candidate sets."""
 
 import math
 from types import SimpleNamespace
@@ -14,9 +14,10 @@ from beamscan.bstat import (
     fit_shift_constant,
     null_calibration,
     permutation_null,
+    posterior_candidates,
     results_to_tsv,
-    screen_candidates,
 )
+from beamscan.cli import score_sets
 from beamscan.dataio import GenotypeDataset
 from beamscan.model import ConstraintError
 
@@ -199,23 +200,28 @@ def test_analytic_shift_algebra():
         analytic_shift(0, n, 1, c)
 
 
-def test_fitted_constant_feeds_the_cache():
+def test_fitted_constant_sets_the_analytic_shift():
     ds = null_dataset(48, 37, 41, 2)
     c = fit_shift_constant(ds, (0,), n_perm=600, seed=3)
     assert c > 0
-    cal = null_calibration(37, 41, 1, mode="analytic")  # cache hit, no dataset
+    assert fit_shift_constant(ds, (0,), n_perm=600, seed=3) == c  # no hidden state
+    cal = null_calibration(37, 41, 1, mode="analytic", shift_constant=c)
     assert cal.shift == pytest.approx(analytic_shift(37, 41, 1, c))
     assert cal.df == 2
     explicit = null_calibration(37, 41, 1, mode="analytic", shift_constant=0.5)
     assert explicit.shift == pytest.approx(analytic_shift(37, 41, 1, 0.5))
     with pytest.raises(ValueError):
-        null_calibration(36, 41, 1, mode="analytic")  # nothing cached, nothing to fit
+        null_calibration(37, 41, 1, mode="analytic")  # no constant given
+    with pytest.raises(ValueError):
+        fit_shift_constant(ds, (0,), n_perm=499)
+    with pytest.raises(ValueError):
+        fit_shift_constant(null_dataset(48, 37, 0, 2), (0,), n_perm=600)
 
 
 def test_analytic_null_median_is_stable_out_of_sample():
     ds = null_dataset(49, 120, 120, 2)
-    cal = null_calibration(120, 120, 1, mode="analytic",
-                           dataset=ds, snp_set=(0,), n_perm=800, seed=4)
+    c = fit_shift_constant(ds, (0,), n_perm=800, seed=4)
+    cal = null_calibration(120, 120, 1, mode="analytic", shift_constant=c)
     fresh = permutation_null(ds, (0,), n_perm=800, seed=5)
     med = float(np.median(2.0 * (fresh - cal.shift)))
     assert med == pytest.approx(chi2.ppf(0.5, 2), rel=0.25)
@@ -223,7 +229,7 @@ def test_analytic_null_median_is_stable_out_of_sample():
     assert 0.3 < mid_p < 0.7
 
 
-# -- screening ----------------------------------------------------------------------------
+# -- posterior candidates and set scoring ------------------------------------------------
 
 
 def summary_of(assoc, sets=None):
@@ -233,7 +239,8 @@ def summary_of(assoc, sets=None):
 
 def test_screen_empty_summary():
     ds = null_dataset(50, 20, 20, 3)
-    assert screen_candidates(ds, summary_of([0.1, 0.2, 0.0]), 0.5, 0.05) == []
+    assert posterior_candidates(summary_of([0.1, 0.2, 0.0]), 0.5) == []
+    assert score_sets(ds, [], 0.05) == []
 
 
 def test_screen_single_candidate():
@@ -241,8 +248,9 @@ def test_screen_single_candidate():
         np.column_stack([np.full(40, 2), np.zeros(40)]),
         np.column_stack([np.zeros(40), np.zeros(40)]),
     )
-    out = screen_candidates(ds, summary_of([0.95, 0.05]), 0.5, 0.05,
-                            n_perm=600, seed=9)
+    candidates = posterior_candidates(summary_of([0.95, 0.05]), 0.5)
+    assert candidates == [(0,)]
+    out = score_sets(ds, candidates, 0.05, n_perm=600, seed=9)
     assert [r.snp_set for r in out] == [(0,)]
     r = out[0]
     assert r.calibration == "permutation"
@@ -258,9 +266,9 @@ def test_screen_pure_epistasis_beats_marginals():
     cases = np.array([[0, 0]] * 50 + [[1, 1]] * 50, np.int8)
     controls = np.array([[0, 1]] * 50 + [[1, 0]] * 50, np.int8)
     ds = make_dataset(cases, controls)
-    out = screen_candidates(
-        ds, summary_of([0.9, 0.9], {(0, 1): 0.8}), 0.5, 0.05, n_perm=600, seed=11
-    )
+    candidates = posterior_candidates(summary_of([0.9, 0.9], {(0, 1): 0.8}), 0.5)
+    assert candidates == [(0,), (1,), (0, 1)]
+    out = score_sets(ds, candidates, 0.05, n_perm=600, seed=11)
     assert [r.snp_set for r in out] == [(0,), (1,), (0, 1)]
     single0, single1, joint = out
     assert joint.b_value > max(single0.b_value, single1.b_value) + 10
@@ -272,15 +280,15 @@ def test_screen_pure_epistasis_beats_marginals():
 
 def test_screen_respects_order_cap():
     ds = null_dataset(51, 20, 20, 3)
+    candidates = posterior_candidates(summary_of([0, 0, 0], {(0, 1): 0.9}), 0.5)
     with pytest.raises(ConstraintError):
-        screen_candidates(ds, summary_of([0, 0, 0], {(0, 1): 0.9}), 0.5, 0.05,
-                          max_order=1, n_perm=500)
+        score_sets(ds, candidates, 0.05, max_order=1, n_perm=500)
 
 
 def test_screen_n_tests_override():
     ds = make_dataset(np.full((30, 1), 2), np.zeros((30, 1)))
-    strict = screen_candidates(ds, summary_of([1.0]), 0.5, 0.05,
-                               n_tests=10_000_000, n_perm=600, seed=2)
+    strict = score_sets(ds, posterior_candidates(summary_of([1.0]), 0.5), 0.05,
+                        n_tests=10_000_000, n_perm=600, seed=2)
     assert not strict[0].significant  # 1/601 is above 0.05 / 1e7
 
 

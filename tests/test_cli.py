@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamscan
 from beamscan.bstat import bstat
 from beamscan.cli import POSTERIOR_HEADER, main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
@@ -288,6 +292,7 @@ def test_bstat_sets_flow(workdir, signal_panel):
         "\n"
         "snp0003\tsnp0013\n"
         "snp0005,snp0006\n"
+        "snp0007 snp0008\n"
     )
     out = workdir / "bstat_sets.tsv"
     rc = main([
@@ -298,8 +303,10 @@ def test_bstat_sets_flow(workdir, signal_panel):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#snp_ids\tm\t")
     rows = [l.split("\t") for l in lines[1:]]
-    assert [r[0] for r in rows] == ["snp0003", "snp0003,snp0013", "snp0005,snp0006"]
-    assert [r[1] for r in rows] == ["1", "2", "2"]
+    assert [r[0] for r in rows] == [
+        "snp0003", "snp0003,snp0013", "snp0005,snp0006", "snp0007,snp0008"
+    ]
+    assert [r[1] for r in rows] == ["1", "2", "2", "2"]
     assert float(rows[0][2]) == pytest.approx(bstat(ds, (2,)), rel=1e-4)
     assert rows[0][6] == "permutation"
     # the planted single is overwhelming, the noise pair is not
@@ -324,6 +331,43 @@ def test_bstat_sets_analytic_calibration(workdir, signal_panel):
     assert 0.0 <= float(row[5]) <= 1.0
 
 
+def test_bstat_analytic_shift_ignores_earlier_runs(workdir, signal_panel):
+    """Each run fits its own constants, so in-process runs match fresh processes."""
+    src = str(Path(beamscan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name, text in (("order_a", "snp0003\nsnp0005\nsnp0005,snp0006\n"),
+                       ("order_b", "snp0005,snp0006\nsnp0005\nsnp0003\n")):
+        sets_path = workdir / f"{name}.sets.tsv"
+        sets_path.write_text(text)
+        outputs = []
+        for where in ("in-process", "subprocess"):
+            out = workdir / f"{name}.{where}.tsv"
+            argv = ["bstat", "--in", str(signal_panel), "--sets", str(sets_path),
+                    "--out", str(out), "--calibration", "analytic",
+                    "--n-perm", "600", "--seed", "1"]
+            if where == "in-process":
+                assert main(argv) == 0
+            else:
+                subprocess.run([sys.executable, "-m", "beamscan.cli", *argv],
+                               env=env, check=True, timeout=120)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def test_bstat_analytic_needs_500_permutations(workdir, signal_panel, capsys):
+    sets_path = workdir / "sets_one.tsv"
+    sets_path.write_text("snp0003\n")
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--sets", str(sets_path),
+        "--out", str(workdir / "bstat_nperm0.tsv"), "--calibration", "analytic",
+        "--n-perm", "0",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "n_perm >= 500" in err and "Warning" not in err
+
+
 def test_bstat_empty_sets_file(workdir, signal_panel):
     sets_path = workdir / "sets_empty.tsv"
     sets_path.write_text("# nothing here\n\n")
@@ -346,6 +390,18 @@ def test_bstat_unknown_id_exits_3(workdir, signal_panel):
         "--out", str(workdir / "unused.tsv"),
     ])
     assert rc == 3
+
+
+def test_bstat_repeated_id_exits_3(workdir, signal_panel, capsys):
+    sets_path = workdir / "sets_repeat.tsv"
+    sets_path.write_text("snp0003\nsnp0005 snp0006,snp0005\n")
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--sets", str(sets_path),
+        "--out", str(workdir / "unused.tsv"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "line 2:" in err and "'snp0005' repeated" in err
 
 
 def test_bstat_from_posterior_flow(workdir, signal_panel, mapped):

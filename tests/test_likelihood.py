@@ -13,17 +13,8 @@ import numpy as np
 import pytest
 
 from beamscan.dataio import GenotypeDataset
-from beamscan.likelihood import (
-    DiplotypeCounts,
-    DirichletConfig,
-    LikelihoodEngine,
-    count_diplotypes,
-    count_snp_set,
-    log_conditional,
-    log_marginal,
-    pack_codes,
-    unpack_codes,
-)
+from beamscan.likelihood import LikelihoodEngine, _pack_matrix, log_marginal
+from beamscan.model import JointModel, PriorConfig, mask_from_labels
 
 RHO = 1.5
 LOG3 = math.log(3.0)
@@ -61,11 +52,22 @@ def dataset_from_rows(case_rows, control_rows, width):
     )
 
 
-def counts_from_dict(width, cells, rho=RHO):
-    entries = {pack_codes(k): v for k, v in cells.items()}
-    n_total = sum(v[0] for v in cells.values())
-    m_total = sum(v[1] for v in cells.values())
-    return DiplotypeCounts(width=width, entries=entries, n_total=n_total, m_total=m_total)
+def row_counts(mat):
+    """Test-local counting: occurrences of each distinct row."""
+    cells = {}
+    for row in map(tuple, np.asarray(mat).tolist()):
+        cells[row] = cells.get(row, 0) + 1
+    return cells
+
+
+def unpack_key(key, width):
+    """Inverse of the 2-bits-per-SNP packing, first SNP in the low bits."""
+    return tuple((int(key) >> (2 * j)) & 3 for j in range(width))
+
+
+def block_term(ds, a, b, labels):
+    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, p0=0.8, rho=RHO)
+    return JointModel(ds, priors).block_term(a, b, mask_from_labels(labels, a, b))
 
 
 # -- counting ---------------------------------------------------------------------
@@ -73,73 +75,67 @@ def counts_from_dict(width, cells, rho=RHO):
 
 def test_count_two_snp_block_example():
     ds = dataset_from_rows([(0, 0), (0, 0), (0, 1)], np.zeros((0, 2)), 2)
-    counts = count_snp_set(ds, (0, 1), who="cases")
-    decoded = {unpack_codes(k, 2): v for k, v in counts.entries.items()}
-    assert decoded == {(0, 0): (2, 0), (0, 1): (1, 0)}
-    assert counts.n_total == 3 and counts.m_total == 0
+    keys, counts = np.unique(_pack_matrix(ds.cases), return_counts=True)
+    decoded = {unpack_key(k, 2): int(c) for k, c in zip(keys, counts)}
+    assert decoded == {(0, 0): 2, (0, 1): 1}
+    engine = LikelihoodEngine(ds, rho=RHO)
+    assert engine.marginal((0, 1), "cases") == pytest.approx(
+        predictive_log_marginal([2, 1], 2), abs=1e-12
+    )
+    assert engine.marginal((0, 1), "controls") == 0.0
 
 
 def test_count_empty_cohorts():
     ds = dataset_from_rows(np.zeros((0, 2)), np.zeros((0, 2)), 2)
-    counts = count_snp_set(ds, (0, 1))
-    assert counts.entries == {}
-    assert counts.n_total == 0 and counts.m_total == 0
+    engine = LikelihoodEngine(ds, rho=RHO)
+    for who in ("both", "cases", "controls"):
+        assert engine.marginal((0, 1), who) == 0.0
+    assert engine.distinct_count((0, 1)) == 0
 
 
 def test_count_shared_diplotype():
     row = (1, 2, 0)
     ds = dataset_from_rows([row, row], [row, row], 3)
-    counts = count_diplotypes(ds, (0, 3))
-    assert len(counts.entries) == 1
-    ((key, (n, m)),) = counts.entries.items()
-    assert unpack_codes(key, 3) == row
-    assert (n, m) == (2, 2)
-    assert n + m == 4
+    engine = LikelihoodEngine(ds, rho=RHO)
+    assert engine.distinct_count((0, 1, 2)) == 1
+    assert engine.marginal((0, 1, 2), "both") == pytest.approx(
+        predictive_log_marginal([4], 3), abs=1e-12
+    )
+    assert engine.marginal((0, 1, 2), "cases") == pytest.approx(
+        predictive_log_marginal([2], 3), abs=1e-12
+    )
 
 
 def test_count_zero_width_set():
     ds = dataset_from_rows([(0,), (1,)], [(2,)], 1)
-    counts = count_snp_set(ds, ())
-    assert counts.width == 0
-    assert counts.entries == {0: (2, 1)}
-    assert counts.n_total == 2 and counts.m_total == 1
-    assert log_marginal(counts) == 0.0
+    assert _pack_matrix(ds.cases[:, []]).tolist() == [0, 0]
+    # every individual shares the empty diplotype, whose marginal is log 1
+    assert log_marginal(np.array([3]), 0, RHO) == pytest.approx(0.0, abs=1e-12)
+    engine = LikelihoodEngine(ds, rho=RHO)
+    assert engine.marginal((), "both") == 0.0
+    assert engine.distinct_count(()) == 0
 
 
 def test_count_respects_cohort_selector():
     ds = dataset_from_rows([(0,), (1,)], [(1,), (1,)], 1)
-    cases = count_snp_set(ds, (0,), who="cases")
-    assert cases.n_total == 2 and cases.m_total == 0
-    ctrl = count_snp_set(ds, (0,), who="controls")
-    assert ctrl.n_total == 0 and ctrl.m_total == 2
+    engine = LikelihoodEngine(ds, rho=RHO)
+    assert engine.marginal((0,), "cases") == pytest.approx(
+        predictive_log_marginal([1, 1], 1), abs=1e-12
+    )
+    assert engine.marginal((0,), "controls") == pytest.approx(
+        predictive_log_marginal([2], 1), abs=1e-12
+    )
     with pytest.raises(ValueError):
-        count_snp_set(ds, (0,), who="everyone")
-
-
-def test_count_input_validation():
-    ds = dataset_from_rows([(0, 1)], [(1, 1)], 2)
-    with pytest.raises(ValueError):
-        count_snp_set(ds, (0, 0))
-    with pytest.raises(IndexError):
-        count_snp_set(ds, (0, 2))
-    with pytest.raises(ValueError):
-        count_diplotypes(ds, (1, 1))
-    with pytest.raises(ValueError):
-        count_diplotypes(ds, (0, 3))
-
-
-def test_counts_validate_rejects_inconsistency():
-    bad = DiplotypeCounts(width=1, entries={0: (1, 0)}, n_total=2, m_total=0)
-    with pytest.raises(ValueError):
-        bad.validate()
+        engine.marginal((0,), "everyone")
 
 
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(0)
     for _ in range(200):
         w = int(rng.integers(1, 40))
-        codes = tuple(int(c) for c in rng.integers(0, 3, size=w))
-        assert unpack_codes(pack_codes(codes), w) == codes
+        codes = rng.integers(0, 3, size=(1, w)).astype(np.int8)
+        (key,) = _pack_matrix(codes).tolist()
+        assert unpack_key(key, w) == tuple(int(c) for c in codes[0])
 
 
 def test_wide_matrix_packing_matches_rows():
@@ -147,19 +143,9 @@ def test_wide_matrix_packing_matches_rows():
     rng = np.random.default_rng(1)
     w = 70
     rows = rng.integers(0, 3, size=(40, w)).astype(np.int8)
-    ds = GenotypeDataset(
-        cases=rows,
-        controls=np.zeros((0, w), np.int8),
-        snp_ids=tuple(f"s{i}" for i in range(w)),
-        positions=tuple(range(1, w + 1)),
-    )
-    counts = count_snp_set(ds, tuple(range(w)), who="cases")
-    expect = {}
-    for row in rows:
-        key = tuple(int(v) for v in row)
-        expect[key] = expect.get(key, 0) + 1
-    decoded = {unpack_codes(k, w): v[0] for k, v in counts.entries.items()}
-    assert decoded == expect
+    keys, counts = np.unique(_pack_matrix(rows), return_counts=True)
+    decoded = {unpack_key(k, w): int(c) for k, c in zip(keys, counts)}
+    assert decoded == row_counts(rows)
 
 
 # -- log marginal ------------------------------------------------------------------
@@ -168,19 +154,20 @@ def test_wide_matrix_packing_matches_rows():
 def test_zero_observations_any_width():
     for w in (1, 2, 5, 12):
         ds = dataset_from_rows(np.zeros((0, w)), np.zeros((0, w)), w)
-        assert log_marginal(count_snp_set(ds, tuple(range(w)))) == 0.0
+        assert LikelihoodEngine(ds, rho=RHO).marginal(tuple(range(w)), "both") == 0.0
+        assert log_marginal(np.zeros(0), w, RHO) == 0.0
 
 
 def test_single_observation_is_log_one_third():
     for g in (0, 1, 2):
         ds = dataset_from_rows([(g,)], np.zeros((0, 1)), 1)
-        value = log_marginal(count_snp_set(ds, (0,), who="cases"))
+        value = LikelihoodEngine(ds, rho=RHO).marginal((0,), "cases")
         assert value == pytest.approx(math.log(1.0 / 3.0), abs=1e-12)
 
 
 def test_two_identical_observations():
     ds = dataset_from_rows([(0,), (0,)], np.zeros((0, 1)), 1)
-    value = log_marginal(count_snp_set(ds, (0,), who="cases"))
+    value = LikelihoodEngine(ds, rho=RHO).marginal((0,), "cases")
     # (0.5/1.5) * (1.5/2.5) = 0.2
     assert value == pytest.approx(math.log(0.2), abs=1e-12)
 
@@ -195,7 +182,7 @@ def test_single_observation_extreme_width():
         snp_ids=tuple(f"s{i}" for i in range(w)),
         positions=tuple(range(1, w + 1)),
     )
-    value = log_marginal(count_snp_set(ds, tuple(range(w)), who="cases"))
+    value = LikelihoodEngine(ds, rho=RHO).marginal(tuple(range(w)), "cases")
     assert value == pytest.approx(-w * LOG3, rel=1e-12)
 
 
@@ -205,83 +192,68 @@ def test_matches_sequential_predictive_randomized():
         width = int(rng.integers(1, 7))
         n_cells = int(rng.integers(1, min(9, 3**width + 1)))
         cells = [int(c) for c in rng.integers(1, 30, size=n_cells)]
-        keys = rng.choice(3**width, size=n_cells, replace=False)
-        entries = {}
-        for key, cnt in zip(keys, cells):
-            codes = []
-            k = int(key)
-            for _ in range(width):
-                codes.append(k % 3)
-                k //= 3
-            entries[tuple(codes)] = (cnt, 0)
-        counts = counts_from_dict(width, entries)
-        got = log_marginal(counts)
+        rng.choice(3**width, size=n_cells, replace=False)  # keys do not enter the marginal; drawn to keep the seeded sequence
+        got = log_marginal(np.array(cells), width, RHO)
         want = predictive_log_marginal(cells, width)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_marginal_invariant_to_cell_identity():
     # only the multiset of counts matters, not which diplotypes carry them
-    a = counts_from_dict(2, {(0, 0): (3, 1), (1, 2): (2, 0)})
-    b = counts_from_dict(2, {(2, 1): (4, 0), (0, 2): (1, 1)})
-    assert log_marginal(a) == pytest.approx(log_marginal(b), abs=1e-12)
+    a = dataset_from_rows([(0, 0)] * 3 + [(1, 2)] * 2, [(0, 0)], 2)
+    b = dataset_from_rows([(2, 1)] * 4 + [(0, 2)], [(0, 2)], 2)
+    assert LikelihoodEngine(a, rho=RHO).marginal((0, 1), "both") == pytest.approx(
+        LikelihoodEngine(b, rho=RHO).marginal((0, 1), "both"), abs=1e-12
+    )
 
 
 def test_marginal_uses_combined_cohorts():
-    split = counts_from_dict(1, {(0,): (2, 1), (1,): (0, 3)})
-    merged = counts_from_dict(1, {(0,): (3, 0), (1,): (3, 0)})
-    assert log_marginal(split) == pytest.approx(log_marginal(merged), abs=1e-12)
+    split = dataset_from_rows([(0,), (0,)], [(0,), (1,), (1,), (1,)], 1)
+    merged = dataset_from_rows([(0,)] * 3 + [(1,)] * 3, np.zeros((0, 1)), 1)
+    assert LikelihoodEngine(split, rho=RHO).marginal((0,), "both") == pytest.approx(
+        LikelihoodEngine(merged, rho=RHO).marginal((0,), "both"), abs=1e-12
+    )
 
 
 def test_rho_config_respected():
-    counts = counts_from_dict(1, {(0,): (2, 0)})
-    loose = log_marginal(counts, DirichletConfig(rho=3.0))
+    loose = log_marginal(np.array([2]), 1, 3.0)
     # alpha = 1: (1/3) * (2/4)
     assert loose == pytest.approx(math.log((1 / 3) * (2 / 4)), abs=1e-12)
+    ds = dataset_from_rows([(0,), (0,)], np.zeros((0, 1)), 1)
+    assert LikelihoodEngine(ds, rho=3.0).marginal((0,), "cases") == pytest.approx(loose, abs=1e-12)
 
 
-# -- log conditional ----------------------------------------------------------------
+# -- conditional terms ----------------------------------------------------------------
+# A block term holds the conditional log P(whole block | labelled SNPs) as the
+# difference of two combined-cohort marginals.
 
 
 def test_conditional_on_itself_is_zero():
     ds = dataset_from_rows([(0, 1), (1, 1)], [(2, 0)], 2)
-    full = count_snp_set(ds, (0, 1))
-    assert log_conditional(full, full) == pytest.approx(0.0, abs=1e-12)
+    engine = LikelihoodEngine(ds, rho=RHO)
+    # every SNP labelled 1: the block is conditioned on itself, leaving the
+    # cohort-specific marginals of the labelled set
+    want = engine.marginal((0, 1), "cases") + engine.marginal((0, 1), "controls")
+    assert block_term(ds, 0, 2, [1, 1]) == pytest.approx(want, abs=1e-12)
 
 
 def test_conditional_on_nothing_is_marginal():
     ds = dataset_from_rows([(0, 1), (1, 1)], [(2, 0)], 2)
-    full = count_snp_set(ds, (0, 1))
-    empty = count_snp_set(ds, ())
-    assert log_conditional(full, empty) == pytest.approx(log_marginal(full), abs=1e-12)
+    engine = LikelihoodEngine(ds, rho=RHO)
+    assert block_term(ds, 0, 2, [0, 0]) == pytest.approx(
+        engine.marginal((0, 1), "both"), abs=1e-12
+    )
 
 
 def test_conditional_two_snp_hand_value():
     rows = [(0, 0), (0, 1)]
     ds = dataset_from_rows(rows, np.zeros((0, 2)), 2)
-    full = count_snp_set(ds, (0, 1), who="cases")
-    sub = count_snp_set(ds, (0,), who="cases")
-    got = log_conditional(full, sub)
+    engine = LikelihoodEngine(ds, rho=RHO)
+    got = engine.marginal((0, 1), "cases") - engine.marginal((0,), "cases")
     # full: two distinct 2-SNP diplotypes, alpha=1.5/9: (1/6)/1.5 * (1/6)/2.5
     # sub: both individuals genotype 0 at SNP 0: (0.5/1.5) * (1.5/2.5)
     want = math.log((1 / 6) / 1.5 * (1 / 6) / 2.5) - math.log(0.2)
     assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_conditional_rejects_mismatched_totals():
-    ds = dataset_from_rows([(0, 1), (1, 1)], [(2, 0)], 2)
-    full = count_snp_set(ds, (0, 1))
-    sub_cases_only = count_snp_set(ds, (0,), who="cases")
-    with pytest.raises(ValueError):
-        log_conditional(full, sub_cases_only)
-
-
-def test_conditional_rejects_wider_subset():
-    ds = dataset_from_rows([(0, 1)], [(2, 0)], 2)
-    full = count_snp_set(ds, (0,))
-    sub = count_snp_set(ds, (0, 1))
-    with pytest.raises(ValueError):
-        log_conditional(full, sub)
 
 
 # -- engine -----------------------------------------------------------------------
@@ -300,7 +272,8 @@ def test_engine_matches_direct_computation():
     engine = LikelihoodEngine(ds, rho=RHO)
     for snps in [(0,), (2, 4), (1, 2, 3), tuple(range(6))]:
         for who in ("both", "cases", "controls"):
-            direct = log_marginal(count_snp_set(ds, snps, who=who))
+            rows = {"both": np.vstack([cases, controls]), "cases": cases, "controls": controls}[who]
+            direct = predictive_log_marginal(list(row_counts(rows[:, list(snps)]).values()), len(snps))
             assert engine.marginal(snps, who) == pytest.approx(direct, abs=1e-12)
             # second call hits the memo and must be identical
             assert engine.marginal(snps, who) == engine.marginal(snps, who)
@@ -318,3 +291,8 @@ def test_engine_distinct_count():
     engine = LikelihoodEngine(ds, rho=RHO)
     assert engine.distinct_count((0, 1)) == 3
     assert engine.distinct_count((1,)) == 2
+    # the count comes with the combined-cohort marginal, which is now memoized
+    assert set(engine._marg) == {((0, 1), "both"), ((1,), "both")}
+    assert engine.marginal((0, 1), "both") == pytest.approx(
+        predictive_log_marginal([2, 1, 1], 2), abs=1e-12
+    )

@@ -19,8 +19,6 @@ from beamscan.model import (
     ModelConstraints,
     PriorConfig,
     default_priors,
-    log_block_term,
-    log_joint,
     mask_from_labels,
 )
 
@@ -78,6 +76,17 @@ def ref_log_joint(ds, starts, labels, priors):
     return total
 
 
+def log_block_term(ds, block, labels):
+    """One block's conditional term for the full-length label sequence ``labels``."""
+    a, b = block
+    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, p0=0.8, rho=RHO)
+    return JointModel(ds, priors).block_term(a, b, mask_from_labels(labels, a, b))
+
+
+def log_joint(ds, partition, membership, priors):
+    return JointModel(ds, priors).log_joint(partition, membership)
+
+
 def random_dataset(rng, n_cases, n_controls, n_snps):
     return GenotypeDataset(
         cases=rng.integers(0, 3, size=(n_cases, n_snps)).astype(np.int8),
@@ -114,6 +123,13 @@ def test_default_priors_constraints():
     assert cons30.max_order == 1
     with pytest.raises(ConstraintError):
         default_priors(10, 1000, 15, 14)
+    with pytest.raises(ConstraintError):
+        default_priors(10, 1000, 1, 0)
+    # no individuals: the caps cannot bind and the priors are echoed
+    priors0, cons0 = default_priors(10, 1000, 0, 0)
+    assert priors0 == default_priors(10, 1000, 15, 15)[0]
+    assert (cons0.max_distinct_diplotypes, cons0.max_order) == (1, 1)
+    assert default_priors(10, 1000, 0, 0, max_order=3)[1].max_order == 3
 
 
 def test_default_priors_overrides():
@@ -234,15 +250,6 @@ def test_block_term_never_positive():
         assert log_block_term(ds, (a, b), labels) <= 1e-12
 
 
-def test_block_term_input_validation():
-    rng = np.random.default_rng(6)
-    ds = random_dataset(rng, 4, 4, 3)
-    with pytest.raises(ValueError):
-        log_block_term(ds, (2, 2), [0, 0, 0])
-    with pytest.raises(ValueError):
-        log_block_term(ds, (0, 4), [0, 0, 0])
-
-
 # -- joint ----------------------------------------------------------------------------
 
 
@@ -312,9 +319,9 @@ def test_split_of_unassociated_block_changes_only_that_block():
     split = model.log_joint(BlockPartition((0, 2, 4), 6), labels)
     # only block [0,4) was cut; the difference is its term swap plus one prior factor
     lhs = split - merged
-    t_whole = model.block_term_from_labels(0, 4, labels.labels)
-    t_left = model.block_term_from_labels(0, 2, labels.labels)
-    t_right = model.block_term_from_labels(2, 4, labels.labels)
+    t_whole = model.block_term(0, 4, mask_from_labels(labels.labels, 0, 4))
+    t_left = model.block_term(0, 2, mask_from_labels(labels.labels, 0, 2))
+    t_right = model.block_term(2, 4, mask_from_labels(labels.labels, 2, 4))
     prior_delta = math.log(priors.p_boundary) - math.log(1 - priors.p_boundary)
     assert lhs == pytest.approx(t_left + t_right - t_whole + prior_delta, abs=1e-12)
 
