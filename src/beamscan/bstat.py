@@ -8,6 +8,18 @@ label permutation (empirical p-values with add-one smoothing) or by a shifted
 chi-square with 3^M - 1 degrees of freedom whose shift constant is fit by
 matching the permutation-null median (``fit_shift_constant``) and passed to
 ``null_calibration`` by the caller.
+
+The observed labelling and every permuted one go through one statistic,
+``_SetKernel.statistics``: it scores a matrix of case assignments with one
+offset ``bincount`` over the set's joint diplotype cells, derives the per-SNP
+counts from the joint counts with one matrix product, and evaluates every
+marginal with ``log_marginal`` over the count rows. A permutation that
+reproduces the observed count table therefore ties with the observed value
+exactly, which the ``null >= b`` count of the p-value relies on.
+``permutation_null`` draws ``PERM_BATCH`` replicates at a time with
+``Generator.permuted`` over stacked ``arange`` rows; that consumes the seed's
+stream exactly as one ``Generator.permutation`` call per replicate does, so
+the null values of a seed do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -16,11 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
-from .dataio import GenotypeDataset
+from .dataio import GenotypeDataset, chi2_sf
 from .likelihood import _pack_matrix, log_marginal
 from .model import ConstraintError
+
+PERM_BATCH = 256  # permutation replicates evaluated per batch
 
 
 @dataclass
@@ -42,40 +56,40 @@ class _SetKernel:
     def __init__(self, dataset: GenotypeDataset, snps: tuple[int, ...], rho: float):
         self.rho = rho
         self.width = len(snps)
-        self.n_cases = dataset.n_cases
-        self.n_controls = dataset.n_controls
-        combined = np.vstack([dataset.cases, dataset.controls]) if self.n_cases + self.n_controls else np.zeros((0, dataset.n_snps), np.int8)
-        keys = _pack_matrix(combined[:, list(snps)]) if combined.shape[0] else np.zeros(0, np.int64)
-        _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        combined = np.vstack([dataset.cases, dataset.controls])[:, list(snps)]
+        keys = _pack_matrix(combined)
+        _, first, inv, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
         self.joint_inverse = inv
-        self.joint_cells = counts.size
+        self.joint_counts = counts
         self.log_joint_both = log_marginal(counts, self.width, rho)
-        self.single_cols = [np.ascontiguousarray(combined[:, j]) for j in snps]
-        log_singles_both = 0.0
-        for col in self.single_cols:
-            c = np.bincount(col, minlength=3)
-            log_singles_both += log_marginal(c[c > 0], 1, rho)
-        self.log_singles_both = log_singles_both
+        # Each joint cell fixes every member's genotype, so per-SNP counts are
+        # joint counts times a (cells, 3 * width) one-hot map.
+        self.single_map = np.zeros((counts.size, 3 * self.width))
+        cols = 3 * np.arange(self.width) + combined[first]
+        np.put_along_axis(self.single_map, cols, 1.0, axis=1)
+        self.log_singles_both = float(self._log_singles(counts[None, :])[0])
 
-    def statistic(self, case_mask: np.ndarray) -> float:
-        """The statistic for a given assignment of individuals to cases."""
-        rho, width = self.rho, self.width
-        if self.joint_inverse.size:
-            case_counts = np.bincount(self.joint_inverse[case_mask], minlength=self.joint_cells)
-            ctrl_counts = np.bincount(
-                self.joint_inverse[~case_mask], minlength=self.joint_cells
-            )
-        else:
-            case_counts = ctrl_counts = np.zeros(0, dtype=np.int64)
-        log_cases = log_marginal(case_counts[case_counts > 0], width, rho)
-        log_controls = log_marginal(ctrl_counts[ctrl_counts > 0], width, rho)
-        log_singles_controls = 0.0
-        for col in self.single_cols:
-            c = np.bincount(col[~case_mask], minlength=3)
-            log_singles_controls += log_marginal(c[c > 0], 1, rho)
-        return float(
+    def _log_singles(self, joint: np.ndarray) -> np.ndarray:
+        """Summed per-SNP log marginals for each row of joint cell counts."""
+        singles = (joint @ self.single_map).reshape(joint.shape[0], self.width, 3)
+        return log_marginal(singles, 1, self.rho).sum(axis=-1)
+
+    def statistics(self, case_rows: np.ndarray) -> np.ndarray:
+        """The statistic for each row of ``case_rows``, which lists the cases
+        by their index in the cases-then-controls stacking."""
+        r, cells = case_rows.shape[0], self.joint_counts.size
+        offsets = (np.arange(r) * cells)[:, None]
+        cases = np.bincount(
+            (self.joint_inverse[case_rows] + offsets).ravel(), minlength=r * cells
+        ).reshape(r, cells)
+        controls = self.joint_counts - cases
+        log_cases = log_marginal(cases, self.width, self.rho)
+        log_controls = log_marginal(controls, self.width, self.rho)
+        return (
             log_cases
-            + np.logaddexp(log_controls, log_singles_controls)
+            + np.logaddexp(log_controls, self._log_singles(controls))
             - np.logaddexp(self.log_joint_both, self.log_singles_both)
         )
 
@@ -100,9 +114,7 @@ def bstat(dataset: GenotypeDataset, snp_set, rho: float = 1.5, max_order: int | 
     """Log Bayes factor of joint association for ``snp_set``."""
     snps = _validated_set(dataset, snp_set, max_order)
     kernel = _SetKernel(dataset, snps, rho)
-    mask = np.zeros(dataset.n_cases + dataset.n_controls, dtype=bool)
-    mask[: dataset.n_cases] = True
-    return kernel.statistic(mask)
+    return float(kernel.statistics(np.arange(dataset.n_cases)[None, :])[0])
 
 
 def permutation_null(
@@ -118,10 +130,12 @@ def permutation_null(
     total = dataset.n_cases + dataset.n_controls
     rng = np.random.default_rng(seed)
     values = np.empty(n_perm)
-    for r in range(n_perm):
-        mask = np.zeros(total, dtype=bool)
-        mask[rng.permutation(total)[: dataset.n_cases]] = True
-        values[r] = kernel.statistic(mask)
+    for start in range(0, n_perm, PERM_BATCH):
+        r = min(PERM_BATCH, n_perm - start)
+        # Row i is what the i-th successive rng.permutation(total) would draw.
+        perm = np.tile(np.arange(total), (r, 1))
+        rng.permuted(perm, axis=1, out=perm)
+        values[start : start + r] = kernel.statistics(perm[:, : dataset.n_cases])
     return values
 
 
@@ -139,7 +153,13 @@ class NullCalibration:
             assert self.null_values is not None
             exceed = int(np.sum(self.null_values >= b))
             return (1 + exceed) / (self.null_values.size + 1)
-        return float(chi2.sf(2.0 * (b - self.shift), df=self.df))
+        return chi2_sf(2.0 * (b - self.shift), self.df)
+
+
+def _median_shift(null: np.ndarray, df: int) -> float:
+    """The shift that puts half the chi-square median on the null's median."""
+    # gammaincinv(df / 2, 0.5) is half the median, as scipy.stats.chi2.ppf computes it
+    return float(np.median(null)) - float(gammaincinv(df / 2, 0.5))
 
 
 def analytic_shift(n_cases: int, n_controls: int, m: int, c: float) -> float:
@@ -165,9 +185,14 @@ def fit_shift_constant(
     if n_perm < 500:
         raise ValueError("fitting the shift constant needs n_perm >= 500")
     unit_shift = analytic_shift(dataset.n_cases, dataset.n_controls, len(snps), 1.0)
+    if unit_shift == 0.0:
+        raise ValueError(
+            f"the analytic shift is 0 for {dataset.n_cases} cases and "
+            f"{dataset.n_controls} controls, so its constant cannot be fit; "
+            "use permutation calibration"
+        )
     null = permutation_null(dataset, snps, rho=rho, n_perm=n_perm, seed=seed)
-    shift_fit = float(np.median(null)) - float(chi2.ppf(0.5, 3 ** len(snps) - 1)) / 2.0
-    return shift_fit / unit_shift
+    return _median_shift(null, 3 ** len(snps) - 1) / unit_shift
 
 
 def null_calibration(
@@ -201,7 +226,7 @@ def null_calibration(
         if (dataset.n_cases, dataset.n_controls) != (n_cases, n_controls):
             raise ValueError("dataset cohort sizes disagree with n_cases/n_controls")
         null = permutation_null(dataset, snp_set, rho=rho, n_perm=n_perm, seed=seed)
-        shift = float(np.median(null)) - float(chi2.ppf(0.5, df)) / 2.0
+        shift = _median_shift(null, df)
         return NullCalibration(mode="permutation", df=df, shift=shift, null_values=null)
     if mode == "analytic":
         if shift_constant is None:

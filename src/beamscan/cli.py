@@ -322,11 +322,13 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
             if len(toks) != 2:
                 raise DataFormatError("interaction rows need 2 columns", line=lineno)
             members = toks[0].split(",")
-            for sid in members:
+            for k, sid in enumerate(members):
                 if sid not in index:
                     raise DataFormatError(
                         f"unknown SNP id {sid!r} in interactions file", line=lineno
                     )
+                if sid in members[:k]:
+                    raise DataFormatError(f"SNP id {sid!r} repeated in one set", line=lineno)
             sets[tuple(index[sid] for sid in members)] = _number(
                 toks[1], "interactions file", lineno
             )

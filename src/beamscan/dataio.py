@@ -19,10 +19,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
+
+
+def chi2_sf(x: float, df: float) -> float:
+    """Chi-square upper tail P(X >= x); equals ``scipy.stats.chi2.sf``, which
+    is not imported because it costs about a second at start-up."""
+    return 1.0 if x <= 0 else float(chdtrc(df, x))
 
 
 class DataFormatError(ValueError):
@@ -230,7 +236,7 @@ def hwe_filter(dataset: GenotypeDataset, threshold: float) -> tuple[GenotypeData
         expected = m * np.array([(1 - q) ** 2, 2 * q * (1 - q), q**2])
         mask = expected > 0
         stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
-        p = float(chi2.sf(stat, df=1))
+        p = chi2_sf(stat, 1)
         if p < threshold:
             removed.append(dataset.snp_ids[j])
         else:

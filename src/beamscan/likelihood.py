@@ -11,8 +11,9 @@ double precision past w ~ 650, so per-cell terms use the exact identity
 with ln(a) formed as ln(rho) - w * ln(3).
 
 Individuals' genotype rows are packed into integer keys (2 bits per SNP) by
-``_pack_matrix`` and counted with ``np.unique``; ``log_marginal`` turns the
-positive per-diplotype counts into the log marginal, and
+``_pack_matrix`` and counted with ``np.unique``; ``log_marginal`` turns
+per-diplotype counts into the log marginal, one sample per row of a count
+matrix (zero cells are absent diplotypes), and
 ``LikelihoodEngine`` memoizes it per (SNP set, cohort) along with the number
 of distinct diplotypes that the block-diversity constraint reads.
 """
@@ -55,21 +56,24 @@ def _pack_matrix(mat: np.ndarray) -> np.ndarray:
     return np.array(keys, dtype=object)
 
 
-def log_marginal(counts: np.ndarray, width: int, rho: float) -> float:
-    """Log marginal of one multinomial sample under the width-scaled prior.
+def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarray:
+    """Log marginal of multinomial samples under the width-scaled prior.
 
-    ``counts`` holds the positive per-diplotype totals; absent diplotypes
-    contribute nothing.
+    ``counts`` holds per-diplotype totals along its last axis, one sample per
+    row; zero cells are absent diplotypes and contribute nothing. Returns a
+    float for a 1-D input and an array of the leading shape otherwise.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
     log_alpha = math.log(rho) - width * LOG3
     alpha = math.exp(log_alpha)  # may underflow to 0.0 for huge widths; harmless
-    k = counts.size
-    per_cell = k * (log_alpha - float(gammaln(1.0 + alpha))) + float(gammaln(counts + alpha).sum())
-    return per_cell + float(gammaln(rho)) - float(gammaln(total + rho))
+    absent = counts == 0
+    terms = gammaln(counts + alpha)
+    terms[absent] = 0.0
+    present = counts.shape[-1] - np.add.reduce(absent, axis=-1)
+    per_cell = present * (log_alpha - float(gammaln(1.0 + alpha))) + np.add.reduce(terms, axis=-1)
+    # an empty sample gives lnG(rho) - lnG(0 + rho), exactly 0
+    value = per_cell + float(gammaln(rho)) - gammaln(np.add.reduce(counts, axis=-1) + rho)
+    return float(value) if counts.ndim == 1 else value
 
 
 class LikelihoodEngine:

@@ -8,7 +8,9 @@ import pytest
 from scipy.stats import chi2, kstest
 
 from beamscan.bstat import (
+    PERM_BATCH,
     BStatResult,
+    _median_shift,
     analytic_shift,
     bstat,
     fit_shift_constant,
@@ -19,6 +21,7 @@ from beamscan.bstat import (
 )
 from beamscan.cli import score_sets
 from beamscan.dataio import GenotypeDataset
+from beamscan.likelihood import _pack_matrix, log_marginal
 from beamscan.model import ConstraintError
 
 RHO = 1.5
@@ -145,6 +148,107 @@ def test_permutation_null_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
+class ReferenceKernel:
+    """The one-replicate-at-a-time statistic that the batched kernel replaced."""
+
+    def __init__(self, ds, snps, rho=RHO):
+        self.rho, self.width = rho, len(snps)
+        combined = np.vstack([ds.cases, ds.controls])
+        keys = _pack_matrix(combined[:, list(snps)])
+        _, self.joint_inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        self.joint_cells = counts.size
+        self.log_joint_both = log_marginal(counts, self.width, rho)
+        self.single_cols = [np.ascontiguousarray(combined[:, j]) for j in snps]
+        self.log_singles_both = 0.0
+        for col in self.single_cols:
+            c = np.bincount(col, minlength=3)
+            self.log_singles_both += log_marginal(c[c > 0], 1, rho)
+
+    def statistic(self, case_mask):
+        rho, width = self.rho, self.width
+        case_counts = np.bincount(self.joint_inverse[case_mask], minlength=self.joint_cells)
+        ctrl_counts = np.bincount(self.joint_inverse[~case_mask], minlength=self.joint_cells)
+        log_cases = log_marginal(case_counts[case_counts > 0], width, rho)
+        log_controls = log_marginal(ctrl_counts[ctrl_counts > 0], width, rho)
+        log_singles_controls = 0.0
+        for col in self.single_cols:
+            c = np.bincount(col[~case_mask], minlength=3)
+            log_singles_controls += log_marginal(c[c > 0], 1, rho)
+        return float(
+            log_cases
+            + np.logaddexp(log_controls, log_singles_controls)
+            - np.logaddexp(self.log_joint_both, self.log_singles_both)
+        )
+
+
+def reference_permutation_null(ds, snps, n_perm, seed):
+    kernel = ReferenceKernel(ds, snps)
+    total = ds.n_cases + ds.n_controls
+    rng = np.random.default_rng(seed)
+    values = np.empty(n_perm)
+    for r in range(n_perm):
+        mask = np.zeros(total, dtype=bool)
+        mask[rng.permutation(total)[: ds.n_cases]] = True
+        values[r] = kernel.statistic(mask)
+    return values, kernel
+
+
+@pytest.mark.parametrize("n_perm", [1, PERM_BATCH - 1, PERM_BATCH, PERM_BATCH + 1, 600])
+@pytest.mark.parametrize("snps", [(1,), (0, 2), (0, 1, 3)])
+def test_batched_null_matches_one_at_a_time_reference(snps, n_perm):
+    ds = null_dataset(52, 23, 31, 4)
+    want, _ = reference_permutation_null(ds, snps, n_perm, seed=8)
+    got = permutation_null(ds, snps, n_perm=n_perm, seed=8)
+    assert got.shape == (n_perm,)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_batched_null_matches_reference_on_a_32_snp_set():
+    ds = null_dataset(53, 20, 24, 32)
+    snps = tuple(range(32))  # packed keys overflow int64 and become Python ints
+    assert _pack_matrix(ds.cases[:, list(snps)]).dtype == object
+    want, _ = reference_permutation_null(ds, snps, 300, seed=2)
+    got = permutation_null(ds, snps, n_perm=300, seed=2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert bstat(ds, snps) == pytest.approx(ref_bstat(ds, snps), abs=1e-10)
+
+
+def test_batched_null_on_a_zero_individual_panel():
+    ds = make_dataset(np.zeros((0, 3)), np.zeros((0, 3)))
+    for snps in [(0,), (0, 2)]:
+        want, _ = reference_permutation_null(ds, snps, PERM_BATCH + 3, seed=1)
+        got = permutation_null(ds, snps, n_perm=PERM_BATCH + 3, seed=1)
+        assert np.array_equal(got, want) and not got.any()
+
+
+def test_permutations_that_reproduce_the_observed_table_tie_exactly():
+    # 4 cases + 4 controls over two genotypes: every permutation that puts the
+    # same number of 2s among the cases reproduces the observed count table
+    ds = make_dataset([[2], [2], [0], [0]], [[2], [0], [2], [0]])
+    for snps, seed in [((0,), 3), ((0,), 4)]:
+        want, kernel = reference_permutation_null(ds, snps, 600, seed)
+        mask = np.arange(8) < 4
+        observed = kernel.statistic(mask)
+        got = permutation_null(ds, snps, n_perm=600, seed=seed)
+        b = bstat(ds, snps)
+        assert np.sum(got == b) > 100  # many exact ties with the observed value
+        assert np.sum(got >= b) == np.sum(want >= observed)
+    # nine joint cells, so each row sums more than eight terms: the replicates
+    # whose case table is the observed one must still equal bstat exactly
+    c = [(a, b) for a in range(3) for b in range(3)]
+    nine = make_dataset(c[:6], [c[0], c[1], c[6], c[7], c[8], c[8]])
+    keys = np.vstack([nine.cases, nine.controls]) @ np.array([3, 1])
+    observed = np.bincount(keys[:6], minlength=9)
+    got = permutation_null(nine, (0, 1), n_perm=2000, seed=0)
+    rng = np.random.default_rng(0)
+    same = np.array([np.array_equal(np.bincount(keys[rng.permutation(12)[:6]], minlength=9),
+                                    observed) for _ in range(2000)])
+    b = bstat(nine, (0, 1))
+    assert same.sum() > 0 and np.all(got[same] == b)
+    want, kernel = reference_permutation_null(nine, (0, 1), 2000, 0)
+    assert np.sum(got >= b) == np.sum(want >= kernel.statistic(np.arange(12) < 6))
+
+
 def test_permutation_p_value_bounds():
     cal = null_calibration(
         10, 10, 1, mode="permutation",
@@ -216,6 +320,19 @@ def test_fitted_constant_sets_the_analytic_shift():
         fit_shift_constant(ds, (0,), n_perm=499)
     with pytest.raises(ValueError):
         fit_shift_constant(null_dataset(48, 37, 0, 2), (0,), n_perm=600)
+
+
+def test_median_shift_uses_the_chi_square_median():
+    null = np.array([3.0, -1.0, 0.5, 2.0])
+    for df in (2, 8, 26, 80, 242, 3**20 - 1):
+        assert _median_shift(null, df) == float(np.median(null)) - float(chi2.ppf(0.5, df)) / 2.0
+
+
+def test_fit_shift_constant_rejects_two_cases_and_two_controls():
+    ds = make_dataset([[0], [1]], [[2], [1]])
+    assert analytic_shift(2, 2, 1, 1.0) == 0.0
+    with pytest.raises(ValueError, match="2 cases and 2 controls"):
+        fit_shift_constant(ds, (0,), n_perm=500)
 
 
 def test_analytic_null_median_is_stable_out_of_sample():

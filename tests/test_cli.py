@@ -368,6 +368,22 @@ def test_bstat_analytic_needs_500_permutations(workdir, signal_panel, capsys):
     assert "n_perm >= 500" in err and "Warning" not in err
 
 
+def test_bstat_analytic_on_two_cases_and_two_controls_exits_2(workdir, capsys):
+    panel = workdir / "two_by_two.tsv"
+    panel.write_text("#snp\ta\tb\n#pos\t5\t9\n1\t0\t1\n1\t1\t2\n0\t2\t0\n0\t1\t1\n")
+    sets_path = workdir / "two_by_two.sets"
+    sets_path.write_text("a\n")
+    out = workdir / "two_by_two.bstat.tsv"
+    argv = ["bstat", "--in", str(panel), "--sets", str(sets_path), "--out", str(out),
+            "--n-perm", "500"]
+    rc = main(argv + ["--calibration", "analytic"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "2 cases and 2 controls" in err and "permutation calibration" in err
+    assert "Traceback" not in err
+    assert main(argv) == 0  # permutation calibration still works
+
+
 def test_bstat_empty_sets_file(workdir, signal_panel):
     sets_path = workdir / "sets_empty.tsv"
     sets_path.write_text("# nothing here\n\n")
@@ -434,6 +450,7 @@ def sidecar_prefix(workdir, mapped):
     ("snp0002,snp0012\t0.5\textra", "need 2 columns"),
     ("snp0002,snp0012", "need 2 columns"),
     ("snp0002,snp0012\thalf", "not a number"),
+    ("snp0002,snp0002\t0.9", "'snp0002' repeated"),
 ])
 def test_bstat_bad_interactions_sidecar_exits_3(workdir, signal_panel, sidecar_prefix,
                                                 row, message, capsys):
@@ -480,6 +497,14 @@ def test_usage_errors_raise_systemexit_2(workdir):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(beamscan.__file__).resolve().parents[1])
+    code = "import sys, beamscan.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_version_flag():

@@ -198,6 +198,22 @@ def test_matches_sequential_predictive_randomized():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_count_matrix_rows_match_compacted_rows():
+    rng = np.random.default_rng(17)
+    for width, cells in [(1, 3), (2, 9), (3, 27), (5, 40), (700, 12)]:
+        counts = rng.integers(0, 6, size=(20, cells)) * (rng.random((20, cells)) < 0.5)
+        counts[0] = 0  # an all-absent row is an empty sample
+        got = log_marginal(counts, width, RHO)
+        assert isinstance(got, np.ndarray) and got.shape == (20,)
+        for row, value in zip(counts, got):
+            want = log_marginal(row[row > 0], width, RHO)
+            assert isinstance(want, float)
+            assert value == pytest.approx(want, rel=0, abs=1e-12)
+        assert got[0] == 0.0
+    stacked = log_marginal(counts.reshape(4, 5, cells), width, RHO)
+    assert np.array_equal(stacked, got.reshape(4, 5))
+
+
 def test_marginal_invariant_to_cell_identity():
     # only the multiset of counts matters, not which diplotypes carry them
     a = dataset_from_rows([(0, 0)] * 3 + [(1, 2)] * 2, [(0, 0)], 2)
