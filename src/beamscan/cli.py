@@ -200,7 +200,7 @@ def cmd_chains(args) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     total = schedule.burnin + schedule.iterations
     sample_membership = args.subcommand == "map"
-    summary, _, _ = run_chains(
+    summary, chains, _ = run_chains(
         dataset,
         priors,
         schedule,
@@ -233,7 +233,10 @@ def cmd_chains(args) -> int:
                 f"{dataset.snp_ids[i]}\t{dataset.positions[i]}\t{summary.boundary_posterior[i]:.6f}"
             )
         Path(args.outfile).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(args, [args.infile], outputs, started)
+    _write_manifest(
+        args, [args.infile], outputs, started,
+        extra={"acceptance": [chain.acceptance for chain in chains]},
+    )
     return 0
 
 

@@ -1,11 +1,15 @@
 """Exact posterior enumeration for small panels, for sampler verification.
 
-The joint factorizes over blocks once the partition and the genome-wide
-group-2 set are fixed, so instead of visiting every membership vector the
-enumerator sums, per (partition, group-2 set) pair, the within-block mixture
-over group-0/1 labels in closed form. The mass covered is identical to the
-brute-force state sum; block terms come from the same cached evaluator the
-sampler uses.
+Once the genome-wide group-2 set is fixed, the joint factorizes over blocks,
+and each block's mixture over group-0/1 labels has a closed form: its weight
+is a sum over the block's label masks, taken from the same cached
+``JointModel.block_term`` the sampler uses. A partition's weight is then a
+product of block weights, so a forward-backward recursion over block
+boundaries sums every partition that satisfies the diplotype cap, for all
+group-2 sets at once (one array entry per set). The mass covered is identical
+to the brute-force state sum. The recursion costs O(n^2 * group-2 sets)
+array operations and one weight per (block, block-local group-2 set), instead
+of one weight lookup per (partition, group-2 set, block).
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataio import GenotypeDataset
 from .model import (
@@ -55,12 +58,20 @@ def _admissible_membership_count(n_snps: int, max_order: int) -> int:
     return total
 
 
+def _logsumexp(stack: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp over axis 0; -inf where every entry is -inf."""
+    top = stack.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(stack - shift).sum(axis=0))
+
+
 def enumerate_posterior(
     dataset: GenotypeDataset,
     priors: PriorConfig,
     constraints: ModelConstraints | None = None,
 ) -> OracleResult:
-    """Exhaustively sum the joint over all partitions and memberships."""
+    """Exactly sum the joint over all partitions and memberships."""
     n = dataset.n_snps
     if n > ORACLE_MAX_SNPS:
         raise OracleGuardError(
@@ -70,21 +81,21 @@ def enumerate_posterior(
     max_order = min(model.max_order, n)
     log_p2 = model._log_label[2]
     log_label01 = (model._log_label[0], model._log_label[1])
+    # partition prior: n * log(1 - p) + blocks * log(p / (1 - p))
+    odds = model._log_p - model._log_1mp
 
     subsets: list[tuple[int, ...]] = [()]
     if log_p2 > NEG_INF:
         for k in range(1, max_order + 1):
             subsets.extend(combinations(range(n), k))
-    g2term = {s: model.group2_term(s) + len(s) * (log_p2 if s else 0.0) for s in subsets}
-
-    # (a, b, local group-2 tuple) -> (logW, per-local-SNP logW1)
-    weight_cache: dict[tuple[int, int, tuple[int, ...]], tuple[float, np.ndarray]] = {}
+    g2 = np.array([model.group2_term(s) + len(s) * (log_p2 if s else 0.0) for s in subsets])
+    in_set = np.zeros((len(subsets), n))
+    for row, s in enumerate(subsets):
+        in_set[row, list(s)] = 1.0
+    set_bits = in_set.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
 
     def block_weights(a: int, b: int, t_local: tuple[int, ...]) -> tuple[float, np.ndarray]:
-        key = (a, b, t_local)
-        hit = weight_cache.get(key)
-        if hit is not None:
-            return hit
+        """(logW, per-local-SNP logW with label 1) over the block's free labels."""
         w = b - a
         free = [j for j in range(w) if j not in t_local]
         base = sum(2 * 3**j for j in t_local)
@@ -99,74 +110,63 @@ def enumerate_posterior(
             terms.append(model.block_term(a, b, mask) + prior)
             bits.append(sigma)
         terms_arr = np.asarray(terms)
-        log_w = float(logsumexp(terms_arr)) if terms_arr.size else NEG_INF
+        ones = np.asarray(bits, dtype=bool).reshape(len(bits), len(free))
         log_w1 = np.full(w, NEG_INF)
-        for pos, j in enumerate(free):
-            sel = np.asarray([sigma[pos] == 1 for sigma in bits])
-            if sel.any():
-                log_w1[j] = float(logsumexp(terms_arr[sel]))
-        result = (log_w, log_w1)
-        weight_cache[key] = result
-        return result
+        log_w1[free] = _logsumexp(np.where(ones, terms_arr[:, None], NEG_INF))
+        return float(_logsumexp(terms_arr)), log_w1
 
-    # Enumerate partitions once, keeping only those satisfying the cap.
-    partitions: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
-    for bitmask in range(1 << (n - 1)):
-        starts = [0] + [i + 1 for i in range(n - 1) if (bitmask >> i) & 1]
-        blocks = [
-            (s, starts[k + 1] if k + 1 < len(starts) else n) for k, s in enumerate(starts)
-        ]
-        if all(model.block_allowed(a, b) for a, b in blocks):
-            partitions.append((tuple(starts), blocks))
-    if not partitions:
+    # A block's distinct-diplotype count bounds those of its sub-blocks, so when
+    # any partition satisfies the cap every single-SNP block does, and every
+    # allowed block lies on an allowed partition.
+    allowed = [
+        (a, b) for a in range(n) for b in range(a + 1, n + 1) if model.block_allowed(a, b)
+    ]
+    reached = {0}
+    for a, b in allowed:
+        if a in reached:
+            reached.add(b)
+    if n not in reached:
         raise ConstraintError("every partition violates the diplotype cap")
 
-    def split_by_blocks(s: tuple[int, ...], blocks) -> list[tuple[int, ...]]:
-        out = []
-        idx = 0
-        for a, b in blocks:
-            local = []
-            while idx < len(s) and s[idx] < b:
-                local.append(s[idx] - a)
-                idx += 1
-            out.append(tuple(local))
-        return out
+    # Per block and group-2 set: log weight plus the boundary odds, and the
+    # same with each SNP of the block held at label 1.
+    weight: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for a, b in allowed:
+        local = (set_bits >> a) & ((1 << (b - a)) - 1)
+        keys, inverse = np.unique(local, return_inverse=True)
+        log_w = np.empty(len(keys))
+        log_w1 = np.empty((len(keys), b - a))
+        for k, key in enumerate(keys.tolist()):
+            t_local = tuple(j for j in range(b - a) if (key >> j) & 1)
+            log_w[k], log_w1[k] = block_weights(a, b, t_local)
+        weight[(a, b)] = (odds + log_w[inverse], odds + log_w1[inverse])
 
-    entries: list[tuple[float, int, tuple[int, ...]]] = []
-    for p_idx, (starts, blocks) in enumerate(partitions):
-        log_pb = model.log_partition_prior(len(starts))
-        for s in subsets:
-            lz = log_pb + g2term[s]
-            if lz == NEG_INF:
-                continue
-            for (a, b), t_local in zip(blocks, split_by_blocks(s, blocks)):
-                log_w, _ = block_weights(a, b, t_local)
-                lz += log_w
-                if lz == NEG_INF:
-                    break
-            if lz > NEG_INF:
-                entries.append((lz, p_idx, s))
-    if not entries:
+    # fwd[i]: log sum over splits of SNPs [0, i); bwd[i]: of SNPs [i, n).
+    fwd = np.full((n, len(subsets)), NEG_INF)
+    fwd[0] = 0.0
+    for end in range(1, n):
+        rows = [fwd[a] + w for (a, b), (w, _) in weight.items() if b == end]
+        fwd[end] = _logsumexp(np.stack(rows))
+    bwd = np.full((n + 1, len(subsets)), NEG_INF)
+    bwd[n] = 0.0
+    for start in range(n - 1, -1, -1):
+        rows = [w + bwd[b] for (a, b), (w, _) in weight.items() if a == start]
+        bwd[start] = _logsumexp(np.stack(rows))
+
+    total = bwd[0]  # log sum over partitions, per group-2 set
+    log_set = n * model._log_1mp + g2 + total
+    top = float(log_set.max())
+    if top == NEG_INF:
         raise ConstraintError("no state carries positive probability")
-
-    top = max(e[0] for e in entries)
-    z_rel = 0.0
+    wt = np.exp(log_set - top)
+    # fwd[0] + bwd[0] - bwd[0] is exactly 0, so the first SNP's boundary mass
+    # is the normalizer and its posterior is exactly 1.
+    boundary = np.exp(fwd + bwd[:n] - total) @ wt
+    z_rel = boundary[0]
     p1 = np.zeros(n)
-    p2 = np.zeros(n)
-    boundary = np.zeros(n)
-    for lz, p_idx, s in entries:
-        wt = math.exp(lz - top)
-        z_rel += wt
-        starts, blocks = partitions[p_idx]
-        for snp in s:
-            p2[snp] += wt
-        for (a, b), t_local in zip(blocks, split_by_blocks(s, blocks)):
-            log_w, log_w1 = block_weights(a, b, t_local)
-            for j in range(b - a):
-                if log_w1[j] > NEG_INF:
-                    p1[a + j] += wt * math.exp(log_w1[j] - log_w)
-        for snp in starts:
-            boundary[snp] += wt
+    for (a, b), (_, w1) in weight.items():
+        p1[a:b] += wt @ np.exp((fwd[a] + bwd[b] - total)[:, None] + w1)
+    p2 = wt @ in_set
 
     log_z = top + math.log(z_rel)
     states = (2 ** (n - 1)) * _admissible_membership_count(

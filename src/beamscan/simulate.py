@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dataio import GenotypeDataset
 from .model import ConstraintError
@@ -303,6 +302,8 @@ def marginal_log_odds_ratio(model_id: int, theta: float, maf: float) -> float:
 
 def solve_theta(model_id: int, marginal_effect: float, maf: float, tol: float = 1e-10) -> float:
     """Invert the marginal log-odds-ratio map; monotone in theta."""
+    from scipy.optimize import brentq  # imported here: every CLI command imports this module
+
     if marginal_effect < 0:
         raise ValueError("marginal_effect must be non-negative")
     if marginal_effect == 0:

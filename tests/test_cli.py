@@ -174,6 +174,22 @@ def test_map_thread_count_does_not_change_output(workdir, signal_panel):
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_map_manifest_records_per_chain_acceptance(workdir, signal_panel):
+    out = workdir / "acceptance.tsv"
+    rc = main([
+        "map", "--in", str(signal_panel), "--out", str(out),
+        "--burnin", "50", "--iters", "200", "--seed", "8", "--chains", "2",
+    ])
+    assert rc == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    rates = manifest["acceptance"]
+    assert len(rates) == 2
+    for chain in rates:
+        assert set(chain) == {"split", "merge", "shift", "swap", "gibbs_change"}
+        assert all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in chain.values())
+    assert rates[0] != rates[1]
+
+
 def test_map_on_null_panel_stays_quiet(workdir):
     null = workdir / "nullpanel.tsv"
     rc = main([
@@ -278,6 +294,29 @@ def test_oracle_guard_exit_code(workdir):
     write_dataset(ds, infile)
     rc = main(["oracle", "--in", str(infile), "--out", str(workdir / "wide_out.tsv")])
     assert rc == 4
+
+
+def test_oracle_with_every_partition_over_the_cap_exits_4(workdir, capsys):
+    # 30 individuals give a cap of 2 distinct diplotypes per block; SNP 1 shows
+    # all three genotypes, so every block that holds it is over the cap.
+    rng = np.random.default_rng(80)
+    cases = rng.integers(0, 2, (15, 3)).astype(np.int8)
+    controls = rng.integers(0, 2, (15, 3)).astype(np.int8)
+    cases[:3, 1] = (0, 1, 2)
+    ds = GenotypeDataset(
+        cases=cases,
+        controls=controls,
+        snp_ids=("a", "b", "c"),
+        positions=(1, 2, 3),
+    )
+    infile = workdir / "over_cap.tsv"
+    write_dataset(ds, infile)
+    capsys.readouterr()
+    rc = main(["oracle", "--in", str(infile), "--out", str(workdir / "over_cap_out.tsv")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "every partition violates the diplotype cap" in err
+    assert "Traceback" not in err
 
 
 # -- bstat -----------------------------------------------------------------------------
@@ -502,6 +541,14 @@ def test_usage_errors_raise_systemexit_2(workdir):
 def test_cli_import_leaves_out_scipy_stats():
     src = str(Path(beamscan.__file__).resolve().parents[1])
     code = "import sys, beamscan.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(beamscan.__file__).resolve().parents[1])
+    code = "import sys, beamscan.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"

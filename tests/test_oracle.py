@@ -1,7 +1,7 @@
 """Exhaustive-enumeration oracle against plain brute force and prior echoes."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -201,3 +201,186 @@ def test_posteriors_are_probabilities():
     assert res.boundary_posterior[0] == 1.0
     np.testing.assert_allclose(res.assoc_posterior,
                                res.marginal_posterior + res.epistatic_posterior)
+
+
+# -- equivalence with the partition-by-partition enumeration ---------------------------
+
+
+def reference_enumerate_posterior(dataset, priors, constraints=None, model_cls=JointModel):
+    """Double loop over allowed partitions and group-2 sets, summed term by term."""
+    n = dataset.n_snps
+    model = model_cls(dataset, priors, constraints)
+    max_order = min(model.max_order, n)
+    log_p2 = model._log_label[2]
+    log_label01 = (model._log_label[0], model._log_label[1])
+
+    subsets = [()]
+    if log_p2 > -math.inf:
+        for k in range(1, max_order + 1):
+            subsets.extend(combinations(range(n), k))
+    g2term = {s: model.group2_term(s) + len(s) * (log_p2 if s else 0.0) for s in subsets}
+    weight_cache = {}
+
+    def block_weights(a, b, t_local):
+        key = (a, b, t_local)
+        if key in weight_cache:
+            return weight_cache[key]
+        w = b - a
+        free = [j for j in range(w) if j not in t_local]
+        base = sum(2 * 3**j for j in t_local)
+        terms, bits = [], []
+        for sigma in product((0, 1), repeat=len(free)):
+            mask = base
+            prior = 0.0
+            for j, lab in zip(free, sigma):
+                mask += lab * 3**j
+                prior += log_label01[lab]
+            terms.append(model.block_term(a, b, mask) + prior)
+            bits.append(sigma)
+        terms_arr = np.asarray(terms)
+        log_w = float(logsumexp(terms_arr))
+        log_w1 = np.full(w, -math.inf)
+        for pos, j in enumerate(free):
+            sel = np.asarray([sigma[pos] == 1 for sigma in bits])
+            if sel.any():
+                log_w1[j] = float(logsumexp(terms_arr[sel]))
+        weight_cache[key] = (log_w, log_w1)
+        return weight_cache[key]
+
+    partitions = []
+    for starts in all_partitions(n):
+        blocks = BlockPartition(starts, n).blocks()
+        if all(model.block_allowed(a, b) for a, b in blocks):
+            partitions.append((starts, blocks))
+    if not partitions:
+        raise ConstraintError("every partition violates the diplotype cap")
+
+    def split_by_blocks(s, blocks):
+        return [tuple(i - a for i in s if a <= i < b) for a, b in blocks]
+
+    entries = []
+    for starts, blocks in partitions:
+        for s in subsets:
+            lz = model.log_partition_prior(len(starts)) + g2term[s]
+            for (a, b), t_local in zip(blocks, split_by_blocks(s, blocks)):
+                lz += block_weights(a, b, t_local)[0]
+            if lz > -math.inf:
+                entries.append((lz, starts, blocks, s))
+    top = max(e[0] for e in entries)
+    z_rel = 0.0
+    p1, p2, boundary = np.zeros(n), np.zeros(n), np.zeros(n)
+    for lz, starts, blocks, s in entries:
+        wt = math.exp(lz - top)
+        z_rel += wt
+        for snp in s:
+            p2[snp] += wt
+        for (a, b), t_local in zip(blocks, split_by_blocks(s, blocks)):
+            log_w, log_w1 = block_weights(a, b, t_local)
+            for j in range(b - a):
+                if log_w1[j] > -math.inf:
+                    p1[a + j] += wt * math.exp(log_w1[j] - log_w)
+        for snp in starts:
+            boundary[snp] += wt
+    return p1 / z_rel, p2 / z_rel, boundary / z_rel, top + math.log(z_rel)
+
+
+def capped_panel(seed=41, n_snps=8, n_per_arm=150):
+    """Random genotypes: blocks of four or more SNPs exceed a cap of 29."""
+    rng = np.random.default_rng(seed)
+    return make_dataset(rng.integers(0, 3, (n_per_arm, n_snps)),
+                        rng.integers(0, 3, (n_per_arm, n_snps)))
+
+
+def assert_matches_reference(ds, priors, constraints):
+    res = enumerate_posterior(ds, priors, constraints)
+    p1, p2, boundary, log_z = reference_enumerate_posterior(ds, priors, constraints)
+    np.testing.assert_allclose(res.marginal_posterior, p1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.epistatic_posterior, p2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.boundary_posterior, boundary, rtol=0, atol=1e-12)
+    assert abs(res.log_normalizer - log_z) <= 1e-12
+    n = ds.n_snps
+    max_order = constraints.max_order if constraints is not None else n
+    assert res.states_enumerated == 2 ** (n - 1) * sum(
+        math.comb(n, k) * 2 ** (n - k) for k in range(min(max_order, n) + 1)
+    )
+    return res
+
+
+def test_capped_panel_forbids_some_blocks_but_not_every_partition():
+    ds = capped_panel()
+    model = JointModel(ds, flat_priors(), ModelConstraints(29, 3))
+    assert not model.block_allowed(0, 8)
+    assert all(model.block_allowed(i, i + 2) for i in range(7))
+
+
+@pytest.mark.parametrize(
+    "priors, max_order",
+    [
+        (flat_priors(), 3),
+        (PriorConfig(p_boundary=0.3, p1=0.0, p2=0.1, p0=0.9, rho=1.5), 3),
+        (PriorConfig(p_boundary=0.3, p1=0.2, p2=0.0, p0=0.8, rho=1.5), 3),
+        (flat_priors(), 1),
+        (flat_priors(), 2),
+    ],
+    ids=["default", "p1-zero", "p2-zero", "order-1", "order-2"],
+)
+def test_forward_backward_matches_reference_on_a_capped_panel(priors, max_order):
+    assert_matches_reference(capped_panel(), priors, ModelConstraints(29, max_order))
+
+
+def test_forward_backward_matches_reference_without_constraints():
+    rng = np.random.default_rng(42)
+    ds = make_dataset(rng.integers(0, 3, (40, 5)), rng.integers(0, 3, (40, 5)))
+    assert_matches_reference(ds, flat_priors(p_boundary=0.45), None)
+
+
+def test_forward_backward_matches_reference_on_zero_individuals():
+    for constraints in (None, ModelConstraints(1, 2)):
+        assert_matches_reference(empty_dataset(6), flat_priors(), constraints)
+
+
+def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
+    """Same (block, mask) terms and the same cap checks as the double loop."""
+    import beamscan.oracle as oracle_module
+
+    built = []
+
+    class RecordingModel(JointModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    ds = capped_panel()
+    cons = ModelConstraints(29, 3)
+    monkeypatch.setattr(oracle_module, "JointModel", RecordingModel)
+    oracle_module.enumerate_posterior(ds, flat_priors(), cons)
+    reference_enumerate_posterior(ds, flat_priors(), cons, model_cls=RecordingModel)
+    new, ref = built
+    assert set(new._block_terms) == set(ref._block_terms)
+    assert set(new.engine._marg) == set(ref.engine._marg)
+    assert set(new._g2) == set(ref._g2)
+
+
+def test_factorized_sum_matches_brute_force_when_the_cap_removes_partitions():
+    rng = np.random.default_rng(43)
+    ds = make_dataset(rng.integers(0, 3, (20, 5)), rng.integers(0, 3, (20, 5)))
+    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=2)
+    model = JointModel(ds, flat_priors(), cons)
+    allowed = [
+        starts for starts in all_partitions(5)
+        if all(model.block_allowed(a, b) for a, b in BlockPartition(starts, 5).blocks())
+    ]
+    assert 0 < len(allowed) < 2**4
+    res = enumerate_posterior(ds, flat_priors(), cons)
+    p1, p2, boundary, log_z = brute_force(ds, flat_priors(), cons)
+    np.testing.assert_allclose(res.marginal_posterior, p1, atol=1e-10)
+    np.testing.assert_allclose(res.epistatic_posterior, p2, atol=1e-10)
+    np.testing.assert_allclose(res.boundary_posterior, boundary, atol=1e-10)
+    assert res.log_normalizer == pytest.approx(log_z, abs=1e-10)
+    assert res.boundary_posterior[0] == 1.0
+
+
+def test_every_partition_blocked_names_the_cap():
+    ds = make_dataset([[0, 1], [1, 1], [2, 1]], [[1, 1], [2, 1]])
+    with pytest.raises(ConstraintError, match="every partition violates the diplotype cap"):
+        enumerate_posterior(ds, flat_priors(), ModelConstraints(2, 1))
