@@ -27,7 +27,6 @@ from .model import (
     default_priors,
 )
 from .mcmc import (
-    Diagnostics,
     PosteriorSummary,
     Schedule,
     default_schedule,
@@ -75,7 +74,6 @@ __all__ = [
     "ModelConstraints",
     "PriorConfig",
     "default_priors",
-    "Diagnostics",
     "PosteriorSummary",
     "Schedule",
     "default_schedule",

@@ -200,7 +200,7 @@ def cmd_chains(args) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     total = schedule.burnin + schedule.iterations
     sample_membership = args.subcommand == "map"
-    summary, chains, _ = run_chains(
+    summary, chains = run_chains(
         dataset,
         priors,
         schedule,

@@ -24,6 +24,7 @@ import sys
 from bisect import bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -81,15 +82,6 @@ class PosteriorSummary:
 
 
 @dataclass
-class Diagnostics:
-    """Per-chain log-joint autocorrelations and cross-chain agreement."""
-
-    autocorrelation: np.ndarray  # (n_chains, n_lags), lag k at column k-1
-    lags: tuple[int, ...]
-    cross_chain_correlation: np.ndarray  # (n_chains, n_chains) Pearson of assoc
-
-
-@dataclass
 class BlockProposal:
     """One proposed partition change with its Hastings log-ratio."""
 
@@ -107,7 +99,8 @@ class LabelRows:
     running sums (``acc0 = p0``, ``acc1 = p0 + p1``), their ``total``, whether
     label 2 is open under the interaction-order cap, and the ``label`` the
     row was built for. A row depends only on the SNP's block, that block's
-    mask and the group-2 set, so it stays valid until one of those changes.
+    mask and the group-2 set; :class:`ChainState` marks it ``stale`` whenever
+    it changes one of those.
     Masks stay Python ints: blocks of 40 or more SNPs overflow int64.
     """
 
@@ -118,22 +111,6 @@ class LabelRows:
         self.allow2 = np.zeros(n, dtype=bool)
         self.label = np.zeros(n, dtype=np.int8)
         self.stale = np.ones(n, dtype=bool)
-        # the state the valid rows were built for, as of the last sweep's end
-        self.masks: dict[tuple[int, int], int] = {}
-        self.s2: tuple[int, ...] | None = None
-
-    def sync(self, state: "ChainState") -> None:
-        """Mark stale the rows whose block, mask or group-2 set changed.
-
-        Block moves, swaps and callers write the state's fields directly, so
-        the rows are checked against the fields themselves.
-        """
-        masks = state.block_masks
-        if masks != self.masks:
-            for (a, b), _ in masks.items() - self.masks.items():
-                self.stale[a:b] = True
-        if tuple(state.s2) != self.s2:
-            self.stale[:] = True
 
     def build(self, state: "ChainState", i: int, r: float) -> int:
         """Rebuild row ``i`` from the current state; return the label ``r`` picks."""
@@ -224,6 +201,36 @@ class ChainState:
         k = bisect_right(self.starts, snp) - 1
         end = self.starts[k + 1] if k + 1 < len(self.starts) else self.model.n_snps
         return (self.starts[k], end)
+
+    def relabel(self, i: int, lab: int) -> tuple[int, int]:
+        """Give SNP ``i`` label ``lab``; return the label rows marked stale.
+
+        Those are the rows of the SNP's block, or every row when the group-2
+        set changed.
+        """
+        cur = self.labels[i]
+        a, b = self.block_of(i)
+        self.labels[i] = lab
+        self.block_masks[(a, b)] += (lab - cur) * 3 ** (i - a)
+        self.label_counts[cur] -= 1
+        self.label_counts[lab] += 1
+        if cur == 2:
+            self.s2.remove(i)
+        if lab == 2:
+            insort(self.s2, i)
+        if cur == 2 or lab == 2:
+            a, b = 0, self.model.n_snps
+        self.label_rows.stale[a:b] = True
+        return a, b
+
+    def repartition(self, proposal: BlockProposal, masks: dict[tuple[int, int], int]) -> None:
+        """Apply an accepted block move; the rows of its added blocks go stale."""
+        self.starts = list(proposal.new_starts)
+        for key in proposal.removed:
+            del self.block_masks[key]
+        self.block_masks.update(masks)
+        for a, b in masks:
+            self.label_rows.stale[a:b] = True
 
     def partition(self) -> BlockPartition:
         return BlockPartition(tuple(self.starts), self.model.n_snps)
@@ -345,10 +352,7 @@ def accept(state: ChainState, proposal: BlockProposal) -> bool:
     else:
         ok = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if ok:
-        state.starts = list(proposal.new_starts)
-        for key in proposal.removed:
-            del state.block_masks[key]
-        state.block_masks.update(new_masks)
+        state.repartition(proposal, new_masks)
     return ok
 
 
@@ -369,7 +373,6 @@ def gibbs_membership_sweep(state: ChainState) -> int:
     """
     n = state.model.n_snps
     rows = state.label_rows
-    rows.sync(state)
     r = state.rng.random(n)
     state.bump("gibbs_draws", n)
     u = r * rows.total
@@ -387,22 +390,9 @@ def gibbs_membership_sweep(state: ChainState) -> int:
         if lab != cur:
             changed += 1
             state.bump("gibbs_changes")
-            a, b = state.block_of(i)
-            labels[i] = lab
-            state.block_masks[(a, b)] += (lab - cur) * 3 ** (i - a)
-            state.label_counts[cur] -= 1
-            state.label_counts[lab] += 1
-            if cur == 2:
-                state.s2.remove(i)
-            if lab == 2:
-                insort(state.s2, i)
-            if cur == 2 or lab == 2:
-                a, b = 0, n
-            rows.stale[a:b] = True
+            a, b = state.relabel(i, lab)
             stop[a:b] = True
         i += 1
-    rows.masks = dict(state.block_masks)
-    rows.s2 = tuple(state.s2)
     return changed
 
 
@@ -445,22 +435,20 @@ def swap_membership_move(state: ChainState) -> int:
         old_terms = model.block_term(*bi, state.block_masks[bi])
         if bj != bi:
             old_terms += model.block_term(*bj, state.block_masks[bj])
-            mask_i = state.block_masks[bi] + (lj - li) * pi
-            mask_j = state.block_masks[bj] + (li - lj) * pj
-            new_terms = model.block_term(*bi, mask_i) + model.block_term(*bj, mask_j)
+            new_terms = model.block_term(
+                *bi, state.block_masks[bi] + (lj - li) * pi
+            ) + model.block_term(*bj, state.block_masks[bj] + (li - lj) * pj)
         else:
-            mask_i = state.block_masks[bi] + (lj - li) * pi + (li - lj) * pj
-            mask_j = mask_i
-            new_terms = model.block_term(*bi, mask_i)
+            new_terms = model.block_term(
+                *bi, state.block_masks[bi] + (lj - li) * pi + (li - lj) * pj
+            )
 
         if li == 2 or lj == 2:
             drop, add = (i, j) if li == 2 else (j, i)
             tmp = [v for v in state.s2 if v != drop]
             insort(tmp, add)
-            new_s2 = tuple(tmp)
-            delta_g2 = model.group2_term(new_s2) - model.group2_term(tuple(state.s2))
+            delta_g2 = model.group2_term(tuple(tmp)) - model.group2_term(tuple(state.s2))
         else:
-            new_s2 = None
             delta_g2 = 0.0
 
         log_ratio = new_terms - old_terms + delta_g2
@@ -468,11 +456,8 @@ def swap_membership_move(state: ChainState) -> int:
         if log_ratio >= 0.0 or u < math.exp(log_ratio):
             accepted += 1
             state.bump("swap_accepted")
-            labels[i], labels[j] = lj, li
-            state.block_masks[bi] = mask_i
-            state.block_masks[bj] = mask_j
-            if new_s2 is not None:
-                state.s2 = list(new_s2)
+            state.relabel(i, lj)
+            state.relabel(j, li)
     return accepted
 
 
@@ -539,10 +524,10 @@ def run_chain(
                     key = tuple(state.s2)
                     set_counts[key] = set_counts.get(key, 0) + 1
         if progress and (t + 1) % progress == 0:
-            print(
-                f"iteration {t + 1}/{total_iters} log_joint={state.log_joint():.4f} "
-                f"counters={state.counters}",
-                file=sys.stderr,
+            # one write per line, so lines from chains in worker processes do not interleave
+            sys.stderr.write(
+                f"chain {seed} iteration {t + 1}/{total_iters} log_joint={state.log_joint():.4f} "
+                f"counters={state.counters}\n"
             )
 
     acceptance: dict[str, float] = {}
@@ -582,14 +567,6 @@ def run_chain(
     )
 
 
-def _chain_worker(args) -> PosteriorSummary:
-    dataset, priors, schedule, seed, constraints, sample_membership = args
-    return run_chain(
-        dataset, priors, schedule, seed, constraints=constraints,
-        sample_membership=sample_membership,
-    )
-
-
 def run_chains(
     dataset: GenotypeDataset,
     priors: PriorConfig,
@@ -600,27 +577,26 @@ def run_chains(
     sample_membership: bool = True,
     threads: int = 1,
     progress: int = 0,
-) -> tuple[PosteriorSummary, list[PosteriorSummary], Diagnostics]:
+) -> tuple[PosteriorSummary, list[PosteriorSummary]]:
     """Run independent chains (chain c seeded with base_seed + c) and merge.
 
     The averaged summary is the arithmetic mean of the per-chain posteriors;
     interaction-set frequencies are sample-weighted. Results do not depend on
-    ``threads``.
+    ``threads``; with ``threads > 1`` the chains run in worker processes,
+    which log their own progress.
     """
     if n_chains < 1:
         raise ValueError("n_chains must be at least 1")
-    jobs = [
-        (dataset, priors, schedule, base_seed + c, constraints, sample_membership)
-        for c in range(n_chains)
-    ]
+    job = partial(
+        run_chain, dataset, priors, schedule,
+        constraints=constraints, sample_membership=sample_membership, progress=progress,
+    )
+    seeds = range(base_seed, base_seed + n_chains)
     if threads > 1 and n_chains > 1:
         with ProcessPoolExecutor(max_workers=min(threads, n_chains)) as pool:
-            chains = list(pool.map(_chain_worker, jobs))
+            chains = list(pool.map(job, seeds))
     else:
-        chains = [
-            run_chain(*job[:4], constraints=job[4], sample_membership=job[5], progress=progress)
-            for job in jobs
-        ]
+        chains = list(map(job, seeds))
 
     total_samples = sum(c.samples_used for c in chains)
     merged_counts: dict[tuple[int, ...], float] = {}
@@ -643,49 +619,5 @@ def run_chains(
         acceptance={},
         warning=None if total_samples else "no samples recorded",
     )
+    return averaged, chains
 
-    max_lag = 100
-    lag_count = min(max_lag, max(int(min(c.log_joint_trace.size for c in chains)) - 1, 0))
-    auto = np.zeros((n_chains, lag_count))
-    for idx, c in enumerate(chains):
-        auto[idx, :] = _autocorrelation(c.log_joint_trace, lag_count)
-    cross = _cross_correlation([c.assoc_posterior for c in chains])
-    diagnostics = Diagnostics(
-        autocorrelation=auto,
-        lags=tuple(range(1, lag_count + 1)),
-        cross_chain_correlation=cross,
-    )
-    return averaged, chains, diagnostics
-
-
-def _autocorrelation(trace: np.ndarray, n_lags: int) -> np.ndarray:
-    x = np.asarray(trace, dtype=float)
-    out = np.zeros(n_lags)
-    if x.size < 2 or n_lags < 1:
-        return out
-    x = x - x.mean()
-    denom = float(x @ x)
-    if denom == 0.0:
-        return out
-    for k in range(1, n_lags + 1):
-        if k >= x.size:
-            break
-        out[k - 1] = float(x[:-k] @ x[k:]) / denom
-    return out
-
-
-def _cross_correlation(vectors: list[np.ndarray]) -> np.ndarray:
-    k = len(vectors)
-    out = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            a = vectors[i] - vectors[i].mean()
-            b = vectors[j] - vectors[j].mean()
-            sa = float(a @ a)
-            sb = float(b @ b)
-            if sa == 0.0 or sb == 0.0:
-                r = float("nan")
-            else:
-                r = float(a @ b) / math.sqrt(sa * sb)
-            out[i, j] = out[j, i] = r
-    return out

@@ -68,6 +68,7 @@ def force_state(state, starts, labels):
     }
     state.s2 = [i for i, v in enumerate(labels) if v == 2]
     state.label_counts = [state.labels.count(0), state.labels.count(1), state.labels.count(2)]
+    state.label_rows.stale[:] = True
 
 
 def flat_priors(p_boundary=0.2, p1=0.15, p2=0.1):
@@ -319,11 +320,10 @@ def test_run_chains_single_chain_matches_run_chain():
     priors, cons = default_priors(4, 40, 20, 20)
     sched = Schedule(burnin=100, iterations=300)
     solo = run_chain(ds, priors, sched, seed=21, constraints=cons)
-    avg, chains, diag = run_chains(ds, priors, sched, n_chains=1, base_seed=21, constraints=cons)
+    avg, chains = run_chains(ds, priors, sched, n_chains=1, base_seed=21, constraints=cons)
     assert np.array_equal(avg.assoc_posterior, solo.assoc_posterior)
     assert np.array_equal(avg.boundary_posterior, solo.boundary_posterior)
     assert len(chains) == 1
-    assert diag.cross_chain_correlation.shape == (1, 1)
     with pytest.raises(ValueError):
         run_chains(ds, priors, sched, n_chains=0, base_seed=0)
 
@@ -345,9 +345,9 @@ def test_independent_chains_agree_on_an_epistatic_pair():
     ds = simulate_dataset(pool, model, 200, 200, seed=6).dataset
     priors, cons = default_priors(ds.n_snps, ds.region_length, 200, 200)
     sched = Schedule(burnin=500, iterations=2000)
-    avg, chains, diag = run_chains(ds, priors, sched, n_chains=4, base_seed=200,
-                                   constraints=cons)
-    pairwise = diag.cross_chain_correlation[np.triu_indices(4, 1)]
+    avg, chains = run_chains(ds, priors, sched, n_chains=4, base_seed=200,
+                             constraints=cons)
+    pairwise = np.corrcoef([c.assoc_posterior for c in chains])[np.triu_indices(4, 1)]
     assert pairwise.min() >= 0.9
     assert avg.assoc_posterior[9] > 0.9
     assert avg.assoc_posterior[22] > 0.9
@@ -357,10 +357,10 @@ def test_run_chains_thread_count_does_not_change_results():
     ds = random_signal_dataset(17, 20, 20, 4, hot=0)
     priors, cons = default_priors(4, 40, 20, 20)
     sched = Schedule(burnin=100, iterations=300)
-    serial, _, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5,
-                              constraints=cons, threads=1)
-    pooled, _, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5,
-                              constraints=cons, threads=2)
+    serial, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5,
+                           constraints=cons, threads=1)
+    pooled, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5,
+                           constraints=cons, threads=2)
     assert np.array_equal(serial.assoc_posterior, pooled.assoc_posterior)
     assert np.array_equal(serial.boundary_posterior, pooled.boundary_posterior)
     assert serial.interaction_sets == pooled.interaction_sets
@@ -619,3 +619,36 @@ def test_run_chain_is_unchanged_by_the_incremental_sweep(monkeypatch):
     assert new.acceptance == ref.acceptance
     assert new.samples_used == ref.samples_used
     assert ref.acceptance["gibbs_change"] > 0
+
+
+def assert_valid_rows_are_fresh(state):
+    """Every label row not marked stale equals a row rebuilt from the state now."""
+    rows = state.label_rows
+    fresh = mcmc.LabelRows(state.model.n_snps)
+    for i in range(state.model.n_snps):
+        fresh.build(state, i, 0.0)
+    valid = ~rows.stale
+    for name in ("acc0", "acc1", "total", "allow2", "label"):
+        assert np.array_equal(getattr(rows, name)[valid], getattr(fresh, name)[valid]), name
+    return int(valid.sum())
+
+
+def test_every_kernel_marks_the_rows_it_invalidates():
+    ds = random_signal_dataset(36, 30, 30, 10, hot=4)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
+    state = init_state(ds, priors, seed=14, constraints=cons)
+    checked = 0
+    for _ in range(600):
+        prop = propose_block_move(state, mcmc._choose_kind(state.rng))
+        if prop is not None and accept(state, prop):
+            state.bump("moves_accepted")
+        checked += assert_valid_rows_are_fresh(state)
+        gibbs_membership_sweep(state)
+        checked += assert_valid_rows_are_fresh(state)
+        swap_membership_move(state)
+        checked += assert_valid_rows_are_fresh(state)
+    assert state.counters["moves_accepted"] > 10
+    assert state.counters.get("gibbs_changes", 0) > 50
+    assert state.counters.get("swap_accepted", 0) > 10
+    assert checked > 600 * 10
