@@ -2,19 +2,24 @@
 
 Each iteration applies, in order: one block move (split / merge / shift drawn
 with probabilities 0.1 / 0.1 / 0.8, Metropolis-Hastings accepted), one Gibbs
-sweep over the membership labels in fixed index order, and one swap pass that
-offers every group-1/2 SNP an exchange with a uniformly chosen SNP from
-another group (symmetric proposal). Chains are deterministic given
-(dataset, priors, schedule, seed); chain ``c`` of a multi-chain run uses
-``base_seed + c``.
+sweep over the membership labels in fixed index order, and one swap pass. The
+swap pass makes k Metropolis steps, k the number of associated SNPs; each
+step offers to exchange the labels of a pair drawn uniformly from all pairs
+whose labels differ. Swaps keep the label counts, so that pair set keeps its
+size and the proposal is symmetric; each step, and so the pass, leaves the
+target invariant. Chains are deterministic given (dataset, priors, schedule,
+seed); chain ``c`` of a multi-chain run uses ``base_seed + c``.
 
 The Gibbs sweep keeps each SNP's conditional label probabilities across
 sweeps and rebuilds one only after its block, the block's label mask or the
-group-2 set changed. A sweep therefore costs a few array operations over the
-panel plus one full conditional per SNP whose inputs changed, rather than n
-of them; a change of the group-2 set, which every conditional reads, still
-costs one full set. The sweep draws and decides exactly as the per-SNP form
-would, so outputs do not depend on the caching.
+group-2 set changed. :class:`ChainState` is the only writer of the labels,
+masks, group-2 set and partition, and its ``relabel`` and ``repartition``
+mark stale the rows each change invalidates. A sweep therefore costs a few
+array operations over the panel plus one full conditional per SNP whose
+inputs changed, rather than n of them; a change of the group-2 set, which
+every conditional reads, still costs one full set. The sweep draws and
+decides exactly as the per-SNP form would, so outputs do not depend on the
+caching.
 """
 
 from __future__ import annotations
@@ -397,35 +402,34 @@ def gibbs_membership_sweep(state: ChainState) -> int:
 
 
 def swap_membership_move(state: ChainState) -> int:
-    """Offer each associated SNP one label exchange with another group.
+    """One swap pass: k label exchanges, k the number of associated SNPs.
 
-    The partner is uniform over SNPs holding a different label; swapping
-    preserves the label multiset, so the proposal is symmetric and the
-    membership prior cancels. Returns the number of accepted swaps.
+    Each step proposes exchanging the labels of a pair drawn uniformly from
+    all pairs of SNPs whose labels differ: one integer draw picks the label
+    pair (a, b) with weight c_a * c_b and then one SNP of each label. Swaps
+    keep the label counts, so that set of pairs has the same size before and
+    after every step; the proposal is symmetric and the membership prior
+    cancels. Returns the number of accepted swaps.
     """
     model = state.model
     rng = state.rng
-    labels = state.labels
-    n = model.n_snps
+    counts = state.label_counts
+    classes = [(a, b, counts[a] * counts[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
+    n_pairs = sum(w for _, _, w in classes)
+    if n_pairs == 0:
+        return 0
+    labels = np.asarray(state.labels)
+    members = [np.flatnonzero(labels == lab).tolist() for lab in (0, 1, 2)]
     accepted = 0
-    snapshot = [i for i in range(n) if labels[i] != 0]
-    for i in snapshot:
-        li = labels[i]
-        if li == 0:  # label moved away by an earlier swap in this pass
-            continue
-        n_other = n - state.label_counts[li]
-        if n_other == 0:
-            continue
-        pick = int(rng.integers(n_other))
-        j = -1
-        seen = 0
-        for idx in range(n):
-            if labels[idx] != li:
-                if seen == pick:
-                    j = idx
-                    break
-                seen += 1
-        lj = labels[j]
+    for _ in range(counts[1] + counts[2]):
+        r = int(rng.integers(n_pairs))
+        for li, lj, w in classes:
+            if r < w:
+                break
+            r -= w
+        ki, kj = divmod(r, counts[lj])
+        i = members[li][ki]
+        j = members[lj][kj]
         state.bump("swap_proposed")
 
         bi = state.block_of(i)
@@ -442,11 +446,9 @@ def swap_membership_move(state: ChainState) -> int:
             new_terms = model.block_term(
                 *bi, state.block_masks[bi] + (lj - li) * pi + (li - lj) * pj
             )
-
-        if li == 2 or lj == 2:
-            drop, add = (i, j) if li == 2 else (j, i)
-            tmp = [v for v in state.s2 if v != drop]
-            insort(tmp, add)
+        if lj == 2:  # li < lj, so i takes j's place in the group-2 set
+            tmp = [v for v in state.s2 if v != j]
+            insort(tmp, i)
             delta_g2 = model.group2_term(tuple(tmp)) - model.group2_term(tuple(state.s2))
         else:
             delta_g2 = 0.0
@@ -458,6 +460,8 @@ def swap_membership_move(state: ChainState) -> int:
             state.bump("swap_accepted")
             state.relabel(i, lj)
             state.relabel(j, li)
+            members[li][ki] = j
+            members[lj][kj] = i
     return accepted
 
 
