@@ -28,7 +28,14 @@ from .bstat import (
     posterior_candidates,
     results_to_tsv,
 )
-from .dataio import DataFormatError, GenotypeDataset, hwe_filter, load_dataset, write_dataset
+from .dataio import (
+    DataFormatError,
+    GenotypeDataset,
+    hwe_filter,
+    load_dataset,
+    read_text,
+    write_dataset,
+)
 from .mcmc import Schedule, default_schedule, run_chains
 from .model import ConstraintError, default_priors
 from .oracle import enumerate_posterior
@@ -132,6 +139,21 @@ def _load(args) -> GenotypeDataset:
     return dataset
 
 
+def _priors(args, dataset: GenotypeDataset):
+    """Priors and constraints from the model flags and the panel's shape."""
+    return default_priors(
+        dataset.n_snps,
+        dataset.region_length,
+        dataset.n_cases,
+        dataset.n_controls,
+        prior_blocks=args.prior_blocks,
+        rho=args.rho,
+        p1=args.p1,
+        p2=args.p2,
+        max_order=args.max_order,
+    )
+
+
 def _resolved_schedule(dataset: GenotypeDataset, args) -> Schedule:
     base = default_schedule(dataset.n_snps)
     burnin = base.burnin if args.burnin is None else args.burnin
@@ -185,17 +207,7 @@ def cmd_chains(args) -> int:
     """`map` samples labels and block boundaries; `partition` boundaries only."""
     started = time.time()
     dataset = _load(args)
-    priors, constraints = default_priors(
-        dataset.n_snps,
-        dataset.region_length,
-        dataset.n_cases,
-        dataset.n_controls,
-        prior_blocks=args.prior_blocks,
-        rho=args.rho,
-        p1=args.p1,
-        p2=args.p2,
-        max_order=args.max_order,
-    )
+    priors, constraints = _priors(args, dataset)
     schedule = _resolved_schedule(dataset, args)
     threads = args.threads if args.threads is not None else _default_threads()
     total = schedule.burnin + schedule.iterations
@@ -243,17 +255,7 @@ def cmd_chains(args) -> int:
 def cmd_oracle(args) -> int:
     started = time.time()
     dataset = _load(args)
-    priors, constraints = default_priors(
-        dataset.n_snps,
-        dataset.region_length,
-        dataset.n_cases,
-        dataset.n_controls,
-        prior_blocks=args.prior_blocks,
-        rho=args.rho,
-        p1=args.p1,
-        p2=args.p2,
-        max_order=args.max_order,
-    )
+    priors, constraints = _priors(args, dataset)
     result = enumerate_posterior(dataset, priors, constraints)
     _write_posterior_tsv(
         args.outfile,
@@ -279,7 +281,7 @@ def cmd_oracle(args) -> int:
 def _read_sets_file(path: str, dataset: GenotypeDataset) -> list[tuple[int, ...]]:
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
     sets: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -306,7 +308,7 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
     """Rebuild a posterior summary from `map` output files."""
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
     assoc = np.zeros(dataset.n_snps)
-    for lineno, raw in enumerate(Path(prefix).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(prefix).splitlines(), start=1):
         if raw.startswith("#") or not raw.strip():
             continue
         toks = raw.split("\t")
@@ -318,7 +320,7 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
     sets: dict[tuple[int, ...], float] = {}
     inter_path = Path(prefix + ".interactions.tsv")
     if inter_path.exists():
-        for lineno, raw in enumerate(inter_path.read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, raw in enumerate(read_text(inter_path).splitlines(), start=1):
             if raw.startswith("#") or not raw.strip():
                 continue
             toks = raw.split("\t")

@@ -41,6 +41,14 @@ class DataFormatError(ValueError):
         self.line = line
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode are a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GenotypeDataset:
     """Immutable case/control genotype matrices plus SNP metadata."""
@@ -107,8 +115,7 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
         raise ValueError(f"unknown missing policy: {missing_policy!r}")
     impute = missing_policy != "reject"
 
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if len(lines) < 2:
         raise DataFormatError("file must contain #snp and #pos header lines", line=1)
 

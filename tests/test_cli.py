@@ -145,6 +145,20 @@ def test_map_recovers_the_planted_signal(mapped):
     assert int(np.argmax(assoc)) == 2
 
 
+def test_map_progress_comes_from_every_worker_chain(workdir, signal_panel, capfd):
+    rc = main([
+        "map", "--in", str(signal_panel), "--out", str(workdir / "progress.tsv"),
+        "--burnin", "20", "--iters", "80", "--seed", "30", "--chains", "2", "--threads", "2",
+    ])
+    err = capfd.readouterr().err
+    assert rc == 0
+    lines = err.splitlines()
+    for seed in (30, 31):
+        mine = [line for line in lines if line.startswith(f"chain {seed} iteration ")]
+        assert len(mine) == 10 and mine[-1].startswith(f"chain {seed} iteration 100/100 ")
+    assert all(line.startswith("chain 3") for line in lines)
+
+
 def test_map_reruns_are_byte_identical(workdir, signal_panel):
     a = workdir / "rerun_a.tsv"
     b = workdir / "rerun_b.tsv"
@@ -503,6 +517,32 @@ def test_bstat_bad_interactions_sidecar_exits_3(workdir, signal_panel, sidecar_p
     err = capsys.readouterr().err
     assert rc == 3
     assert "line 3:" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["genotypes", "sets", "posterior", "sidecar"])
+def test_non_utf8_input_exits_3(workdir, signal_panel, sidecar_prefix, target, capsys):
+    bad = workdir / f"latin1.{target}"
+    if target == "genotypes":
+        bad.write_bytes(Path(signal_panel).read_bytes().replace(b"#pos", b"#p\xffs", 1))
+        argv = ["map", "--in", str(bad), "--out", str(workdir / "latin1.out.tsv")]
+    elif target == "sets":
+        bad.write_bytes(b"snp0003\nsnp\xff0005\n")
+        argv = ["bstat", "--in", str(signal_panel), "--sets", str(bad),
+                "--out", str(workdir / "latin1.out.tsv")]
+    else:
+        if target == "posterior":
+            bad = sidecar_prefix
+            bad.write_bytes(bad.read_bytes() + b"snp\xff0002\t1\t0\t0\t0\t0\n")
+        else:
+            bad = Path(str(sidecar_prefix) + ".interactions.tsv")
+            bad.write_bytes(b"#members\tfrequency\nsnp0002,snp\xff0012\t0.25\n")
+        argv = ["bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
+                "--out", str(workdir / "latin1.out.tsv"), "--n-perm", "50"]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{bad} is not UTF-8 text" in err
     assert "Traceback" not in err
 
 
