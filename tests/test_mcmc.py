@@ -7,6 +7,7 @@ against the exhaustive enumerator on panels small enough to enumerate.
 
 import math
 from bisect import insort
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from beamscan.mcmc import (
     swap_membership_move,
 )
 from beamscan.model import (
+    BlockPartition,
     ConstraintError,
+    MembershipVector,
     ModelConstraints,
     PriorConfig,
     default_priors,
@@ -311,7 +314,7 @@ def kernel_transitions(state, run, starts, labels):
         if p > 0.0:
             out[tuple(state.labels)] = out.get(tuple(state.labels), 0.0) + p
         for pos in range(len(script), len(draws)):
-            if draws[pos][2] == 1.0:  # an uncompared uniform: choice 1 has probability 0
+            if draws[pos][2] == 1.0:  # the other choices have probability 0
                 continue
             prefix = [d[1] for d in draws[:pos]]
             stack.extend(prefix + [alt] for alt in range(1, draws[pos][0]))
@@ -327,16 +330,14 @@ def kernel_transitions(state, run, starts, labels):
 def test_one_swap_pass_leaves_the_target_invariant(orbit, starts):
     """Exact one-pass transition matrix on every arrangement of a label
     multiset: pi P = pi under the model's own block and group-2 terms."""
-    from itertools import permutations
-
     n = len(orbit)
     ds = random_signal_dataset(40 + n, 12, 12, n)
     priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=81, max_order=3)
     state = init_state(ds, priors, seed=0, constraints=cons)
     arrangements = sorted(set(permutations(orbit)))
-    partition = mcmc.BlockPartition(starts, n)
-    logw = np.array([state.model.log_joint(partition, mcmc.MembershipVector(x))
+    partition = BlockPartition(starts, n)
+    logw = np.array([state.model.log_joint(partition, MembershipVector(x))
                      for x in arrangements])
     pi = np.exp(logw - logw.max())
     pi /= pi.sum()
