@@ -56,8 +56,10 @@ class _SetKernel:
     def __init__(self, dataset: GenotypeDataset, snps: tuple[int, ...], rho: float):
         self.rho = rho
         self.width = len(snps)
-        combined = np.vstack([dataset.cases, dataset.controls])[:, list(snps)]
-        keys = _pack_matrix(combined)
+        cols = list(snps)
+        # SNP-major codes of the set only, cases before controls
+        codes = np.hstack([dataset.cases[:, cols].T, dataset.controls[:, cols].T])
+        keys = _pack_matrix(codes)
         _, first, inv, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True
         )
@@ -67,8 +69,8 @@ class _SetKernel:
         # Each joint cell fixes every member's genotype, so per-SNP counts are
         # joint counts times a (cells, 3 * width) one-hot map.
         self.single_map = np.zeros((counts.size, 3 * self.width))
-        cols = 3 * np.arange(self.width) + combined[first]
-        np.put_along_axis(self.single_map, cols, 1.0, axis=1)
+        cells = 3 * np.arange(self.width) + codes[:, first].T
+        np.put_along_axis(self.single_map, cells, 1.0, axis=1)
         self.log_singles_both = float(self._log_singles(counts[None, :])[0])
 
     def _log_singles(self, joint: np.ndarray) -> np.ndarray:

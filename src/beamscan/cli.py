@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic given (inputs, flags, seed) and writes
 plain TSV with a `#` header line plus a JSON manifest recording the resolved
-parameters. Exit codes: 0 success, 2 usage error, 3 data error, 4 constraint
+parameters and how the run went: wall time per phase, peak memory and, for
+the samplers and the oracle, memo sizes. Only the TSVs are deterministic. Exit codes: 0 success, 2 usage error, 3 data error, 4 constraint
 or guard violation.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -161,7 +163,25 @@ def _resolved_schedule(dataset: GenotypeDataset, args) -> Schedule:
     return Schedule(burnin=burnin, iterations=iters, thin=args.thin)
 
 
-def _write_manifest(args, inputs: list[str], outputs: list[str], started: float, extra=None) -> None:
+class _PhaseClock:
+    """A command's wall time, split into its load, compute and write phases."""
+
+    def __init__(self):
+        self.started = self._last = time.perf_counter()
+        self.phases = {"load_s": 0.0, "compute_s": 0.0, "write_s": 0.0}
+
+    def lap(self, phase: str) -> None:
+        """Charge the time since the previous lap (or the start) to ``phase``."""
+        now = time.perf_counter()
+        self.phases[phase] += now - self._last
+        self._last = now
+
+
+def _write_manifest(
+    args, inputs: list[str], outputs: list[str], clock: _PhaseClock, extra=None
+) -> None:
+    """Write ``<out>.manifest.json``; the time since the clock's last lap is the write phase."""
+    clock.lap("write_s")
     params = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
@@ -174,7 +194,10 @@ def _write_manifest(args, inputs: list[str], outputs: list[str], started: float,
         "seed": params.get("seed"),
         "inputs": inputs,
         "outputs": outputs,
-        "wall_clock_seconds": round(time.time() - started, 3),
+        "wall_clock_seconds": round(time.perf_counter() - clock.started, 3),
+        "phases": {k: round(v, 6) for k, v in clock.phases.items()},
+        # ru_maxrss is in kilobytes on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
     }
     if extra:
         manifest.update(extra)
@@ -205,8 +228,9 @@ def _write_interactions_tsv(path: str, dataset: GenotypeDataset, sets: dict) -> 
 
 def cmd_chains(args) -> int:
     """`map` samples labels and block boundaries; `partition` boundaries only."""
-    started = time.time()
+    clock = _PhaseClock()
     dataset = _load(args)
+    clock.lap("load_s")
     priors, constraints = _priors(args, dataset)
     schedule = _resolved_schedule(dataset, args)
     threads = args.threads if args.threads is not None else _default_threads()
@@ -223,6 +247,7 @@ def cmd_chains(args) -> int:
         threads=threads,
         progress=max(1, total // 10) if total else 0,
     )
+    clock.lap("compute_s")
     if summary.warning:
         print(f"warning: {summary.warning}", file=sys.stderr)
     outputs = [args.outfile]
@@ -246,17 +271,22 @@ def cmd_chains(args) -> int:
             )
         Path(args.outfile).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(
-        args, [args.infile], outputs, started,
-        extra={"acceptance": [chain.acceptance for chain in chains]},
+        args, [args.infile], outputs, clock,
+        extra={
+            "acceptance": [chain.acceptance for chain in chains],
+            "cache": [chain.cache for chain in chains],
+        },
     )
     return 0
 
 
 def cmd_oracle(args) -> int:
-    started = time.time()
+    clock = _PhaseClock()
     dataset = _load(args)
+    clock.lap("load_s")
     priors, constraints = _priors(args, dataset)
     result = enumerate_posterior(dataset, priors, constraints)
+    clock.lap("compute_s")
     _write_posterior_tsv(
         args.outfile,
         dataset,
@@ -269,10 +299,11 @@ def cmd_oracle(args) -> int:
         args,
         [args.infile],
         [args.outfile],
-        started,
+        clock,
         extra={
             "log_normalizer": result.log_normalizer,
             "states_enumerated": result.states_enumerated,
+            "cache": result.cache,
         },
     )
     return 0
@@ -394,7 +425,7 @@ def score_sets(
 
 
 def cmd_bstat(args) -> int:
-    started = time.time()
+    clock = _PhaseClock()
     dataset = _load(args)
     if args.sets is not None:
         inputs = [args.infile, args.sets]
@@ -403,6 +434,7 @@ def cmd_bstat(args) -> int:
         inputs = [args.infile, args.from_posterior]
         summary = _read_posterior_prefix(args.from_posterior, dataset)
         sets = posterior_candidates(summary, args.threshold)
+    clock.lap("load_s")
     results = score_sets(
         dataset,
         sets,
@@ -414,13 +446,14 @@ def cmd_bstat(args) -> int:
         seed=args.seed,
         max_order=args.max_order,
     )
+    clock.lap("compute_s")
     Path(args.outfile).write_text(results_to_tsv(results, dataset.snp_ids), encoding="utf-8")
-    _write_manifest(args, inputs, [args.outfile], started)
+    _write_manifest(args, inputs, [args.outfile], clock)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
+    clock = _PhaseClock()  # no input: the load phase stays 0
     n_generated = args.snps if args.keep_loci else args.snps + 2
     pool, loci = disease_pool(
         n_generated,
@@ -443,6 +476,7 @@ def cmd_simulate(args) -> int:
     )
     if not args.keep_loci:
         sim = drop_loci(sim)
+    clock.lap("compute_s")
     write_dataset(sim.dataset, args.outfile)
     truth_path = args.outfile + ".truth.tsv"
     write_truth(sim.truth, truth_path)
@@ -450,7 +484,7 @@ def cmd_simulate(args) -> int:
         args,
         [],
         [args.outfile, truth_path],
-        started,
+        clock,
         extra={"theta": model.theta, "loci": list(model.loci)},
     )
     return 0

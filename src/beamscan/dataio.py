@@ -11,6 +11,14 @@ The on-disk format is UTF-8, tab-separated:
 Canonical files list all cases before all controls and end with a newline;
 ``write_dataset`` emits exactly that shape, so load/write round-trips are
 byte-identical for canonical input.
+
+``load_dataset`` decodes a data section in which every token is one of
+``0``/``1``/``2`` and every line ends in a newline, so that every line has
+the same width, as one byte array through a 256-entry table. Any other data
+section (one with an error, a missing token, a blank line or no newline after
+its last line) goes to the per-line scan, which exists for those cases: it
+handles missing tokens and reports each error with its line number. Text is
+read with universal newlines, so CRLF files arrive with plain newlines.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from scipy.special import chdtrc
 
 MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
+_BYTE_CODES = np.full(256, 255, dtype=np.uint8)  # byte value -> genotype code, 255 for none
+_BYTE_CODES[[ord(tok) for tok in _CODE_MAP]] = list(_CODE_MAP.values())
 
 
 def chi2_sf(x: float, df: float) -> float:
@@ -115,11 +125,38 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
         raise ValueError(f"unknown missing policy: {missing_policy!r}")
     impute = missing_policy != "reject"
 
-    lines = read_text(path).splitlines()
-    if len(lines) < 2:
-        raise DataFormatError("file must contain #snp and #pos header lines", line=1)
+    text = read_text(path)
+    first = text.find("\n")
+    second = text.find("\n", first + 1)
+    header = (text[:first], text[first + 1 : second])
+    if second >= 0 and all(line.splitlines() == [line] for line in header):
+        # the header lines end at the first two newlines, as splitlines cuts them
+        snp_ids, positions = _parse_header(*header)
+        data = text.encode("utf-8")
+        offset = len(text[: second + 1].encode("utf-8"))
+        codes = _fixed_width_codes(np.frombuffer(data, np.uint8, offset=offset), len(snp_ids))
+        if codes is not None:
+            phenotype = codes[:, 0]
+            return GenotypeDataset(
+                cases=codes[phenotype == 1, 1:],
+                controls=codes[phenotype == 0, 1:],
+                snp_ids=snp_ids,
+                positions=positions,
+            )
+        rows = text[second + 1 :].splitlines()
+    else:
+        lines = text.splitlines()
+        if len(lines) < 2:
+            raise DataFormatError("file must contain #snp and #pos header lines", line=1)
+        snp_ids, positions = _parse_header(lines[0], lines[1])
+        rows = lines[2:]
+    cases, controls = _scan_rows(rows, snp_ids, impute)
+    return GenotypeDataset(cases=cases, controls=controls, snp_ids=snp_ids, positions=positions)
 
-    head = lines[0].split("\t")
+
+def _parse_header(first: str, second: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """SNP ids and positions from the ``#snp`` and ``#pos`` lines."""
+    head = first.split("\t")
     if head[0] != "#snp" or len(head) < 2:
         raise DataFormatError("first line must be '#snp' followed by SNP ids", line=1)
     snp_ids = tuple(head[1:])
@@ -127,7 +164,7 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
     if len(set(snp_ids)) != n_snps:
         raise DataFormatError("duplicate SNP identifiers", line=1)
 
-    posline = lines[1].split("\t")
+    posline = second.split("\t")
     if posline[0] != "#pos" or len(posline) != n_snps + 1:
         raise DataFormatError("second line must be '#pos' with one position per SNP", line=2)
     try:
@@ -136,11 +173,44 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
         raise DataFormatError("positions must be integers", line=2) from None
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise DataFormatError("positions must be strictly increasing", line=2)
+    return snp_ids, positions
 
+
+def _fixed_width_codes(raw: np.ndarray, n_snps: int) -> np.ndarray | None:
+    """The (individuals, 1 + n_snps) phenotype-and-code matrix of a data
+    section, given as bytes, whose every line is a phenotype in {0, 1} and
+    n_snps codes in {0, 1, 2}, tab-separated and ended by a newline; ``None``
+    for any other data section."""
+    width = 2 * (n_snps + 1)
+    if raw.size % width:
+        return None
+    lines = raw.reshape(-1, width)
+    separators = np.full(n_snps + 1, ord("\t"), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    if not (lines[:, 1::2] == separators).all():
+        return None
+    codes = _BYTE_CODES[lines[:, 0::2]]
+    if codes.size and (codes.max() > 2 or codes[:, 0].max() > 1):
+        return None
+    return codes.view(np.int8)
+
+
+def _scan_rows(
+    rows: list[str], snp_ids: tuple[str, ...], impute: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Case and control code matrices from the data lines, one token at a time.
+
+    It exists for the data sections that the fixed-width decode declines:
+    those with missing tokens, a blank line, no newline after the last line
+    or an error. It handles missing tokens, and it alone reports a malformed
+    line, with its message and line number (the data section starts at
+    line 3).
+    """
+    n_snps = len(snp_ids)
     case_rows: list[np.ndarray] = []
     control_rows: list[np.ndarray] = []
     missing_cells: list[tuple[int, list[int], int]] = []  # (cohort, row ref, line)
-    for lineno, raw in enumerate(lines[2:], start=3):
+    for lineno, raw in enumerate(rows, start=3):
         if raw == "":
             raise DataFormatError("blank line in data section", line=lineno)
         toks = raw.split("\t")
@@ -185,8 +255,7 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
             mat = cases if cohort == 0 else controls
             for j in cols:
                 mat[idx, j] = modes[j]
-
-    return GenotypeDataset(cases=cases, controls=controls, snp_ids=snp_ids, positions=positions)
+    return cases, controls
 
 
 def _column_modes(cases: np.ndarray, controls: np.ndarray, snp_ids) -> np.ndarray:

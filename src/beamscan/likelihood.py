@@ -10,12 +10,15 @@ double precision past w ~ 650, so per-cell terms use the exact identity
 
 with ln(a) formed as ln(rho) - w * ln(3).
 
-Individuals' genotype rows are packed into integer keys (2 bits per SNP) by
-``_pack_matrix`` and counted with ``np.unique``; ``log_marginal`` turns
-per-diplotype counts into the log marginal, one sample per row of a count
-matrix (zero cells are absent diplotypes), and
+Genotypes are held SNP-major, one row of codes per SNP, so a SNP set's codes
+are a few contiguous rows. ``_pack_matrix`` packs each individual's codes over
+the set into an integer key (2 bits per SNP, the set's first SNP in the low
+bits) with one matrix-vector product, and ``np.unique`` counts the keys;
+``log_marginal`` turns per-diplotype counts into the log marginal, one sample
+per row of a count matrix (zero cells are absent diplotypes), and
 ``LikelihoodEngine`` memoizes it per (SNP set, cohort) along with the number
-of distinct diplotypes that the block-diversity constraint reads.
+of distinct diplotypes that the block-diversity constraint reads. The engine,
+``bstat`` and the tests all count through ``_pack_matrix``.
 """
 
 from __future__ import annotations
@@ -34,25 +37,33 @@ WHO_CASES = "cases"
 WHO_CONTROLS = "controls"
 
 
-def _pack_matrix(mat: np.ndarray) -> np.ndarray:
-    """Pack each row of an (n, w) code matrix into an integer key.
+# A width-w key is at most 2 * (4^w - 1) / 3, which is below 2^53 (exact in a
+# float64) up to w = 26 and below 2^63 (an int64) up to w = 31.
+FLOAT_KEY_WIDTH = 26
+INT_KEY_WIDTH = 31
 
-    Rows with w <= 31 fit an int64; wider rows are packed chunk-wise into
+
+def _pack_matrix(codes: np.ndarray) -> np.ndarray:
+    """Pack each column of a SNP-major (w, n) code matrix into an integer key.
+
+    Key k of individual i is sum_j codes[j, i] * 4^j. Up to 26 SNPs the
+    product runs in float64, whose sums of these terms are exact integers;
+    up to 31 it runs in int64; wider columns are packed chunk-wise into
     Python ints (rare: only very wide blocks reach this path).
     """
-    n, w = mat.shape
+    w, n = codes.shape
     if w == 0:
         return np.zeros(n, dtype=np.int64)
-    if w <= 31:
+    if w <= FLOAT_KEY_WIDTH:
+        return (4.0 ** np.arange(w) @ codes).astype(np.int64)
+    if w <= INT_KEY_WIDTH:
         weights = np.left_shift(np.int64(1), 2 * np.arange(w, dtype=np.int64))
-        return mat.astype(np.int64) @ weights
+        return weights @ codes.astype(np.int64)
     keys = [0] * n
     for start in range(0, w, 24):
-        chunk = mat[:, start : start + 24].astype(np.int64)
-        weights = np.left_shift(np.int64(1), 2 * np.arange(chunk.shape[1], dtype=np.int64))
-        vals = (chunk @ weights).tolist()
+        vals = _pack_matrix(codes[start : start + 24]).tolist()
         shift = 2 * start
-        keys = [k | (int(v) << shift) for k, v in zip(keys, vals)]
+        keys = [k | (v << shift) for k, v in zip(keys, vals)]
     return np.array(keys, dtype=object)
 
 
@@ -66,10 +77,12 @@ def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarr
     counts = np.asarray(counts, dtype=np.float64)
     log_alpha = math.log(rho) - width * LOG3
     alpha = math.exp(log_alpha)  # may underflow to 0.0 for huge widths; harmless
-    absent = counts == 0
     terms = gammaln(counts + alpha)
-    terms[absent] = 0.0
-    present = counts.shape[-1] - np.add.reduce(absent, axis=-1)
+    present = counts.shape[-1]
+    if not counts.all():  # np.unique counts, the engine's, never hold a zero
+        absent = counts == 0
+        terms[absent] = 0.0
+        present = present - np.add.reduce(absent, axis=-1)
     per_cell = present * (log_alpha - float(gammaln(1.0 + alpha))) + np.add.reduce(terms, axis=-1)
     # an empty sample gives lnG(rho) - lnG(0 + rho), exactly 0
     value = per_cell + float(gammaln(rho)) - gammaln(np.add.reduce(counts, axis=-1) + rho)
@@ -90,20 +103,20 @@ class LikelihoodEngine:
         self.rho = float(rho)
         self.n_cases = dataset.n_cases
         self.n_controls = dataset.n_controls
-        # One combined matrix, cases stacked above controls.
-        self._all = np.ascontiguousarray(
-            np.vstack([dataset.cases, dataset.controls]), dtype=np.int8
+        # One SNP-major matrix: row j holds SNP j's codes, cases before controls.
+        self._codes = np.ascontiguousarray(
+            np.hstack([dataset.cases.T, dataset.controls.T]), dtype=np.int8
         )
         self._marg: dict[tuple[tuple[int, ...], str], float] = {}
         self._distinct: dict[tuple[int, ...], int] = {}
 
-    def _rows(self, who: str) -> np.ndarray:
+    def _columns(self, who: str) -> slice:
         if who == WHO_BOTH:
-            return self._all
+            return slice(None)
         if who == WHO_CASES:
-            return self._all[: self.n_cases]
+            return slice(None, self.n_cases)
         if who == WHO_CONTROLS:
-            return self._all[self.n_cases :]
+            return slice(self.n_cases, None)
         raise ValueError(f"unknown cohort selector: {who!r}")
 
     def marginal(self, snps: tuple[int, ...], who: str) -> float:
@@ -114,7 +127,7 @@ class LikelihoodEngine:
         hit = self._marg.get(key)
         if hit is not None:
             return hit
-        keys = _pack_matrix(self._rows(who)[:, list(snps)])
+        keys = _pack_matrix(self._codes[list(snps), self._columns(who)])
         _, counts = np.unique(keys, return_counts=True)
         value = log_marginal(counts, len(snps), self.rho)
         if who == WHO_BOTH:

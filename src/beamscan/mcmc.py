@@ -12,14 +12,20 @@ seed); chain ``c`` of a multi-chain run uses ``base_seed + c``.
 
 The Gibbs sweep keeps each SNP's conditional label probabilities across
 sweeps and rebuilds one only after its block, the block's label mask or the
-group-2 set changed. :class:`ChainState` is the only writer of the labels,
-masks, group-2 set and partition, and its ``relabel`` and ``repartition``
-mark stale the rows each change invalidates. A sweep therefore costs a few
-array operations over the panel plus one full conditional per SNP whose
-inputs changed, rather than n of them; a change of the group-2 set, which
-every conditional reads, still costs one full set. The sweep draws and
-decides exactly as the per-SNP form would, so outputs do not depend on the
-caching.
+group-2 set changed. A sweep therefore costs a few array operations over the
+panel plus one full conditional per SNP whose inputs changed, rather than n
+of them; a change of the group-2 set, which every conditional reads, still
+costs one full set. The sweep draws and decides exactly as the per-SNP form
+would, so outputs do not depend on the caching.
+
+:class:`ChainState` is the only writer of the labels, masks, group-2 set,
+partition and running log joint. Its ``relabel`` and ``repartition`` mark
+stale the label rows each change invalidates, and add to the log joint the
+change that the calling kernel already computed: the block terms and
+boundary prior of an accepted block move, the log ratio of an accepted swap,
+the weight difference of a Gibbs label change. The per-iteration log-joint
+trace therefore reads one float; ``JointModel.log_joint`` recomputes the
+same value from scratch, up to rounding.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ class PosteriorSummary:
     samples_used: int
     log_joint_trace: np.ndarray
     acceptance: dict[str, float] = field(default_factory=dict)
+    cache: dict[str, int] = field(default_factory=dict)  # memo entries at the end
     warning: str | None = None
 
 
@@ -103,9 +110,10 @@ class LabelRows:
     Row ``i`` holds SNP i's unnormalised conditional label probabilities as
     running sums (``acc0 = p0``, ``acc1 = p0 + p1``), their ``total``, whether
     label 2 is open under the interaction-order cap, and the ``label`` the
-    row was built for. A row depends only on the SNP's block, that block's
-    mask and the group-2 set; :class:`ChainState` marks it ``stale`` whenever
-    it changes one of those.
+    row was built for, and ``weights`` keeps the row's log weights by label,
+    whose differences are the log-joint changes of relabelling the SNP. A row
+    depends only on the SNP's block, that block's mask and the group-2 set;
+    :class:`ChainState` marks it ``stale`` whenever it changes one of those.
     Masks stay Python ints: blocks of 40 or more SNPs overflow int64.
     """
 
@@ -116,6 +124,7 @@ class LabelRows:
         self.allow2 = np.zeros(n, dtype=bool)
         self.label = np.zeros(n, dtype=np.int8)
         self.stale = np.ones(n, dtype=bool)
+        self.weights: list[list[float]] = [[]] * n  # rows are replaced, never mutated
 
     def build(self, state: "ChainState", i: int, r: float) -> int:
         """Rebuild row ``i`` from the current state; return the label ``r`` picks."""
@@ -158,6 +167,7 @@ class LabelRows:
         self.allow2[i] = allow2
         self.label[i] = cur
         self.stale[i] = False
+        self.weights[i] = weights
         u = r * total
         return 0 if u < acc0 else 1 if u < acc1 or not allow2 else 2
 
@@ -166,8 +176,10 @@ class ChainState:
     """Mutable sampler state bound to one :class:`JointModel`.
 
     Tracks the partition (block start list), labels, per-block ternary label
-    masks, the sorted group-2 set and label counts, so the cached joint can be
-    reassembled from memoized block terms at any time.
+    masks, the sorted group-2 set, label counts and ``running_log_joint``,
+    the joint log probability of the state kept up to date by the two
+    writers. ``JointModel.log_joint(state.partition(), state.membership())``
+    recomputes it from scratch.
     """
 
     def __init__(self, model: JointModel, rng: np.random.Generator):
@@ -182,13 +194,13 @@ class ChainState:
         self.iteration = 0
         self.counters: dict[str, int] = {}
         self.label_rows = LabelRows(n)
-        self._terms: dict[tuple[int, int], tuple[int, float]] = {}  # block: (mask, term)
         for i in range(n):
             if not model.block_allowed(i, i + 1):
                 raise ConstraintError(
                     f"SNP {i} exceeds the diplotype cap even as a singleton block; "
                     "no admissible state exists"
                 )
+        self.running_log_joint = model.log_joint(self.partition(), self.membership())
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -207,11 +219,12 @@ class ChainState:
         end = self.starts[k + 1] if k + 1 < len(self.starts) else self.model.n_snps
         return (self.starts[k], end)
 
-    def relabel(self, i: int, lab: int) -> tuple[int, int]:
+    def relabel(self, i: int, lab: int, delta: float) -> tuple[int, int]:
         """Give SNP ``i`` label ``lab``; return the label rows marked stale.
 
         Those are the rows of the SNP's block, or every row when the group-2
-        set changed.
+        set changed. ``delta`` is the change in the log joint that this call
+        completes; a swap passes its whole log ratio with its first call.
         """
         cur = self.labels[i]
         a, b = self.block_of(i)
@@ -226,10 +239,15 @@ class ChainState:
         if cur == 2 or lab == 2:
             a, b = 0, self.model.n_snps
         self.label_rows.stale[a:b] = True
+        self.running_log_joint += delta
         return a, b
 
-    def repartition(self, proposal: BlockProposal, masks: dict[tuple[int, int], int]) -> None:
-        """Apply an accepted block move; the rows of its added blocks go stale."""
+    def repartition(
+        self, proposal: BlockProposal, masks: dict[tuple[int, int], int], delta: float
+    ) -> None:
+        """Apply an accepted block move whose log-joint change is ``delta``;
+        the rows of its added blocks go stale."""
+        self.running_log_joint += delta
         self.starts = list(proposal.new_starts)
         for key in proposal.removed:
             del self.block_masks[key]
@@ -244,26 +262,8 @@ class ChainState:
         return MembershipVector(tuple(self.labels))
 
     def log_joint(self) -> float:
-        """Joint log probability assembled from cached per-block terms.
-
-        A block's term is looked up in the model only when the block is new
-        or its mask changed since the previous call; the sum runs over the
-        blocks in the same order either way.
-        """
-        model = self.model
-        terms = self._terms
-        total = model.group2_term(tuple(self.s2))
-        for key, mask in self.block_masks.items():
-            hit = terms.get(key)
-            if hit is None or hit[0] != mask:
-                hit = terms[key] = (mask, model.block_term(key[0], key[1], mask))
-            term = hit[1]
-            if term == NEG_INF:
-                return NEG_INF
-            total += term
-        total += model.log_partition_prior(len(self.starts))
-        total += model.log_membership_prior(tuple(self.label_counts))
-        return total
+        """The running joint log probability of the current state."""
+        return self.running_log_joint
 
 
 def init_state(
@@ -348,16 +348,15 @@ def accept(state: ChainState, proposal: BlockProposal) -> bool:
         new_masks[(a, b)] = mask
         new += model.block_term(a, b, mask)
     delta_blocks = len(proposal.new_starts) - len(state.starts)
-    log_ratio = (
-        new - old + delta_blocks * (model._log_p - model._log_1mp) + proposal.log_q_ratio
-    )
+    delta = new - old + delta_blocks * (model._log_p - model._log_1mp)
+    log_ratio = delta + proposal.log_q_ratio
     u = state.rng.random()
     if new == NEG_INF:
         ok = False
     else:
         ok = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if ok:
-        state.repartition(proposal, new_masks)
+        state.repartition(proposal, new_masks, delta)
     return ok
 
 
@@ -395,7 +394,8 @@ def gibbs_membership_sweep(state: ChainState) -> int:
         if lab != cur:
             changed += 1
             state.bump("gibbs_changes")
-            a, b = state.relabel(i, lab)
+            weights = rows.weights[i]
+            a, b = state.relabel(i, lab, weights[lab] - weights[cur])
             stop[a:b] = True
         i += 1
     return changed
@@ -458,8 +458,8 @@ def swap_membership_move(state: ChainState) -> int:
         if log_ratio >= 0.0 or u < math.exp(log_ratio):
             accepted += 1
             state.bump("swap_accepted")
-            state.relabel(i, lj)
-            state.relabel(j, li)
+            state.relabel(i, lj, log_ratio)
+            state.relabel(j, li, 0.0)
             members[li][ki] = j
             members[lj][kj] = i
     return accepted
@@ -501,6 +501,9 @@ def run_chain(
     set_counts: dict[tuple[int, ...], int] = {}
     trace: list[float] = []
     samples = 0
+    # Samples taken of the partition ``held_starts`` since it last changed;
+    # ``repartition`` replaces ``state.starts``, so identity tracks changes.
+    held_starts, held = state.starts, 0
     total_iters = schedule.burnin + schedule.iterations
     for t in range(total_iters):
         kind = _choose_kind(state.rng)
@@ -523,7 +526,10 @@ def run_chain(
                     lab = np.asarray(state.labels)
                     marg += lab == 1
                     epi += lab == 2
-                bound[state.starts] += 1
+                if state.starts is not held_starts:
+                    bound[held_starts] += held
+                    held_starts, held = state.starts, 0
+                held += 1
                 if len(state.s2) >= 2:
                     key = tuple(state.s2)
                     set_counts[key] = set_counts.get(key, 0) + 1
@@ -533,6 +539,7 @@ def run_chain(
                 f"chain {seed} iteration {t + 1}/{total_iters} log_joint={state.log_joint():.4f} "
                 f"counters={state.counters}\n"
             )
+    bound[held_starts] += held
 
     acceptance: dict[str, float] = {}
     for kind, _ in _KIND_PROBS:
@@ -543,6 +550,7 @@ def run_chain(
     acceptance["swap"] = state.counters.get("swap_accepted", 0) / sp if sp else 0.0
     gd = state.counters.get("gibbs_draws", 0)
     acceptance["gibbs_change"] = state.counters.get("gibbs_changes", 0) / gd if gd else 0.0
+    cache = state.model.cache_sizes()
 
     if samples == 0:
         return PosteriorSummary(
@@ -554,6 +562,7 @@ def run_chain(
             samples_used=0,
             log_joint_trace=np.asarray(trace),
             acceptance=acceptance,
+            cache=cache,
             warning="no samples recorded (iterations=0 or thinning too coarse)",
         )
     marg /= samples
@@ -568,6 +577,7 @@ def run_chain(
         samples_used=samples,
         log_joint_trace=np.asarray(trace),
         acceptance=acceptance,
+        cache=cache,
     )
 
 

@@ -291,6 +291,14 @@ class JointModel:
         self._g2[epistatic] = value
         return value
 
+    def cache_sizes(self) -> dict[str, int]:
+        """Entries in the marginal, block-term and group-2 memos."""
+        return {
+            "marginals": len(self.engine._marg),
+            "block_terms": len(self._block_terms),
+            "group2": len(self._g2),
+        }
+
     def log_partition_prior(self, n_blocks: int) -> float:
         return n_blocks * self._log_p + (self.n_snps - n_blocks) * self._log_1mp
 

@@ -15,7 +15,7 @@ of one weight lookup per (partition, group-2 set, block).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 import numpy as np
@@ -45,6 +45,7 @@ class OracleResult:
     boundary_posterior: np.ndarray  # P(SNP starts a block)
     log_normalizer: float
     states_enumerated: int
+    cache: dict[str, int] = field(default_factory=dict)  # memo entries at the end
 
     @property
     def assoc_posterior(self) -> np.ndarray:
@@ -178,4 +179,5 @@ def enumerate_posterior(
         boundary_posterior=boundary / z_rel,
         log_normalizer=log_z,
         states_enumerated=states,
+        cache=model.cache_sizes(),
     )

@@ -154,7 +154,7 @@ class ReferenceKernel:
     def __init__(self, ds, snps, rho=RHO):
         self.rho, self.width = rho, len(snps)
         combined = np.vstack([ds.cases, ds.controls])
-        keys = _pack_matrix(combined[:, list(snps)])
+        keys = _pack_matrix(combined[:, list(snps)].T)
         _, self.joint_inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         self.joint_cells = counts.size
         self.log_joint_both = log_marginal(counts, self.width, rho)
@@ -206,7 +206,7 @@ def test_batched_null_matches_one_at_a_time_reference(snps, n_perm):
 def test_batched_null_matches_reference_on_a_32_snp_set():
     ds = null_dataset(53, 20, 24, 32)
     snps = tuple(range(32))  # packed keys overflow int64 and become Python ints
-    assert _pack_matrix(ds.cases[:, list(snps)]).dtype == object
+    assert _pack_matrix(ds.cases[:, list(snps)].T).dtype == object
     want, _ = reference_permutation_null(ds, snps, 300, seed=2)
     got = permutation_null(ds, snps, n_perm=300, seed=2)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

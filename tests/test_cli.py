@@ -204,6 +204,48 @@ def test_map_manifest_records_per_chain_acceptance(workdir, signal_panel):
     assert rates[0] != rates[1]
 
 
+def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signal_panel):
+    small = workdir / "observe_small.tsv"
+    ds = load_dataset(signal_panel)
+    write_dataset(
+        GenotypeDataset(ds.cases[:, :6], ds.controls[:, :6], ds.snp_ids[:6], ds.positions[:6]),
+        small,
+    )
+    sets_path = workdir / "observe_sets.tsv"
+    sets_path.write_text("snp0003\n")
+    chain = ["--burnin", "20", "--iters", "60", "--seed", "4", "--chains", "2", "--threads", "1"]
+    runs = {
+        "simulate": ["simulate", "--model", "1", "--maf", "0.3", "--cases", "40",
+                     "--controls", "40", "--snps", "6", "--seed", "3"],
+        "map": ["map", "--in", str(signal_panel), *chain],
+        "partition": ["partition", "--in", str(signal_panel), *chain],
+        "oracle": ["oracle", "--in", str(small)],
+        "bstat": ["bstat", "--in", str(signal_panel), "--sets", str(sets_path),
+                  "--n-perm", "500"],
+    }
+    for name, argv in runs.items():
+        out = workdir / f"observe_{name}.tsv"
+        assert main([*argv, "--out", str(out)]) == 0, name
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        phases = manifest["phases"]
+        assert set(phases) == {"load_s", "compute_s", "write_s"}, name
+        assert all(math.isfinite(v) and v >= 0.0 for v in phases.values()), name
+        assert sum(phases.values()) <= manifest["wall_clock_seconds"] + 1e-3, name
+        assert math.isfinite(manifest["peak_rss_mb"]) and manifest["peak_rss_mb"] > 0, name
+        if name in ("map", "partition"):
+            assert len(manifest["cache"]) == 2, name
+        if name in ("map", "partition", "oracle"):
+            caches = manifest["cache"] if name != "oracle" else [manifest["cache"]]
+            for cache in caches:
+                assert set(cache) == {"marginals", "block_terms", "group2"}, name
+                assert all(isinstance(v, int) and v >= 0 for v in cache.values()), name
+                assert cache["marginals"] > 0 and cache["block_terms"] > 0, name
+        else:
+            assert "cache" not in manifest, name
+        # nothing of this goes into a result table
+        assert "peak_rss" not in out.read_text() and "phases" not in out.read_text()
+
+
 def test_map_on_null_panel_stays_quiet(workdir):
     null = workdir / "nullpanel.tsv"
     rc = main([

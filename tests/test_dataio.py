@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from beamscan import dataio
 from beamscan.dataio import (
     DataFormatError,
     GenotypeDataset,
@@ -293,3 +294,110 @@ def test_chi2_sf_equals_scipy_stats():
         for x, want in zip(xs, chi2.sf(xs, df=df)):
             got = chi2_sf(float(x), df)
             assert got == want or (np.isnan(got) and np.isnan(want)), (df, x)
+
+
+# -- fixed-width decode against the per-line scan ---------------------------------
+
+
+def random_panel_text(rng, n_cases, n_controls, n_snps, missing=(), eol="\n", final_eol=True):
+    """A panel's text with cases and controls interleaved at random; returns the
+    text and the expected case and control matrices (missing cells as -1)."""
+    pheno = rng.permutation([1] * n_cases + [0] * n_controls)
+    codes = rng.integers(0, 3, size=(pheno.size, n_snps))
+    tokens = codes.astype(str).astype(object)
+    if missing and codes.size:
+        cells = rng.random(codes.shape) < 0.05
+        tokens[cells] = rng.choice(list(missing), size=int(cells.sum()))
+        codes[cells] = -1
+    lines = ["#snp\t" + "\t".join(f"rs{j}" for j in range(n_snps)),
+             "#pos\t" + "\t".join(str(10 * (j + 1)) for j in range(n_snps))]
+    lines += [f"{p}\t" + "\t".join(row) for p, row in zip(pheno, tokens)]
+    text = eol.join(lines) + (eol if final_eol else "")
+    return text, codes[pheno == 1], codes[pheno == 0]
+
+
+def load_by_line_scan(monkeypatch, path, missing_policy="reject"):
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_fixed_width_codes", lambda raw, n_snps: None)
+        return load_dataset(path, missing_policy=missing_policy)
+
+
+def assert_same_dataset(a, b):
+    assert a.snp_ids == b.snp_ids and a.positions == b.positions
+    for name in ("cases", "controls"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int8 and x.shape == y.shape
+        assert np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize(
+    "n_cases, n_controls, n_snps",
+    [(7, 9, 5), (0, 6, 3), (6, 0, 3), (0, 0, 4), (1, 1, 1), (40, 33, 57)],
+)
+@pytest.mark.parametrize(
+    "eol, final_eol", [("\n", True), ("\r\n", True), ("\n", False), ("\r\n", False)]
+)
+def test_fixed_width_decode_equals_the_line_scan(
+    tmp_path, monkeypatch, n_cases, n_controls, n_snps, eol, final_eol
+):
+    rng = np.random.default_rng(n_cases * 1000 + n_controls * 10 + n_snps)
+    text, cases, controls = random_panel_text(
+        rng, n_cases, n_controls, n_snps, eol=eol, final_eol=final_eol
+    )
+    path = tmp_path / "panel.tsv"
+    path.write_bytes(text.encode("utf-8"))  # keeps the line ends as written
+    fast = load_dataset(path)
+    assert_same_dataset(fast, load_by_line_scan(monkeypatch, path))
+    assert np.array_equal(fast.cases, cases.reshape(-1, n_snps))
+    assert np.array_equal(fast.controls, controls.reshape(-1, n_snps))
+
+
+@pytest.mark.parametrize("tokens", [(".",), ("N",), ("NA",), ("-1",), (".", "N", "NA", "-1")])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_imputed_panels_load_alike_by_either_path(tmp_path, monkeypatch, tokens, eol):
+    rng = np.random.default_rng(len(tokens) + len(eol))
+    text, cases, controls = random_panel_text(rng, 30, 25, 12, missing=tokens, eol=eol)
+    assert (cases == -1).any() or (controls == -1).any()
+    path = tmp_path / "panel.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    ds = load_dataset(path, missing_policy="impute")
+    assert_same_dataset(ds, load_by_line_scan(monkeypatch, path, "impute"))
+    observed = np.vstack([cases, controls])
+    for mat, want in ((ds.cases, cases), (ds.controls, controls)):
+        kept = want >= 0
+        assert np.array_equal(mat[kept], want[kept])
+        for i, j in zip(*np.nonzero(~kept)):
+            col = observed[:, j]
+            assert mat[i, j] == np.bincount(col[col >= 0], minlength=3).argmax()
+    with pytest.raises(DataFormatError, match="missing genotype"):
+        load_dataset(path)
+
+
+def test_invalid_code_on_the_last_of_four_thousand_rows_names_its_line(tmp_path):
+    rng = np.random.default_rng(41)
+    text, _, _ = random_panel_text(rng, 2000, 2000, 20)
+    lines = text.splitlines()
+    lines[-1] = lines[-1][:-1] + "3"
+    path = write_tmp(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert err.value.line == 4002
+    assert str(err.value) == "line 4002: invalid genotype code '3'"
+
+
+def test_canonical_file_never_reaches_the_line_scan(tmp_path, monkeypatch):
+    rng = np.random.default_rng(42)
+    ds = GenotypeDataset(
+        cases=rng.integers(0, 3, size=(300, 40)),
+        controls=rng.integers(0, 3, size=(250, 40)),
+        snp_ids=tuple(f"snp{j:04d}" for j in range(40)),
+        positions=tuple(range(100, 4100, 100)),
+    )
+    path = tmp_path / "canonical.tsv"
+    write_dataset(ds, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line scan ran on a canonical file")
+
+    monkeypatch.setattr(dataio, "_scan_rows", refuse)
+    assert_same_dataset(load_dataset(path), ds)

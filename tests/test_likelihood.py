@@ -75,7 +75,7 @@ def block_term(ds, a, b, labels):
 
 def test_count_two_snp_block_example():
     ds = dataset_from_rows([(0, 0), (0, 0), (0, 1)], np.zeros((0, 2)), 2)
-    keys, counts = np.unique(_pack_matrix(ds.cases), return_counts=True)
+    keys, counts = np.unique(_pack_matrix(ds.cases.T), return_counts=True)
     decoded = {unpack_key(k, 2): int(c) for k, c in zip(keys, counts)}
     assert decoded == {(0, 0): 2, (0, 1): 1}
     engine = LikelihoodEngine(ds, rho=RHO)
@@ -108,7 +108,7 @@ def test_count_shared_diplotype():
 
 def test_count_zero_width_set():
     ds = dataset_from_rows([(0,), (1,)], [(2,)], 1)
-    assert _pack_matrix(ds.cases[:, []]).tolist() == [0, 0]
+    assert _pack_matrix(ds.cases[:, []].T).tolist() == [0, 0]
     # every individual shares the empty diplotype, whose marginal is log 1
     assert log_marginal(np.array([3]), 0, RHO) == pytest.approx(0.0, abs=1e-12)
     engine = LikelihoodEngine(ds, rho=RHO)
@@ -134,7 +134,7 @@ def test_pack_unpack_round_trip():
     for _ in range(200):
         w = int(rng.integers(1, 40))
         codes = rng.integers(0, 3, size=(1, w)).astype(np.int8)
-        (key,) = _pack_matrix(codes).tolist()
+        (key,) = _pack_matrix(codes.T).tolist()
         assert unpack_key(key, w) == tuple(int(c) for c in codes[0])
 
 
@@ -143,9 +143,41 @@ def test_wide_matrix_packing_matches_rows():
     rng = np.random.default_rng(1)
     w = 70
     rows = rng.integers(0, 3, size=(40, w)).astype(np.int8)
-    keys, counts = np.unique(_pack_matrix(rows), return_counts=True)
+    keys, counts = np.unique(_pack_matrix(rows.T), return_counts=True)
     decoded = {unpack_key(k, w): int(c) for k, c in zip(keys, counts)}
     assert decoded == row_counts(rows)
+
+
+def row_major_keys(mat):
+    """Keys of an (n, w) row-major code matrix by int64 shifts, 31 SNPs at most,
+    and chunk-wise Python ints beyond: the packing the SNP-major one replaced."""
+    n, w = mat.shape
+    if w <= 31:
+        weights = np.left_shift(np.int64(1), 2 * np.arange(w, dtype=np.int64))
+        return mat.astype(np.int64) @ weights
+    keys = [0] * n
+    for start in range(0, w, 24):
+        chunk = mat[:, start : start + 24].astype(np.int64)
+        weights = np.left_shift(np.int64(1), 2 * np.arange(chunk.shape[1], dtype=np.int64))
+        vals = (chunk @ weights).tolist()
+        keys = [k | (int(v) << (2 * start)) for k, v in zip(keys, vals)]
+    return np.array(keys, dtype=object)
+
+
+@pytest.mark.parametrize("w", range(1, 41))
+def test_snp_major_keys_equal_row_major_keys(w):
+    rng = np.random.default_rng(w)
+    rows = rng.integers(0, 3, size=(500, w)).astype(np.int8)
+    rows[0] = 2  # the largest key of the width
+    rows[1] = 0
+    codes = np.ascontiguousarray(rows.T)
+    got = _pack_matrix(codes)
+    want = row_major_keys(rows)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert got[0] == 2 * (4**w - 1) // 3
+    # the engine packs row slices of its SNP-major matrix, which are views
+    assert _pack_matrix(np.vstack([codes, codes])[:w, 100:]).tolist() == want[100:].tolist()
 
 
 # -- log marginal ------------------------------------------------------------------

@@ -72,6 +72,7 @@ def force_state(state, starts, labels):
     state.s2 = [i for i, v in enumerate(labels) if v == 2]
     state.label_counts = [state.labels.count(0), state.labels.count(1), state.labels.count(2)]
     state.label_rows.stale[:] = True
+    state.running_log_joint = state.model.log_joint(state.partition(), state.membership())
 
 
 def flat_priors(p_boundary=0.2, p1=0.15, p2=0.1):
@@ -480,6 +481,33 @@ def test_cached_log_joint_stays_coherent_during_sampling():
             assert state.log_joint() == pytest.approx(direct, abs=1e-8)
 
 
+@pytest.mark.parametrize("sample_membership", [True, False])
+def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sample_membership):
+    ds = random_signal_dataset(37, 40, 40, 12, hot=4)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
+    running = ChainState.log_joint
+    checked = []
+
+    def checked_log_joint(state):
+        value = running(state)
+        if state.iteration % 7 == 0:
+            full = state.model.log_joint(state.partition(), state.membership())
+            assert value == pytest.approx(full, rel=1e-9, abs=0)
+            checked.append(state.iteration)
+        return value
+
+    monkeypatch.setattr(ChainState, "log_joint", checked_log_joint)
+    out = run_chain(ds, priors, Schedule(burnin=0, iterations=1500), seed=15,
+                    constraints=cons, sample_membership=sample_membership)
+    assert len(checked) >= 1500 // 7
+    assert out.acceptance["split"] > 0 and out.acceptance["merge"] > 0
+    assert out.acceptance["shift"] > 0
+    if sample_membership:
+        assert out.acceptance["swap"] > 0 and out.acceptance["gibbs_change"] > 0
+        assert out.epistatic_posterior.max() > 0  # group-2 entries and exits happened
+
+
 def test_chain_matches_enumeration_on_four_snps():
     ds = random_signal_dataset(19, 40, 40, 4, hot=1)
     priors, cons = default_priors(4, 40, 40, 40)
@@ -565,14 +593,7 @@ def reference_gibbs_sweep(state):
         if pick != cur:
             changed += 1
             state.bump("gibbs_changes")
-            labels[i] = pick
-            state.block_masks[(a, b)] = base + pick * power
-            state.label_counts[cur] -= 1
-            state.label_counts[pick] += 1
-            if cur == 2:
-                state.s2.remove(i)
-            if pick == 2:
-                insort(state.s2, i)
+            state.relabel(i, pick, weights[labs.index(pick)] - weights[labs.index(cur)])
     return changed
 
 
