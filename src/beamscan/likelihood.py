@@ -37,26 +37,17 @@ WHO_CASES = "cases"
 WHO_CONTROLS = "controls"
 
 
-# A width-w key is at most 2 * (4^w - 1) / 3, which is below 2^53 (exact in a
-# float64) up to w = 26 and below 2^63 (an int64) up to w = 31.
-FLOAT_KEY_WIDTH = 26
-INT_KEY_WIDTH = 31
-
-
 def _pack_matrix(codes: np.ndarray) -> np.ndarray:
     """Pack each column of a SNP-major (w, n) code matrix into an integer key.
 
-    Key k of individual i is sum_j codes[j, i] * 4^j. Up to 26 SNPs the
-    product runs in float64, whose sums of these terms are exact integers;
-    up to 31 it runs in int64; wider columns are packed chunk-wise into
-    Python ints (rare: only very wide blocks reach this path).
+    Key k of individual i is sum_j codes[j, i] * 4^j. Columns with w <= 31
+    fit an int64; wider columns are packed chunk-wise into Python ints (rare:
+    only very wide blocks reach this path).
     """
     w, n = codes.shape
     if w == 0:
         return np.zeros(n, dtype=np.int64)
-    if w <= FLOAT_KEY_WIDTH:
-        return (4.0 ** np.arange(w) @ codes).astype(np.int64)
-    if w <= INT_KEY_WIDTH:
+    if w <= 31:
         weights = np.left_shift(np.int64(1), 2 * np.arange(w, dtype=np.int64))
         return weights @ codes.astype(np.int64)
     keys = [0] * n

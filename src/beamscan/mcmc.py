@@ -178,7 +178,8 @@ class ChainState:
     Tracks the partition (block start list), labels, per-block ternary label
     masks, the sorted group-2 set, label counts and ``running_log_joint``,
     the joint log probability of the state kept up to date by the two
-    writers. ``JointModel.log_joint(state.partition(), state.membership())``
+    writers. ``repartitions`` counts the partition changes made by
+    :meth:`repartition`. ``JointModel.log_joint(state.partition(), state.membership())``
     recomputes it from scratch.
     """
 
@@ -193,6 +194,7 @@ class ChainState:
         self.label_counts: list[int] = [n, 0, 0]
         self.iteration = 0
         self.counters: dict[str, int] = {}
+        self.repartitions = 0
         self.label_rows = LabelRows(n)
         for i in range(n):
             if not model.block_allowed(i, i + 1):
@@ -248,6 +250,7 @@ class ChainState:
         """Apply an accepted block move whose log-joint change is ``delta``;
         the rows of its added blocks go stale."""
         self.running_log_joint += delta
+        self.repartitions += 1
         self.starts = list(proposal.new_starts)
         for key in proposal.removed:
             del self.block_masks[key]
@@ -501,9 +504,9 @@ def run_chain(
     set_counts: dict[tuple[int, ...], int] = {}
     trace: list[float] = []
     samples = 0
-    # Samples taken of the partition ``held_starts`` since it last changed;
-    # ``repartition`` replaces ``state.starts``, so identity tracks changes.
-    held_starts, held = state.starts, 0
+    # Samples taken of the partition ``held_starts`` since it last changed,
+    # which was at the state's ``held_version``-th repartition.
+    held_starts, held_version, held = list(state.starts), state.repartitions, 0
     total_iters = schedule.burnin + schedule.iterations
     for t in range(total_iters):
         kind = _choose_kind(state.rng)
@@ -526,9 +529,9 @@ def run_chain(
                     lab = np.asarray(state.labels)
                     marg += lab == 1
                     epi += lab == 2
-                if state.starts is not held_starts:
+                if state.repartitions != held_version:
                     bound[held_starts] += held
-                    held_starts, held = state.starts, 0
+                    held_starts, held_version, held = list(state.starts), state.repartitions, 0
                 held += 1
                 if len(state.s2) >= 2:
                     key = tuple(state.s2)

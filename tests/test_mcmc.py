@@ -508,6 +508,32 @@ def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sa
         assert out.epistatic_posterior.max() > 0  # group-2 entries and exits happened
 
 
+@pytest.mark.parametrize("sample_membership", [True, False])
+def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_membership):
+    # a weak-data panel, so the partition changes often
+    ds = random_signal_dataset(41, 10, 10, 12, hot=4)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
+    schedule = Schedule(burnin=50, iterations=900, thin=3)
+    running = ChainState.log_joint
+    tally = np.zeros(ds.n_snps)
+    sampled = []
+
+    def tallying_log_joint(state):
+        # run_chain reads the log joint once per retained iteration, after its moves
+        if (state.iteration - 1 - schedule.burnin) % schedule.thin == 0:
+            tally[state.starts] += 1
+            sampled.append(tuple(state.starts))
+        return running(state)
+
+    monkeypatch.setattr(ChainState, "log_joint", tallying_log_joint)
+    out = run_chain(ds, priors, schedule, seed=8, constraints=cons,
+                    sample_membership=sample_membership)
+    assert out.samples_used == len(sampled) == 300
+    assert len(set(sampled)) > 10  # the tally spans many partition changes
+    np.testing.assert_array_equal(out.boundary_posterior, tally / len(sampled))
+
+
 def test_chain_matches_enumeration_on_four_snps():
     ds = random_signal_dataset(19, 40, 40, 4, hot=1)
     priors, cons = default_priors(4, 40, 40, 40)
@@ -593,7 +619,15 @@ def reference_gibbs_sweep(state):
         if pick != cur:
             changed += 1
             state.bump("gibbs_changes")
-            state.relabel(i, pick, weights[labs.index(pick)] - weights[labs.index(cur)])
+            labels[i] = pick
+            state.block_masks[(a, b)] = base + pick * power
+            state.label_counts[cur] -= 1
+            state.label_counts[pick] += 1
+            if cur == 2:
+                state.s2.remove(i)
+            if pick == 2:
+                insort(state.s2, i)
+            state.running_log_joint += weights[labs.index(pick)] - weights[labs.index(cur)]
     return changed
 
 
