@@ -17,8 +17,10 @@ byte-identical for canonical input.
 the same width, as one byte array through a 256-entry table. Any other data
 section (one with an error, a missing token, a blank line or no newline after
 its last line) goes to the per-line scan, which exists for those cases: it
-handles missing tokens and reports each error with its line number. Text is
-read with universal newlines, so CRLF files arrive with plain newlines.
+handles missing tokens and reports each error with its line number. The
+file is read as bytes with newlines translated as text mode would, so CRLF
+files arrive with plain newlines; the fixed-width decode then decodes only
+the two header lines as UTF-8, and the line scan the whole file.
 """
 
 from __future__ import annotations
@@ -52,9 +54,15 @@ class DataFormatError(ValueError):
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents; bytes that do not decode are a data error."""
+    """A UTF-8 text file's contents, line ends as written (callers split them
+    with ``splitlines``); bytes that do not decode are a data error."""
+    return _decode(Path(path).read_bytes(), path)
+
+
+def _decode(data: bytes, path: str | Path) -> str:
+    """UTF-8 bytes read from ``path`` as text."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
@@ -125,32 +133,34 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
         raise ValueError(f"unknown missing policy: {missing_policy!r}")
     impute = missing_policy != "reject"
 
-    text = read_text(path)
-    first = text.find("\n")
-    second = text.find("\n", first + 1)
-    header = (text[:first], text[first + 1 : second])
-    if second >= 0 and all(line.splitlines() == [line] for line in header):
-        # the header lines end at the first two newlines, as splitlines cuts them
-        snp_ids, positions = _parse_header(*header)
-        data = text.encode("utf-8")
-        offset = len(text[: second + 1].encode("utf-8"))
-        codes = _fixed_width_codes(np.frombuffer(data, np.uint8, offset=offset), len(snp_ids))
+    raw = Path(path).read_bytes()
+    if b"\r" in raw:  # universal newlines, as text mode reads them
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    first = raw.find(b"\n")
+    second = raw.find(b"\n", first + 1)
+    if second >= 0:
+        codes = _fixed_width_codes(
+            np.frombuffer(raw, np.uint8, offset=second + 1), raw.count(b"\t", 0, first)
+        )
         if codes is not None:
-            phenotype = codes[:, 0]
-            return GenotypeDataset(
-                cases=codes[phenotype == 1, 1:],
-                controls=codes[phenotype == 0, 1:],
-                snp_ids=snp_ids,
-                positions=positions,
-            )
-        rows = text[second + 1 :].splitlines()
-    else:
-        lines = text.splitlines()
-        if len(lines) < 2:
-            raise DataFormatError("file must contain #snp and #pos header lines", line=1)
-        snp_ids, positions = _parse_header(lines[0], lines[1])
-        rows = lines[2:]
-    cases, controls = _scan_rows(rows, snp_ids, impute)
+            # the data section is ASCII, so only the header lines need decoding
+            header = _decode(raw[: second + 1], path).split("\n")[:2]
+            # they end at the first two newlines when splitlines cuts them there too
+            if all(line.splitlines() == [line] for line in header):
+                snp_ids, positions = _parse_header(*header)
+                phenotype = codes[:, 0]
+                return GenotypeDataset(
+                    cases=codes[phenotype == 1, 1:],
+                    controls=codes[phenotype == 0, 1:],
+                    snp_ids=snp_ids,
+                    positions=positions,
+                )
+    lines = _decode(raw, path).splitlines()
+    del raw
+    if len(lines) < 2:
+        raise DataFormatError("file must contain #snp and #pos header lines", line=1)
+    snp_ids, positions = _parse_header(lines[0], lines[1])
+    cases, controls = _scan_rows(lines[2:], snp_ids, impute)
     return GenotypeDataset(cases=cases, controls=controls, snp_ids=snp_ids, positions=positions)
 
 

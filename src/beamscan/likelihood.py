@@ -12,18 +12,25 @@ with ln(a) formed as ln(rho) - w * ln(3).
 
 Genotypes are held SNP-major, one row of codes per SNP, so a SNP set's codes
 are a few contiguous rows. ``_pack_matrix`` packs each individual's codes over
-the set into an integer key (2 bits per SNP, the set's first SNP in the low
-bits) with one matrix-vector product, and ``np.unique`` counts the keys;
-``log_marginal`` turns per-diplotype counts into the log marginal, one sample
-per row of a count matrix (zero cells are absent diplotypes), and
-``LikelihoodEngine`` memoizes it per (SNP set, cohort) along with the number
-of distinct diplotypes that the block-diversity constraint reads. The engine,
-``bstat`` and the tests all count through ``_pack_matrix``.
+the set into one key per individual, ordered as the code sequences are with
+the set's last SNP most significant: up to ``FLOAT_KEY_WIDTH`` SNPs the key is
+the ternary number sum_j code_j 3^j, formed as a float64 matrix-vector
+product whose every partial sum is an integer below 2^53 and so exact; wider
+sets get dense ranks from ``np.unique`` over the rows. The engine counts the
+keys by sorting them and measuring runs; ``log_marginal`` turns
+per-diplotype counts into the log marginal, one sample per row of a count
+matrix (zero cells are absent diplotypes), and ``LikelihoodEngine`` memoizes
+it per (SNP set, cohort) along with the number of distinct diplotypes that
+the block-diversity constraint reads. The engine, ``bstat`` and the tests all
+count through ``_pack_matrix``; since both key forms sort like the code
+sequences, counts come out in the same cell order at every width.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -36,26 +43,31 @@ WHO_BOTH = "both"
 WHO_CASES = "cases"
 WHO_CONTROLS = "controls"
 
+FLOAT_KEY_WIDTH = 33  # widest set whose ternary key is exact in float64
+_TERNARY = 3.0 ** np.arange(FLOAT_KEY_WIDTH)
+
 
 def _pack_matrix(codes: np.ndarray) -> np.ndarray:
-    """Pack each column of a SNP-major (w, n) code matrix into an integer key.
+    """Key each column of a SNP-major (w, n) code matrix.
 
-    Key k of individual i is sum_j codes[j, i] * 4^j. Columns with w <= 31
-    fit an int64; wider columns are packed chunk-wise into Python ints (rare:
-    only very wide blocks reach this path).
+    Up to ``FLOAT_KEY_WIDTH`` SNPs the key of individual i is the float64
+    sum_j codes[j, i] * 3^j, which is exact because 3^33 < 2^53; wider
+    columns get the int dense rank of their code sequence, last SNP most
+    significant. Either way keys sort as the code sequences do.
     """
     w, n = codes.shape
-    if w == 0:
-        return np.zeros(n, dtype=np.int64)
-    if w <= 31:
-        weights = np.left_shift(np.int64(1), 2 * np.arange(w, dtype=np.int64))
-        return weights @ codes.astype(np.int64)
-    keys = [0] * n
-    for start in range(0, w, 24):
-        vals = _pack_matrix(codes[start : start + 24]).tolist()
-        shift = 2 * start
-        keys = [k | (v << shift) for k, v in zip(keys, vals)]
-    return np.array(keys, dtype=object)
+    if w <= FLOAT_KEY_WIDTH:
+        return np.dot(_TERNARY[:w], codes)
+    _, ranks = np.unique(codes[::-1].T, axis=0, return_inverse=True)
+    return ranks.reshape(n)
+
+
+@lru_cache(maxsize=1024)
+def _marginal_constants(width: int, rho: float) -> tuple[float, float, float]:
+    """alpha, the per-present-cell constant ln(alpha) - lnG(1 + alpha), and lnG(rho)."""
+    log_alpha = math.log(rho) - width * LOG3
+    alpha = math.exp(log_alpha)  # may underflow to 0.0 for huge widths; harmless
+    return alpha, log_alpha - float(gammaln(1.0 + alpha)), float(gammaln(rho))
 
 
 def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarray:
@@ -66,17 +78,16 @@ def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarr
     float for a 1-D input and an array of the leading shape otherwise.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    log_alpha = math.log(rho) - width * LOG3
-    alpha = math.exp(log_alpha)  # may underflow to 0.0 for huge widths; harmless
+    alpha, per_present, log_g_rho = _marginal_constants(width, rho)
     terms = gammaln(counts + alpha)
     present = counts.shape[-1]
-    if not counts.all():  # np.unique counts, the engine's, never hold a zero
+    if np.count_nonzero(counts) < counts.size:  # never for the engine's run-length counts
         absent = counts == 0
         terms[absent] = 0.0
         present = present - np.add.reduce(absent, axis=-1)
-    per_cell = present * (log_alpha - float(gammaln(1.0 + alpha))) + np.add.reduce(terms, axis=-1)
+    per_cell = present * per_present + np.add.reduce(terms, axis=-1)
     # an empty sample gives lnG(rho) - lnG(0 + rho), exactly 0
-    value = per_cell + float(gammaln(rho)) - gammaln(np.add.reduce(counts, axis=-1) + rho)
+    value = per_cell + log_g_rho - gammaln(np.add.reduce(counts, axis=-1) + rho)
     return float(value) if counts.ndim == 1 else value
 
 
@@ -100,6 +111,7 @@ class LikelihoodEngine:
         )
         self._marg: dict[tuple[tuple[int, ...], str], float] = {}
         self._distinct: dict[tuple[int, ...], int] = {}
+        self.cold_s = 0.0  # seconds spent evaluating marginals that were not memoized
 
     def _columns(self, who: str) -> slice:
         if who == WHO_BOTH:
@@ -111,19 +123,33 @@ class LikelihoodEngine:
         raise ValueError(f"unknown cohort selector: {who!r}")
 
     def marginal(self, snps: tuple[int, ...], who: str) -> float:
-        """Log marginal of ``snps`` in cohort ``who``; 0 for an empty set or cohort."""
+        """Log marginal of ``snps``, a sorted tuple of SNP indices, in cohort
+        ``who``; 0 for an empty set or cohort."""
         if not snps:
             return 0.0
         key = (snps, who)
         hit = self._marg.get(key)
         if hit is not None:
             return hit
-        keys = _pack_matrix(self._codes[list(snps), self._columns(who)])
-        _, counts = np.unique(keys, return_counts=True)
+        started = time.perf_counter()
+        first = snps[0]
+        if snps[-1] - first + 1 == len(snps):  # a run of SNPs: a view of the panel
+            rows = self._codes[first : first + len(snps), self._columns(who)]
+        else:
+            rows = self._codes[list(snps), self._columns(who)]
+        keys = _pack_matrix(rows)
+        keys.sort()
+        # run lengths of the sorted keys are the counts, in key order
+        edges = np.empty(keys.size + 1, dtype=bool)
+        edges[0] = edges[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+        runs = edges.nonzero()[0]
+        counts = runs[1:] - runs[:-1]
         value = log_marginal(counts, len(snps), self.rho)
         if who == WHO_BOTH:
             self._distinct[snps] = int(counts.size)
         self._marg[key] = value
+        self.cold_s += time.perf_counter() - started
         return value
 
     def distinct_count(self, snps: tuple[int, ...]) -> int:

@@ -26,13 +26,18 @@ boundary prior of an accepted block move, the log ratio of an accepted swap,
 the weight difference of a Gibbs label change. The per-iteration log-joint
 trace therefore reads one float; ``JointModel.log_joint`` recomputes the
 same value from scratch, up to rounding.
+
+A block proposal names only the blocks it removes and adds, so drawing one
+costs the same at any partition size; ``accept`` cuts the added blocks'
+label masks from the removed blocks' masks by ternary arithmetic, and
+``repartition`` edits the start list in place.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,7 +53,6 @@ from .model import (
     MembershipVector,
     ModelConstraints,
     PriorConfig,
-    mask_from_labels,
 )
 
 KIND_SPLIT = "split"
@@ -89,16 +93,19 @@ class PosteriorSummary:
     samples_used: int
     log_joint_trace: np.ndarray
     acceptance: dict[str, float] = field(default_factory=dict)
-    cache: dict[str, int] = field(default_factory=dict)  # memo entries at the end
+    cache: dict[str, float] = field(default_factory=dict)  # memo entries and cold time at the end
     warning: str | None = None
 
 
 @dataclass
 class BlockProposal:
-    """One proposed partition change with its Hastings log-ratio."""
+    """One proposed partition change with its Hastings log-ratio.
+
+    ``removed`` are adjacent blocks of the current partition, in order, and
+    ``added`` the blocks that tile the same SNPs after the move.
+    """
 
     kind: str
-    new_starts: tuple[int, ...]
     removed: tuple[tuple[int, int], ...]
     added: tuple[tuple[int, int], ...]
     log_q_ratio: float
@@ -247,12 +254,17 @@ class ChainState:
     def repartition(
         self, proposal: BlockProposal, masks: dict[tuple[int, int], int], delta: float
     ) -> None:
-        """Apply an accepted block move whose log-joint change is ``delta``;
-        the rows of its added blocks go stale."""
+        """Apply an accepted block move whose log-joint change is ``delta``.
+
+        One slice assignment puts the added blocks' starts in place of the
+        removed blocks' starts; the rows of the added blocks go stale.
+        """
         self.running_log_joint += delta
         self.repartitions += 1
-        self.starts = list(proposal.new_starts)
-        for key in proposal.removed:
+        removed = proposal.removed
+        k = bisect_left(self.starts, removed[0][0])
+        self.starts[k : k + len(removed)] = [a for a, _ in proposal.added]
+        for key in removed:
             del self.block_masks[key]
         self.block_masks.update(masks)
         for a, b in masks:
@@ -297,11 +309,10 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         if w < 2:
             return None
         cut = a + 1 + int(rng.integers(w - 1))
-        new_starts = tuple(starts[: k + 1]) + (cut,) + tuple(starts[k + 1 :])
         # forward: pick block (1/nb) and cut (1/(w-1)); reverse merge picks the
         # new adjacent pair among nb pairs.
         log_q_ratio = math.log(w - 1)
-        return BlockProposal(kind, new_starts, ((a, b),), ((a, cut), (cut, b)), log_q_ratio)
+        return BlockProposal(kind, ((a, b),), ((a, cut), (cut, b)), log_q_ratio)
     if kind == KIND_MERGE:
         if nb < 2:
             return None
@@ -309,11 +320,10 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         a = starts[k]
         mid = starts[k + 1]
         b = starts[k + 2] if k + 2 < nb else n
-        new_starts = tuple(starts[: k + 1]) + tuple(starts[k + 2 :])
         # forward: pick pair (1/(nb-1)); reverse split picks the merged block
         # (1/(nb-1)) and the former cut (1/(w-1)).
         log_q_ratio = -math.log(b - a - 1)
-        return BlockProposal(kind, new_starts, ((a, mid), (mid, b)), ((a, b),), log_q_ratio)
+        return BlockProposal(kind, ((a, mid), (mid, b)), ((a, b),), log_q_ratio)
     if kind == KIND_SHIFT:
         if nb < 2:
             return None
@@ -328,29 +338,40 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         new_t = lo + pick
         if new_t >= t:
             new_t += 1
-        new_starts = tuple(starts[:k]) + (new_t,) + tuple(starts[k + 1 :])
         a = starts[k - 1]
         b = starts[k + 1] if k + 1 < nb else n
         # neighbours are unchanged, so the reverse move has the same n_targets
         # choices and the proposal is symmetric
-        return BlockProposal(kind, new_starts, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
+        return BlockProposal(kind, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
     raise ValueError(f"unknown move kind: {kind!r}")
+
+
+def added_masks(
+    block_masks: dict[tuple[int, int], int], proposal: BlockProposal
+) -> dict[tuple[int, int], int]:
+    """The label masks of the proposal's added blocks, by ternary digit
+    arithmetic on its removed blocks' masks: the removed masks are joined
+    into one mask over their SNPs, which is then cut at the added blocks."""
+    whole = 0
+    for a, b in reversed(proposal.removed):
+        whole = whole * 3 ** (b - a) + block_masks[(a, b)]
+    masks = {}
+    for a, b in proposal.added:
+        whole, masks[(a, b)] = divmod(whole, 3 ** (b - a))
+    return masks
 
 
 def accept(state: ChainState, proposal: BlockProposal) -> bool:
     """Metropolis-Hastings decision; exactly one uniform draw per call."""
     model = state.model
-    labels = state.labels
     old = 0.0
     for a, b in proposal.removed:
         old += model.block_term(a, b, state.block_masks[(a, b)])
-    new_masks = {}
+    new_masks = added_masks(state.block_masks, proposal)
     new = 0.0
-    for a, b in proposal.added:
-        mask = mask_from_labels(labels, a, b)
-        new_masks[(a, b)] = mask
+    for (a, b), mask in new_masks.items():
         new += model.block_term(a, b, mask)
-    delta_blocks = len(proposal.new_starts) - len(state.starts)
+    delta_blocks = len(proposal.added) - len(proposal.removed)
     delta = new - old + delta_blocks * (model._log_p - model._log_1mp)
     log_ratio = delta + proposal.log_q_ratio
     u = state.rng.random()

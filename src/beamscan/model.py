@@ -291,12 +291,14 @@ class JointModel:
         self._g2[epistatic] = value
         return value
 
-    def cache_sizes(self) -> dict[str, int]:
-        """Entries in the marginal, block-term and group-2 memos."""
+    def cache_sizes(self) -> dict[str, float]:
+        """Entries in the marginal, block-term and group-2 memos, and the
+        seconds spent evaluating the marginals that were not memoized."""
         return {
             "marginals": len(self.engine._marg),
             "block_terms": len(self._block_terms),
             "group2": len(self._g2),
+            "marginal_cold_s": round(self.engine.cold_s, 6),
         }
 
     def log_partition_prior(self, n_blocks: int) -> float:

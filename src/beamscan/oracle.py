@@ -45,7 +45,7 @@ class OracleResult:
     boundary_posterior: np.ndarray  # P(SNP starts a block)
     log_normalizer: float
     states_enumerated: int
-    cache: dict[str, int] = field(default_factory=dict)  # memo entries at the end
+    cache: dict[str, float] = field(default_factory=dict)  # memo entries and cold time at the end
 
     @property
     def assoc_posterior(self) -> np.ndarray:

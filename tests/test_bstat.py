@@ -148,13 +148,21 @@ def test_permutation_null_shape_and_determinism():
     assert not np.array_equal(a, c)
 
 
+def python_int_keys(rows):
+    """Base-4 Python-int keys of an (n, w) code matrix, first SNP in the
+    lowest digit; the reference counts through these, not ``_pack_matrix``."""
+    return np.array(
+        [sum(c << (2 * j) for j, c in enumerate(row)) for row in rows.tolist()], dtype=object
+    )
+
+
 class ReferenceKernel:
     """The one-replicate-at-a-time statistic that the batched kernel replaced."""
 
     def __init__(self, ds, snps, rho=RHO):
         self.rho, self.width = rho, len(snps)
         combined = np.vstack([ds.cases, ds.controls])
-        keys = _pack_matrix(combined[:, list(snps)].T)
+        keys = python_int_keys(combined[:, list(snps)])
         _, self.joint_inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         self.joint_cells = counts.size
         self.log_joint_both = log_marginal(counts, self.width, rho)
@@ -205,10 +213,23 @@ def test_batched_null_matches_one_at_a_time_reference(snps, n_perm):
 
 def test_batched_null_matches_reference_on_a_32_snp_set():
     ds = null_dataset(53, 20, 24, 32)
-    snps = tuple(range(32))  # packed keys overflow int64 and become Python ints
-    assert _pack_matrix(ds.cases[:, list(snps)].T).dtype == object
+    snps = tuple(range(32))  # ternary float64 keys, still exact
+    assert _pack_matrix(ds.cases[:, list(snps)].T).dtype == np.float64
     want, _ = reference_permutation_null(ds, snps, 300, seed=2)
     got = permutation_null(ds, snps, n_perm=300, seed=2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert bstat(ds, snps) == pytest.approx(ref_bstat(ds, snps), abs=1e-10)
+
+
+def test_batched_null_matches_reference_on_a_36_snp_set():
+    ds = null_dataset(54, 20, 24, 36)
+    snps = tuple(range(36))
+    # the reference's keys overflow int64 and become Python ints; the kernel
+    # under test keys the set by rank
+    assert python_int_keys(ds.cases[:, list(snps)]).dtype == object
+    assert _pack_matrix(ds.cases[:, list(snps)].T).dtype == np.intp
+    want, _ = reference_permutation_null(ds, snps, 300, seed=3)
+    got = permutation_null(ds, snps, n_perm=300, seed=3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert bstat(ds, snps) == pytest.approx(ref_bstat(ds, snps), abs=1e-10)
 

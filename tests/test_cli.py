@@ -237,13 +237,18 @@ def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signa
         if name in ("map", "partition", "oracle"):
             caches = manifest["cache"] if name != "oracle" else [manifest["cache"]]
             for cache in caches:
-                assert set(cache) == {"marginals", "block_terms", "group2"}, name
-                assert all(isinstance(v, int) and v >= 0 for v in cache.values()), name
+                counts = {"marginals", "block_terms", "group2"}
+                assert set(cache) == counts | {"marginal_cold_s"}, name
+                assert all(isinstance(cache[k], int) and cache[k] >= 0 for k in counts), name
                 assert cache["marginals"] > 0 and cache["block_terms"] > 0, name
+                cold_s = cache["marginal_cold_s"]
+                assert isinstance(cold_s, float) and math.isfinite(cold_s) and cold_s >= 0.0, name
         else:
             assert "cache" not in manifest, name
         # nothing of this goes into a result table
-        assert "peak_rss" not in out.read_text() and "phases" not in out.read_text()
+        table = out.read_text()
+        assert "peak_rss" not in table and "phases" not in table, name
+        assert "marginal_cold_s" not in table, name
 
 
 def test_map_on_null_panel_stays_quiet(workdir):

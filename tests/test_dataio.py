@@ -401,3 +401,43 @@ def test_canonical_file_never_reaches_the_line_scan(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dataio, "_scan_rows", refuse)
     assert_same_dataset(load_dataset(path), ds)
+
+
+def refuse_line_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the line scan ran on a fixed-width file")
+
+    monkeypatch.setattr(dataio, "_scan_rows", refuse)
+
+
+def test_fixed_width_file_with_crlf_and_utf8_ids_skips_the_line_scan(tmp_path, monkeypatch):
+    text = CANONICAL.replace("rs2", "rsé二").replace("\n", "\r\n")
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    want = load_by_line_scan(monkeypatch, path)
+    refuse_line_scan(monkeypatch)
+    got = load_dataset(path)
+    assert got.snp_ids == ("rs1", "rsé二", "rs3")
+    assert_same_dataset(got, want)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"rs2", b"rs\xff2"),  # in a header line of a fixed-width file
+        (b"rs2\trs3\n", b"rs2\trs3\xe4\n"),  # a lead byte cut off by the newline
+        (b"0\t0\t0\t1\n", b"0\t0\t0\t\xff\n"),  # in the data section
+    ],
+)
+def test_non_utf8_bytes_anywhere_are_a_data_error(tmp_path, old, new):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(CANONICAL.encode("utf-8").replace(old, new))
+    with pytest.raises(DataFormatError, match="is not UTF-8 text: invalid"):
+        load_dataset(path)
+
+
+def test_header_with_another_line_break_is_split_as_the_line_scan_splits_it(tmp_path):
+    # a form feed is a line break to splitlines, so the ids line ends early
+    path = write_tmp(tmp_path, CANONICAL.replace("#snp\trs1\trs2", "#snp\trs1\x0crs2"))
+    with pytest.raises(DataFormatError, match="line 2: second line must be '#pos'"):
+        load_dataset(path)

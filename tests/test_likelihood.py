@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from beamscan.dataio import GenotypeDataset
-from beamscan.likelihood import LikelihoodEngine, _pack_matrix, log_marginal
+from beamscan.likelihood import FLOAT_KEY_WIDTH, LikelihoodEngine, _pack_matrix, log_marginal
 from beamscan.model import JointModel, PriorConfig, mask_from_labels
 
 RHO = 1.5
@@ -61,8 +61,21 @@ def row_counts(mat):
 
 
 def unpack_key(key, width):
-    """Inverse of the 2-bits-per-SNP packing, first SNP in the low bits."""
-    return tuple((int(key) >> (2 * j)) & 3 for j in range(width))
+    """Inverse of the ternary key of a set of at most FLOAT_KEY_WIDTH SNPs,
+    first SNP in the lowest digit."""
+    return tuple(int(key) // 3**j % 3 for j in range(width))
+
+
+def decode_counts(keys, rows):
+    """Occurrences of each distinct row, read through the keys: every row
+    that shares a key must be the same row."""
+    uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    decoded = {}
+    for cell in range(uniq.size):
+        members = {tuple(r) for r in np.asarray(rows)[inv == cell].tolist()}
+        assert len(members) == 1
+        decoded[members.pop()] = int(counts[cell])
+    return decoded
 
 
 def block_term(ds, a, b, labels):
@@ -130,22 +143,22 @@ def test_count_respects_cohort_selector():
 
 
 def test_pack_unpack_round_trip():
+    # ternary keys round-trip; wider sets are keyed by rank (see the order tests)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        w = int(rng.integers(1, 40))
+        w = int(rng.integers(1, FLOAT_KEY_WIDTH + 1))
         codes = rng.integers(0, 3, size=(1, w)).astype(np.int8)
         (key,) = _pack_matrix(codes.T).tolist()
         assert unpack_key(key, w) == tuple(int(c) for c in codes[0])
 
 
 def test_wide_matrix_packing_matches_rows():
-    # width above the 31-SNP fast path exercises the chunked packing
+    # width above the float64 ternary keys exercises the rank keys
     rng = np.random.default_rng(1)
     w = 70
     rows = rng.integers(0, 3, size=(40, w)).astype(np.int8)
-    keys, counts = np.unique(_pack_matrix(rows.T), return_counts=True)
-    decoded = {unpack_key(k, w): int(c) for k, c in zip(keys, counts)}
-    assert decoded == row_counts(rows)
+    rows[20:30] = rows[:10]  # repeated diplotypes
+    assert decode_counts(_pack_matrix(rows.T), rows) == row_counts(rows)
 
 
 def row_major_keys(mat):
@@ -164,20 +177,76 @@ def row_major_keys(mat):
     return np.array(keys, dtype=object)
 
 
+def same_order_and_counts(keys, want):
+    """True when two key vectors give the same ``np.unique`` inverse and counts."""
+    _, inv_a, counts_a = np.unique(keys, return_inverse=True, return_counts=True)
+    _, inv_b, counts_b = np.unique(want, return_inverse=True, return_counts=True)
+    return np.array_equal(inv_a, inv_b) and np.array_equal(counts_a, counts_b)
+
+
 @pytest.mark.parametrize("w", range(1, 41))
 def test_snp_major_keys_equal_row_major_keys(w):
+    # the keys differ in value from the row-major ones (base 3 or ranks, not
+    # base 4) but must sort and group the individuals identically
     rng = np.random.default_rng(w)
     rows = rng.integers(0, 3, size=(500, w)).astype(np.int8)
     rows[0] = 2  # the largest key of the width
     rows[1] = 0
+    rows[2:12] = rows[12:22]  # repeated diplotypes
     codes = np.ascontiguousarray(rows.T)
     got = _pack_matrix(codes)
     want = row_major_keys(rows)
-    assert got.dtype == want.dtype
-    assert got.tolist() == want.tolist()
-    assert got[0] == 2 * (4**w - 1) // 3
+    assert same_order_and_counts(got, want)
+    assert got.argmax() == 0 and got.argmin() == 1
+    if w <= FLOAT_KEY_WIDTH:
+        assert got.dtype == np.float64 and got[0] == 3**w - 1
     # the engine packs row slices of its SNP-major matrix, which are views
-    assert _pack_matrix(np.vstack([codes, codes])[:w, 100:]).tolist() == want[100:].tolist()
+    assert same_order_and_counts(_pack_matrix(np.vstack([codes, codes])[:w, 100:]), want[100:])
+
+
+def python_int_keys(codes):
+    """Base-4 Python-int keys of a SNP-major (w, n) matrix, first SNP in the
+    lowest digit: a packer that shares no code with ``_pack_matrix``."""
+    cols = codes.T.tolist()
+    return np.array([sum(c << (2 * j) for j, c in enumerate(col)) for col in cols], dtype=object)
+
+
+@pytest.mark.parametrize("w", [*range(1, 41), 700])
+def test_keys_group_and_order_as_python_int_keys(w):
+    rng = np.random.default_rng(100 + w)
+    codes = rng.integers(0, 3, size=(w, 300)).astype(np.int8)
+    codes[:, 0] = 2  # the all-2 diplotype, 3^33 - 1 at width 33
+    codes[:, 1] = 0
+    codes[:, 50:80] = codes[:, 100:130]  # repeated diplotypes
+    keys = _pack_matrix(codes)
+    assert same_order_and_counts(keys, python_int_keys(codes))
+    # the engine's counting (sort, then run lengths) reads the same cells
+    _, counts = np.unique(python_int_keys(codes), return_counts=True)
+    ds = dataset_from_rows(codes.T[:170], codes.T[170:], w)
+    snps = tuple(range(w))
+    assert LikelihoodEngine(ds, rho=RHO).marginal(snps, "both") == log_marginal(counts, w, RHO)
+    assert LikelihoodEngine(ds, rho=RHO).distinct_count(snps) == counts.size
+
+
+@pytest.mark.parametrize("w", [1, 33, 34, 700])
+def test_keys_of_an_empty_cohort(w):
+    keys = _pack_matrix(np.zeros((w, 0), dtype=np.int8))
+    assert keys.shape == (0,)
+    ds = dataset_from_rows(np.zeros((0, w)), np.zeros((0, w)), w)
+    engine = LikelihoodEngine(ds, rho=RHO)
+    assert engine.marginal(tuple(range(w)), "both") == 0.0
+    assert engine.distinct_count(tuple(range(w))) == 0
+
+
+def test_all_two_row_at_the_widest_float_key():
+    w = FLOAT_KEY_WIDTH
+    codes = np.full((w, 3), 2, dtype=np.int8)
+    codes[0, 1] = 1  # one below the largest key; distinct in float64
+    keys = _pack_matrix(codes)
+    assert keys.dtype == np.float64
+    assert keys.tolist() == [3**w - 1, 3**w - 2, 3**w - 1]
+    assert 3**w - 1 < 2**53 <= 3 ** (w + 1)
+    assert _pack_matrix(np.vstack([codes, codes[:1]])).dtype != np.float64
 
 
 # -- log marginal ------------------------------------------------------------------

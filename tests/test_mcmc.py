@@ -99,19 +99,21 @@ def test_split_proposal_two_snps():
     force_state(state, (0,), (0, 0))
     prop = propose_block_move(state, "split")
     assert prop.kind == "split"
-    assert prop.new_starts == (0, 1)
     assert prop.removed == ((0, 2),)
     assert prop.added == ((0, 1), (1, 2))
     assert prop.log_q_ratio == pytest.approx(0.0)
+    state.repartition(prop, mcmc.added_masks(state.block_masks, prop), 0.0)
+    assert state.starts == [0, 1]
 
 
 def test_merge_proposal_two_snps():
     state = init_state(empty_dataset(2), flat_priors(), seed=0)
     prop = propose_block_move(state, "merge")
-    assert prop.new_starts == (0,)
     assert prop.removed == ((0, 1), (1, 2))
     assert prop.added == ((0, 2),)
     assert prop.log_q_ratio == pytest.approx(0.0)
+    state.repartition(prop, mcmc.added_masks(state.block_masks, prop), 0.0)
+    assert state.starts == [0]
 
 
 def test_split_merge_ratio_scales_with_width():
@@ -130,8 +132,12 @@ def test_shift_targets_and_symmetric_ratio():
         prop = propose_block_move(state, "shift")
         assert prop.kind == "shift"
         assert prop.log_q_ratio == pytest.approx(0.0)
-        new_t = prop.new_starts[1]
+        assert prop.removed == ((0, 3), (3, 6))
+        (a, new_t), (new_t2, b) = prop.added
+        assert (a, b) == (0, 6) and new_t == new_t2
         assert new_t in {1, 2, 4, 5}
+        state.repartition(prop, mcmc.added_masks(state.block_masks, prop), 0.0)
+        assert state.starts == [0, new_t]
         seen.add(new_t)
     assert seen == {1, 2, 4, 5}
 
@@ -815,3 +821,67 @@ def test_every_kernel_marks_the_rows_it_invalidates():
     assert state.counters.get("gibbs_changes", 0) > 50
     assert state.counters.get("swap_accepted", 0) > 10
     assert checked > 600 * 10
+
+
+# -- block moves with O(1) work per proposal -------------------------------------------
+
+
+def rebuilt_starts(starts, proposal):
+    """The start list after a move, rebuilt whole: the starts of the removed
+    blocks out, those of the added blocks in."""
+    out = set(starts) - {a for a, _ in proposal.removed}
+    return sorted(out | {a for a, _ in proposal.added})
+
+
+@pytest.mark.parametrize("kind", ["split", "merge", "shift"])
+def test_added_masks_equal_masks_from_labels(kind):
+    state = init_state(empty_dataset(40), flat_priors(), seed=5)
+    side = np.random.default_rng(7)
+    made = 0
+    for _ in range(400):
+        starts, _ = random_force(side, 40, 40)
+        labels = [int(v) for v in side.integers(0, 3, size=40)]
+        force_state(state, starts, labels)
+        prop = propose_block_move(state, kind)
+        if prop is None:
+            continue
+        made += 1
+        masks = mcmc.added_masks(state.block_masks, prop)
+        assert list(masks) == list(prop.added)
+        for a, b in prop.added:
+            assert masks[(a, b)] == mask_from_labels(labels, a, b)
+    assert made > 100
+
+
+def test_repartition_edits_starts_as_a_full_rebuild_would():
+    # weak data and a flat boundary prior, so that many moves of each kind are
+    # accepted; label sweeps and swaps in between make the masks non-zero
+    ds = random_signal_dataset(41, 12, 12, 14, hot=6)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=20, max_order=3)
+    state = init_state(ds, priors, seed=9, constraints=cons)
+    accepted = {"split": 0, "merge": 0, "shift": 0}
+    labelled = 0  # accepted moves whose added blocks carry a label
+    for t in range(3000):
+        kind = mcmc._choose_kind(state.rng)
+        prop = propose_block_move(state, kind)
+        if prop is not None:
+            want = rebuilt_starts(state.starts, prop)
+            before = list(state.starts)
+            if accept(state, prop):
+                accepted[kind] += 1
+                assert state.starts == want
+                for a, b in prop.added:
+                    assert state.block_masks[(a, b)] == mask_from_labels(state.labels, a, b)
+                labelled += any(state.block_masks[key] for key in prop.added)
+            else:
+                assert state.starts == before
+        assert sorted(state.block_masks) == state.blocks()
+        gibbs_membership_sweep(state)
+        swap_membership_move(state)
+        if t % 10 == 0:
+            full = state.model.log_joint(state.partition(), state.membership())
+            assert state.log_joint() == pytest.approx(full, rel=1e-9)
+    assert min(accepted.values()) > 20
+    assert labelled > 50
+
