@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .dataio import (
     DataFormatError,
     GenotypeDataset,
-    column_counts,
     hwe_filter,
     load_dataset,
     write_dataset,
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     "DataFormatError",
     "GenotypeDataset",
-    "column_counts",
     "hwe_filter",
     "load_dataset",
     "write_dataset",

@@ -7,7 +7,9 @@ equal-weight mixtures whose normalization cancels. Calibration is either by
 label permutation (empirical p-values with add-one smoothing) or by a shifted
 chi-square with 3^M - 1 degrees of freedom whose shift constant is fit by
 matching the permutation-null median (``fit_shift_constant``) and passed to
-``null_calibration`` by the caller.
+``null_calibration`` by the caller. ``null_calibration`` takes the dataset
+and the set it calibrates and reads the cohort sizes and the set size (so
+the degrees of freedom) from them.
 
 The observed labelling and every permuted one go through one statistic,
 ``_SetKernel.statistics``: it scores a matrix of case assignments with one
@@ -198,42 +200,35 @@ def fit_shift_constant(
 
 
 def null_calibration(
-    n_cases: int,
-    n_controls: int,
-    m: int,
+    dataset: GenotypeDataset,
+    snp_set,
     rho: float = 1.5,
     mode: str = "permutation",
-    dataset: GenotypeDataset | None = None,
-    snp_set=None,
     n_perm: int = 1000,
     seed: int = 0,
     shift_constant: float | None = None,
 ) -> NullCalibration:
-    """Build the null reference for a size-``m`` set.
+    """Build the null reference for ``snp_set`` in ``dataset``.
 
-    Permutation mode (the default) needs the dataset, the set, and at least
-    500 replicates. Analytic mode needs ``shift_constant``, as returned by
-    :func:`fit_shift_constant` for a set of the same size.
+    The cohort sizes and the set size come from the two. Permutation mode
+    (the default) needs at least 500 replicates. Analytic mode needs
+    ``shift_constant``, as returned by :func:`fit_shift_constant` for a set
+    of the same size.
     """
-    if m < 1:
-        raise ValueError("set size must be at least 1")
-    if n_cases < 1 or n_controls < 1:
+    snps = _validated_set(dataset, snp_set, None)
+    if dataset.n_cases < 1 or dataset.n_controls < 1:
         raise ValueError("degenerate cohort sizes")
-    df = 3**m - 1
+    df = 3 ** len(snps) - 1
     if mode == "permutation":
-        if dataset is None or snp_set is None:
-            raise ValueError("permutation calibration requires a dataset and a SNP set")
         if n_perm < 500:
             raise ValueError("permutation calibration needs n_perm >= 500")
-        if (dataset.n_cases, dataset.n_controls) != (n_cases, n_controls):
-            raise ValueError("dataset cohort sizes disagree with n_cases/n_controls")
-        null = permutation_null(dataset, snp_set, rho=rho, n_perm=n_perm, seed=seed)
+        null = permutation_null(dataset, snps, rho=rho, n_perm=n_perm, seed=seed)
         shift = _median_shift(null, df)
         return NullCalibration(mode="permutation", df=df, shift=shift, null_values=null)
     if mode == "analytic":
         if shift_constant is None:
             raise ValueError("analytic calibration needs a fitted shift constant")
-        shift = analytic_shift(n_cases, n_controls, m, shift_constant)
+        shift = analytic_shift(dataset.n_cases, dataset.n_controls, len(snps), shift_constant)
         return NullCalibration(mode="analytic", df=df, shift=shift)
     raise ValueError(f"unknown calibration mode: {mode!r}")
 

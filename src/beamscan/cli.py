@@ -49,16 +49,16 @@ from .simulate import (
     write_truth,
 )
 
-POSTERIOR_HEADER = "#snp_id\tpos\tp_marginal\tp_epistatic\tp_assoc\tp_boundary"
+# the per-SNP posterior columns and the result attributes they print
+POSTERIOR_COLUMNS = {
+    "p_marginal": "marginal_posterior",
+    "p_epistatic": "epistatic_posterior",
+    "p_assoc": "assoc_posterior",
+    "p_boundary": "boundary_posterior",
+}
 
 
 def _default_threads() -> int:
-    env = os.environ.get("BEAMSCAN_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
@@ -66,8 +66,8 @@ def _default_threads() -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be finite and positive")
     return value
 
 
@@ -80,8 +80,8 @@ def _maf_arg(text: str) -> float:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("must be finite and non-negative")
     return value
 
 
@@ -128,16 +128,15 @@ def _add_mcmc_args(sub: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker bound for multi-chain runs (default: BEAMSCAN_THREADS or all cores)",
+        help="worker bound for multi-chain runs (default: the CPUs this process may use)",
     )
 
 
 def _load(args) -> GenotypeDataset:
     dataset = load_dataset(args.infile, missing_policy=args.missing)
-    if args.hwe_filter > 0.0:
-        dataset, removed = hwe_filter(dataset, args.hwe_filter)
-        if removed:
-            print(f"hwe filter removed {len(removed)} SNPs", file=sys.stderr)
+    dataset, removed = hwe_filter(dataset, args.hwe_filter)
+    if removed:
+        print(f"hwe filter removed {len(removed)} SNPs", file=sys.stderr)
     return dataset
 
 
@@ -205,13 +204,13 @@ def _write_manifest(
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_posterior_tsv(path: str, dataset: GenotypeDataset, marg, epi, assoc, bound) -> None:
-    lines = [POSTERIOR_HEADER]
-    for i in range(dataset.n_snps):
-        lines.append(
-            f"{dataset.snp_ids[i]}\t{dataset.positions[i]}\t{marg[i]:.6f}\t"
-            f"{epi[i]:.6f}\t{assoc[i]:.6f}\t{bound[i]:.6f}"
-        )
+def _write_snp_table(path: str, dataset: GenotypeDataset, result, columns) -> None:
+    """One row per SNP: its id, its position and, for each column name, the
+    ``POSTERIOR_COLUMNS`` attribute of ``result`` at that SNP."""
+    values = [getattr(result, POSTERIOR_COLUMNS[name]) for name in columns]
+    lines = ["#snp_id\tpos\t" + "\t".join(columns)]
+    for i, (snp_id, pos) in enumerate(zip(dataset.snp_ids, dataset.positions)):
+        lines.append(f"{snp_id}\t{pos}" + "".join(f"\t{col[i]:.6f}" for col in values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -252,24 +251,12 @@ def cmd_chains(args) -> int:
         print(f"warning: {summary.warning}", file=sys.stderr)
     outputs = [args.outfile]
     if sample_membership:
-        _write_posterior_tsv(
-            args.outfile,
-            dataset,
-            summary.marginal_posterior,
-            summary.epistatic_posterior,
-            summary.assoc_posterior,
-            summary.boundary_posterior,
-        )
+        _write_snp_table(args.outfile, dataset, summary, POSTERIOR_COLUMNS)
         inter_path = args.outfile + ".interactions.tsv"
         _write_interactions_tsv(inter_path, dataset, summary.interaction_sets)
         outputs.append(inter_path)
     else:
-        lines = ["#snp_id\tpos\tp_boundary"]
-        for i in range(dataset.n_snps):
-            lines.append(
-                f"{dataset.snp_ids[i]}\t{dataset.positions[i]}\t{summary.boundary_posterior[i]:.6f}"
-            )
-        Path(args.outfile).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_snp_table(args.outfile, dataset, summary, ["p_boundary"])
     _write_manifest(
         args, [args.infile], outputs, clock,
         extra={
@@ -287,14 +274,7 @@ def cmd_oracle(args) -> int:
     priors, constraints = _priors(args, dataset)
     result = enumerate_posterior(dataset, priors, constraints)
     clock.lap("compute_s")
-    _write_posterior_tsv(
-        args.outfile,
-        dataset,
-        result.marginal_posterior,
-        result.epistatic_posterior,
-        result.assoc_posterior,
-        result.boundary_posterior,
-    )
+    _write_snp_table(args.outfile, dataset, result, POSTERIOR_COLUMNS)
     _write_manifest(
         args,
         [args.infile],
@@ -389,6 +369,10 @@ def score_sets(
     sets of that size. The per-test level is ``alpha / n_tests``, with
     ``n_tests`` defaulting to C(L, M) for a size-M set.
     """
+    if n_tests is not None and n_tests < 1:
+        raise ValueError("n_tests must be at least 1")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     constants: dict[int, float] = {}
     results: list[BStatResult] = []
     for offset, snps in enumerate(sets):
@@ -397,13 +381,10 @@ def score_sets(
         if mode == "analytic" and m not in constants:
             constants[m] = fit_shift_constant(dataset, snps, rho=rho, n_perm=n_perm, seed=seed + offset)
         cal = null_calibration(
-            dataset.n_cases,
-            dataset.n_controls,
-            m,
+            dataset,
+            snps,
             rho=rho,
             mode=mode,
-            dataset=dataset,
-            snp_set=snps,
             n_perm=n_perm,
             seed=seed + offset,
             shift_constant=constants.get(m),
@@ -418,7 +399,7 @@ def score_sets(
                 shift=cal.shift,
                 p_value=p,
                 calibration=cal.mode,
-                significant=bool(p < alpha / max(nt, 1)),
+                significant=bool(p < alpha / nt),
             )
         )
     return results

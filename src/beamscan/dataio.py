@@ -17,10 +17,14 @@ byte-identical for canonical input.
 the same width, as one byte array through a 256-entry table. Any other data
 section (one with an error, a missing token, a blank line or no newline after
 its last line) goes to the per-line scan, which exists for those cases: it
-handles missing tokens and reports each error with its line number. The
-file is read as bytes with newlines translated as text mode would, so CRLF
-files arrive with plain newlines; the fixed-width decode then decodes only
-the two header lines as UTF-8, and the line scan the whole file.
+reports each error with its line number and, under the ``impute`` policy,
+codes a missing token as -1. The file is read as bytes with newlines
+translated as text mode would, so CRLF files arrive with plain newlines; the
+fixed-width decode then decodes only the two header lines as UTF-8, and the
+line scan the whole file. Both paths return one (individuals, 1 + SNPs)
+matrix of phenotype and codes, in file order; ``load_dataset`` alone fills
+the -1 cells with their column's mode and splits the rows into cases and
+controls.
 """
 
 from __future__ import annotations
@@ -125,17 +129,18 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
     """Parse a genotype table, validating structure and codes.
 
     ``missing_policy`` is ``"reject"`` (any missing token is an error) or
-    ``"mode-impute"`` (``"impute"`` accepted as an alias): missing entries are
-    replaced by the most frequent observed code at that SNP across both
-    cohorts, ties resolved toward the smaller code.
+    ``"impute"``: missing entries are replaced by the most frequent observed
+    code at that SNP across both cohorts, ties resolved toward the smaller
+    code.
     """
-    if missing_policy not in ("reject", "mode-impute", "impute"):
+    if missing_policy not in ("reject", "impute"):
         raise ValueError(f"unknown missing policy: {missing_policy!r}")
-    impute = missing_policy != "reject"
+    impute = missing_policy == "impute"
 
     raw = Path(path).read_bytes()
     if b"\r" in raw:  # universal newlines, as text mode reads them
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    codes = None
     first = raw.find(b"\n")
     second = raw.find(b"\n", first + 1)
     if second >= 0:
@@ -148,20 +153,24 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
             # they end at the first two newlines when splitlines cuts them there too
             if all(line.splitlines() == [line] for line in header):
                 snp_ids, positions = _parse_header(*header)
-                phenotype = codes[:, 0]
-                return GenotypeDataset(
-                    cases=codes[phenotype == 1, 1:],
-                    controls=codes[phenotype == 0, 1:],
-                    snp_ids=snp_ids,
-                    positions=positions,
-                )
-    lines = _decode(raw, path).splitlines()
-    del raw
-    if len(lines) < 2:
-        raise DataFormatError("file must contain #snp and #pos header lines", line=1)
-    snp_ids, positions = _parse_header(lines[0], lines[1])
-    cases, controls = _scan_rows(lines[2:], snp_ids, impute)
-    return GenotypeDataset(cases=cases, controls=controls, snp_ids=snp_ids, positions=positions)
+            else:
+                codes = None
+    if codes is None:
+        lines = _decode(raw, path).splitlines()
+        del raw
+        if len(lines) < 2:
+            raise DataFormatError("file must contain #snp and #pos header lines", line=1)
+        snp_ids, positions = _parse_header(lines[0], lines[1])
+        codes = _scan_rows(lines[2:], len(snp_ids), impute)
+        if impute:
+            _impute_modes(codes[:, 1:], snp_ids)
+    phenotype = codes[:, 0]
+    return GenotypeDataset(
+        cases=codes[phenotype == 1, 1:],
+        controls=codes[phenotype == 0, 1:],
+        snp_ids=snp_ids,
+        positions=positions,
+    )
 
 
 def _parse_header(first: str, second: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -205,22 +214,17 @@ def _fixed_width_codes(raw: np.ndarray, n_snps: int) -> np.ndarray | None:
     return codes.view(np.int8)
 
 
-def _scan_rows(
-    rows: list[str], snp_ids: tuple[str, ...], impute: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Case and control code matrices from the data lines, one token at a time.
+def _scan_rows(rows: list[str], n_snps: int, impute: bool) -> np.ndarray:
+    """The (individuals, 1 + n_snps) phenotype-and-code matrix of the data
+    lines, one token at a time; a missing token is -1 under ``impute``.
 
     It exists for the data sections that the fixed-width decode declines:
     those with missing tokens, a blank line, no newline after the last line
-    or an error. It handles missing tokens, and it alone reports a malformed
-    line, with its message and line number (the data section starts at
-    line 3).
+    or an error. It alone reports a malformed line, with its message and line
+    number (the data section starts at line 3).
     """
-    n_snps = len(snp_ids)
-    case_rows: list[np.ndarray] = []
-    control_rows: list[np.ndarray] = []
-    missing_cells: list[tuple[int, list[int], int]] = []  # (cohort, row ref, line)
-    for lineno, raw in enumerate(rows, start=3):
+    codes = np.empty((len(rows), n_snps + 1), dtype=np.int8)
+    for row, (lineno, raw) in zip(codes, enumerate(rows, start=3)):
         if raw == "":
             raise DataFormatError("blank line in data section", line=lineno)
         toks = raw.split("\t")
@@ -230,55 +234,33 @@ def _scan_rows(
             )
         if toks[0] not in ("0", "1"):
             raise DataFormatError(f"phenotype must be 0 or 1, found {toks[0]!r}", line=lineno)
-        row = np.empty(n_snps, dtype=np.int8)
-        miss_cols: list[int] = []
-        for j, tok in enumerate(toks[1:]):
+        for j, tok in enumerate(toks):
             code = _CODE_MAP.get(tok)
             if code is None:
-                if tok in MISSING_TOKENS:
-                    if not impute:
-                        raise DataFormatError(
-                            f"missing genotype {tok!r} under reject policy", line=lineno
-                        )
-                    row[j] = -1
-                    miss_cols.append(j)
-                    continue
-                raise DataFormatError(f"invalid genotype code {tok!r}", line=lineno)
+                if tok not in MISSING_TOKENS:
+                    raise DataFormatError(f"invalid genotype code {tok!r}", line=lineno)
+                if not impute:
+                    raise DataFormatError(
+                        f"missing genotype {tok!r} under reject policy", line=lineno
+                    )
+                code = -1
             row[j] = code
-        if toks[0] == "1":
-            case_rows.append(row)
-        else:
-            control_rows.append(row)
-        if miss_cols:
-            cohort = 0 if toks[0] == "1" else 1
-            idx = len(case_rows) - 1 if cohort == 0 else len(control_rows) - 1
-            missing_cells.append((cohort, miss_cols, idx))
-
-    cases = np.array(case_rows, dtype=np.int8) if case_rows else np.zeros((0, n_snps), np.int8)
-    controls = (
-        np.array(control_rows, dtype=np.int8) if control_rows else np.zeros((0, n_snps), np.int8)
-    )
-
-    if missing_cells:
-        modes = _column_modes(cases, controls, snp_ids)
-        for cohort, cols, idx in missing_cells:
-            mat = cases if cohort == 0 else controls
-            for j in cols:
-                mat[idx, j] = modes[j]
-    return cases, controls
+    return codes
 
 
-def _column_modes(cases: np.ndarray, controls: np.ndarray, snp_ids) -> np.ndarray:
-    """Most frequent observed code per column; -1 entries are ignored."""
-    modes = np.zeros(len(snp_ids), dtype=np.int8)
-    for j in range(len(snp_ids)):
-        col = np.concatenate([cases[:, j], controls[:, j]])
-        col = col[col >= 0]
-        if col.size == 0:
-            raise DataFormatError(f"SNP {snp_ids[j]!r} has no observed genotype to impute from")
-        counts = np.bincount(col, minlength=3)
-        modes[j] = int(np.argmax(counts))  # argmax takes the smallest code on ties
-    return modes
+def _impute_modes(codes: np.ndarray, snp_ids: tuple[str, ...]) -> None:
+    """Replace the -1 entries of an (individuals, SNPs) code matrix, in place,
+    by their column's most frequent observed code."""
+    rows, cols = np.nonzero(codes < 0)
+    if not cols.size:
+        return
+    counts = np.stack([(codes == c).sum(axis=0) for c in range(3)])
+    empty = np.flatnonzero(counts.sum(axis=0) == 0)
+    if empty.size:
+        raise DataFormatError(
+            f"SNP {snp_ids[empty[0]]!r} has no observed genotype to impute from"
+        )
+    codes[rows, cols] = counts.argmax(axis=0)[cols]  # argmax takes the smallest code on ties
 
 
 def write_dataset(dataset: GenotypeDataset, path: str | Path) -> None:
@@ -290,15 +272,6 @@ def write_dataset(dataset: GenotypeDataset, path: str | Path) -> None:
     for row in dataset.controls:
         out.append("0\t" + "\t".join(str(int(g)) for g in row))
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
-
-
-def column_counts(dataset: GenotypeDataset, snp: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Genotype code counts (0,1,2) at one SNP, for cases and for controls."""
-    if not 0 <= snp < dataset.n_snps:
-        raise IndexError(f"SNP index {snp} out of range for {dataset.n_snps} SNPs")
-    case = np.bincount(dataset.cases[:, snp], minlength=3)
-    ctrl = np.bincount(dataset.controls[:, snp], minlength=3)
-    return tuple(int(c) for c in case[:3]), tuple(int(c) for c in ctrl[:3])
 
 
 def hwe_filter(dataset: GenotypeDataset, threshold: float) -> tuple[GenotypeDataset, list[str]]:

@@ -65,6 +65,8 @@ def _pack_matrix(codes: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1024)
 def _marginal_constants(width: int, rho: float) -> tuple[float, float, float]:
     """alpha, the per-present-cell constant ln(alpha) - lnG(1 + alpha), and lnG(rho)."""
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
     log_alpha = math.log(rho) - width * LOG3
     alpha = math.exp(log_alpha)  # may underflow to 0.0 for huge widths; harmless
     return alpha, log_alpha - float(gammaln(1.0 + alpha)), float(gammaln(rho))
@@ -100,8 +102,6 @@ class LikelihoodEngine:
     """
 
     def __init__(self, dataset: GenotypeDataset, rho: float = 1.5):
-        if not rho > 0:
-            raise ValueError("rho must be positive")
         self.rho = float(rho)
         self.n_cases = dataset.n_cases
         self.n_controls = dataset.n_controls

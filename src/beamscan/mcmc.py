@@ -574,34 +574,22 @@ def run_chain(
     acceptance["swap"] = state.counters.get("swap_accepted", 0) / sp if sp else 0.0
     gd = state.counters.get("gibbs_draws", 0)
     acceptance["gibbs_change"] = state.counters.get("gibbs_changes", 0) / gd if gd else 0.0
-    cache = state.model.cache_sizes()
-
-    if samples == 0:
-        return PosteriorSummary(
-            marginal_posterior=np.zeros(n),
-            epistatic_posterior=np.zeros(n),
-            assoc_posterior=np.zeros(n),
-            boundary_posterior=np.zeros(n),
-            interaction_sets={},
-            samples_used=0,
-            log_joint_trace=np.asarray(trace),
-            acceptance=acceptance,
-            cache=cache,
-            warning="no samples recorded (iterations=0 or thinning too coarse)",
-        )
-    marg /= samples
-    epi /= samples
-    bound /= samples
+    # with no samples every count is 0, and so is every estimate
+    per = max(samples, 1)
+    marg /= per
+    epi /= per
+    bound /= per
     return PosteriorSummary(
         marginal_posterior=marg,
         epistatic_posterior=epi,
         assoc_posterior=marg + epi,
         boundary_posterior=bound,
-        interaction_sets={k: v / samples for k, v in sorted(set_counts.items())},
+        interaction_sets={k: v / per for k, v in sorted(set_counts.items())},
         samples_used=samples,
         log_joint_trace=np.asarray(trace),
         acceptance=acceptance,
-        cache=cache,
+        cache=state.model.cache_sizes(),
+        warning=None if samples else "no samples recorded (iterations=0 or thinning too coarse)",
     )
 
 
@@ -625,6 +613,8 @@ def run_chains(
     """
     if n_chains < 1:
         raise ValueError("n_chains must be at least 1")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     job = partial(
         run_chain, dataset, priors, schedule,
         constraints=constraints, sample_membership=sample_membership, progress=progress,

@@ -47,8 +47,8 @@ class PriorConfig:
             raise ValueError("label probabilities must sum to 1")
         if self.p0 <= 0.0:
             raise ValueError("p0 must be positive")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be finite and positive")
 
 
 @dataclass(frozen=True)

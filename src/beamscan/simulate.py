@@ -477,17 +477,12 @@ def simulate_dataset(
     return SimulatedDataset(dataset=dataset, truth=truth)
 
 
-def drop_loci(sim: SimulatedDataset, policy: str = "drop", window: int = 5) -> SimulatedDataset:
+def drop_loci(sim: SimulatedDataset, window: int = 5) -> SimulatedDataset:
     """Remove the disease-locus columns, re-expressing truth as index windows.
 
     Each window spans the surviving SNPs within ``window`` positions of a
-    dropped locus, in the new indexing. ``policy="keep"`` returns the input
-    unchanged.
+    dropped locus, in the new indexing.
     """
-    if policy == "keep":
-        return sim
-    if policy != "drop":
-        raise ValueError(f"unknown drop policy: {policy!r}")
     truth = sim.truth
     if not truth.loci_present:
         raise ValueError("loci already dropped")

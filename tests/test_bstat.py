@@ -271,10 +271,8 @@ def test_permutations_that_reproduce_the_observed_table_tie_exactly():
 
 
 def test_permutation_p_value_bounds():
-    cal = null_calibration(
-        10, 10, 1, mode="permutation",
-        dataset=null_dataset(45, 10, 10, 2), snp_set=(0,), n_perm=500, seed=0,
-    )
+    cal = null_calibration(null_dataset(45, 10, 10, 2), (0,), mode="permutation",
+                           n_perm=500, seed=0)
     assert cal.p_value(math.inf) == pytest.approx(1 / 501)
     assert cal.p_value(-math.inf) == 1.0
     mid = cal.p_value(float(np.median(cal.null_values)))
@@ -283,8 +281,7 @@ def test_permutation_p_value_bounds():
 
 def test_permutation_p_values_are_roughly_uniform_under_the_null():
     ds = null_dataset(46, 50, 50, 2)
-    cal = null_calibration(50, 50, 1, mode="permutation",
-                           dataset=ds, snp_set=(0,), n_perm=999, seed=1)
+    cal = null_calibration(ds, (0,), mode="permutation", n_perm=999, seed=1)
     fresh = permutation_null(ds, (0,), n_perm=300, seed=2)
     pvals = np.array([cal.p_value(b) for b in fresh])
     assert kstest(pvals, "uniform").pvalue > 1e-3
@@ -297,17 +294,13 @@ def test_permutation_p_values_are_roughly_uniform_under_the_null():
 def test_calibration_input_validation():
     ds = null_dataset(47, 20, 20, 2)
     with pytest.raises(ValueError):
-        null_calibration(20, 20, 0)
+        null_calibration(ds, ())
     with pytest.raises(ValueError):
-        null_calibration(0, 20, 1)
+        null_calibration(null_dataset(47, 0, 20, 2), (0,))
     with pytest.raises(ValueError):
-        null_calibration(20, 20, 1, mode="permutation")
+        null_calibration(ds, (0,), mode="permutation", n_perm=499)
     with pytest.raises(ValueError):
-        null_calibration(20, 20, 1, mode="permutation", dataset=ds, snp_set=(0,), n_perm=499)
-    with pytest.raises(ValueError):
-        null_calibration(21, 20, 1, mode="permutation", dataset=ds, snp_set=(0,))
-    with pytest.raises(ValueError):
-        null_calibration(20, 20, 1, mode="bootstrap", dataset=ds, snp_set=(0,))
+        null_calibration(ds, (0,), mode="bootstrap")
 
 
 # -- analytic calibration ---------------------------------------------------------------
@@ -330,13 +323,13 @@ def test_fitted_constant_sets_the_analytic_shift():
     c = fit_shift_constant(ds, (0,), n_perm=600, seed=3)
     assert c > 0
     assert fit_shift_constant(ds, (0,), n_perm=600, seed=3) == c  # no hidden state
-    cal = null_calibration(37, 41, 1, mode="analytic", shift_constant=c)
+    cal = null_calibration(ds, (0,), mode="analytic", shift_constant=c)
     assert cal.shift == pytest.approx(analytic_shift(37, 41, 1, c))
     assert cal.df == 2
-    explicit = null_calibration(37, 41, 1, mode="analytic", shift_constant=0.5)
+    explicit = null_calibration(ds, (1,), mode="analytic", shift_constant=0.5)
     assert explicit.shift == pytest.approx(analytic_shift(37, 41, 1, 0.5))
     with pytest.raises(ValueError):
-        null_calibration(37, 41, 1, mode="analytic")  # no constant given
+        null_calibration(ds, (0,), mode="analytic")  # no constant given
     with pytest.raises(ValueError):
         fit_shift_constant(ds, (0,), n_perm=499)
     with pytest.raises(ValueError):
@@ -359,7 +352,7 @@ def test_fit_shift_constant_rejects_two_cases_and_two_controls():
 def test_analytic_null_median_is_stable_out_of_sample():
     ds = null_dataset(49, 120, 120, 2)
     c = fit_shift_constant(ds, (0,), n_perm=800, seed=4)
-    cal = null_calibration(120, 120, 1, mode="analytic", shift_constant=c)
+    cal = null_calibration(ds, (0,), mode="analytic", shift_constant=c)
     fresh = permutation_null(ds, (0,), n_perm=800, seed=5)
     med = float(np.median(2.0 * (fresh - cal.shift)))
     assert med == pytest.approx(chi2.ppf(0.5, 2), rel=0.25)

@@ -12,7 +12,7 @@ import pytest
 
 import beamscan
 from beamscan.bstat import bstat
-from beamscan.cli import POSTERIOR_HEADER, main
+from beamscan.cli import main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
 from beamscan.model import default_priors
 from beamscan.oracle import enumerate_posterior
@@ -118,7 +118,9 @@ def test_simulate_null_effect_gives_theta_zero(workdir):
 
 def test_map_output_shape_and_manifest(workdir, signal_panel, mapped):
     post = read_posterior(mapped)
-    assert Path(mapped).read_text().startswith(POSTERIOR_HEADER + "\n")
+    assert Path(mapped).read_text().startswith(
+        "#snp_id\tpos\tp_marginal\tp_epistatic\tp_assoc\tp_boundary\n"
+    )
     assert len(post["ids"]) == 15
     assert post["ids"][0] == "snp0001"
     for key in ("marginal", "epistatic", "assoc", "boundary"):
@@ -599,7 +601,6 @@ def test_non_utf8_input_exits_3(workdir, signal_panel, sidecar_prefix, target, c
 def test_default_threads_follows_cpu_affinity(monkeypatch):
     from beamscan import cli
 
-    monkeypatch.delenv("BEAMSCAN_THREADS", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert cli._default_threads() == 3
@@ -607,8 +608,6 @@ def test_default_threads_follows_cpu_affinity(monkeypatch):
     assert cli._default_threads() == 16
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._default_threads() == 1
-    monkeypatch.setenv("BEAMSCAN_THREADS", "2")
-    assert cli._default_threads() == 2
 
 
 def test_usage_errors_raise_systemexit_2(workdir):
@@ -658,6 +657,42 @@ def test_value_errors_return_2(workdir, signal_panel):
         "--thin", "0",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # non-finite numbers, refused as the flags are parsed
+        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--rho", "nan"], "finite and positive"),
+        (["map", "--in", "{panel}", "--iters", "20", "--rho", "inf"], "finite and positive"),
+        (["oracle", "--in", "{small}", "--rho", "inf"], "finite and positive"),
+        (["simulate", "--model", "2", "--maf", "0.3", "--theta", "inf"], "finite and non-negative"),
+        # out-of-range values, refused where they are read
+        (["partition", "--in", "{panel}", "--iters", "20", "--hwe-filter", "-0.1"], "[0, 1)"),
+        (["map", "--in", "{panel}", "--iters", "20", "--threads", "0"], "threads must be"),
+        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--n-tests", "0"], "n_tests must be"),
+        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "0"], "alpha must lie"),
+        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "1.5"], "alpha must lie"),
+    ],
+    ids=[
+        "bstat-rho-nan", "map-rho-inf", "oracle-rho-inf", "simulate-theta-inf",
+        "hwe-filter", "threads", "n-tests", "alpha-0", "alpha-1.5",
+    ],
+)
+def test_bad_numbers_exit_2(tmp_path, signal_panel, capsys, argv, message):
+    (tmp_path / "sets.tsv").write_text("snp0003\n")
+    write_dataset(hot_column_dataset(77, 30, 5, hot=2), tmp_path / "small.tsv")
+    paths = {name: tmp_path / f"{name}.tsv" for name in ("sets", "small")}
+    out = tmp_path / "out.tsv"
+    argv = [a.format(panel=signal_panel, **paths) for a in argv] + ["--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_input_returns_3(workdir):

@@ -1,4 +1,4 @@
-"""Genotype table parsing, validation, writing and per-SNP counting."""
+"""Genotype table parsing, validation, writing and Hardy-Weinberg filtering."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from beamscan.dataio import (
     DataFormatError,
     GenotypeDataset,
     chi2_sf,
-    column_counts,
     hwe_filter,
     load_dataset,
     write_dataset,
@@ -146,18 +145,29 @@ def test_documented_missing_tokens_are_rejected_by_default(tmp_path, token):
 @pytest.mark.parametrize("token", ["NA", ".", "-1"])
 def test_documented_missing_tokens_are_imputed(tmp_path, token):
     text = CANONICAL.replace("0\t2\t0\t0", f"0\t2\t{token}\t0")
-    for policy in ("mode-impute", "impute"):
-        ds = load_dataset(write_tmp(tmp_path, text), missing_policy=policy)
-        assert ds.controls[0, 1] == 1
+    ds = load_dataset(write_tmp(tmp_path, text), missing_policy="impute")
+    assert ds.controls[0, 1] == 1
 
 
 def test_mode_impute_fills_column_mode(tmp_path):
     # rs2 column has observed values {1, 1, 0}; the N becomes the mode, 1.
     text = CANONICAL.replace("0\t2\t0\t0", "0\t2\tN\t0")
-    ds = load_dataset(write_tmp(tmp_path, text), missing_policy="mode-impute")
+    ds = load_dataset(write_tmp(tmp_path, text), missing_policy="impute")
     assert ds.controls[0, 1] == 1
-    alias = load_dataset(write_tmp(tmp_path, text, "alias.tsv"), missing_policy="impute")
-    assert alias.controls[0, 1] == 1
+    # cases and controls interleaved, missing tokens in both cohorts; the modes
+    # count both cohorts: a {2, 2, 1, 0} -> 2, b {0, 1, 1, 2} -> 1, c {0, 0, 1, 1} -> 0
+    interleaved = (
+        "#snp\ta\tb\tc\n#pos\t1\t2\t3\n"
+        "0\t2\t.\t0\n"
+        "1\tNA\t0\t1\n"
+        "0\t2\t1\tN\n"
+        "1\t1\t1\t0\n"
+        "0\t-1\t2\t1\n"
+        "1\t0\tN\t.\n"
+    )
+    ds = load_dataset(write_tmp(tmp_path, interleaved, "mixed.tsv"), missing_policy="impute")
+    assert ds.cases.tolist() == [[2, 0, 1], [1, 1, 0], [0, 1, 0]]
+    assert ds.controls.tolist() == [[2, 1, 0], [2, 1, 0], [2, 2, 1]]
 
 
 def test_mode_impute_tie_prefers_smaller_code(tmp_path):
@@ -169,23 +179,28 @@ def test_mode_impute_tie_prefers_smaller_code(tmp_path):
         "0\t0\n"
         "0\t1\n"
     )
-    ds = load_dataset(write_tmp(tmp_path, text), missing_policy="mode-impute")
+    ds = load_dataset(write_tmp(tmp_path, text), missing_policy="impute")
     assert ds.cases[0, 0] == 0
     # exact tie {1, 2} resolves to the smaller code as well
     tie = "#snp\ta\n#pos\t5\n1\tN\n1\t1\n0\t2\n"
-    ds2 = load_dataset(write_tmp(tmp_path, tie, "tie.tsv"), missing_policy="mode-impute")
+    ds2 = load_dataset(write_tmp(tmp_path, tie, "tie.tsv"), missing_policy="impute")
     assert ds2.cases[0, 0] == 1
 
 
 def test_impute_with_no_observations_fails(tmp_path):
     text = "#snp\ta\n#pos\t5\n1\tN\n0\tN\n"
     with pytest.raises(DataFormatError):
-        load_dataset(write_tmp(tmp_path, text), missing_policy="mode-impute")
+        load_dataset(write_tmp(tmp_path, text), missing_policy="impute")
+    # the error names the first SNP with nothing observed, in either cohort
+    text = "#snp\ta\tb\tc\td\n#pos\t1\t2\t3\t4\n0\t1\tN\t.\tNA\n1\t.\tNA\t-1\t2\n"
+    with pytest.raises(DataFormatError, match="SNP 'b' has no observed genotype"):
+        load_dataset(write_tmp(tmp_path, text, "two.tsv"), missing_policy="impute")
 
 
 def test_unknown_missing_policy(tmp_path):
-    with pytest.raises(ValueError):
-        load_dataset(write_tmp(tmp_path, CANONICAL), missing_policy="zero-fill")
+    for policy in ("zero-fill", "mode-impute"):
+        with pytest.raises(ValueError):
+            load_dataset(write_tmp(tmp_path, CANONICAL), missing_policy=policy)
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -214,27 +229,6 @@ def test_noncanonical_order_is_canonicalized(tmp_path):
 def test_empty_cohorts_load(tmp_path):
     ds = load_dataset(write_tmp(tmp_path, "#snp\ta\tb\n#pos\t1\t2\n"))
     assert ds.n_cases == 0 and ds.n_controls == 0 and ds.n_snps == 2
-
-
-def test_column_counts_examples():
-    ds = GenotypeDataset(
-        cases=np.array([[0], [0], [1], [2]], np.int8),
-        controls=np.array([[2], [2]], np.int8),
-        snp_ids=("a",),
-        positions=(1,),
-    )
-    case, ctrl = column_counts(ds, 0)
-    assert case == (2, 1, 1)
-    assert ctrl == (0, 0, 2)
-    empty = GenotypeDataset(
-        cases=np.zeros((0, 1), np.int8),
-        controls=np.zeros((0, 1), np.int8),
-        snp_ids=("a",),
-        positions=(1,),
-    )
-    assert column_counts(empty, 0) == ((0, 0, 0), (0, 0, 0))
-    with pytest.raises(IndexError):
-        column_counts(ds, 1)
 
 
 def hw_controls(rng, q, m):

@@ -338,6 +338,13 @@ def test_rho_config_respected():
     assert loose == pytest.approx(math.log((1 / 3) * (2 / 4)), abs=1e-12)
     ds = dataset_from_rows([(0,), (0,)], np.zeros((0, 1)), 1)
     assert LikelihoodEngine(ds, rho=3.0).marginal((0,), "cases") == pytest.approx(loose, abs=1e-12)
+    # every marginal, the engine's and the set statistic's, rejects a rho
+    # that is not finite and positive
+    for rho in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            log_marginal(np.array([2]), 1, rho)
+        with pytest.raises(ValueError, match="finite and positive"):
+            LikelihoodEngine(ds, rho=rho).marginal((0,), "cases")
 
 
 # -- conditional terms ----------------------------------------------------------------

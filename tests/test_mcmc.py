@@ -398,6 +398,14 @@ def test_run_chain_zero_samples_warns():
     assert out.warning is not None and "no samples" in out.warning
     assert not out.assoc_posterior.any()
     assert not out.boundary_posterior.any()
+    assert not out.marginal_posterior.any() and not out.epistatic_posterior.any()
+    assert out.interaction_sets == {}
+    assert out.log_joint_trace.size == 0
+    # no iterations at all: the same acceptance keys, every rate 0
+    idle = run_chain(ds, priors, Schedule(burnin=0, iterations=0), seed=0, constraints=cons)
+    assert idle.samples_used == 0 and not idle.assoc_posterior.any()
+    assert idle.acceptance == dict.fromkeys(out.acceptance, 0.0)
+    assert set(out.acceptance) == {"split", "merge", "shift", "swap", "gibbs_change"}
 
 
 def test_run_chain_acceptance_bookkeeping():

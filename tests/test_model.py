@@ -148,6 +148,9 @@ def test_prior_config_validation():
         PriorConfig(p_boundary=0.1, p1=0.5, p2=0.5, p0=0.0)
     with pytest.raises(ValueError):
         PriorConfig(p_boundary=0.1, p1=0.3, p2=0.3, p0=0.3)
+    for rho in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rho"):
+            PriorConfig(p_boundary=0.1, p1=0.1, p2=0.1, p0=0.8, rho=rho)
     with pytest.raises(ValueError):
         ModelConstraints(max_distinct_diplotypes=0, max_order=1)
 

@@ -352,9 +352,6 @@ def test_drop_loci_policies():
     pool, loci = disease_pool(20, 0.2, seed=14)
     model = DiseaseModel.from_theta(1, 0.5, 0.2, loci)
     sim = simulate_dataset(pool, model, 10, 10, seed=7)
-    assert drop_loci(sim, policy="keep") is sim
-    with pytest.raises(ValueError):
-        drop_loci(sim, policy="mask")
     once = drop_loci(sim)
     with pytest.raises(ValueError):
         drop_loci(once)
