@@ -85,6 +85,27 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for nan
+        raise argparse.ArgumentTypeError("must lie in [0, 1]")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return value
+
+
 def _add_io_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--in", dest="infile", required=True, help="input genotype TSV")
     sub.add_argument("--out", dest="outfile", required=True, help="output TSV path")
@@ -114,7 +135,7 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p1", type=float, default=None, help="marginal-label prior")
     sub.add_argument("--p2", type=float, default=None, help="epistatic-label prior")
     sub.add_argument(
-        "--max-order", type=int, default=None, help="cap on the epistatic set size"
+        "--max-order", type=_positive_int, default=None, help="cap on the epistatic set size"
     )
 
 
@@ -123,7 +144,7 @@ def _add_mcmc_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--burnin", type=int, default=None, help="discarded iterations")
     sub.add_argument("--iters", type=int, default=None, help="retained iterations")
     sub.add_argument("--thin", type=int, default=1, help="record every k-th sample")
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    sub.add_argument("--seed", type=_nonneg_int, default=0, help="base RNG seed")
     sub.add_argument(
         "--threads",
         type=int,
@@ -506,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="map output TSV; screen candidates above --threshold",
     )
-    p_bstat.add_argument("--threshold", type=float, default=0.5, help="posterior cutoff")
+    p_bstat.add_argument("--threshold", type=_unit_float, default=0.5, help="posterior cutoff")
     p_bstat.add_argument(
         "--calibration", choices=("permutation", "analytic"), default="permutation"
     )
@@ -516,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-tests", type=int, default=None, help="Bonferroni divisor (default C(L, M))"
     )
     p_bstat.add_argument("--rho", type=_positive_float, default=1.5, help="Dirichlet scale")
-    p_bstat.add_argument("--max-order", type=int, default=None, help="cap on set size")
-    p_bstat.add_argument("--seed", type=int, default=0, help="permutation RNG seed")
+    p_bstat.add_argument("--max-order", type=_positive_int, default=None, help="cap on set size")
+    p_bstat.add_argument("--seed", type=_nonneg_int, default=0, help="permutation RNG seed")
     p_bstat.set_defaults(func=cmd_bstat)
 
     p_sim = subs.add_parser("simulate", help="draw a case-control panel with known truth")
@@ -542,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep the disease loci in the panel instead of dropping them",
     )
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_nonneg_int, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser

@@ -45,15 +45,7 @@ from functools import partial
 import numpy as np
 
 from .dataio import GenotypeDataset
-from .model import (
-    NEG_INF,
-    BlockPartition,
-    ConstraintError,
-    JointModel,
-    MembershipVector,
-    ModelConstraints,
-    PriorConfig,
-)
+from .model import NEG_INF, ConstraintError, JointModel, ModelConstraints, PriorConfig
 
 KIND_SPLIT = "split"
 KIND_MERGE = "merge"
@@ -148,7 +140,7 @@ class LabelRows:
             s2_without = tuple(state.s2)
             s2_with = None  # built lazily below
         allow2 = cur == 2 or len(state.s2) < model.max_order
-        log_label = model._log_label
+        log_label = model.log_label
         weights = []
         g2_without = model.group2_term(s2_without)
         for lab in (0, 1, 2):
@@ -186,7 +178,7 @@ class ChainState:
     masks, the sorted group-2 set, label counts and ``running_log_joint``,
     the joint log probability of the state kept up to date by the two
     writers. ``repartitions`` counts the partition changes made by
-    :meth:`repartition`. ``JointModel.log_joint(state.partition(), state.membership())``
+    :meth:`repartition`. ``state.model.log_joint(state.starts, state.labels)``
     recomputes it from scratch.
     """
 
@@ -209,19 +201,12 @@ class ChainState:
                     f"SNP {i} exceeds the diplotype cap even as a singleton block; "
                     "no admissible state exists"
                 )
-        self.running_log_joint = model.log_joint(self.partition(), self.membership())
+        self.running_log_joint = model.log_joint(self.starts, self.labels)
 
     # -- bookkeeping ---------------------------------------------------------
 
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
-
-    def blocks(self) -> list[tuple[int, int]]:
-        n = self.model.n_snps
-        return [
-            (s, self.starts[k + 1] if k + 1 < len(self.starts) else n)
-            for k, s in enumerate(self.starts)
-        ]
 
     def block_of(self, snp: int) -> tuple[int, int]:
         k = bisect_right(self.starts, snp) - 1
@@ -269,12 +254,6 @@ class ChainState:
         self.block_masks.update(masks)
         for a, b in masks:
             self.label_rows.stale[a:b] = True
-
-    def partition(self) -> BlockPartition:
-        return BlockPartition(tuple(self.starts), self.model.n_snps)
-
-    def membership(self) -> MembershipVector:
-        return MembershipVector(tuple(self.labels))
 
     def log_joint(self) -> float:
         """The running joint log probability of the current state."""
@@ -372,7 +351,7 @@ def accept(state: ChainState, proposal: BlockProposal) -> bool:
     for (a, b), mask in new_masks.items():
         new += model.block_term(a, b, mask)
     delta_blocks = len(proposal.added) - len(proposal.removed)
-    delta = new - old + delta_blocks * (model._log_p - model._log_1mp)
+    delta = new - old + delta_blocks * model.boundary_odds
     log_ratio = delta + proposal.log_q_ratio
     u = state.rng.random()
     if new == NEG_INF:

@@ -80,10 +80,10 @@ def enumerate_posterior(
         )
     model = JointModel(dataset, priors, constraints)
     max_order = min(model.max_order, n)
-    log_p2 = model._log_label[2]
-    log_label01 = (model._log_label[0], model._log_label[1])
+    log_p2 = model.log_label[2]
+    log_label01 = model.log_label[:2]
     # partition prior: n * log(1 - p) + blocks * log(p / (1 - p))
-    odds = model._log_p - model._log_1mp
+    odds = model.boundary_odds
 
     subsets: list[tuple[int, ...]] = [()]
     if log_p2 > NEG_INF:
@@ -155,7 +155,7 @@ def enumerate_posterior(
         bwd[start] = _logsumexp(np.stack(rows))
 
     total = bwd[0]  # log sum over partitions, per group-2 set
-    log_set = n * model._log_1mp + g2 + total
+    log_set = model.log_partition_prior(0) + g2 + total  # n * log(1 - p)
     top = float(log_set.max())
     if top == NEG_INF:
         raise ConstraintError("no state carries positive probability")
@@ -170,9 +170,7 @@ def enumerate_posterior(
     p2 = wt @ in_set
 
     log_z = top + math.log(z_rel)
-    states = (2 ** (n - 1)) * _admissible_membership_count(
-        n, max_order if constraints is not None else n
-    )
+    states = (2 ** (n - 1)) * _admissible_membership_count(n, max_order)
     return OracleResult(
         marginal_posterior=p1 / z_rel,
         epistatic_posterior=p2 / z_rel,

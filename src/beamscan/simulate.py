@@ -100,7 +100,10 @@ class FounderPool:
         raise IndexError("SNP index out of range")
 
 
-def _block_widths(n_snps: int, block_width: int) -> list[int]:
+def _block_widths(n_snps: int, block_width: int, n_founders: int) -> list[int]:
+    """The block widths of a founder pool, once its shape is checked."""
+    if n_founders < 2:
+        raise ValueError("need at least two founders")
     if n_snps < 1 or block_width < 1:
         raise ValueError("n_snps and block_width must be positive")
     widths = [block_width] * (n_snps // block_width)
@@ -134,11 +137,9 @@ def random_pool(
     min_frequency: float = 0.05,
 ) -> FounderPool:
     """Random founder pool with polymorphic SNPs in every block."""
-    if n_founders < 2:
-        raise ValueError("need at least two founders")
     rng = np.random.default_rng(seed)
     blocks = []
-    for w in _block_widths(n_snps, block_width):
+    for w in _block_widths(n_snps, block_width, n_founders):
         freqs = _draw_frequencies(rng, n_founders, min_frequency)
         haps = _random_haplotypes(rng, n_founders, w)
         blocks.append(FounderBlock(haplotypes=haps, frequencies=freqs))
@@ -204,7 +205,7 @@ def disease_pool(
     """
     if not 0.0 < maf <= 0.5:
         raise ValueError("maf must lie in (0, 0.5]")
-    widths = _block_widths(n_snps, block_width)
+    widths = _block_widths(n_snps, block_width, n_founders)
     if len(widths) < 2:
         raise ValueError("need at least two blocks to place two loci")
     rng = np.random.default_rng(seed)

@@ -22,13 +22,7 @@ from beamscan.mcmc import (
     run_chain,
     run_chains,
 )
-from beamscan.model import (
-    BlockPartition,
-    JointModel,
-    MembershipVector,
-    PriorConfig,
-    default_priors,
-)
+from beamscan.model import JointModel, PriorConfig, default_priors
 from beamscan.oracle import enumerate_posterior
 from beamscan.simulate import (
     DiseaseModel,
@@ -152,17 +146,17 @@ def test_03_partition_moves_hit_the_exact_conditional():
         snp_ids=tuple(f"s{i}" for i in range(n)),
         positions=tuple(10 * i + 1 for i in range(n)),
     )
-    priors = PriorConfig(p_boundary=0.4, p1=0.15, p2=0.05, p0=0.8, rho=RHO)
+    priors = PriorConfig(p_boundary=0.4, p1=0.15, p2=0.05, rho=RHO)
 
     model = JointModel(ds, priors, None)
-    labels = MembershipVector((0,) * n)
+    labels = (0,) * n
     exact = {}
     logw = []
     parts = []
     for bits in range(1 << (n - 1)):
         starts = tuple([0] + [i + 1 for i in range(n - 1) if (bits >> i) & 1])
         parts.append(starts)
-        logw.append(model.log_joint(BlockPartition(starts, n), labels))
+        logw.append(model.log_joint(starts, labels))
     w = np.exp(np.array(logw) - max(logw))
     for p, v in zip(parts, w / w.sum()):
         exact[p] = float(v)
@@ -289,7 +283,7 @@ def test_06_block_count_robust_to_tenfold_prior_change():
     priors, cons = default_priors(50, ds.region_length, 500, 500)
     boosted = PriorConfig(
         p_boundary=min(0.5, 10 * priors.p_boundary),
-        p1=priors.p1, p2=priors.p2, p0=priors.p0, rho=priors.rho,
+        p1=priors.p1, p2=priors.p2, rho=priors.rho,
     )
     assert boosted.p_boundary == pytest.approx(10 * priors.p_boundary)
     expected = {}

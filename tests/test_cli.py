@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -640,6 +641,12 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+def test_package_namespace_leaves_the_submodules_visible():
+    import beamscan.bstat
+
+    assert isinstance(beamscan.bstat, types.ModuleType)
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
@@ -673,18 +680,46 @@ def test_value_errors_return_2(workdir, signal_panel):
         (["bstat", "--in", "{panel}", "--sets", "{sets}", "--n-tests", "0"], "n_tests must be"),
         (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "0"], "alpha must lie"),
         (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "1.5"], "alpha must lie"),
+        (["map", "--in", "{panel}", "--iters", "20", "--p1", "nan"], "p1 must lie in [0, 1)"),
+        (["simulate", "--model", "2", "--maf", "0.3", "--founders", "0"], "at least two founders"),
+        (["simulate", "--model", "2", "--maf", "0.3", "--founders", "1"], "at least two founders"),
+        # out-of-range flags, refused as they are parsed
+        *[
+            (["bstat", "--in", "{panel}", "--from-posterior", "{post}", "--threshold", bad],
+             "argument --threshold: must lie in [0, 1]")
+            for bad in ("nan", "-1", "1.5")
+        ],
+        *[
+            (argv + ["--max-order", "0"], "argument --max-order: must be at least 1")
+            for argv in (
+                ["map", "--in", "{panel}", "--iters", "20"],
+                ["oracle", "--in", "{small}"],
+                ["bstat", "--in", "{panel}", "--sets", "{sets}"],
+            )
+        ],
+        *[
+            (argv + ["--seed", "-1"], "argument --seed: must be non-negative")
+            for argv in (
+                ["map", "--in", "{panel}", "--iters", "20"],
+                ["bstat", "--in", "{panel}", "--sets", "{sets}"],
+                ["simulate", "--model", "2", "--maf", "0.3"],
+            )
+        ],
     ],
     ids=[
         "bstat-rho-nan", "map-rho-inf", "oracle-rho-inf", "simulate-theta-inf",
-        "hwe-filter", "threads", "n-tests", "alpha-0", "alpha-1.5",
+        "hwe-filter", "threads", "n-tests", "alpha-0", "alpha-1.5", "map-p1-nan",
+        "founders-0", "founders-1", "threshold-nan", "threshold--1", "threshold-1.5",
+        "map-max-order-0", "oracle-max-order-0", "bstat-max-order-0",
+        "map-seed--1", "bstat-seed--1", "simulate-seed--1",
     ],
 )
-def test_bad_numbers_exit_2(tmp_path, signal_panel, capsys, argv, message):
+def test_bad_numbers_exit_2(tmp_path, signal_panel, mapped, capsys, argv, message):
     (tmp_path / "sets.tsv").write_text("snp0003\n")
     write_dataset(hot_column_dataset(77, 30, 5, hot=2), tmp_path / "small.tsv")
     paths = {name: tmp_path / f"{name}.tsv" for name in ("sets", "small")}
     out = tmp_path / "out.tsv"
-    argv = [a.format(panel=signal_panel, **paths) for a in argv] + ["--out", str(out)]
+    argv = [a.format(panel=signal_panel, post=mapped, **paths) for a in argv] + ["--out", str(out)]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse's usage error

@@ -79,7 +79,7 @@ def decode_counts(keys, rows):
 
 
 def block_term(ds, a, b, labels):
-    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, p0=0.8, rho=RHO)
+    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, rho=RHO)
     return JointModel(ds, priors).block_term(a, b, mask_from_labels(labels, a, b))
 
 

@@ -27,9 +27,7 @@ from beamscan.mcmc import (
     swap_membership_move,
 )
 from beamscan.model import (
-    BlockPartition,
     ConstraintError,
-    MembershipVector,
     ModelConstraints,
     PriorConfig,
     default_priors,
@@ -72,11 +70,11 @@ def force_state(state, starts, labels):
     state.s2 = [i for i, v in enumerate(labels) if v == 2]
     state.label_counts = [state.labels.count(0), state.labels.count(1), state.labels.count(2)]
     state.label_rows.stale[:] = True
-    state.running_log_joint = state.model.log_joint(state.partition(), state.membership())
+    state.running_log_joint = state.model.log_joint(state.starts, state.labels)
 
 
 def flat_priors(p_boundary=0.2, p1=0.15, p2=0.1):
-    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, p0=1 - p1 - p2, rho=1.5)
+    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, rho=1.5)
 
 
 # -- schedules -----------------------------------------------------------------------
@@ -157,7 +155,7 @@ def test_inapplicable_moves_return_none():
 def test_accept_probability_matches_log_ratio():
     # empty data, p = 1/3: splitting a 2-SNP block has acceptance odds
     # exp(log(p) - log(1-p)) = 1/2 exactly
-    priors = PriorConfig(p_boundary=1.0 / 3.0, p1=0.1, p2=0.1, p0=0.8, rho=1.5)
+    priors = PriorConfig(p_boundary=1.0 / 3.0, p1=0.1, p2=0.1, rho=1.5)
     state = init_state(empty_dataset(2), priors, seed=11)
     hits = 0
     trials = 100_000
@@ -195,7 +193,7 @@ def test_singleton_over_cap_is_rejected_at_init():
 
 def test_gibbs_samples_prior_on_empty_data():
     third = 1.0 / 3.0
-    priors = PriorConfig(p_boundary=0.2, p1=third, p2=third, p0=third, rho=1.5)
+    priors = PriorConfig(p_boundary=0.2, p1=third, p2=third, rho=1.5)
     state = init_state(empty_dataset(1), priors, seed=5)
     counts = [0, 0, 0]
     sweeps = 6000
@@ -207,7 +205,7 @@ def test_gibbs_samples_prior_on_empty_data():
 
 
 def test_gibbs_respects_interaction_order_cap():
-    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.5, p0=0.4, rho=1.5)
+    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.5, rho=1.5)
     state = init_state(empty_dataset(6), priors, seed=6,
                        constraints=ModelConstraints(max_distinct_diplotypes=9, max_order=2))
     saw_full = False
@@ -339,13 +337,11 @@ def test_one_swap_pass_leaves_the_target_invariant(orbit, starts):
     multiset: pi P = pi under the model's own block and group-2 terms."""
     n = len(orbit)
     ds = random_signal_dataset(40 + n, 12, 12, n)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=81, max_order=3)
     state = init_state(ds, priors, seed=0, constraints=cons)
     arrangements = sorted(set(permutations(orbit)))
-    partition = BlockPartition(starts, n)
-    logw = np.array([state.model.log_joint(partition, MembershipVector(x))
-                     for x in arrangements])
+    logw = np.array([state.model.log_joint(starts, x) for x in arrangements])
     pi = np.exp(logw - logw.max())
     pi /= pi.sum()
     index = {x: k for k, x in enumerate(arrangements)}
@@ -491,14 +487,14 @@ def test_cached_log_joint_stays_coherent_during_sampling():
         gibbs_membership_sweep(state)
         swap_membership_move(state)
         if t % 10 == 0:
-            direct = state.model.log_joint(state.partition(), state.membership())
+            direct = state.model.log_joint(state.starts, state.labels)
             assert state.log_joint() == pytest.approx(direct, abs=1e-8)
 
 
 @pytest.mark.parametrize("sample_membership", [True, False])
 def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sample_membership):
     ds = random_signal_dataset(37, 40, 40, 12, hot=4)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
     running = ChainState.log_joint
     checked = []
@@ -506,7 +502,7 @@ def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sa
     def checked_log_joint(state):
         value = running(state)
         if state.iteration % 7 == 0:
-            full = state.model.log_joint(state.partition(), state.membership())
+            full = state.model.log_joint(state.starts, state.labels)
             assert value == pytest.approx(full, rel=1e-9, abs=0)
             checked.append(state.iteration)
         return value
@@ -526,7 +522,7 @@ def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sa
 def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_membership):
     # a weak-data panel, so the partition changes often
     ds = random_signal_dataset(41, 10, 10, 12, hot=4)
-    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
     schedule = Schedule(burnin=50, iterations=900, thin=3)
     running = ChainState.log_joint
@@ -585,7 +581,7 @@ def reference_gibbs_sweep(state):
     model = state.model
     rng = state.rng
     labels = state.labels
-    log_label = model._log_label
+    log_label = model.log_label
     max_order = model.max_order
     changed = 0
     for i in range(model.n_snps):
@@ -707,7 +703,7 @@ def run_pair(ds, priors, constraints, seed, steps, moves=True, force_every=0, in
 
 def test_incremental_sweep_matches_reference_with_moves_and_swaps():
     ds = random_signal_dataset(31, 40, 40, 12, hot=5)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
     # coverage guards are taken over all seeds: a single chain this short
     # may accept no split or merge at all
@@ -720,7 +716,7 @@ def test_incremental_sweep_matches_reference_with_moves_and_swaps():
         accepted["block"] += ref.counters.get("split_accepted", 0)
         accepted["block"] += ref.counters.get("merge_accepted", 0)
         accepted["swap"] += ref.counters.get("swap_accepted", 0)
-        wide = wide or any(b - a > 1 for a, b in ref.blocks())
+        wide = wide or any(b - a > 1 for a, b in ref.block_masks)
     assert accepted["block"] > 0
     assert accepted["swap"] > 0
     assert wide
@@ -728,7 +724,7 @@ def test_incremental_sweep_matches_reference_with_moves_and_swaps():
 
 def test_incremental_sweep_matches_reference_through_group2_entries_and_exits():
     # empty data: labels follow the prior, so group 2 is entered and left often
-    priors = PriorConfig(p_boundary=0.3, p1=0.25, p2=0.35, p0=0.4, rho=1.5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.25, p2=0.35, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=9)
     seen = {"enter": 0, "exit": 0}
     ref = init_state(empty_dataset(8), priors, 5, cons)
@@ -747,7 +743,7 @@ def test_incremental_sweep_matches_reference_through_group2_entries_and_exits():
 
 
 def test_incremental_sweep_matches_reference_when_the_order_cap_binds():
-    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.6, p0=0.3, rho=1.5)
+    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.6, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=2)
     ref, _, changed = run_pair(empty_dataset(7), priors, cons, seed=6, steps=300)
     assert len(ref.s2) <= 2 and changed > 100
@@ -757,7 +753,7 @@ def test_incremental_sweep_matches_reference_when_the_order_cap_binds():
 
 @pytest.mark.parametrize("p1, p2", [(0.0, 0.3), (0.3, 0.0)])
 def test_incremental_sweep_matches_reference_with_impossible_labels(p1, p2):
-    priors = PriorConfig(p_boundary=0.25, p1=p1, p2=p2, p0=1.0 - p1 - p2, rho=1.5)
+    priors = PriorConfig(p_boundary=0.25, p1=p1, p2=p2, rho=1.5)
     ds = random_signal_dataset(33, 25, 25, 6, hot=1)
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
     run_pair(ds, priors, cons, seed=8, steps=200, force_every=9)
@@ -774,7 +770,7 @@ def test_incremental_sweep_matches_reference_after_force_state_rewrites():
 def test_incremental_sweep_matches_reference_on_a_block_wider_than_int64():
     # 45 SNPs in one block: the ternary mask exceeds 3**40 > 2**63
     n = 45
-    priors = PriorConfig(p_boundary=0.05, p1=0.3, p2=0.2, p0=0.5, rho=1.5)
+    priors = PriorConfig(p_boundary=0.05, p1=0.3, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=4)
     labels = [0] * (n - 1) + [1]
     ref, _, changed = run_pair(empty_dataset(n), priors, cons, seed=12, steps=60,
@@ -812,7 +808,7 @@ def assert_valid_rows_are_fresh(state):
 
 def test_every_kernel_marks_the_rows_it_invalidates():
     ds = random_signal_dataset(36, 30, 30, 10, hot=4)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
     state = init_state(ds, priors, seed=14, constraints=cons)
     checked = 0
@@ -865,7 +861,7 @@ def test_repartition_edits_starts_as_a_full_rebuild_would():
     # weak data and a flat boundary prior, so that many moves of each kind are
     # accepted; label sweeps and swaps in between make the masks non-zero
     ds = random_signal_dataset(41, 12, 12, 14, hot=6)
-    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, p0=0.6, rho=1.5)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=20, max_order=3)
     state = init_state(ds, priors, seed=9, constraints=cons)
     accepted = {"split": 0, "merge": 0, "shift": 0}
@@ -884,11 +880,12 @@ def test_repartition_edits_starts_as_a_full_rebuild_would():
                 labelled += any(state.block_masks[key] for key in prop.added)
             else:
                 assert state.starts == before
-        assert sorted(state.block_masks) == state.blocks()
+        ends = state.starts[1:] + [state.model.n_snps]
+        assert sorted(state.block_masks) == list(zip(state.starts, ends))
         gibbs_membership_sweep(state)
         swap_membership_move(state)
         if t % 10 == 0:
-            full = state.model.log_joint(state.partition(), state.membership())
+            full = state.model.log_joint(state.starts, state.labels)
             assert state.log_joint() == pytest.approx(full, rel=1e-9)
     assert min(accepted.values()) > 20
     assert labelled > 50

@@ -1,4 +1,4 @@
-"""Joint model: priors, partitions, memberships, block terms, log joint.
+"""Joint model: priors, block terms, log joint.
 
 Reference values come from a test-local sequential-predictive evaluator that
 never touches the package's likelihood code, so joint-probability checks are
@@ -12,10 +12,8 @@ import pytest
 
 from beamscan.dataio import GenotypeDataset
 from beamscan.model import (
-    BlockPartition,
     ConstraintError,
     JointModel,
-    MembershipVector,
     ModelConstraints,
     PriorConfig,
     default_priors,
@@ -79,12 +77,12 @@ def ref_log_joint(ds, starts, labels, priors):
 def log_block_term(ds, block, labels):
     """One block's conditional term for the full-length label sequence ``labels``."""
     a, b = block
-    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, p0=0.8, rho=RHO)
+    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, rho=RHO)
     return JointModel(ds, priors).block_term(a, b, mask_from_labels(labels, a, b))
 
 
-def log_joint(ds, partition, membership, priors):
-    return JointModel(ds, priors).log_joint(partition, membership)
+def log_joint(ds, starts, labels, priors):
+    return JointModel(ds, priors).log_joint(starts, labels)
 
 
 def random_dataset(rng, n_cases, n_controls, n_snps):
@@ -141,53 +139,40 @@ def test_default_priors_overrides():
 
 def test_prior_config_validation():
     with pytest.raises(ValueError):
-        PriorConfig(p_boundary=0.6, p1=0.1, p2=0.1, p0=0.8)
+        PriorConfig(p_boundary=0.6, p1=0.1, p2=0.1)
     with pytest.raises(ValueError):
-        PriorConfig(p_boundary=0.0, p1=0.1, p2=0.1, p0=0.8)
-    with pytest.raises(ValueError):
-        PriorConfig(p_boundary=0.1, p1=0.5, p2=0.5, p0=0.0)
-    with pytest.raises(ValueError):
-        PriorConfig(p_boundary=0.1, p1=0.3, p2=0.3, p0=0.3)
+        PriorConfig(p_boundary=0.0, p1=0.1, p2=0.1)
+    with pytest.raises(ValueError, match="p0"):
+        PriorConfig(p_boundary=0.1, p1=0.5, p2=0.5)
+    for name in ("p1", "p2"):
+        for bad in (-0.1, 1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must lie"):
+                PriorConfig(**{"p_boundary": 0.1, "p1": 0.1, "p2": 0.1, name: bad})
     for rho in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rho"):
-            PriorConfig(p_boundary=0.1, p1=0.1, p2=0.1, p0=0.8, rho=rho)
+            PriorConfig(p_boundary=0.1, p1=0.1, p2=0.1, rho=rho)
     with pytest.raises(ValueError):
         ModelConstraints(max_distinct_diplotypes=0, max_order=1)
 
 
-# -- partition and membership types ---------------------------------------------------
+# -- state encoding ---------------------------------------------------------------------
 
 
-def test_partition_boundary_round_trip():
-    part = BlockPartition((0, 2, 5), 7)
-    assert part.boundary == (True, False, True, False, False, True, False)
-    assert BlockPartition.from_boundary(part.boundary) == part
-    assert part.n_blocks == 3
-    assert part.blocks() == ((0, 2), (2, 5), (5, 7))
-    assert part.block_of(4) == (2, 5)
-    assert part.block_of(6) == (5, 7)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        BlockPartition((1, 3), 5)
-    with pytest.raises(ValueError):
-        BlockPartition((0, 3, 3), 5)
-    with pytest.raises(ValueError):
-        BlockPartition((0, 5), 5)
-    with pytest.raises(ValueError):
-        BlockPartition.from_boundary((False, True))
-    assert BlockPartition.singletons(3).n_blocks == 3
-    assert BlockPartition.single_block(3).n_blocks == 1
-
-
-def test_membership_vector():
-    mv = MembershipVector((0, 2, 1, 2))
-    assert mv.epistatic_set == (1, 3)
-    assert mv.label_counts() == (1, 1, 2)
-    assert MembershipVector.all_unassociated(3).labels == (0, 0, 0)
-    with pytest.raises(ValueError):
-        MembershipVector((0, 3))
+@pytest.mark.parametrize(
+    "starts, labels, message",
+    [
+        ((1, 3), (0,) * 5, "first block"),
+        ((0, 3, 3), (0,) * 5, "strictly increase"),
+        ((0, 5), (0,) * 5, "below the SNP count"),
+        ((0,), (0, 3, 0, 0, 0), "labels must be"),
+        ((0,), (0,) * 4, "4 labels for 5 SNPs"),
+    ],
+    ids=["first-start", "repeated-start", "start-past-end", "label-3", "size-mismatch"],
+)
+def test_log_joint_rejects_malformed_states(starts, labels, message):
+    model = JointModel(random_dataset(np.random.default_rng(13), 5, 5, 5), flat_priors())
+    with pytest.raises(ValueError, match=message):
+        model.log_joint(starts, labels)
 
 
 def test_mask_from_labels_ternary():
@@ -257,7 +242,7 @@ def test_block_term_never_positive():
 
 
 def flat_priors(p_boundary=0.2, p1=0.15, p2=0.1):
-    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, p0=1 - p1 - p2, rho=RHO)
+    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, rho=RHO)
 
 
 def test_log_joint_empty_data_is_priors_only():
@@ -269,7 +254,7 @@ def test_log_joint_empty_data_is_priors_only():
     )
     priors = flat_priors()
     for starts, labels in [((0,), (0, 0, 0, 0)), ((0, 2), (1, 0, 2, 2)), ((0, 1, 2, 3), (2, 2, 0, 1))]:
-        got = log_joint(ds, BlockPartition(starts, 4), MembershipVector(labels), priors)
+        got = log_joint(ds, starts, labels, priors)
         nb = len(starts)
         want = nb * math.log(0.2) + (4 - nb) * math.log(0.8)
         for lab in labels:
@@ -281,7 +266,7 @@ def test_log_joint_all_group0_single_block():
     rng = np.random.default_rng(7)
     ds = random_dataset(rng, 10, 10, 3)
     priors = flat_priors()
-    got = log_joint(ds, BlockPartition.single_block(3), MembershipVector.all_unassociated(3), priors)
+    got = log_joint(ds, (0,), (0, 0, 0), priors)
     want = (
         ref_marginal(np.vstack([ds.cases, ds.controls]))
         + math.log(0.2)
@@ -298,7 +283,7 @@ def test_log_joint_matches_reference_on_random_states():
     for _ in range(30):
         cuts = sorted({0} | set(int(v) for v in rng.integers(1, 5, size=rng.integers(0, 4))))
         labels = tuple(int(v) for v in rng.integers(0, 3, size=5))
-        got = log_joint(ds, BlockPartition(tuple(cuts), 5), MembershipVector(labels), priors)
+        got = log_joint(ds, cuts, labels, priors)
         want = ref_log_joint(ds, cuts, labels, priors)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -307,7 +292,7 @@ def test_log_joint_group2_pair_reference():
     rng = np.random.default_rng(9)
     ds = random_dataset(rng, 20, 20, 3)
     priors = flat_priors()
-    got = log_joint(ds, BlockPartition((0, 1), 3), MembershipVector((0, 2, 2)), priors)
+    got = log_joint(ds, (0, 1), (0, 2, 2), priors)
     want = ref_log_joint(ds, [0, 1], (0, 2, 2), priors)
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -317,14 +302,14 @@ def test_split_of_unassociated_block_changes_only_that_block():
     ds = random_dataset(rng, 12, 12, 6)
     priors = flat_priors()
     model = JointModel(ds, priors)
-    labels = MembershipVector((0, 0, 0, 0, 1, 2))
-    merged = model.log_joint(BlockPartition((0, 4), 6), labels)
-    split = model.log_joint(BlockPartition((0, 2, 4), 6), labels)
+    labels = (0, 0, 0, 0, 1, 2)
+    merged = model.log_joint((0, 4), labels)
+    split = model.log_joint((0, 2, 4), labels)
     # only block [0,4) was cut; the difference is its term swap plus one prior factor
     lhs = split - merged
-    t_whole = model.block_term(0, 4, mask_from_labels(labels.labels, 0, 4))
-    t_left = model.block_term(0, 2, mask_from_labels(labels.labels, 0, 2))
-    t_right = model.block_term(2, 4, mask_from_labels(labels.labels, 2, 4))
+    t_whole = model.block_term(0, 4, mask_from_labels(labels, 0, 4))
+    t_left = model.block_term(0, 2, mask_from_labels(labels, 0, 2))
+    t_right = model.block_term(2, 4, mask_from_labels(labels, 2, 4))
     prior_delta = math.log(priors.p_boundary) - math.log(1 - priors.p_boundary)
     assert lhs == pytest.approx(t_left + t_right - t_whole + prior_delta, abs=1e-12)
 
@@ -336,31 +321,19 @@ def test_log_joint_forbidden_states():
     tight = ModelConstraints(max_distinct_diplotypes=2, max_order=1)
     model = JointModel(ds, priors, tight)
     # a 4-SNP block on random N=40 data exceeds 2 distinct diplotypes
-    assert model.log_joint(
-        BlockPartition.single_block(4), MembershipVector.all_unassociated(4)
-    ) == -math.inf
+    assert model.log_joint((0,), (0, 0, 0, 0)) == -math.inf
     # epistatic set above max_order
-    assert model.log_joint(
-        BlockPartition.singletons(4), MembershipVector((2, 2, 0, 0))
-    ) == -math.inf
+    assert model.log_joint((0, 1, 2, 3), (2, 2, 0, 0)) == -math.inf
 
 
 def test_log_joint_zero_label_prior_forbids_label():
     rng = np.random.default_rng(12)
     ds = random_dataset(rng, 10, 10, 2)
-    priors = PriorConfig(p_boundary=0.2, p1=0.0, p2=0.2, p0=0.8, rho=RHO)
+    priors = PriorConfig(p_boundary=0.2, p1=0.0, p2=0.2, rho=RHO)
     model = JointModel(ds, priors)
-    assert model.log_joint(BlockPartition.singletons(2), MembershipVector((1, 0))) == -math.inf
-    finite = model.log_joint(BlockPartition.singletons(2), MembershipVector((2, 0)))
+    assert model.log_joint((0, 1), (1, 0)) == -math.inf
+    finite = model.log_joint((0, 1), (2, 0))
     assert math.isfinite(finite)
-
-
-def test_log_joint_size_mismatch():
-    rng = np.random.default_rng(13)
-    ds = random_dataset(rng, 5, 5, 3)
-    model = JointModel(ds, flat_priors())
-    with pytest.raises(ValueError):
-        model.log_joint(BlockPartition.singletons(2), MembershipVector((0, 0, 0)))
 
 
 def test_block_allowed_uses_distinct_count():

@@ -9,10 +9,8 @@ from scipy.special import logsumexp
 
 from beamscan.dataio import GenotypeDataset
 from beamscan.model import (
-    BlockPartition,
     ConstraintError,
     JointModel,
-    MembershipVector,
     ModelConstraints,
     PriorConfig,
 )
@@ -37,7 +35,7 @@ def empty_dataset(n_snps):
 
 
 def flat_priors(p_boundary=0.3, p1=0.2, p2=0.1):
-    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, p0=1 - p1 - p2, rho=1.5)
+    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, rho=1.5)
 
 
 def all_partitions(n):
@@ -52,9 +50,8 @@ def brute_force(ds, priors, constraints=None):
     model = JointModel(ds, priors, constraints)
     states = []
     for starts in all_partitions(n):
-        part = BlockPartition(starts, n)
         for labels in product((0, 1, 2), repeat=n):
-            lz = model.log_joint(part, MembershipVector(labels))
+            lz = model.log_joint(starts, labels)
             if lz > -math.inf:
                 states.append((lz, starts, labels))
     log_z = float(logsumexp([s[0] for s in states]))
@@ -169,7 +166,7 @@ def test_states_enumerated_accounting():
 def test_zero_epistatic_prior_closes_group2():
     rng = np.random.default_rng(33)
     ds = make_dataset(rng.integers(0, 3, (10, 3)), rng.integers(0, 3, (10, 3)))
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.0, p0=0.8, rho=1.5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.0, rho=1.5)
     res = enumerate_posterior(ds, priors)
     assert not res.epistatic_posterior.any()
     assert (res.marginal_posterior > 0).all()
@@ -211,8 +208,8 @@ def reference_enumerate_posterior(dataset, priors, constraints=None, model_cls=J
     n = dataset.n_snps
     model = model_cls(dataset, priors, constraints)
     max_order = min(model.max_order, n)
-    log_p2 = model._log_label[2]
-    log_label01 = (model._log_label[0], model._log_label[1])
+    log_p2 = model.log_label[2]
+    log_label01 = model.log_label[:2]
 
     subsets = [()]
     if log_p2 > -math.inf:
@@ -249,7 +246,7 @@ def reference_enumerate_posterior(dataset, priors, constraints=None, model_cls=J
 
     partitions = []
     for starts in all_partitions(n):
-        blocks = BlockPartition(starts, n).blocks()
+        blocks = list(zip(starts, starts[1:] + (n,)))
         if all(model.block_allowed(a, b) for a, b in blocks):
             partitions.append((starts, blocks))
     if not partitions:
@@ -317,8 +314,8 @@ def test_capped_panel_forbids_some_blocks_but_not_every_partition():
     "priors, max_order",
     [
         (flat_priors(), 3),
-        (PriorConfig(p_boundary=0.3, p1=0.0, p2=0.1, p0=0.9, rho=1.5), 3),
-        (PriorConfig(p_boundary=0.3, p1=0.2, p2=0.0, p0=0.8, rho=1.5), 3),
+        (PriorConfig(p_boundary=0.3, p1=0.0, p2=0.1, rho=1.5), 3),
+        (PriorConfig(p_boundary=0.3, p1=0.2, p2=0.0, rho=1.5), 3),
         (flat_priors(), 1),
         (flat_priors(), 2),
     ],
@@ -368,7 +365,7 @@ def test_factorized_sum_matches_brute_force_when_the_cap_removes_partitions():
     model = JointModel(ds, flat_priors(), cons)
     allowed = [
         starts for starts in all_partitions(5)
-        if all(model.block_allowed(a, b) for a, b in BlockPartition(starts, 5).blocks())
+        if all(model.block_allowed(a, b) for a, b in zip(starts, starts[1:] + (5,)))
     ]
     assert 0 < len(allowed) < 2**4
     res = enumerate_posterior(ds, flat_priors(), cons)
