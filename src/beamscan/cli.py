@@ -92,18 +92,23 @@ def _unit_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be non-negative" if low == 0 else f"must be at least {low}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+_nonneg_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 def _add_io_args(sub: argparse.ArgumentParser) -> None:
@@ -140,14 +145,14 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_mcmc_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--chains", type=int, default=1, help="independent chains to run")
-    sub.add_argument("--burnin", type=int, default=None, help="discarded iterations")
-    sub.add_argument("--iters", type=int, default=None, help="retained iterations")
-    sub.add_argument("--thin", type=int, default=1, help="record every k-th sample")
+    sub.add_argument("--chains", type=_positive_int, default=1, help="independent chains to run")
+    sub.add_argument("--burnin", type=_nonneg_int, default=None, help="discarded iterations")
+    sub.add_argument("--iters", type=_nonneg_int, default=None, help="retained iterations")
+    sub.add_argument("--thin", type=_positive_int, default=1, help="record every k-th sample")
     sub.add_argument("--seed", type=_nonneg_int, default=0, help="base RNG seed")
     sub.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker bound for multi-chain runs (default: the CPUs this process may use)",
     )
@@ -531,10 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bstat.add_argument(
         "--calibration", choices=("permutation", "analytic"), default="permutation"
     )
-    p_bstat.add_argument("--n-perm", type=int, default=1000, help="permutation replicates")
+    p_bstat.add_argument(
+        "--n-perm", type=_positive_int, default=1000, help="permutation replicates"
+    )
     p_bstat.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
     p_bstat.add_argument(
-        "--n-tests", type=int, default=None, help="Bonferroni divisor (default C(L, M))"
+        "--n-tests", type=_positive_int, default=None, help="Bonferroni divisor (default C(L, M))"
     )
     p_bstat.add_argument("--rho", type=_positive_float, default=1.5, help="Dirichlet scale")
     p_bstat.add_argument("--max-order", type=_positive_int, default=None, help="cap on set size")
@@ -552,12 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="marginal log odds ratio per locus (0 gives the null model)",
     )
     p_sim.add_argument("--theta", type=_nonneg_float, default=None, help="risk parameter, overrides --effect")
-    p_sim.add_argument("--cases", type=int, default=1000)
-    p_sim.add_argument("--controls", type=int, default=1000)
-    p_sim.add_argument("--snps", type=int, default=100, help="SNPs in the written panel")
-    p_sim.add_argument("--block-width", type=int, default=5)
-    p_sim.add_argument("--founders", type=int, default=4)
-    p_sim.add_argument("--pool-size", type=int, default=None)
+    p_sim.add_argument("--cases", type=_positive_int, default=1000)
+    p_sim.add_argument("--controls", type=_positive_int, default=1000)
+    p_sim.add_argument("--snps", type=_positive_int, default=100, help="SNPs in the written panel")
+    p_sim.add_argument("--block-width", type=_positive_int, default=5)
+    p_sim.add_argument("--founders", type=_int_at_least(2), default=4)
+    p_sim.add_argument("--pool-size", type=_positive_int, default=None)
     p_sim.add_argument(
         "--keep-loci",
         action="store_true",

@@ -18,14 +18,20 @@ of them; a change of the group-2 set, which every conditional reads, still
 costs one full set. The sweep draws and decides exactly as the per-SNP form
 would, so outputs do not depend on the caching.
 
-:class:`ChainState` is the only writer of the labels, masks, group-2 set,
-partition and running log joint. Its ``relabel`` and ``repartition`` mark
+:class:`ChainState` is the only writer of the labels, masks, label member
+lists, partition and running log joint. ``assign`` sets a whole state and
+recomputes everything derived from it. ``relabel`` and ``repartition`` mark
 stale the label rows each change invalidates, and add to the log joint the
 change that the calling kernel already computed: the block terms and
 boundary prior of an accepted block move, the log ratio of an accepted swap,
 the weight difference of a Gibbs label change. The per-iteration log-joint
 trace therefore reads one float; ``JointModel.log_joint`` recomputes the
 same value from scratch, up to rounding.
+
+``relabel`` also keeps the sorted SNP list of each label (the group-2 set is
+the label-2 list). A swap pass starts from a copy of those lists, and
+``run_chain`` adds each sample to the label tallies at the label-1 and
+label-2 lists, instead of scanning the labels.
 
 A block proposal names only the blocks it removes and adds, so drawing one
 costs the same at any partition size; ``accept`` cuts the added blocks'
@@ -45,7 +51,14 @@ from functools import partial
 import numpy as np
 
 from .dataio import GenotypeDataset
-from .model import NEG_INF, ConstraintError, JointModel, ModelConstraints, PriorConfig
+from .model import (
+    NEG_INF,
+    ConstraintError,
+    JointModel,
+    ModelConstraints,
+    PriorConfig,
+    mask_from_labels,
+)
 
 KIND_SPLIT = "split"
 KIND_MERGE = "merge"
@@ -175,22 +188,19 @@ class ChainState:
     """Mutable sampler state bound to one :class:`JointModel`.
 
     Tracks the partition (block start list), labels, per-block ternary label
-    masks, the sorted group-2 set, label counts and ``running_log_joint``,
-    the joint log probability of the state kept up to date by the two
-    writers. ``repartitions`` counts the partition changes made by
-    :meth:`repartition`. ``state.model.log_joint(state.starts, state.labels)``
-    recomputes it from scratch.
+    masks, the sorted SNP list of each label (``members``; ``members[2]`` is
+    the group-2 set ``s2``) and ``running_log_joint``, the joint log
+    probability of the state, all kept up to date by the writers
+    :meth:`assign`, :meth:`relabel` and :meth:`repartition`.
+    ``repartitions`` counts the writes that changed the partition.
+    ``state.model.log_joint(state.starts, state.labels)``
+    recomputes the log joint from scratch.
     """
 
     def __init__(self, model: JointModel, rng: np.random.Generator):
         self.model = model
         self.rng = rng
         n = model.n_snps
-        self.starts: list[int] = list(range(n))
-        self.labels: list[int] = [0] * n
-        self.block_masks: dict[tuple[int, int], int] = {(i, i + 1): 0 for i in range(n)}
-        self.s2: list[int] = []
-        self.label_counts: list[int] = [n, 0, 0]
         self.iteration = 0
         self.counters: dict[str, int] = {}
         self.repartitions = 0
@@ -201,9 +211,36 @@ class ChainState:
                     f"SNP {i} exceeds the diplotype cap even as a singleton block; "
                     "no admissible state exists"
                 )
-        self.running_log_joint = model.log_joint(self.starts, self.labels)
+        self.assign(range(n), [0] * n)
+
+    def assign(self, starts, labels) -> None:
+        """Put the state at the partition with block ``starts`` and the per-SNP
+        ``labels``, recomputing every derived field and the log joint."""
+        n = self.model.n_snps
+        self.starts: list[int] = [int(a) for a in starts]
+        self.labels: list[int] = [int(v) for v in labels]
+        bounds = self.starts + [n]
+        self.block_masks: dict[tuple[int, int], int] = {
+            (a, b): mask_from_labels(self.labels, a, b) for a, b in zip(bounds, bounds[1:])
+        }
+        self.members: list[list[int]] = [[], [], []]
+        for i, lab in enumerate(self.labels):
+            self.members[lab].append(i)
+        self.label_rows.stale[:] = True
+        self.repartitions += 1
+        self.running_log_joint = self.model.log_joint(self.starts, self.labels)
 
     # -- bookkeeping ---------------------------------------------------------
+
+    @property
+    def s2(self) -> list[int]:
+        """The sorted group-2 set, ``members[2]``."""
+        return self.members[2]
+
+    @property
+    def label_counts(self) -> list[int]:
+        """How many SNPs carry label 0, 1 and 2."""
+        return [len(m) for m in self.members]
 
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
@@ -224,12 +261,9 @@ class ChainState:
         a, b = self.block_of(i)
         self.labels[i] = lab
         self.block_masks[(a, b)] += (lab - cur) * 3 ** (i - a)
-        self.label_counts[cur] -= 1
-        self.label_counts[lab] += 1
-        if cur == 2:
-            self.s2.remove(i)
-        if lab == 2:
-            insort(self.s2, i)
+        old = self.members[cur]
+        del old[bisect_left(old, i)]
+        insort(self.members[lab], i)
         if cur == 2 or lab == 2:
             a, b = 0, self.model.n_snps
         self.label_rows.stale[a:b] = True
@@ -421,8 +455,8 @@ def swap_membership_move(state: ChainState) -> int:
     n_pairs = sum(w for _, _, w in classes)
     if n_pairs == 0:
         return 0
-    labels = np.asarray(state.labels)
-    members = [np.flatnonzero(labels == lab).tolist() for lab in (0, 1, 2)]
+    # the pass's own copies: an accepted swap puts each SNP in the other's place
+    members = [list(m) for m in state.members]
     accepted = 0
     for _ in range(counts[1] + counts[2]):
         r = int(rng.integers(n_pairs))
@@ -526,9 +560,8 @@ def run_chain(
             if (t - schedule.burnin) % schedule.thin == 0:
                 samples += 1
                 if sample_membership:
-                    lab = np.asarray(state.labels)
-                    marg += lab == 1
-                    epi += lab == 2
+                    marg[state.members[1]] += 1
+                    epi[state.members[2]] += 1
                 if state.repartitions != held_version:
                     bound[held_starts] += held
                     held_starts, held_version, held = list(state.starts), state.repartitions, 0

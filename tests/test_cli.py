@@ -464,7 +464,7 @@ def test_bstat_analytic_needs_500_permutations(workdir, signal_panel, capsys):
     rc = main([
         "bstat", "--in", str(signal_panel), "--sets", str(sets_path),
         "--out", str(workdir / "bstat_nperm0.tsv"), "--calibration", "analytic",
-        "--n-perm", "0",
+        "--n-perm", "499",
     ])
     err = capsys.readouterr().err
     assert rc == 2
@@ -661,7 +661,7 @@ def test_value_errors_return_2(workdir, signal_panel):
     assert rc == 2
     rc = main([
         "map", "--in", str(signal_panel), "--out", str(workdir / "x.tsv"),
-        "--thin", "0",
+        "--p1", "0.6", "--p2", "0.6",
     ])
     assert rc == 2
 
@@ -674,15 +674,20 @@ def test_value_errors_return_2(workdir, signal_panel):
         (["map", "--in", "{panel}", "--iters", "20", "--rho", "inf"], "finite and positive"),
         (["oracle", "--in", "{small}", "--rho", "inf"], "finite and positive"),
         (["simulate", "--model", "2", "--maf", "0.3", "--theta", "inf"], "finite and non-negative"),
-        # out-of-range values, refused where they are read
+        # out-of-range values, refused where they are read or as they are parsed
         (["partition", "--in", "{panel}", "--iters", "20", "--hwe-filter", "-0.1"], "[0, 1)"),
-        (["map", "--in", "{panel}", "--iters", "20", "--threads", "0"], "threads must be"),
-        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--n-tests", "0"], "n_tests must be"),
+        (["map", "--in", "{panel}", "--iters", "20", "--threads", "0"],
+         "argument --threads: must be at least 1"),
+        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--n-tests", "0"],
+         "argument --n-tests: must be at least 1"),
         (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "0"], "alpha must lie"),
         (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "1.5"], "alpha must lie"),
         (["map", "--in", "{panel}", "--iters", "20", "--p1", "nan"], "p1 must lie in [0, 1)"),
-        (["simulate", "--model", "2", "--maf", "0.3", "--founders", "0"], "at least two founders"),
-        (["simulate", "--model", "2", "--maf", "0.3", "--founders", "1"], "at least two founders"),
+        *[
+            (["simulate", "--model", "2", "--maf", "0.3", "--founders", bad],
+             "argument --founders: must be at least 2")
+            for bad in ("0", "1")
+        ],
         # out-of-range flags, refused as they are parsed
         *[
             (["bstat", "--in", "{panel}", "--from-posterior", "{post}", "--threshold", bad],
@@ -727,6 +732,45 @@ def test_bad_numbers_exit_2(tmp_path, signal_panel, mapped, capsys, argv, messag
     err = capsys.readouterr().err
     assert rc == 2
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+INTEGER_FLAGS = [
+    *[
+        (["map", "--in", "{panel}", "--iters", "20"], flag, bad, low)
+        for flag, bad, low in (
+            ("--chains", "0", 1), ("--burnin", "-1", 0), ("--iters", "-1", 0),
+            ("--thin", "0", 1), ("--threads", "0", 1),
+        )
+    ],
+    *[
+        (["bstat", "--in", "{panel}", "--sets", "{sets}"], flag, bad, low)
+        for flag, bad, low in (("--n-perm", "0", 1), ("--n-tests", "0", 1))
+    ],
+    *[
+        (["simulate", "--model", "2", "--maf", "0.3"], flag, bad, low)
+        for flag, bad, low in (
+            ("--cases", "0", 1), ("--controls", "-5", 1), ("--snps", "0", 1),
+            ("--block-width", "0", 1), ("--founders", "1", 2), ("--pool-size", "-2", 1),
+        )
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, bad, low", INTEGER_FLAGS, ids=[case[1][2:] for case in INTEGER_FLAGS]
+)
+def test_integer_flags_are_checked_where_they_are_parsed(tmp_path, signal_panel, capsys,
+                                                         argv, flag, bad, low):
+    (tmp_path / "sets.tsv").write_text("snp0003\n")
+    out = tmp_path / "out.tsv"
+    argv = [a.format(panel=signal_panel, sets=tmp_path / "sets.tsv") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, bad, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    need = "must be non-negative" if low == 0 else f"must be at least {low}"
+    assert f"argument {flag}: {need}" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,0 +1,99 @@
+"""Golden outputs: the sha256 of every fixed-seed result TSV on small panels.
+
+The samplers, the oracle and the set test are deterministic given (inputs,
+flags, seed), and speed-ups are expected to keep their TSVs byte-identical
+and the samplers' memo sizes unchanged. These digests and sizes pin that. A
+change that alters outputs on purpose (a correctness fix) re-records them and
+says so. They were recorded with numpy 2.4 and scipy 1.17 on x86-64; another
+floating-point library may round the last printed digit differently.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from beamscan.cli import main
+
+GOLDEN = {
+    "bstat": {
+        "bstat.tsv": "ea4ffc7ab8d4c1e79b084c4e1f678f0006468ba6932c2f6f4d31372d1e2f74b4",
+    },
+    "map": {
+        "map.tsv": "fafc5d2f4a3765180d1ba6a2a8b54226ef2804f8354bc2fa9475e30d0164d2ca",
+        "map.tsv.interactions.tsv": "7ffce8a5ed543bded4d94291b95745856ceb30bd2fd92a07ff5fe7df4c8966a0",
+    },
+    "map-chains": {
+        "map.tsv": "fdec01374b01f4eb430c8c6ea7b4cbcf40e39d32809331817f11dd808089208f",
+        "map.tsv.interactions.tsv": "e4a07b61eeff637446334a56711a678dcb9938286e829899c9424951eb42ec50",
+    },
+    "map-thin": {
+        "map.tsv": "15c57676d9babe6de33ce20229a2a168e35d5cd241ce070af791d6dcdc46392d",
+        "map.tsv.interactions.tsv": "74a1693bf570d55352ed97897deab6b1acf89f0ca4be5436b43b8b7fdf502126",
+    },
+    "oracle": {
+        "oracle.tsv": "1a17122b58a1604129ee3ab52889efe07b4e3cfeebe6ca72a87d0d17921eb924",
+    },
+    "partition": {
+        "partition.tsv": "91118140a10e0426fe3d1853541ecce8ee5db188b1a0fa256ec3c967d2272b38",
+    },
+}
+
+# (marginals, block_terms, group2) memo entries per chain, from the manifest:
+# a faster path must evaluate exactly the same keys
+MEMO_SIZES = {
+    "map": [(2660, 1290, 1083)],
+    "map-chains": [(2660, 1290, 1083), (1356, 1212, 351)],
+    "partition": [(321, 321, 0)],
+}
+
+
+@pytest.fixture(scope="module")
+def panels(tmp_path_factory):
+    """A 60-SNP panel for the samplers and the set test, a 9-SNP one for the oracle."""
+    root = tmp_path_factory.mktemp("golden")
+    wide = root / "wide.tsv"
+    narrow = root / "narrow.tsv"
+    for path, snps, cases, seed in ((wide, "60", "150", "4"), (narrow, "9", "120", "6")):
+        assert main([
+            "simulate", "--out", str(path), "--model", "2", "--maf", "0.3",
+            "--effect", "1.5", "--cases", cases, "--controls", cases,
+            "--snps", snps, "--seed", seed,
+        ]) == 0
+    sets = root / "sets.tsv"
+    sets.write_text("snp0003\nsnp0010 snp0011\nsnp0020,snp0031,snp0047\nsnp0058\n")
+    return {"wide": wide, "narrow": narrow, "sets": sets}
+
+
+def _run(tmp_path, panels, case):
+    wide, narrow = str(panels["wide"]), str(panels["narrow"])
+    out = str(tmp_path / next(iter(GOLDEN[case])))
+    chain = ["--burnin", "200", "--iters", "800", "--seed", "2"]
+    argv = {
+        "map": ["map", "--in", wide, "--out", out, *chain],
+        "map-thin": ["map", "--in", wide, "--out", out, *chain, "--thin", "3"],
+        "map-chains": [
+            "map", "--in", wide, "--out", out, *chain, "--chains", "2", "--threads", "2",
+        ],
+        "partition": ["partition", "--in", wide, "--out", out, *chain],
+        "oracle": ["oracle", "--in", narrow, "--out", out],
+        "bstat": [
+            "bstat", "--in", wide, "--sets", str(panels["sets"]), "--out", out,
+            "--calibration", "permutation", "--n-perm", "500", "--seed", "5",
+        ],
+    }[case]
+    assert main(argv) == 0
+    if case in MEMO_SIZES:
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        sizes = [(c["marginals"], c["block_terms"], c["group2"]) for c in manifest["cache"]]
+        assert sizes == MEMO_SIZES[case]
+    return {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN[case]
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_fixed_seed_outputs_are_byte_identical(tmp_path, panels, case):
+    assert _run(tmp_path, panels, case) == GOLDEN[case]

@@ -11,9 +11,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from beamscan.dataio import GenotypeDataset
-from beamscan.likelihood import FLOAT_KEY_WIDTH, LikelihoodEngine, _pack_matrix, log_marginal
+from beamscan.likelihood import (
+    FLOAT_KEY_WIDTH,
+    LikelihoodEngine,
+    _marginal_constants,
+    _pack_matrix,
+    _run_counts,
+    _table_counts,
+    log_marginal,
+)
 from beamscan.model import JointModel, PriorConfig, mask_from_labels
 
 RHO = 1.5
@@ -420,3 +429,70 @@ def test_engine_distinct_count():
     assert engine.marginal((0, 1), "both") == pytest.approx(
         predictive_log_marginal([2, 1, 1], 2), abs=1e-12
     )
+
+
+# -- the engine's counting paths against a per-cohort reference -------------------------
+
+
+def reference_marginal(ds, snps, who):
+    """The log marginal of one cohort packed on its own and counted by np.unique,
+    evaluated in the engine's expression and order."""
+    rows = {"cases": ds.cases, "controls": ds.controls,
+            "both": np.vstack([ds.cases, ds.controls])}[who]
+    keys = _pack_matrix(np.ascontiguousarray(rows[:, list(snps)].T))
+    counts = np.unique(keys, return_counts=True)[1].astype(np.float64)
+    alpha, per_present, log_g_rho = _marginal_constants(len(snps), RHO)
+    per_cell = counts.size * per_present + np.add.reduce(gammaln(counts + alpha))
+    return float(per_cell + log_g_rho - gammaln(np.add.reduce(counts) + RHO))
+
+
+def low_diversity_dataset(seed, n_cases, n_controls, n_snps):
+    """Codes drawn from a few founder rows, so wide sets repeat diplotypes."""
+    rng = np.random.default_rng(seed)
+    founders = rng.integers(0, 3, size=(6, n_snps)).astype(np.int8)
+    draw = lambda m: np.where(rng.random((m, n_snps)) < 0.05,
+                              rng.integers(0, 3, size=(m, n_snps)),
+                              founders[rng.integers(0, 6, size=m)]).astype(np.int8)
+    return GenotypeDataset(
+        cases=draw(n_cases),
+        controls=draw(n_controls),
+        snp_ids=tuple(f"s{i}" for i in range(n_snps)),
+        positions=tuple(range(1, n_snps + 1)),
+    )
+
+
+@pytest.mark.parametrize("n_cases, n_controls", [(30, 250), (250, 30), (0, 90), (90, 0)])
+def test_cohort_pair_memo_is_bit_equal_to_a_per_cohort_reference(n_cases, n_controls):
+    # 3^w <= cohort size switches counting to the table at w <= 3 for 30 people, w <= 5
+    # for 250 and 280, and never for an empty cohort; keys turn to ranks past w = 33
+    n_snps = 45
+    ds = low_diversity_dataset(n_cases + 7 * n_controls, n_cases, n_controls, n_snps)
+    rng = np.random.default_rng(n_cases)
+    sets = []
+    for w in range(1, 41):
+        sets.append(tuple(range(2, 2 + w)))
+        sets.append(tuple(sorted(int(v) for v in rng.choice(n_snps, size=w, replace=False))))
+    for snps in sets:
+        engine = LikelihoodEngine(ds, rho=RHO)
+        for first in ("cases", "controls", "both"):
+            engine.marginal(snps, first)
+        # one cold request for either cohort of the pair memoizes both
+        pair = LikelihoodEngine(ds, rho=RHO)
+        pair.marginal(snps, "controls")
+        assert set(pair._marg) == {(snps, "cases"), (snps, "controls")}
+        for who in ("cases", "controls", "both"):
+            want = reference_marginal(ds, snps, who)
+            assert engine._marg[(snps, who)] == want, (snps, who)
+            assert pair.marginal(snps, who) == want, (snps, who)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 6, 8, 12])
+def test_table_and_run_counts_agree(w):
+    rng = np.random.default_rng(w)
+    for n in (0, 1, 5, 81, 500):
+        keys = _pack_matrix(rng.integers(0, 3, size=(w, n)).astype(np.int8))
+        table, runs = _table_counts(keys), _run_counts(keys)
+        np.testing.assert_array_equal(table, runs)
+        np.testing.assert_array_equal(runs, np.unique(keys, return_counts=True)[1])
+        assert table.dtype == runs.dtype == np.intp
+

@@ -58,19 +58,8 @@ def empty_dataset(n_snps):
 
 
 def force_state(state, starts, labels):
-    """Overwrite the chain configuration, keeping caches consistent."""
-    n = state.model.n_snps
-    state.starts = list(starts)
-    state.labels = list(labels)
-    bounds = list(starts) + [n]
-    state.block_masks = {
-        (bounds[k], bounds[k + 1]): mask_from_labels(state.labels, bounds[k], bounds[k + 1])
-        for k in range(len(starts))
-    }
-    state.s2 = [i for i, v in enumerate(labels) if v == 2]
-    state.label_counts = [state.labels.count(0), state.labels.count(1), state.labels.count(2)]
-    state.label_rows.stale[:] = True
-    state.running_log_joint = state.model.log_joint(state.starts, state.labels)
+    """Overwrite the chain configuration through the state's own writer."""
+    state.assign(starts, labels)
 
 
 def flat_priors(p_boundary=0.2, p1=0.15, p2=0.1):
@@ -544,6 +533,53 @@ def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_member
     np.testing.assert_array_equal(out.boundary_posterior, tally / len(sampled))
 
 
+@pytest.mark.parametrize("thin", [1, 3])
+def test_label_posteriors_equal_a_per_sample_tally(monkeypatch, thin):
+    ds = random_signal_dataset(41, 10, 10, 12, hot=4)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
+    schedule = Schedule(burnin=50, iterations=900, thin=thin)
+    running = ChainState.log_joint
+    tally = np.zeros((2, ds.n_snps))
+    sampled = []
+
+    def tallying_log_joint(state):
+        if (state.iteration - 1 - schedule.burnin) % schedule.thin == 0:
+            labels = np.asarray(state.labels)
+            tally[0] += labels == 1
+            tally[1] += labels == 2
+            sampled.append(tuple(state.labels))
+        return running(state)
+
+    monkeypatch.setattr(ChainState, "log_joint", tallying_log_joint)
+    out = run_chain(ds, priors, schedule, seed=8, constraints=cons)
+    assert out.samples_used == len(sampled) == 900 // thin
+    assert len(set(sampled)) > 10  # the tally spans many label changes
+    np.testing.assert_array_equal(out.marginal_posterior, tally[0] / len(sampled))
+    np.testing.assert_array_equal(out.epistatic_posterior, tally[1] / len(sampled))
+
+
+def test_member_lists_follow_every_relabel(monkeypatch):
+    ds = random_signal_dataset(31, 40, 40, 12, hot=5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
+    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
+    relabel = ChainState.relabel
+    calls = []
+
+    def checked_relabel(state, i, lab, delta):
+        stale = relabel(state, i, lab, delta)
+        labels = np.asarray(state.labels)
+        assert state.members == [np.flatnonzero(labels == v).tolist() for v in (0, 1, 2)]
+        assert state.s2 is state.members[2]
+        calls.append(i)
+        return stale
+
+    monkeypatch.setattr(ChainState, "relabel", checked_relabel)
+    out = run_chain(ds, priors, Schedule(burnin=0, iterations=1500), seed=3, constraints=cons)
+    assert out.acceptance["swap"] > 0 and out.acceptance["gibbs_change"] > 0
+    assert len(calls) > 300
+
+
 def test_chain_matches_enumeration_on_four_snps():
     ds = random_signal_dataset(19, 40, 40, 4, hot=1)
     priors, cons = default_priors(4, 40, 40, 40)
@@ -631,12 +667,8 @@ def reference_gibbs_sweep(state):
             state.bump("gibbs_changes")
             labels[i] = pick
             state.block_masks[(a, b)] = base + pick * power
-            state.label_counts[cur] -= 1
-            state.label_counts[pick] += 1
-            if cur == 2:
-                state.s2.remove(i)
-            if pick == 2:
-                insort(state.s2, i)
+            state.members[cur].remove(i)
+            insort(state.members[pick], i)
             state.running_log_joint += weights[labs.index(pick)] - weights[labs.index(cur)]
     return changed
 
@@ -645,7 +677,12 @@ def assert_same_state(ref, new):
     assert new.labels == ref.labels
     assert new.starts == ref.starts
     assert new.block_masks == ref.block_masks
-    assert new.s2 == ref.s2
+    assert new.members == ref.members
+    # both sides also agree with the labels themselves
+    labels = np.asarray(new.labels)
+    assert new.members == [np.flatnonzero(labels == v).tolist() for v in (0, 1, 2)]
+    for (a, b), mask in new.block_masks.items():
+        assert mask == mask_from_labels(new.labels, a, b)
     assert new.label_counts == ref.label_counts
     assert new.counters == ref.counters
     assert list(new.counters) == list(ref.counters)
