@@ -37,6 +37,7 @@ from .likelihood import _pack_matrix, log_marginal
 from .model import ConstraintError
 
 PERM_BATCH = 256  # permutation replicates evaluated per batch
+MAX_SET_SIZE = 646  # the largest M whose 3^M - 1 degrees of freedom fit a float
 
 
 @dataclass
@@ -107,6 +108,11 @@ def _validated_set(dataset: GenotypeDataset, snp_set, max_order: int | None) -> 
     for s in snps:
         if not 0 <= s < dataset.n_snps:
             raise IndexError(f"SNP index {s} out of range")
+    if len(snps) > MAX_SET_SIZE:
+        raise ConstraintError(
+            f"set size {len(snps)} exceeds {MAX_SET_SIZE}, the largest whose "
+            "3^M - 1 degrees of freedom fit a float"
+        )
     if max_order is not None and len(snps) > max_order:
         raise ConstraintError(
             f"set size {len(snps)} exceeds the interaction-order cap {max_order}"

@@ -202,6 +202,20 @@ class _PhaseClock:
         self._last = now
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident memory in MB: ``VmHWM``, which starts
+    afresh at exec, unlike ``ru_maxrss``, which keeps the high-water mark of
+    the process that started this one; ``ru_maxrss`` where ``/proc`` is missing."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # in kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+
+
 def _write_manifest(
     args, inputs: list[str], outputs: list[str], clock: _PhaseClock, extra=None
 ) -> None:
@@ -221,8 +235,7 @@ def _write_manifest(
         "outputs": outputs,
         "wall_clock_seconds": round(time.perf_counter() - clock.started, 3),
         "phases": {k: round(v, 6) for k, v in clock.phases.items()},
-        # ru_maxrss is in kilobytes on Linux
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
+        "peak_rss_mb": round(_peak_rss_mb(), 2),
     }
     if extra:
         manifest.update(extra)
@@ -315,6 +328,19 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _set_members(ids: list[str], index: dict[str, int], where: str, lineno: int):
+    """The SNP indices, as a tuple, of the set that ``ids`` names on line
+    ``lineno`` of the ``where`` file."""
+    members: list[int] = []
+    for sid in ids:
+        if sid not in index:
+            raise DataFormatError(f"unknown SNP id {sid!r} in {where}", line=lineno)
+        if index[sid] in members:
+            raise DataFormatError(f"SNP id {sid!r} repeated in one set", line=lineno)
+        members.append(index[sid])
+    return tuple(members)
+
+
 def _read_sets_file(path: str, dataset: GenotypeDataset) -> list[tuple[int, ...]]:
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
     sets: list[tuple[int, ...]] = []
@@ -322,15 +348,9 @@ def _read_sets_file(path: str, dataset: GenotypeDataset) -> list[tuple[int, ...]
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        members = []
-        for tok in line.replace(",", " ").split():
-            if tok not in index:
-                raise DataFormatError(f"unknown SNP id {tok!r} in sets file", line=lineno)
-            if index[tok] in members:
-                raise DataFormatError(f"SNP id {tok!r} repeated in one set", line=lineno)
-            members.append(index[tok])
+        members = _set_members(line.replace(",", " ").split(), index, "sets file", lineno)
         if members:
-            sets.append(tuple(members))
+            sets.append(members)
     return sets
 
 
@@ -363,17 +383,8 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
             toks = raw.split("\t")
             if len(toks) != 2:
                 raise DataFormatError("interaction rows need 2 columns", line=lineno)
-            members = toks[0].split(",")
-            for k, sid in enumerate(members):
-                if sid not in index:
-                    raise DataFormatError(
-                        f"unknown SNP id {sid!r} in interactions file", line=lineno
-                    )
-                if sid in members[:k]:
-                    raise DataFormatError(f"SNP id {sid!r} repeated in one set", line=lineno)
-            sets[tuple(index[sid] for sid in members)] = _number(
-                toks[1], "interactions file", lineno
-            )
+            members = _set_members(toks[0].split(","), index, "interactions file", lineno)
+            sets[members] = _number(toks[1], "interactions file", lineno)
     return SimpleNamespace(assoc_posterior=assoc, interaction_sets=sets)
 
 
@@ -417,6 +428,13 @@ def score_sets(
         )
         p = cal.p_value(b)
         nt = n_tests if n_tests is not None else math.comb(dataset.n_snps, m)
+        # alpha / nt overflows once nt is past the float range; compare exactly there
+        if nt <= sys.float_info.max:
+            significant = p < alpha / nt
+        else:
+            from fractions import Fraction  # imported here, off every command's start-up
+
+            significant = Fraction(p) * nt < alpha
         results.append(
             BStatResult(
                 snp_set=snps,
@@ -425,7 +443,7 @@ def score_sets(
                 shift=cal.shift,
                 p_value=p,
                 calibration=cal.mode,
-                significant=bool(p < alpha / nt),
+                significant=bool(significant),
             )
         )
     return results
@@ -478,7 +496,6 @@ def cmd_simulate(args) -> int:
         model,
         args.cases,
         args.controls,
-        pool_size=args.pool_size,
         seed=args.seed + 1,
     )
     if not args.keep_loci:
@@ -564,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--snps", type=_positive_int, default=100, help="SNPs in the written panel")
     p_sim.add_argument("--block-width", type=_positive_int, default=5)
     p_sim.add_argument("--founders", type=_int_at_least(2), default=4)
-    p_sim.add_argument("--pool-size", type=_positive_int, default=None)
     p_sim.add_argument(
         "--keep-loci",
         action="store_true",

@@ -2,7 +2,8 @@
 
 The on-disk format is UTF-8, tab-separated:
 
-* line 1: ``#snp`` followed by one identifier per SNP,
+* line 1: ``#snp`` followed by one identifier per SNP (no commas or
+  whitespace, since files that name SNP sets separate ids by those),
 * line 2: ``#pos`` followed by strictly increasing integer base-pair positions,
 * every further line: one individual, phenotype first (``1`` case, ``0``
   control), then one genotype code per SNP (``0``/``1``/``2`` minor-allele
@@ -124,6 +125,15 @@ class GenotypeDataset:
         """Base-pair span of the panel; 1 for a single-SNP panel."""
         return max(self.positions[-1] - self.positions[0], 1)
 
+    def select(self, keep: list[int]) -> "GenotypeDataset":
+        """The panel restricted to the SNP columns ``keep``, in that order."""
+        return GenotypeDataset(
+            cases=self.cases[:, keep],
+            controls=self.controls[:, keep],
+            snp_ids=tuple(self.snp_ids[j] for j in keep),
+            positions=tuple(self.positions[j] for j in keep),
+        )
+
 
 def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDataset:
     """Parse a genotype table, validating structure and codes.
@@ -182,6 +192,9 @@ def _parse_header(first: str, second: str) -> tuple[tuple[str, ...], tuple[int, 
     n_snps = len(snp_ids)
     if len(set(snp_ids)) != n_snps:
         raise DataFormatError("duplicate SNP identifiers", line=1)
+    for sid in snp_ids:
+        if "," in sid or any(map(str.isspace, sid)):
+            raise DataFormatError(f"SNP id {sid!r} contains a comma or whitespace", line=1)
 
     posline = second.split("\t")
     if posline[0] != "#pos" or len(posline) != n_snps + 1:
@@ -304,10 +317,4 @@ def hwe_filter(dataset: GenotypeDataset, threshold: float) -> tuple[GenotypeData
         raise DataFormatError("Hardy-Weinberg filter removed every SNP")
     if not removed:
         return dataset, []
-    filtered = GenotypeDataset(
-        cases=dataset.cases[:, keep],
-        controls=dataset.controls[:, keep],
-        snp_ids=tuple(dataset.snp_ids[j] for j in keep),
-        positions=tuple(dataset.positions[j] for j in keep),
-    )
-    return filtered, removed
+    return dataset.select(keep), removed

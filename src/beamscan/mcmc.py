@@ -201,7 +201,6 @@ class ChainState:
         self.model = model
         self.rng = rng
         n = model.n_snps
-        self.iteration = 0
         self.counters: dict[str, int] = {}
         self.repartitions = 0
         self.label_rows = LabelRows(n)
@@ -554,7 +553,6 @@ def run_chain(
         if sample_membership:
             gibbs_membership_sweep(state)
             swap_membership_move(state)
-        state.iteration += 1
         if t >= schedule.burnin:
             trace.append(state.log_joint())
             if (t - schedule.burnin) % schedule.thin == 0:

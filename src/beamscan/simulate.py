@@ -13,6 +13,10 @@ Blocks containing a disease locus are constructed so the locus allele is
 carried by exactly one founder (its frequency equals the requested MAF) and at
 least one other SNP in the block tags that founder, mirroring panels in which
 dropped disease SNPs remain tagged.
+
+The simulator's fixed choices are the module constants
+``MIN_FOUNDER_FREQUENCY``, ``MIN_TAG_R2``, ``POSITION_SPACING``,
+``TRUTH_WINDOW`` and ``THETA_TOL``.
 """
 
 from __future__ import annotations
@@ -27,10 +31,15 @@ from .dataio import GenotypeDataset
 from .model import ConstraintError
 
 MODEL_IDS = (1, 2, 3)
+MIN_FOUNDER_FREQUENCY = 0.05  # floor on a neutral block's founder frequencies
+MIN_TAG_R2 = 0.5  # founder-level r^2 a disease block's best tagging SNP must reach
+POSITION_SPACING = 1000  # base pairs between consecutive simulated SNPs
+TRUTH_WINDOW = 5  # SNPs on each side of a dropped locus that its truth window spans
+THETA_TOL = 1e-10  # root tolerance of solve_theta
 
 
 class PoolError(ConstraintError):
-    """Pool too small (or exhausted) for the requested cohort sizes."""
+    """Pool still short of the case quota after its last doubling."""
 
 
 # -- founder pools --------------------------------------------------------------
@@ -129,21 +138,20 @@ def _random_haplotypes(rng: np.random.Generator, k: int, width: int) -> np.ndarr
     return haps
 
 
+def _neutral_block(rng: np.random.Generator, n_founders: int, width: int) -> FounderBlock:
+    """A block with no disease locus: founder frequencies, then haplotypes."""
+    freqs = _draw_frequencies(rng, n_founders, MIN_FOUNDER_FREQUENCY)
+    haps = _random_haplotypes(rng, n_founders, width)
+    return FounderBlock(haplotypes=haps, frequencies=freqs)
+
+
 def random_pool(
-    n_snps: int,
-    block_width: int = 5,
-    n_founders: int = 4,
-    seed: int = 0,
-    min_frequency: float = 0.05,
+    n_snps: int, block_width: int = 5, n_founders: int = 4, seed: int = 0
 ) -> FounderPool:
     """Random founder pool with polymorphic SNPs in every block."""
+    widths = _block_widths(n_snps, block_width, n_founders)
     rng = np.random.default_rng(seed)
-    blocks = []
-    for w in _block_widths(n_snps, block_width, n_founders):
-        freqs = _draw_frequencies(rng, n_founders, min_frequency)
-        haps = _random_haplotypes(rng, n_founders, w)
-        blocks.append(FounderBlock(haplotypes=haps, frequencies=freqs))
-    return FounderPool(tuple(blocks))
+    return FounderPool(tuple(_neutral_block(rng, n_founders, w) for w in widths))
 
 
 def _founder_r2(freqs: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -161,7 +169,6 @@ def _disease_block(
     n_founders: int,
     maf: float,
     locus_local: int,
-    min_tag_r2: float,
 ) -> FounderBlock:
     """Block whose locus allele rides a single founder of frequency ``maf``."""
     rest = _draw_frequencies(rng, n_founders - 1, 0.02) * (1.0 - maf)
@@ -179,10 +186,10 @@ def _disease_block(
         ) if width > 1 else 0.0
         if best is None or r2 > best[0]:
             best = (r2, haps)
-        if r2 >= min_tag_r2:
+        if r2 >= MIN_TAG_R2:
             break
     r2, haps = best
-    if width > 1 and r2 < min_tag_r2:
+    if width > 1 and r2 < MIN_TAG_R2:
         # force one tagging SNP so the locus stays visible after dropping it
         spots = [j for j in range(width) if j != locus_local]
         haps[:, spots[int(rng.integers(len(spots)))]] = carrier
@@ -195,8 +202,6 @@ def disease_pool(
     block_width: int = 5,
     n_founders: int = 4,
     seed: int = 0,
-    min_frequency: float = 0.05,
-    min_tag_r2: float = 0.5,
 ) -> tuple[FounderPool, tuple[int, int]]:
     """Founder pool with two disease loci at block-interior positions.
 
@@ -222,19 +227,15 @@ def disease_pool(
     if d1 > d2:
         d1, d2 = d2, d1
     blocks = []
-    starts = []
     at = 0
     loci = []
     for idx, w in enumerate(widths):
-        starts.append(at)
         if idx in (d1, d2):
             local = w // 2
-            blocks.append(_disease_block(rng, w, n_founders, maf, local, min_tag_r2))
+            blocks.append(_disease_block(rng, w, n_founders, maf, local))
             loci.append(at + local)
         else:
-            freqs = _draw_frequencies(rng, n_founders, min_frequency)
-            haps = _random_haplotypes(rng, n_founders, w)
-            blocks.append(FounderBlock(haplotypes=haps, frequencies=freqs))
+            blocks.append(_neutral_block(rng, n_founders, w))
         at += w
     return FounderPool(tuple(blocks)), (loci[0], loci[1])
 
@@ -301,7 +302,7 @@ def marginal_log_odds_ratio(model_id: int, theta: float, maf: float) -> float:
     return math.log(carrier / collapsed[0])
 
 
-def solve_theta(model_id: int, marginal_effect: float, maf: float, tol: float = 1e-10) -> float:
+def solve_theta(model_id: int, marginal_effect: float, maf: float) -> float:
     """Invert the marginal log-odds-ratio map; monotone in theta."""
     from scipy.optimize import brentq  # imported here: every CLI command imports this module
 
@@ -315,7 +316,7 @@ def solve_theta(model_id: int, marginal_effect: float, maf: float, tol: float = 
         hi *= 2.0
         if hi > 1e9:
             raise ValueError("marginal effect unreachable for this model and MAF")
-    return float(brentq(f, 0.0, hi, xtol=tol))
+    return float(brentq(f, 0.0, hi, xtol=THETA_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,11 +391,14 @@ def simulate_dataset(
     model: DiseaseModel,
     n_cases: int,
     n_controls: int,
-    pool_size: int | None = None,
     seed: int = 0,
-    position_spacing: int = 1000,
 ) -> SimulatedDataset:
-    """Draw a case-control panel from the pool under the disease model."""
+    """Draw a case-control panel from the pool under the disease model.
+
+    The unaffected pool starts at the larger of 1.5 times
+    :func:`min_pool_size` and twice the cohorts, and doubles (at most eight
+    times) until every diplotype stratum covers its drawn case quota.
+    """
     if n_cases < 1 or n_controls < 1:
         raise ValueError("both cohorts must be non-empty")
     n_snps = pool.n_snps
@@ -412,53 +416,33 @@ def simulate_dataset(
             )
 
     floor = min_pool_size(model, n_cases, n_controls)
-    auto_size = pool_size is None
-    if auto_size:
-        pool_size = max(int(math.ceil(1.5 * floor)), 2 * (n_cases + n_controls))
-    elif pool_size < floor:
-        raise PoolError(f"pool_size {pool_size} below the computed minimum {floor}")
-
     rng = np.random.default_rng(seed)
-    genotypes = sample_pool_genotypes(pool, pool_size, rng)
-    strata = genotypes[:, l1].astype(np.int64) * 3 + genotypes[:, l2]
-    case_probs = case_diplotype_probs(model)
-    demand = rng.multinomial(n_cases, case_probs)
-    if auto_size:
-        # the floor only covers stratum demand in expectation; double the pool
-        # until every realized quota is satisfiable
-        supply = np.bincount(strata, minlength=9)
-        grows = 0
-        while np.any(supply[:9] < demand):
-            if grows >= 8:
-                raise PoolError("pool regrow limit reached before the case quota")
-            extra = sample_pool_genotypes(pool, genotypes.shape[0], rng)
-            genotypes = np.vstack([genotypes, extra])
-            strata = np.concatenate(
-                [strata, extra[:, l1].astype(np.int64) * 3 + extra[:, l2]]
-            )
-            supply = np.bincount(strata, minlength=9)
-            grows += 1
-        pool_size = genotypes.shape[0]
+    genotypes = sample_pool_genotypes(
+        pool, max(int(math.ceil(1.5 * floor)), 2 * (n_cases + n_controls)), rng
+    )
+    demand = rng.multinomial(n_cases, case_diplotype_probs(model))
+    # the floor covers stratum demand only in expectation, so double the pool
+    # until it covers the drawn quota
+    for grows in range(9):
+        strata = genotypes[:, l1].astype(np.int64) * 3 + genotypes[:, l2]
+        if np.all(np.bincount(strata, minlength=9) >= demand):
+            break
+        if grows == 8:
+            raise PoolError("pool regrow limit reached before the case quota")
+        extra = sample_pool_genotypes(pool, genotypes.shape[0], rng)
+        genotypes = np.vstack([genotypes, extra])
 
-    taken = np.zeros(pool_size, dtype=bool)
+    # every stratum now covers its quota, and the pool, at least twice the
+    # cohorts, leaves more than enough controls
+    taken = np.zeros(genotypes.shape[0], dtype=bool)
     case_rows: list[np.ndarray] = []
-    for s in range(9):
-        need = int(demand[s])
-        if need == 0:
-            continue
+    for s in np.flatnonzero(demand):
         members = np.flatnonzero(strata == s)
-        if members.size < need:
-            raise PoolError(
-                f"pool exhausted before the case quota in stratum {s} "
-                f"({members.size} available, {need} needed)"
-            )
-        chosen = members[rng.permutation(members.size)[:need]]
+        chosen = members[rng.permutation(members.size)[: demand[s]]]
         taken[chosen] = True
         case_rows.append(chosen)
-    case_idx = np.concatenate(case_rows) if case_rows else np.zeros(0, dtype=np.int64)
+    case_idx = np.concatenate(case_rows)
     remaining = np.flatnonzero(~taken)
-    if remaining.size < n_controls:
-        raise PoolError("pool exhausted before the control quota")
     control_idx = remaining[rng.permutation(remaining.size)[:n_controls]]
 
     id_width = max(4, len(str(n_snps)))
@@ -466,7 +450,7 @@ def simulate_dataset(
         cases=genotypes[case_idx],
         controls=genotypes[control_idx],
         snp_ids=tuple(f"snp{i + 1:0{id_width}d}" for i in range(n_snps)),
-        positions=tuple(1 + i * position_spacing for i in range(n_snps)),
+        positions=tuple(1 + i * POSITION_SPACING for i in range(n_snps)),
     )
     truth = TruthInfo(
         model_id=model.model_id,
@@ -478,11 +462,11 @@ def simulate_dataset(
     return SimulatedDataset(dataset=dataset, truth=truth)
 
 
-def drop_loci(sim: SimulatedDataset, window: int = 5) -> SimulatedDataset:
+def drop_loci(sim: SimulatedDataset) -> SimulatedDataset:
     """Remove the disease-locus columns, re-expressing truth as index windows.
 
-    Each window spans the surviving SNPs within ``window`` positions of a
-    dropped locus, in the new indexing.
+    Each window spans the surviving SNPs within ``TRUTH_WINDOW`` positions of
+    a dropped locus, in the new indexing.
     """
     truth = sim.truth
     if not truth.loci_present:
@@ -494,24 +478,18 @@ def drop_loci(sim: SimulatedDataset, window: int = 5) -> SimulatedDataset:
 
     windows = []
     for locus in truth.loci:
-        lo_old = max(0, locus - window)
-        hi_old = min(ds.n_snps - 1, locus + window)
+        lo_old = max(0, locus - TRUTH_WINDOW)
+        hi_old = min(ds.n_snps - 1, locus + TRUTH_WINDOW)
         kept_in = [new_index[j] for j in range(lo_old, hi_old + 1) if j in new_index]
         windows.append((min(kept_in), max(kept_in)))
 
     new_starts = tuple(
         sorted({s - sum(1 for l in loci if l < s) for s in truth.block_starts})
     )
-    new_ds = GenotypeDataset(
-        cases=ds.cases[:, keep],
-        controls=ds.controls[:, keep],
-        snp_ids=tuple(ds.snp_ids[j] for j in keep),
-        positions=tuple(ds.positions[j] for j in keep),
-    )
     new_truth = replace(
         truth, block_starts=new_starts, windows=tuple(windows), loci_present=False
     )
-    return SimulatedDataset(dataset=new_ds, truth=new_truth)
+    return SimulatedDataset(dataset=ds.select(keep), truth=new_truth)
 
 
 def write_truth(truth: TruthInfo, path: str | Path) -> None:

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2, kstest
 
 from beamscan.bstat import (
+    MAX_SET_SIZE,
     PERM_BATCH,
     BStatResult,
     _median_shift,
@@ -421,6 +422,24 @@ def test_screen_n_tests_override():
     strict = score_sets(ds, posterior_candidates(summary_of([1.0]), 0.5), 0.05,
                         n_tests=10_000_000, n_perm=600, seed=2)
     assert not strict[0].significant  # 1/601 is above 0.05 / 1e7
+
+
+def test_screen_decides_a_bonferroni_divisor_past_the_float_range_exactly():
+    # 0.05 / 10**400 overflows a float, so significance is decided on fractions
+    ds = make_dataset(np.full((600, 1), 2), np.zeros((600, 1)))
+    [perm] = score_sets(ds, [(0,)], 0.05, n_tests=10**400, n_perm=500, seed=2)
+    assert perm.p_value == pytest.approx(1 / 501) and not perm.significant
+    [exact] = score_sets(ds, [(0,)], 0.05, n_tests=10**400, mode="analytic", n_perm=500, seed=2)
+    assert exact.p_value == 0.0 and exact.significant
+
+
+def test_set_size_cap_is_the_largest_whose_degrees_of_freedom_fit_a_float():
+    assert math.isfinite(float(3**MAX_SET_SIZE - 1))
+    with pytest.raises(OverflowError):
+        float(3 ** (MAX_SET_SIZE + 1) - 1)
+    ds = null_dataset(52, 10, 10, MAX_SET_SIZE + 1)
+    with pytest.raises(ConstraintError, match=f"exceeds {MAX_SET_SIZE}"):
+        bstat(ds, range(MAX_SET_SIZE + 1))
 
 
 def test_results_to_tsv_format():

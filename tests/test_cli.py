@@ -523,6 +523,74 @@ def test_bstat_repeated_id_exits_3(workdir, signal_panel, capsys):
     assert "line 2:" in err and "'snp0005' repeated" in err
 
 
+@pytest.mark.parametrize("bad_id", ["rs1,rs2", "rs 3"])
+def test_snp_ids_that_sets_files_cannot_name_exit_3(tmp_path, capsys, bad_id):
+    panel = tmp_path / "panel.tsv"
+    panel.write_text(f"#snp\t{bad_id}\trs4\n#pos\t5\t9\n1\t0\t1\n0\t2\t0\n")
+    (tmp_path / "sets.tsv").write_text(bad_id + "\n")
+    out = tmp_path / "out.tsv"
+    rc = main(["bstat", "--in", str(panel), "--sets", str(tmp_path / "sets.tsv"),
+               "--out", str(out), "--n-perm", "500"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"line 1: SNP id {bad_id!r} contains a comma or whitespace" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def random_panel(path, seed, n_snps, n_per_arm):
+    rng = np.random.default_rng(seed)
+    write_dataset(
+        GenotypeDataset(
+            cases=rng.integers(0, 3, (n_per_arm, n_snps)),
+            controls=rng.integers(0, 3, (n_per_arm, n_snps)),
+            snp_ids=[f"rs{i}" for i in range(n_snps)],
+            positions=range(1, n_snps + 1),
+        ),
+        path,
+    )
+
+
+def test_bstat_set_too_large_for_its_degrees_of_freedom_exits_4(tmp_path, capsys):
+    panel = tmp_path / "wide.tsv"
+    random_panel(panel, 61, 700, 40)
+    (tmp_path / "sets.tsv").write_text(" ".join(f"rs{i}" for i in range(650)) + "\n")
+    out = tmp_path / "out.tsv"
+    rc = main(["bstat", "--in", str(panel), "--sets", str(tmp_path / "sets.tsv"),
+               "--out", str(out), "--n-perm", "500"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "set size 650 exceeds 646" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_bstat_default_bonferroni_divisor_past_the_float_range(tmp_path):
+    # C(1100, 550) is about 3e329, past the largest float
+    panel = tmp_path / "wide.tsv"
+    random_panel(panel, 62, 1100, 20)
+    (tmp_path / "sets.tsv").write_text(",".join(f"rs{i}" for i in range(0, 1100, 2)) + "\n")
+    out = tmp_path / "out.tsv"
+    assert main(["bstat", "--in", str(panel), "--sets", str(tmp_path / "sets.tsv"),
+                 "--out", str(out), "--n-perm", "500"]) == 0
+    [row] = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert row[1] == "550" and row[-1] == "0"
+
+
+def test_manifest_peak_memory_is_the_commands_own(tmp_path):
+    # ru_maxrss would report the high-water mark of this process, which
+    # holds 200 MB while the command runs
+    held = np.ones(25_000_000)
+    panel = tmp_path / "small.tsv"
+    random_panel(panel, 63, 8, 60)
+    out = tmp_path / "exact.tsv"
+    src = str(Path(beamscan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-m", "beamscan.cli", "oracle", "--in", str(panel),
+                    "--out", str(out)], env=env, check=True, timeout=120)
+    peak = json.loads(Path(str(out) + ".manifest.json").read_text())["peak_rss_mb"]
+    assert 0 < peak < held.nbytes / 2**20 / 2
+
+
 def test_bstat_from_posterior_flow(workdir, signal_panel, mapped):
     out = workdir / "bstat_screen.tsv"
     rc = main([
@@ -751,7 +819,7 @@ INTEGER_FLAGS = [
         (["simulate", "--model", "2", "--maf", "0.3"], flag, bad, low)
         for flag, bad, low in (
             ("--cases", "0", 1), ("--controls", "-5", 1), ("--snps", "0", 1),
-            ("--block-width", "0", 1), ("--founders", "1", 2), ("--pool-size", "-2", 1),
+            ("--block-width", "0", 1), ("--founders", "1", 2),
         )
     ],
 ]

@@ -125,6 +125,18 @@ def test_duplicate_snp_ids(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("bad_id", ["rs1,rs2", "rs 3", "rs\u00a03"])
+@pytest.mark.parametrize("policy", ["reject", "impute"])
+def test_snp_ids_with_a_comma_or_whitespace_are_refused(tmp_path, bad_id, policy):
+    # a missing token sends the impute case through the line scan
+    text = CANONICAL.replace("rs2", bad_id)
+    if policy == "impute":
+        text = text.replace("0\t2\t0\t0", "0\t2\tNA\t0")
+    with pytest.raises(DataFormatError, match="contains a comma or whitespace") as err:
+        load_dataset(write_tmp(tmp_path, text), missing_policy=policy)
+    assert err.value.line == 1 and repr(bad_id) in str(err.value)
+
+
 def test_missing_rejected_by_default(tmp_path):
     text = CANONICAL.replace("0\t2\t0\t0", "0\t2\tN\t0")
     with pytest.raises(DataFormatError) as err:

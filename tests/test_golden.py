@@ -1,11 +1,13 @@
-"""Golden outputs: the sha256 of every fixed-seed result TSV on small panels.
+"""Golden outputs: the sha256 of every fixed-seed result TSV on small panels,
+and of the simulated panels themselves.
 
-The samplers, the oracle and the set test are deterministic given (inputs,
-flags, seed), and speed-ups are expected to keep their TSVs byte-identical
-and the samplers' memo sizes unchanged. These digests and sizes pin that. A
-change that alters outputs on purpose (a correctness fix) re-records them and
-says so. They were recorded with numpy 2.4 and scipy 1.17 on x86-64; another
-floating-point library may round the last printed digit differently.
+The simulator, the samplers, the oracle and the set test are deterministic
+given (inputs, flags, seed), and speed-ups are expected to keep their TSVs
+byte-identical and the samplers' memo sizes unchanged. These digests and
+sizes pin that. A change that alters outputs on purpose (a correctness fix)
+re-records them and says so. They were recorded with numpy 2.4 and scipy
+1.17 on x86-64; another floating-point library may round the last printed
+digit differently.
 """
 
 import hashlib
@@ -38,6 +40,17 @@ GOLDEN = {
     "partition": {
         "partition.tsv": "91118140a10e0426fe3d1853541ecce8ee5db188b1a0fa256ec3c967d2272b38",
     },
+    "partition-hwe": {
+        "partition.tsv": "4ca2a7ac8b6289f882a8c922c921a87857acf1088b5233c0f9abdf9315d93a67",
+    },
+}
+
+# the simulated panels the cases above run on, with their truth sidecars
+PANELS = {
+    "narrow.tsv": "c066e8d2d725e116403ddbdd8086a27bbf8763a6fb0002d7438e59e0c5d45f39",
+    "narrow.tsv.truth.tsv": "c05db8884ca868f56bec8d7b8ec8fbc5ddc37f807c6336ca84202c1b37794261",
+    "wide.tsv": "e1ecab7581bc491d1a9b7347e821027466dbd99cfdcdbe0140d2024825106ef9",
+    "wide.tsv.truth.tsv": "0a412fd70a8e54eec2385ba70f33c39b14acacf0790651401263bad169a005cd",
 }
 
 # (marginals, block_terms, group2) memo entries per chain, from the manifest:
@@ -46,6 +59,7 @@ MEMO_SIZES = {
     "map": [(2660, 1290, 1083)],
     "map-chains": [(2660, 1290, 1083), (1356, 1212, 351)],
     "partition": [(321, 321, 0)],
+    "partition-hwe": [(310, 310, 0)],
 }
 
 
@@ -77,6 +91,7 @@ def _run(tmp_path, panels, case):
             "map", "--in", wide, "--out", out, *chain, "--chains", "2", "--threads", "2",
         ],
         "partition": ["partition", "--in", wide, "--out", out, *chain],
+        "partition-hwe": ["partition", "--in", wide, "--out", out, *chain, "--hwe-filter", "0.1"],
         "oracle": ["oracle", "--in", narrow, "--out", out],
         "bstat": [
             "bstat", "--in", wide, "--sets", str(panels["sets"]), "--out", out,
@@ -84,14 +99,21 @@ def _run(tmp_path, panels, case):
         ],
     }[case]
     assert main(argv) == 0
+    if case == "partition-hwe":  # the filter drops SNPs, so the panel's column subset runs
+        assert len(Path(out).read_text().splitlines()) - 1 < 60
     if case in MEMO_SIZES:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         sizes = [(c["marginals"], c["block_terms"], c["group2"]) for c in manifest["cache"]]
         assert sizes == MEMO_SIZES[case]
-    return {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN[case]
-    }
+    return _digests(tmp_path, GOLDEN[case])
+
+
+def _digests(root, names):
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_simulated_panels_are_byte_identical(panels):
+    assert _digests(panels["wide"].parent, PANELS) == PANELS
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

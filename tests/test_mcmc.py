@@ -486,14 +486,16 @@ def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sa
     priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
     running = ChainState.log_joint
+    calls = []  # run_chain reads the log joint once per retained iteration, after its moves
     checked = []
 
     def checked_log_joint(state):
         value = running(state)
-        if state.iteration % 7 == 0:
+        calls.append(None)
+        if len(calls) % 7 == 0:
             full = state.model.log_joint(state.starts, state.labels)
             assert value == pytest.approx(full, rel=1e-9, abs=0)
-            checked.append(state.iteration)
+            checked.append(len(calls))
         return value
 
     monkeypatch.setattr(ChainState, "log_joint", checked_log_joint)
@@ -515,12 +517,15 @@ def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_member
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
     schedule = Schedule(burnin=50, iterations=900, thin=3)
     running = ChainState.log_joint
+    calls = []
     tally = np.zeros(ds.n_snps)
     sampled = []
 
     def tallying_log_joint(state):
-        # run_chain reads the log joint once per retained iteration, after its moves
-        if (state.iteration - 1 - schedule.burnin) % schedule.thin == 0:
+        # run_chain reads the log joint once per retained iteration, after its
+        # moves, and records a sample at every thin-th of those
+        calls.append(None)
+        if (len(calls) - 1) % schedule.thin == 0:
             tally[state.starts] += 1
             sampled.append(tuple(state.starts))
         return running(state)
@@ -540,11 +545,13 @@ def test_label_posteriors_equal_a_per_sample_tally(monkeypatch, thin):
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
     schedule = Schedule(burnin=50, iterations=900, thin=thin)
     running = ChainState.log_joint
+    calls = []
     tally = np.zeros((2, ds.n_snps))
     sampled = []
 
     def tallying_log_joint(state):
-        if (state.iteration - 1 - schedule.burnin) % schedule.thin == 0:
+        calls.append(None)
+        if (len(calls) - 1) % schedule.thin == 0:
             labels = np.asarray(state.labels)
             tally[0] += labels == 1
             tally[1] += labels == 2

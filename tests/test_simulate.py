@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare, kstest
 
+from beamscan import simulate
 from beamscan.simulate import (
     DiseaseModel,
     FounderBlock,
@@ -245,8 +246,23 @@ def test_simulate_dataset_validation():
     wrong_maf = DiseaseModel.from_theta(1, 1.0, 0.3, loci)
     with pytest.raises(ValueError):
         simulate_dataset(pool, wrong_maf, 10, 10)
-    with pytest.raises(PoolError):
-        simulate_dataset(pool, model, 100, 100, pool_size=150)
+
+
+def test_pool_short_of_the_case_quota_after_eight_doublings_raises(monkeypatch):
+    pool, loci = disease_pool(20, 0.05, seed=8)
+    model = DiseaseModel.from_theta(1, 0.0, 0.05, loci)
+    # every case demanded from the stratum of minor-allele homozygotes at both
+    # loci, which a pool of this size almost never holds
+    monkeypatch.setattr(simulate, "case_diplotype_probs", lambda model: np.eye(9)[8])
+    draws = []
+    sample = simulate.sample_pool_genotypes
+    monkeypatch.setattr(
+        simulate, "sample_pool_genotypes",
+        lambda pool, n, rng: draws.append(n) or sample(pool, n, rng),
+    )
+    with pytest.raises(PoolError, match="regrow limit"):
+        simulate_dataset(pool, model, 5, 5)
+    assert draws == [20] + [20 * 2**k for k in range(8)]  # each draw doubles the pool
 
 
 def test_simulated_case_strata_match_the_analytic_law():
