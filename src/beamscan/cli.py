@@ -3,8 +3,11 @@
 Every subcommand is deterministic given (inputs, flags, seed) and writes
 plain TSV with a `#` header line plus a JSON manifest recording the resolved
 parameters and how the run went: wall time per phase, peak memory and, for
-the samplers and the oracle, memo sizes. Only the TSVs are deterministic. Exit codes: 0 success, 2 usage error, 3 data error, 4 constraint
-or guard violation.
+the samplers and the oracle, memo sizes. Only the TSVs are deterministic.
+
+Exit codes: 0 success, 2 usage error, 3 data error, 4 constraint or guard
+violation (`EXIT_CODES`). Every numeric flag is checked as it is parsed, so
+a bad value exits 2, naming the flag, before any input is read.
 """
 
 from __future__ import annotations
@@ -64,51 +67,34 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be finite and positive")
-    return value
+def _checked(convert, ok, need: str):
+    """An argparse type: ``convert`` the text, then refuse a value failing ``ok`` with ``need``."""
 
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(need)
+        return value
 
-def _maf_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 0.5:
-        raise argparse.ArgumentTypeError("minor allele frequency must lie in (0, 0.5]")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be finite and non-negative")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # false for nan
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return value
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid float value" errors
+    return parse
 
 
 def _int_at_least(low: int):
     """An argparse type for integers of at least ``low``."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                "must be non-negative" if low == 0 else f"must be at least {low}"
-            )
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
-    return parse
+    need = "must be non-negative" if low == 0 else f"must be at least {low}"
+    return _checked(int, lambda value: value >= low, need)
 
 
 _nonneg_int = _int_at_least(0)
 _positive_int = _int_at_least(1)
+# each range test below is false for nan, so nan is refused too
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
+_nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "must be finite and non-negative")
+_maf_arg = _checked(float, lambda v: 0.0 < v <= 0.5, "minor allele frequency must lie in (0, 0.5]")
+_unit_closed = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_unit_half_open = _checked(float, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+_unit_open = _checked(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 
 
 def _add_io_args(sub: argparse.ArgumentParser) -> None:
@@ -122,7 +108,7 @@ def _add_io_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--hwe-filter",
-        type=float,
+        type=_unit_half_open,
         default=0.0,
         metavar="P",
         help="drop SNPs whose control genotypes reject Hardy-Weinberg below this p-value",
@@ -137,8 +123,8 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
         default=50_000.0,
         help="expected genome-wide block count behind the boundary prior",
     )
-    sub.add_argument("--p1", type=float, default=None, help="marginal-label prior")
-    sub.add_argument("--p2", type=float, default=None, help="epistatic-label prior")
+    sub.add_argument("--p1", type=_unit_half_open, default=None, help="marginal-label prior")
+    sub.add_argument("--p2", type=_unit_half_open, default=None, help="epistatic-label prior")
     sub.add_argument(
         "--max-order", type=_positive_int, default=None, help="cap on the epistatic set size"
     )
@@ -216,9 +202,7 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
 
 
-def _write_manifest(
-    args, inputs: list[str], outputs: list[str], clock: _PhaseClock, extra=None
-) -> None:
+def _write_manifest(args, clock: _PhaseClock, inputs, outputs, extra=None) -> None:
     """Write ``<out>.manifest.json``; the time since the clock's last lap is the write phase."""
     clock.lap("write_s")
     params = {
@@ -264,9 +248,8 @@ def _write_interactions_tsv(path: str, dataset: GenotypeDataset, sets: dict) -> 
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_chains(args) -> int:
+def cmd_chains(args, clock: _PhaseClock):
     """`map` samples labels and block boundaries; `partition` boundaries only."""
-    clock = _PhaseClock()
     dataset = _load(args)
     clock.lap("load_s")
     priors, constraints = _priors(args, dataset)
@@ -296,36 +279,24 @@ def cmd_chains(args) -> int:
         outputs.append(inter_path)
     else:
         _write_snp_table(args.outfile, dataset, summary, ["p_boundary"])
-    _write_manifest(
-        args, [args.infile], outputs, clock,
-        extra={
-            "acceptance": [chain.acceptance for chain in chains],
-            "cache": [chain.cache for chain in chains],
-        },
-    )
-    return 0
+    return [args.infile], outputs, {
+        "acceptance": [chain.acceptance for chain in chains],
+        "cache": [chain.cache for chain in chains],
+    }
 
 
-def cmd_oracle(args) -> int:
-    clock = _PhaseClock()
+def cmd_oracle(args, clock: _PhaseClock):
     dataset = _load(args)
     clock.lap("load_s")
     priors, constraints = _priors(args, dataset)
     result = enumerate_posterior(dataset, priors, constraints)
     clock.lap("compute_s")
     _write_snp_table(args.outfile, dataset, result, POSTERIOR_COLUMNS)
-    _write_manifest(
-        args,
-        [args.infile],
-        [args.outfile],
-        clock,
-        extra={
-            "log_normalizer": result.log_normalizer,
-            "states_enumerated": result.states_enumerated,
-            "cache": result.cache,
-        },
-    )
-    return 0
+    return [args.infile], [args.outfile], {
+        "log_normalizer": result.log_normalizer,
+        "states_enumerated": result.states_enumerated,
+        "cache": result.cache,
+    }
 
 
 def _set_members(ids: list[str], index: dict[str, int], where: str, lineno: int):
@@ -354,17 +325,23 @@ def _read_sets_file(path: str, dataset: GenotypeDataset) -> list[tuple[int, ...]
     return sets
 
 
-def _number(tok: str, where: str, lineno: int) -> float:
+def _probability(tok: str, where: str, lineno: int) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise DataFormatError(f"{tok!r} in {where} is not a number", line=lineno) from None
+    if not 0.0 <= value <= 1.0:  # false for nan
+        raise DataFormatError(f"{tok!r} in {where} is not a probability in [0, 1]", line=lineno)
+    return value
 
 
 def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNamespace:
-    """Rebuild a posterior summary from `map` output files."""
+    """Rebuild a posterior summary from `map` output files. Every value read
+    must be a probability and each SNP row may appear once; a SNP with no
+    row reads as 0."""
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
     assoc = np.zeros(dataset.n_snps)
+    seen: set[str] = set()
     for lineno, raw in enumerate(read_text(prefix).splitlines(), start=1):
         if raw.startswith("#") or not raw.strip():
             continue
@@ -372,19 +349,22 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
         if len(toks) != 6:
             raise DataFormatError("posterior rows need 6 columns", line=lineno)
         if toks[0] not in index:
-            raise DataFormatError(f"unknown SNP id {toks[0]!r} in posterior file", line=lineno)
-        assoc[index[toks[0]]] = _number(toks[4], "posterior file", lineno)
+            raise DataFormatError(f"unknown SNP id {toks[0]!r} in {prefix}", line=lineno)
+        if toks[0] in seen:
+            raise DataFormatError(f"SNP id {toks[0]!r} repeated in {prefix}", line=lineno)
+        seen.add(toks[0])
+        assoc[index[toks[0]]] = _probability(toks[4], prefix, lineno)
     sets: dict[tuple[int, ...], float] = {}
-    inter_path = Path(prefix + ".interactions.tsv")
-    if inter_path.exists():
+    inter_path = prefix + ".interactions.tsv"
+    if Path(inter_path).exists():
         for lineno, raw in enumerate(read_text(inter_path).splitlines(), start=1):
             if raw.startswith("#") or not raw.strip():
                 continue
             toks = raw.split("\t")
             if len(toks) != 2:
                 raise DataFormatError("interaction rows need 2 columns", line=lineno)
-            members = _set_members(toks[0].split(","), index, "interactions file", lineno)
-            sets[members] = _number(toks[1], "interactions file", lineno)
+            members = _set_members(toks[0].split(","), index, inter_path, lineno)
+            sets[members] = _probability(toks[1], inter_path, lineno)
     return SimpleNamespace(assoc_posterior=assoc, interaction_sets=sets)
 
 
@@ -449,8 +429,7 @@ def score_sets(
     return results
 
 
-def cmd_bstat(args) -> int:
-    clock = _PhaseClock()
+def cmd_bstat(args, clock: _PhaseClock):
     dataset = _load(args)
     if args.sets is not None:
         inputs = [args.infile, args.sets]
@@ -473,12 +452,11 @@ def cmd_bstat(args) -> int:
     )
     clock.lap("compute_s")
     Path(args.outfile).write_text(results_to_tsv(results, dataset.snp_ids), encoding="utf-8")
-    _write_manifest(args, inputs, [args.outfile], clock)
-    return 0
+    return inputs, [args.outfile], None
 
 
-def cmd_simulate(args) -> int:
-    clock = _PhaseClock()  # no input: the load phase stays 0
+def cmd_simulate(args, clock: _PhaseClock):
+    # no input: the load phase stays 0
     n_generated = args.snps if args.keep_loci else args.snps + 2
     pool, loci = disease_pool(
         n_generated,
@@ -504,14 +482,7 @@ def cmd_simulate(args) -> int:
     write_dataset(sim.dataset, args.outfile)
     truth_path = args.outfile + ".truth.tsv"
     write_truth(sim.truth, truth_path)
-    _write_manifest(
-        args,
-        [],
-        [args.outfile, truth_path],
-        clock,
-        extra={"theta": model.theta, "loci": list(model.loci)},
-    )
-    return 0
+    return [], [args.outfile, truth_path], {"theta": model.theta, "loci": list(model.loci)}
 
 
 # -- parser ---------------------------------------------------------------------
@@ -549,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="map output TSV; screen candidates above --threshold",
     )
-    p_bstat.add_argument("--threshold", type=_unit_float, default=0.5, help="posterior cutoff")
+    p_bstat.add_argument("--threshold", type=_unit_closed, default=0.5, help="posterior cutoff")
     p_bstat.add_argument(
         "--calibration", choices=("permutation", "analytic"), default="permutation"
     )
     p_bstat.add_argument(
         "--n-perm", type=_positive_int, default=1000, help="permutation replicates"
     )
-    p_bstat.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
+    p_bstat.add_argument("--alpha", type=_unit_open, default=0.05, help="family-wise level")
     p_bstat.add_argument(
         "--n-tests", type=_positive_int, default=None, help="Bonferroni divisor (default C(L, M))"
     )
@@ -592,23 +563,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error a command may raise; the first match wins, so
+# the ValueError subclasses come before ValueError itself
+EXIT_CODES = ((DataFormatError, 3), (ConstraintError, 4), (OSError, 3), (ValueError, 2))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: parse its flags (a bad flag exits 2 from argparse),
+    run it on a fresh phase clock, then write its manifest."""
+    args = build_parser().parse_args(argv)
+    clock = _PhaseClock()
     try:
-        return args.func(args)
-    except DataFormatError as exc:
+        _write_manifest(args, clock, *args.func(args, clock))
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

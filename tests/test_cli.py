@@ -1,5 +1,6 @@
 """End-to-end command-line flows, run in process via main(argv)."""
 
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import beamscan
 from beamscan.bstat import bstat
-from beamscan.cli import main
+from beamscan.cli import build_parser, main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
 from beamscan.model import default_priors
 from beamscan.oracle import enumerate_posterior
@@ -622,6 +623,9 @@ def sidecar_prefix(workdir, mapped):
     ("snp0002,snp0012", "need 2 columns"),
     ("snp0002,snp0012\thalf", "not a number"),
     ("snp0002,snp0002\t0.9", "'snp0002' repeated"),
+    ("snp0002,snp0012\tinf", "'inf' in {sidecar} is not a probability in [0, 1]"),
+    ("snp0002,snp0012\tnan", "'nan' in {sidecar} is not a probability in [0, 1]"),
+    ("snp0002,snp0012\t1.5", "'1.5' in {sidecar} is not a probability in [0, 1]"),
 ])
 def test_bstat_bad_interactions_sidecar_exits_3(workdir, signal_panel, sidecar_prefix,
                                                 row, message, capsys):
@@ -634,8 +638,62 @@ def test_bstat_bad_interactions_sidecar_exits_3(workdir, signal_panel, sidecar_p
     ])
     err = capsys.readouterr().err
     assert rc == 3
-    assert "line 3:" in err and message in err
+    assert "line 3:" in err and message.format(sidecar=f"{sidecar_prefix}.interactions.tsv") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "2.5", "-0.1", "inf"])
+def test_bstat_posterior_values_must_be_probabilities(workdir, signal_panel, sidecar_prefix,
+                                                      value, capsys):
+    lines = sidecar_prefix.read_text().splitlines()
+    assert lines[5].startswith("snp0005\t")
+    toks = lines[5].split("\t")
+    toks[4] = value  # p_assoc
+    lines[5] = "\t".join(toks)
+    sidecar_prefix.write_text("\n".join(lines) + "\n")
+    out = workdir / "posterior_value.bstat.tsv"
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
+        "--out", str(out), "--n-perm", "50",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"line 6: {value!r} in {sidecar_prefix} is not a probability in [0, 1]" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+def test_bstat_posterior_snp_row_repeated_exits_3(workdir, signal_panel, sidecar_prefix, capsys):
+    lines = sidecar_prefix.read_text().splitlines()
+    sidecar_prefix.write_text("\n".join(lines + [lines[1]]) + "\n")
+    out = workdir / "posterior_repeat.bstat.tsv"
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
+        "--out", str(out), "--n-perm", "50",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    snp = lines[1].split("\t")[0]
+    assert f"line {len(lines) + 1}: SNP id {snp!r} repeated in {sidecar_prefix}" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+def test_bstat_posterior_snp_rows_may_be_missing(workdir, signal_panel, sidecar_prefix):
+    lines = sidecar_prefix.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("snp0003\t")]
+    assert len(kept) == len(lines) - 1
+    sidecar_prefix.write_text("\n".join(kept) + "\n")
+    Path(f"{sidecar_prefix}.interactions.tsv").write_text("#members\tfrequency\n")
+    out = workdir / "posterior_missing.bstat.tsv"
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
+        "--out", str(out), "--n-perm", "500", "--threshold", "0",
+    ])
+    assert rc == 0
+    # at threshold 0 every SNP is a candidate, the one without a row too (it reads as 0)
+    tested = [row.split("\t")[0] for row in out.read_text().splitlines()[1:]]
+    assert tested == list(load_dataset(signal_panel).snp_ids)
 
 
 @pytest.mark.parametrize("target", ["genotypes", "sets", "posterior", "sidecar"])
@@ -722,11 +780,13 @@ def test_version_flag():
 
 
 def test_value_errors_return_2(workdir, signal_panel):
-    rc = main([
-        "map", "--in", str(signal_panel), "--out", str(workdir / "x.tsv"),
-        "--p1", "1.5",
-    ])
-    assert rc == 2
+    with pytest.raises(SystemExit) as exc:  # one flag out of range: argparse refuses it
+        main([
+            "map", "--in", str(signal_panel), "--out", str(workdir / "x.tsv"),
+            "--p1", "1.5",
+        ])
+    assert exc.value.code == 2
+    # p1 + p2 < 1 spans two flags, so the library checks it once the panel is read
     rc = main([
         "map", "--in", str(signal_panel), "--out", str(workdir / "x.tsv"),
         "--p1", "0.6", "--p2", "0.6",
@@ -737,26 +797,37 @@ def test_value_errors_return_2(workdir, signal_panel):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # non-finite numbers, refused as the flags are parsed
+        # non-finite or non-numeric values, refused as the flags are parsed
         (["bstat", "--in", "{panel}", "--sets", "{sets}", "--rho", "nan"], "finite and positive"),
         (["map", "--in", "{panel}", "--iters", "20", "--rho", "inf"], "finite and positive"),
         (["oracle", "--in", "{small}", "--rho", "inf"], "finite and positive"),
         (["simulate", "--model", "2", "--maf", "0.3", "--theta", "inf"], "finite and non-negative"),
-        # out-of-range values, refused where they are read or as they are parsed
-        (["partition", "--in", "{panel}", "--iters", "20", "--hwe-filter", "-0.1"], "[0, 1)"),
+        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--rho", "abc"],
+         "argument --rho: invalid float value: 'abc'"),
+        # out-of-range flags, refused as they are parsed
+        *[
+            (["partition", "--in", "{panel}", "--iters", "20", "--hwe-filter", bad],
+             "argument --hwe-filter: must lie in [0, 1)")
+            for bad in ("-0.1", "nan", "1.5")
+        ],
         (["map", "--in", "{panel}", "--iters", "20", "--threads", "0"],
          "argument --threads: must be at least 1"),
         (["bstat", "--in", "{panel}", "--sets", "{sets}", "--n-tests", "0"],
          "argument --n-tests: must be at least 1"),
-        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "0"], "alpha must lie"),
-        (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", "1.5"], "alpha must lie"),
-        (["map", "--in", "{panel}", "--iters", "20", "--p1", "nan"], "p1 must lie in [0, 1)"),
+        *[
+            (["bstat", "--in", "{panel}", "--sets", "{sets}", "--alpha", bad],
+             "argument --alpha: must lie in (0, 1)")
+            for bad in ("0", "1.5", "nan")
+        ],
+        (["map", "--in", "{panel}", "--iters", "20", "--p1", "nan"],
+         "argument --p1: must lie in [0, 1)"),
+        (["map", "--in", "{panel}", "--iters", "20", "--p2", "1.5"],
+         "argument --p2: must lie in [0, 1)"),
         *[
             (["simulate", "--model", "2", "--maf", "0.3", "--founders", bad],
              "argument --founders: must be at least 2")
             for bad in ("0", "1")
         ],
-        # out-of-range flags, refused as they are parsed
         *[
             (["bstat", "--in", "{panel}", "--from-posterior", "{post}", "--threshold", bad],
              "argument --threshold: must lie in [0, 1]")
@@ -780,8 +851,9 @@ def test_value_errors_return_2(workdir, signal_panel):
         ],
     ],
     ids=[
-        "bstat-rho-nan", "map-rho-inf", "oracle-rho-inf", "simulate-theta-inf",
-        "hwe-filter", "threads", "n-tests", "alpha-0", "alpha-1.5", "map-p1-nan",
+        "bstat-rho-nan", "map-rho-inf", "oracle-rho-inf", "simulate-theta-inf", "rho-abc",
+        "hwe-filter", "hwe-filter-nan", "hwe-filter-1.5", "threads", "n-tests",
+        "alpha-0", "alpha-1.5", "alpha-nan", "map-p1-nan", "map-p2-1.5",
         "founders-0", "founders-1", "threshold-nan", "threshold--1", "threshold-1.5",
         "map-max-order-0", "oracle-max-order-0", "bstat-max-order-0",
         "map-seed--1", "bstat-seed--1", "simulate-seed--1",
@@ -793,12 +865,10 @@ def test_bad_numbers_exit_2(tmp_path, signal_panel, mapped, capsys, argv, messag
     paths = {name: tmp_path / f"{name}.tsv" for name in ("sets", "small")}
     out = tmp_path / "out.tsv"
     argv = [a.format(panel=signal_panel, post=mapped, **paths) for a in argv] + ["--out", str(out)]
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse's usage error
-        rc = exc.code
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error, before any input is read
+        main(argv)
     err = capsys.readouterr().err
-    assert rc == 2
+    assert exc.value.code == 2
     assert message in err and "Traceback" not in err
     assert not out.exists()
 
@@ -842,6 +912,20 @@ def test_integer_flags_are_checked_where_they_are_parsed(tmp_path, signal_panel,
     assert not out.exists()
 
 
+def test_every_numeric_flag_is_checked_where_it_is_parsed():
+    # a bare int or float type lets nan, inf and out-of-range values through to
+    # the library, which refuses them (if at all) without naming the flag
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [
+        f"{name} {action.option_strings[0]}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type in (int, float) and action.choices is None
+    ]
+    assert bare == []
+
+
 def test_missing_input_returns_3(workdir):
     rc = main([
         "map", "--in", str(workdir / "does_not_exist.tsv"),
@@ -881,3 +965,28 @@ def test_small_cohort_returns_4(workdir):
     write_dataset(ds, infile)
     rc = main(["map", "--in", str(infile), "--out", str(workdir / "tiny_out.tsv")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("case", ["library-2", "data-3", "constraint-4"])
+def test_a_failed_command_leaves_no_files(tmp_path, signal_panel, capsys, case):
+    out = tmp_path / "out.tsv"
+    if case == "library-2":  # p1 + p2 < 1 spans two flags: checked after the panel is read
+        argv, code = ["map", "--in", str(signal_panel), "--iters", "20",
+                      "--p1", "0.6", "--p2", "0.6"], 2
+    elif case == "data-3":
+        (tmp_path / "sets.tsv").write_text("snp0003\nsnp9999\n")
+        argv, code = ["bstat", "--in", str(signal_panel), "--sets", str(tmp_path / "sets.tsv")], 3
+    else:  # 20 people are too few for the diplotype cap
+        rng = np.random.default_rng(79)
+        write_dataset(GenotypeDataset(
+            cases=rng.integers(0, 3, (10, 3)).astype(np.int8),
+            controls=rng.integers(0, 3, (10, 3)).astype(np.int8),
+            snp_ids=("a", "b", "c"),
+            positions=(1, 2, 3),
+        ), tmp_path / "tiny.tsv")
+        argv, code = ["map", "--in", str(tmp_path / "tiny.tsv"), "--iters", "20"], 4
+    inputs = set(tmp_path.iterdir())
+    assert main(argv + ["--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+    assert set(tmp_path.iterdir()) == inputs
