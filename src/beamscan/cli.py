@@ -337,8 +337,8 @@ def _probability(tok: str, where: str, lineno: int) -> float:
 
 def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNamespace:
     """Rebuild a posterior summary from `map` output files. Every value read
-    must be a probability and each SNP row may appear once; a SNP with no
-    row reads as 0."""
+    must be a probability, and each SNP row and each interaction set (in any
+    member order) may appear once; a SNP with no row reads as 0."""
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
     assoc = np.zeros(dataset.n_snps)
     seen: set[str] = set()
@@ -363,8 +363,11 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
             toks = raw.split("\t")
             if len(toks) != 2:
                 raise DataFormatError("interaction rows need 2 columns", line=lineno)
-            members = _set_members(toks[0].split(","), index, inter_path, lineno)
-            sets[members] = _probability(toks[1], inter_path, lineno)
+            members = tuple(sorted(_set_members(toks[0].split(","), index, inter_path, lineno)))
+            frequency = _probability(toks[1], inter_path, lineno)
+            if members in sets:
+                raise DataFormatError(f"SNP set {toks[0]!r} repeated in {inter_path}", line=lineno)
+            sets[members] = frequency
     return SimpleNamespace(assoc_posterior=assoc, interaction_sets=sets)
 
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc
 
 MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
@@ -43,9 +42,16 @@ _BYTE_CODES[[ord(tok) for tok in _CODE_MAP]] = list(_CODE_MAP.values())
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Chi-square upper tail P(X >= x); equals ``scipy.stats.chi2.sf``, which
-    is not imported because it costs about a second at start-up."""
-    return 1.0 if x <= 0 else float(chdtrc(df, x))
+    """Chi-square upper tail P(X >= x); equals ``scipy.stats.chi2.sf``.
+
+    ``scipy.special`` is imported on the first call with x > 0, off every
+    command's start-up: only ``--hwe-filter`` and analytic calibration call this.
+    """
+    if x <= 0:
+        return 1.0
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, x))
 
 
 class DataFormatError(ValueError):

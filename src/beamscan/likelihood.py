@@ -33,6 +33,13 @@ individuals, counts the case and control slices of those keys, and memoizes
 both values. The engine, ``bstat`` and the tests all count through
 ``_pack_matrix``; since both key forms sort like the code sequences, counts
 come out in the same cell order at every width.
+
+Counts are integers, so every lnG the marginal needs is lnG(k + a) for an
+integer k and one of a few offsets a: alpha_h of each width, and rho itself
+(lnG(total + rho) and lnG(rho)). ``_lngamma`` keeps one table per offset,
+grown to the largest k asked for. Its entries come from a port of Cephes
+``lgam`` (Moshier 1989), the routine behind ``scipy.special.gammaln``, and
+equal it bit for bit, so scipy is not imported here.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ import time
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dataio import GenotypeDataset
 
@@ -71,14 +77,111 @@ def _pack_matrix(codes: np.ndarray) -> np.ndarray:
     return ranks.reshape(n)
 
 
+# Cephes lgam's coefficients: Stirling's series (A) and the rational function on [2, 3) (B, C)
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LN_SQRT_2PI = 0.91893853320467274178
+_LGAM_MAX = 2.556348e305  # lgam is inf above this
+_LIBM_LOG = np.frompyfunc(math.log, 1, 1)  # the C library's log per element, as an object array
+
+
+def _lgam_below_13(x: float) -> float:
+    """Cephes lgam for 0 <= x < 13: recur into [2, 3), then a rational function."""
+    z = 1.0
+    p = 0.0
+    u = x
+    while u >= 3.0:
+        p -= 1.0
+        u = x + p
+        z *= u
+    while u < 2.0:
+        if u == 0.0:
+            return math.inf
+        z /= u
+        p += 1.0
+        u = x + p
+    if u == 2.0:
+        return math.log(z)
+    x = x + (p - 2.0)
+    num = _LGAM_B[0]
+    for b in _LGAM_B[1:]:
+        num = num * x + b
+    den = x + _LGAM_C[0]
+    for c in _LGAM_C[1:]:
+        den = den * x + c
+    return math.log(z) + x * num / den
+
+
+def _lgam_ascending(x: np.ndarray) -> np.ndarray:
+    """Cephes lgam of an ascending float64 array of non-negative values.
+
+    From 13 on, Stirling's series runs over the array one IEEE operation at a
+    time, in the C's order. Logarithms come from ``math.log``, the C library's,
+    because ``np.log``'s vectorised log rounds a few inputs differently.
+    """
+    out = np.empty_like(x)
+    i13, i1000 = np.searchsorted(x, (13.0, 1000.0))
+    i1e8, imax = np.searchsorted(x, (1e8, _LGAM_MAX), side="right")
+    out[:i13] = [_lgam_below_13(v) for v in x[:i13].tolist()]
+    big = x[i13:imax]
+    q = (big - 0.5) * _LIBM_LOG(big).astype(np.float64) - big + _LN_SQRT_2PI
+    mid = big[: i1000 - i13]  # 13 <= x < 1000
+    p = 1.0 / (mid * mid)
+    poly = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        poly = poly * p + a
+    q[: mid.size] += poly / mid
+    far = big[mid.size : i1e8 - i13]  # 1000 <= x <= 1e8; above, Stirling's leading terms alone
+    p = 1.0 / (far * far)
+    q[mid.size : i1e8 - i13] += (
+        (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+        + 0.0833333333333333333333
+    ) / far
+    out[i13:imax] = q
+    out[imax:] = math.inf
+    return out
+
+
+# offset a -> [lnG(a), lnG(1 + a), ...]; shared by every engine and caller in the
+# process, which is safe because an entry depends only on its k and a
+_LNGAMMA: dict[float, np.ndarray] = {}
+
+
+def _lngamma(a: float, k):
+    """lnG(k + a), bit-equal to ``scipy.special.gammaln(k + a)``, for a
+    non-negative integer or integer array ``k``.
+
+    Values are read from a table of a's; when ``k`` runs past its end the
+    table grows to the largest k. An entry depends only on k and a, never on
+    the order of the requests.
+    """
+    try:
+        return _LNGAMMA[a][k]
+    except (KeyError, IndexError):
+        pass
+    table = _LNGAMMA.get(a, np.empty(0))
+    grown = np.arange(table.size, int(np.max(k, initial=0)) + 1, dtype=np.float64) + a
+    _LNGAMMA[a] = np.concatenate((table, _lgam_ascending(grown)))
+    return _LNGAMMA[a][k]
+
+
+def _checked_rho(rho: float) -> float:
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
+    return float(rho)
+
+
 @lru_cache(maxsize=1024)
 def _marginal_constants(width: int, rho: float) -> tuple[float, float, float]:
     """alpha, the per-present-cell constant ln(alpha) - lnG(1 + alpha), and lnG(rho)."""
-    if not (math.isfinite(rho) and rho > 0):
-        raise ValueError(f"rho must be finite and positive, got {rho!r}")
+    rho = _checked_rho(rho)
     log_alpha = math.log(rho) - width * LOG3
     alpha = math.exp(log_alpha)  # may underflow to 0.0 for huge widths; harmless
-    return alpha, log_alpha - float(gammaln(1.0 + alpha)), float(gammaln(rho))
+    return alpha, log_alpha - float(_lngamma(alpha, 1)), float(_lngamma(rho, 0))
 
 
 def _table_counts(keys: np.ndarray) -> np.ndarray:
@@ -108,7 +211,7 @@ def _log_marginal_present(counts: np.ndarray, width: int, rho: float, log_g_tota
     """``log_marginal`` of one sample whose ``counts`` has no zero cell, given
     ``log_g_total`` = lnG(total + rho); the same expression in the same order."""
     alpha, per_present, log_g_rho = _marginal_constants(width, rho)
-    per_cell = counts.size * per_present + float(np.add.reduce(gammaln(counts + alpha)))
+    per_cell = counts.size * per_present + float(np.add.reduce(_lngamma(alpha, counts)))
     return per_cell + log_g_rho - log_g_total
 
 
@@ -116,12 +219,16 @@ def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarr
     """Log marginal of multinomial samples under the width-scaled prior.
 
     ``counts`` holds per-diplotype totals along its last axis, one sample per
-    row; zero cells are absent diplotypes and contribute nothing. Returns a
-    float for a 1-D input and an array of the leading shape otherwise.
+    row; zero cells are absent diplotypes and contribute nothing. Counts must
+    be non-negative integers, of any dtype. Returns a float for a 1-D input
+    and an array of the leading shape otherwise.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    given = np.asarray(counts)
+    counts = given.astype(np.intp)
     alpha, per_present, log_g_rho = _marginal_constants(width, rho)
-    terms = gammaln(counts + alpha)
+    if counts.size and (counts.min() < 0 or not np.array_equal(counts, given)):
+        raise ValueError("counts must be non-negative integers")
+    terms = _lngamma(alpha, counts)
     present = counts.shape[-1]
     if np.count_nonzero(counts) < counts.size:
         absent = counts == 0
@@ -129,7 +236,7 @@ def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarr
         present = present - np.add.reduce(absent, axis=-1)
     per_cell = present * per_present + np.add.reduce(terms, axis=-1)
     # an empty sample gives lnG(rho) - lnG(0 + rho), exactly 0
-    value = per_cell + log_g_rho - gammaln(np.add.reduce(counts, axis=-1) + rho)
+    value = per_cell + log_g_rho - _lngamma(rho, np.add.reduce(counts, axis=-1))
     return float(value) if counts.ndim == 1 else value
 
 
@@ -142,7 +249,7 @@ class LikelihoodEngine:
     """
 
     def __init__(self, dataset: GenotypeDataset, rho: float = 1.5):
-        self.rho = float(rho)
+        self.rho = _checked_rho(rho)  # before any table is built for it
         self.n_cases = dataset.n_cases
         self.n_controls = dataset.n_controls
         # One SNP-major matrix: row j holds SNP j's codes, cases before controls.
@@ -152,12 +259,11 @@ class LikelihoodEngine:
         # the cohorts a cold request evaluates, each with its columns and
         # lnG(size + rho): the model always asks for a set's case and control
         # marginals together
-        def log_g(size: int) -> float:
-            return float(gammaln(size + self.rho))
-
-        both = (WHO_BOTH, slice(None), log_g(self.n_cases + self.n_controls))
-        cases = (WHO_CASES, slice(None, self.n_cases), log_g(self.n_cases))
-        controls = (WHO_CONTROLS, slice(self.n_cases, None), log_g(self.n_controls))
+        sizes = sorted({self.n_cases, self.n_controls, self.n_cases + self.n_controls})
+        log_g = dict(zip(sizes, _lgam_ascending(np.array(sizes, dtype=np.float64) + self.rho).tolist()))
+        both = (WHO_BOTH, slice(None), log_g[self.n_cases + self.n_controls])
+        cases = (WHO_CASES, slice(None, self.n_cases), log_g[self.n_cases])
+        controls = (WHO_CONTROLS, slice(self.n_cases, None), log_g[self.n_controls])
         pair = (cases, controls)
         self._cohorts = {WHO_BOTH: (both,), WHO_CASES: pair, WHO_CONTROLS: pair}
         self._marg: dict[tuple[tuple[int, ...], str], float] = {}

@@ -44,11 +44,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right, insort
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on first use
 
 from .dataio import GenotypeDataset
 from .model import (
@@ -301,7 +301,7 @@ def init_state(
 ) -> ChainState:
     """All-singleton, all-unassociated starting state with a seeded generator."""
     model = JointModel(dataset, priors, constraints)
-    return ChainState(model, np.random.default_rng(seed))
+    return ChainState(model, default_rng(seed))
 
 
 # -- block moves --------------------------------------------------------------
@@ -631,6 +631,8 @@ def run_chains(
     )
     seeds = range(base_seed, base_seed + n_chains)
     if threads > 1 and n_chains > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here, off every command's start-up
+
         with ProcessPoolExecutor(max_workers=min(threads, n_chains)) as pool:
             chains = list(pool.map(job, seeds))
     else:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on first use
 
 from .dataio import GenotypeDataset
 from .model import ConstraintError
@@ -150,7 +151,7 @@ def random_pool(
 ) -> FounderPool:
     """Random founder pool with polymorphic SNPs in every block."""
     widths = _block_widths(n_snps, block_width, n_founders)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     return FounderPool(tuple(_neutral_block(rng, n_founders, w) for w in widths))
 
 
@@ -213,7 +214,7 @@ def disease_pool(
     widths = _block_widths(n_snps, block_width, n_founders)
     if len(widths) < 2:
         raise ValueError("need at least two blocks to place two loci")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     def nearest_wide(anchor: int, taken: set[int]) -> int:
         order = sorted(range(len(widths)), key=lambda i: (abs(i - anchor), i))
@@ -416,7 +417,7 @@ def simulate_dataset(
             )
 
     floor = min_pool_size(model, n_cases, n_controls)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     genotypes = sample_pool_genotypes(
         pool, max(int(math.ceil(1.5 * floor)), 2 * (n_cases + n_controls)), rng
     )

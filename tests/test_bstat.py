@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import gammaincinv
 from scipy.stats import chi2, kstest
 
 from beamscan.bstat import (
@@ -341,6 +342,13 @@ def test_median_shift_uses_the_chi_square_median():
     null = np.array([3.0, -1.0, 0.5, 2.0])
     for df in (2, 8, 26, 80, 242, 3**20 - 1):
         assert _median_shift(null, df) == float(np.median(null)) - float(chi2.ppf(0.5, df)) / 2.0
+
+
+def test_median_shift_equals_scipy_for_every_set_size():
+    null = np.array([3.0, -1.0, 0.5, 2.0])
+    for m in range(1, MAX_SET_SIZE + 1):
+        df = 3**m - 1
+        assert _median_shift(null, df) == 1.25 - float(gammaincinv((3**m - 1) / 2, 0.5)), m
 
 
 def test_fit_shift_constant_rejects_two_cases_and_two_controls():

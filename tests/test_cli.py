@@ -642,6 +642,42 @@ def test_bstat_bad_interactions_sidecar_exits_3(workdir, signal_panel, sidecar_p
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows", [
+    ["snp0002,snp0010\t0.9", "snp0010,snp0002\t0.8", "snp0002,snp0010\t0.7"],
+    ["snp0002,snp0010\t0.9", "snp0002,snp0010\t0.7"],
+])
+def test_bstat_repeated_interaction_set_exits_3(workdir, signal_panel, sidecar_prefix,
+                                                rows, capsys):
+    # a set is the same set in any member order, so the second row repeats the first
+    sidecar = f"{sidecar_prefix}.interactions.tsv"
+    Path(sidecar).write_text("#members\tfrequency\n" + "\n".join(rows) + "\n")
+    out = workdir / "sidecar_repeat.bstat.tsv"
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
+        "--out", str(out), "--n-perm", "50", "--threshold", "0.6",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"line 3: SNP set {rows[1].split(chr(9))[0]!r} repeated in {sidecar}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bstat_interaction_set_members_are_read_in_any_order(workdir, signal_panel,
+                                                             sidecar_prefix):
+    Path(f"{sidecar_prefix}.interactions.tsv").write_text(
+        "#members\tfrequency\nsnp0010,snp0002\t0.8\n"
+    )
+    out = workdir / "sidecar_order.bstat.tsv"
+    rc = main([
+        "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
+        "--out", str(out), "--n-perm", "500", "--threshold", "0.6",
+    ])
+    assert rc == 0
+    tested = [row.split("\t")[0] for row in out.read_text().splitlines()[1:]]
+    assert tested.count("snp0002,snp0010") == 1 and "snp0010,snp0002" not in tested
+
+
 @pytest.mark.parametrize("value", ["nan", "2.5", "-0.1", "inf"])
 def test_bstat_posterior_values_must_be_probabilities(workdir, signal_panel, sidecar_prefix,
                                                       value, capsys):
@@ -765,6 +801,50 @@ def test_cli_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy():
+    src = str(Path(beamscan.__file__).resolve().parents[1])
+    code = "import sys, beamscan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_commands_that_need_no_scipy_run_without_it(workdir, signal_panel):
+    # map, partition, oracle and permutation bstat run with scipy unloaded; the
+    # HWE filter and analytic calibration import scipy.special on first use
+    src = str(Path(beamscan.__file__).resolve().parents[1])
+    small = workdir / "no_scipy_small.tsv"
+    ds = load_dataset(signal_panel)
+    write_dataset(
+        GenotypeDataset(ds.cases[:, :6], ds.controls[:, :6], ds.snp_ids[:6], ds.positions[:6]),
+        small,
+    )
+    sets_path = workdir / "no_scipy_sets.tsv"
+    sets_path.write_text("snp0003\nsnp0002,snp0004\n")
+    chain = ["--burnin", "20", "--iters", "60", "--seed", "4"]
+    bstat_argv = ["bstat", "--in", str(signal_panel), "--sets", str(sets_path), "--n-perm", "500"]
+    runs = [
+        ["map", "--in", str(signal_panel), *chain],
+        ["partition", "--in", str(signal_panel), *chain],
+        ["oracle", "--in", str(small)],
+        [*bstat_argv, "--calibration", "permutation"],
+        ["partition", "--in", str(signal_panel), *chain, "--hwe-filter", "0.1"],
+        [*bstat_argv, "--calibration", "analytic"],
+    ]
+    runs = [[*argv, "--out", str(workdir / f"no_scipy_{k}.tsv")] for k, argv in enumerate(runs)]
+    code = (
+        "import json, sys\n"
+        "from beamscan.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    rc = main(argv)\n"
+        "    print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.splitlines() == ["0 False"] * 4 + ["0 True"] * 2
 
 
 def test_package_namespace_leaves_the_submodules_visible():

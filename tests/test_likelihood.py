@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from beamscan import likelihood
 from beamscan.dataio import GenotypeDataset
 from beamscan.likelihood import (
     FLOAT_KEY_WIDTH,
     LikelihoodEngine,
+    _lgam_ascending,
+    _lngamma,
     _marginal_constants,
     _pack_matrix,
     _run_counts,
@@ -496,3 +499,43 @@ def test_table_and_run_counts_agree(w):
         np.testing.assert_array_equal(runs, np.unique(keys, return_counts=True)[1])
         assert table.dtype == runs.dtype == np.intp
 
+
+# -- lnG tables against scipy.special.gammaln -----------------------------------------
+
+
+def test_lngamma_tables_equal_scipy_gammaln_bit_for_bit():
+    # k + alpha crosses every branch of Cephes lgam (below 13, 13 to 1000, from
+    # 1000 on); at width 700 alpha underflows to 0 and lnG(0 + 0) is inf
+    k = np.arange(3001)
+    for rho in (1.5, 0.7, 10.0, 1e-3):
+        for width in (0, 1, 2, 5, 12, 40, 700):
+            alpha = _marginal_constants(width, rho)[0]
+            assert np.array_equal(_lngamma(alpha, k), gammaln(k + alpha)), (rho, width)
+        assert np.array_equal(_lngamma(rho, k), gammaln(k + rho))
+    assert _lngamma(0.0, 0) == math.inf
+
+
+def test_lgam_equals_scipy_gammaln_across_its_range():
+    # past 1e8 Stirling's leading terms stand alone, and past 2.556348e305 lnG is inf
+    x = np.sort(np.concatenate([np.linspace(0.0, 20.0, 2001), 10.0 ** np.linspace(-300, 307, 6001)]))
+    assert np.array_equal(_lgam_ascending(x), gammaln(x))
+
+
+def test_lngamma_table_grown_in_steps_equals_one_built_at_once(monkeypatch):
+    a = RHO / 3**4
+    monkeypatch.setattr(likelihood, "_LNGAMMA", {})
+    for n in (0, 1, 11, 12, 13, 40, 999, 1000, 2500, 7):
+        _lngamma(a, np.arange(n + 1))
+    stepped = likelihood._LNGAMMA[a]
+    monkeypatch.setattr(likelihood, "_LNGAMMA", {})
+    _lngamma(a, 2500)
+    at_once = likelihood._LNGAMMA[a]
+    assert stepped.size == at_once.size == 2501
+    assert np.array_equal(stepped, at_once)
+
+
+def test_log_marginal_refuses_counts_that_are_not_non_negative_integers():
+    assert log_marginal(np.array([2.0, 1.0]), 1, RHO) == log_marginal(np.array([2, 1]), 1, RHO)
+    for bad in ([2.5, 1.0], [2, -1]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            log_marginal(np.array(bad), 1, RHO)
