@@ -266,19 +266,19 @@ def null_calibration(
     raise ValueError(f"unknown calibration mode: {mode!r}")
 
 
-def posterior_candidates(summary, threshold: float) -> list[tuple[int, ...]]:
-    """The SNP sets a posterior summary puts forward for testing.
+def posterior_candidates(assoc_posterior, interaction_sets, threshold: float) -> list[tuple[int, ...]]:
+    """The SNP sets a posterior puts forward for testing.
 
     Single SNPs whose association posterior reaches ``threshold`` come first,
     in SNP order; sampled interaction sets at or above it follow, ordered by
     size and then by members.
     """
     candidates: list[tuple[int, ...]] = [
-        (int(i),) for i in np.flatnonzero(np.asarray(summary.assoc_posterior) >= threshold)
+        (int(i),) for i in np.flatnonzero(np.asarray(assoc_posterior) >= threshold)
     ]
     joints = [
         tuple(int(v) for v in key)
-        for key, freq in sorted(summary.interaction_sets.items())
+        for key, freq in sorted(interaction_sets.items())
         if freq >= threshold
     ]
     candidates.extend(sorted(joints, key=lambda s: (len(s), s)))

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  at import: argparse's gettext loads it on the first parse
 import math
 import os
 import resource
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -193,9 +193,9 @@ def _peak_rss_mb() -> float:
     afresh at exec, unlike ``ru_maxrss``, which keeps the high-water mark of
     the process that started this one; ``ru_maxrss`` where ``/proc`` is missing."""
     try:
-        with open("/proc/self/status", encoding="ascii") as status:
+        with open("/proc/self/status", "rb") as status:  # bytes: no codec module loads
             for line in status:
-                if line.startswith("VmHWM:"):
+                if line.startswith(b"VmHWM:"):
                     return int(line.split()[1]) / 1024  # in kB
     except OSError:
         pass
@@ -205,11 +205,7 @@ def _peak_rss_mb() -> float:
 def _write_manifest(args, clock: _PhaseClock, inputs, outputs, extra=None) -> None:
     """Write ``<out>.manifest.json``; the time since the clock's last lap is the write phase."""
     clock.lap("write_s")
-    params = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func"
-    }
+    params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
         "version": __version__,
@@ -335,10 +331,10 @@ def _probability(tok: str, where: str, lineno: int) -> float:
     return value
 
 
-def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNamespace:
-    """Rebuild a posterior summary from `map` output files. Every value read
-    must be a probability, and each SNP row and each interaction set (in any
-    member order) may appear once; a SNP with no row reads as 0."""
+def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> tuple[np.ndarray, dict]:
+    """Association posteriors and interaction-set frequencies from `map` output.
+    Every value read must be a probability, and each SNP row and each interaction
+    set (in any member order) may appear once; a SNP with no row reads as 0."""
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
     assoc = np.zeros(dataset.n_snps)
     seen: set[str] = set()
@@ -368,7 +364,7 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> SimpleNames
             if members in sets:
                 raise DataFormatError(f"SNP set {toks[0]!r} repeated in {inter_path}", line=lineno)
             sets[members] = frequency
-    return SimpleNamespace(assoc_posterior=assoc, interaction_sets=sets)
+    return assoc, sets
 
 
 def score_sets(
@@ -439,8 +435,7 @@ def cmd_bstat(args, clock: _PhaseClock):
         sets = _read_sets_file(args.sets, dataset)
     else:
         inputs = [args.infile, args.from_posterior]
-        summary = _read_posterior_prefix(args.from_posterior, dataset)
-        sets = posterior_candidates(summary, args.threshold)
+        sets = posterior_candidates(*_read_posterior_prefix(args.from_posterior, dataset), args.threshold)
     clock.lap("load_s")
     results = score_sets(
         dataset,

@@ -643,11 +643,7 @@ def run_chains(
     for c in chains:
         for key, freq in c.interaction_sets.items():
             merged_counts[key] = merged_counts.get(key, 0.0) + freq * c.samples_used
-    merged_sets = (
-        {k: v / total_samples for k, v in sorted(merged_counts.items())}
-        if total_samples
-        else {}
-    )
+    merged_sets = {k: v / total_samples for k, v in sorted(merged_counts.items())}
     averaged = PosteriorSummary(
         marginal_posterior=np.mean([c.marginal_posterior for c in chains], axis=0),
         epistatic_posterior=np.mean([c.epistatic_posterior for c in chains], axis=0),
@@ -656,7 +652,6 @@ def run_chains(
         interaction_sets=merged_sets,
         samples_used=total_samples,
         log_joint_trace=np.asarray([]),
-        acceptance={},
         warning=None if total_samples else "no samples recorded",
     )
     return averaged, chains

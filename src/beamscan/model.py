@@ -138,7 +138,6 @@ class JointModel:
             math.log(priors.p2) if priors.p2 > 0 else NEG_INF,
         )
         self._block_terms: dict[tuple[int, int, int], float] = {}
-        self._g2: dict[tuple[int, ...], float] = {}
 
     # -- hard constraints ---------------------------------------------------
 
@@ -193,22 +192,14 @@ class JointModel:
         """Joint case + control log marginals of the genome-wide group-2 set."""
         if not epistatic:
             return 0.0
-        hit = self._g2.get(epistatic)
-        if hit is not None:
-            return hit
-        value = self.engine.marginal(epistatic, WHO_CASES) + self.engine.marginal(
-            epistatic, WHO_CONTROLS
-        )
-        self._g2[epistatic] = value
-        return value
+        eng = self.engine
+        return eng.marginal(epistatic, WHO_CASES) + eng.marginal(epistatic, WHO_CONTROLS)
 
     def cache_sizes(self) -> dict[str, float]:
-        """Entries in the marginal, block-term and group-2 memos, and the
-        seconds spent evaluating the marginals that were not memoized."""
+        """Marginal and block-term memo entries, and seconds spent on cold marginals."""
         return {
             "marginals": len(self.engine._marg),
             "block_terms": len(self._block_terms),
-            "group2": len(self._g2),
             "marginal_cold_s": round(self.engine.cold_s, 6),
         }
 

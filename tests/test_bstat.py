@@ -1,13 +1,15 @@
 """Set-association statistic, permutation and analytic calibration, candidate sets."""
 
 import math
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import gammaincinv
 from scipy.stats import chi2, kstest
 
+import helpers
+from helpers import ref_marginal
 from beamscan.bstat import (
     MAX_SET_SIZE,
     PERM_BATCH,
@@ -22,23 +24,11 @@ from beamscan.bstat import (
     results_to_tsv,
 )
 from beamscan.cli import score_sets
-from beamscan.dataio import GenotypeDataset
 from beamscan.likelihood import _pack_matrix, log_marginal
 from beamscan.model import ConstraintError
 
 RHO = 1.5
-
-
-def make_dataset(cases, controls):
-    cases = np.asarray(cases, np.int8)
-    controls = np.asarray(controls, np.int8)
-    n = cases.shape[1]
-    return GenotypeDataset(
-        cases=cases,
-        controls=controls,
-        snp_ids=tuple(f"s{i}" for i in range(n)),
-        positions=tuple(7 * i + 1 for i in range(n)),
-    )
+make_dataset = partial(helpers.make_dataset, spacing=7)
 
 
 def null_dataset(seed, n_cases, n_controls, n_snps):
@@ -47,26 +37,6 @@ def null_dataset(seed, n_cases, n_controls, n_snps):
     draw = lambda m: ((rng.random((m, n_snps)) < freq).astype(np.int8)
                       + (rng.random((m, n_snps)) < freq).astype(np.int8))
     return make_dataset(draw(n_cases), draw(n_controls))
-
-
-def ref_marginal(mat, rho=RHO):
-    mat = np.asarray(mat)
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return 0.0
-    width = mat.shape[1]
-    cells = {}
-    for row in map(tuple, mat.tolist()):
-        cells[row] = cells.get(row, 0) + 1
-    log_alpha = math.log(rho) - width * math.log(3.0)
-    alpha = math.exp(log_alpha)
-    total = 0.0
-    for c in cells.values():
-        total += log_alpha
-        for t in range(1, c):
-            total += math.log(alpha + t)
-    for t in range(sum(cells.values())):
-        total -= math.log(rho + t)
-    return total
 
 
 def ref_bstat(ds, snps):
@@ -372,14 +342,9 @@ def test_analytic_null_median_is_stable_out_of_sample():
 # -- posterior candidates and set scoring ------------------------------------------------
 
 
-def summary_of(assoc, sets=None):
-    return SimpleNamespace(assoc_posterior=np.asarray(assoc, float),
-                           interaction_sets=sets or {})
-
-
 def test_screen_empty_summary():
     ds = null_dataset(50, 20, 20, 3)
-    assert posterior_candidates(summary_of([0.1, 0.2, 0.0]), 0.5) == []
+    assert posterior_candidates([0.1, 0.2, 0.0], {}, 0.5) == []
     assert score_sets(ds, [], 0.05) == []
 
 
@@ -388,7 +353,7 @@ def test_screen_single_candidate():
         np.column_stack([np.full(40, 2), np.zeros(40)]),
         np.column_stack([np.zeros(40), np.zeros(40)]),
     )
-    candidates = posterior_candidates(summary_of([0.95, 0.05]), 0.5)
+    candidates = posterior_candidates([0.95, 0.05], {}, 0.5)
     assert candidates == [(0,)]
     out = score_sets(ds, candidates, 0.05, n_perm=600, seed=9)
     assert [r.snp_set for r in out] == [(0,)]
@@ -406,7 +371,7 @@ def test_screen_pure_epistasis_beats_marginals():
     cases = np.array([[0, 0]] * 50 + [[1, 1]] * 50, np.int8)
     controls = np.array([[0, 1]] * 50 + [[1, 0]] * 50, np.int8)
     ds = make_dataset(cases, controls)
-    candidates = posterior_candidates(summary_of([0.9, 0.9], {(0, 1): 0.8}), 0.5)
+    candidates = posterior_candidates([0.9, 0.9], {(0, 1): 0.8}, 0.5)
     assert candidates == [(0,), (1,), (0, 1)]
     out = score_sets(ds, candidates, 0.05, n_perm=600, seed=11)
     assert [r.snp_set for r in out] == [(0,), (1,), (0, 1)]
@@ -420,14 +385,14 @@ def test_screen_pure_epistasis_beats_marginals():
 
 def test_screen_respects_order_cap():
     ds = null_dataset(51, 20, 20, 3)
-    candidates = posterior_candidates(summary_of([0, 0, 0], {(0, 1): 0.9}), 0.5)
+    candidates = posterior_candidates([0, 0, 0], {(0, 1): 0.9}, 0.5)
     with pytest.raises(ConstraintError):
         score_sets(ds, candidates, 0.05, max_order=1, n_perm=500)
 
 
 def test_screen_n_tests_override():
     ds = make_dataset(np.full((30, 1), 2), np.zeros((30, 1)))
-    strict = score_sets(ds, posterior_candidates(summary_of([1.0]), 0.5), 0.05,
+    strict = score_sets(ds, posterior_candidates([1.0], {}, 0.5), 0.05,
                         n_tests=10_000_000, n_perm=600, seed=2)
     assert not strict[0].significant  # 1/601 is above 0.05 / 1e7
 

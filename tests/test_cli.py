@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import beamscan
-from beamscan.bstat import bstat
+from beamscan.bstat import bstat, null_calibration
 from beamscan.cli import build_parser, main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
 from beamscan.model import default_priors
@@ -241,7 +241,7 @@ def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signa
         if name in ("map", "partition", "oracle"):
             caches = manifest["cache"] if name != "oracle" else [manifest["cache"]]
             for cache in caches:
-                counts = {"marginals", "block_terms", "group2"}
+                counts = {"marginals", "block_terms"}
                 assert set(cache) == counts | {"marginal_cold_s"}, name
                 assert all(isinstance(cache[k], int) and cache[k] >= 0 for k in counts), name
                 assert cache["marginals"] > 0 and cache["block_terms"] > 0, name
@@ -500,6 +500,35 @@ def test_bstat_empty_sets_file(workdir, signal_panel):
     assert out.read_text().splitlines() == [
         "#snp_ids\tm\tb_value\tdf\tshift\tp_value\tcalibration\tsignificant"
     ]
+
+
+def test_bstat_repeated_set_is_tested_once_per_listing(workdir, signal_panel, monkeypatch):
+    # a set listed twice is neither refused nor merged: each listing gets its
+    # own row, calibrated with the seed of its place in the list
+    import beamscan.cli as cli
+
+    seeds = []
+
+    def recording(*args, seed, **kwargs):
+        seeds.append(seed)
+        return null_calibration(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "null_calibration", recording)
+    twice = workdir / "sets_twice.tsv"
+    twice.write_text("snp0003\nsnp0003\n")
+    once = workdir / "sets_once.tsv"
+    once.write_text("snp0003\n")
+    rows = {}
+    for name, sets_path, seed in (("twice", twice, 7), ("at7", once, 7), ("at8", once, 8)):
+        out = workdir / f"bstat_{name}.tsv"
+        assert main([
+            "bstat", "--in", str(signal_panel), "--sets", str(sets_path),
+            "--out", str(out), "--n-perm", "500", "--seed", str(seed),
+        ]) == 0
+        rows[name] = out.read_text().splitlines()[1:]
+    assert seeds == [7, 8, 7, 8]
+    assert rows["twice"] == rows["at7"] + rows["at8"]
+    assert [r.split("\t")[0] for r in rows["twice"]] == ["snp0003", "snp0003"]
 
 
 def test_bstat_unknown_id_exits_3(workdir, signal_panel):
@@ -834,17 +863,24 @@ def test_commands_that_need_no_scipy_run_without_it(workdir, signal_panel):
         [*bstat_argv, "--calibration", "analytic"],
     ]
     runs = [[*argv, "--out", str(workdir / f"no_scipy_{k}.tsv")] for k, argv in enumerate(runs)]
+    # locale (argparse's gettext) loads at import, and no scipy-free command
+    # loads a codec module, so neither lands inside its timed wall clock
     code = (
         "import json, sys\n"
         "from beamscan.cli import main\n"
+        "print('locale' in sys.modules)\n"
         "for argv in json.loads(sys.argv[1]):\n"
+        "    before = set(sys.modules)\n"
         "    rc = main(argv)\n"
-        "    print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "    added = sorted({'locale', 'encodings.ascii'} & (set(sys.modules) - before))\n"
+        "    print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules), added)\n"
     )
     out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=300)
-    assert out.stdout.splitlines() == ["0 False"] * 4 + ["0 True"] * 2
+    lines = out.stdout.splitlines()
+    assert lines[:5] == ["True"] + ["0 False []"] * 4
+    assert [line.split(" ")[:2] for line in lines[5:]] == [["0", "True"]] * 2
 
 
 def test_package_namespace_leaves_the_submodules_visible():

@@ -53,13 +53,13 @@ PANELS = {
     "wide.tsv.truth.tsv": "0a412fd70a8e54eec2385ba70f33c39b14acacf0790651401263bad169a005cd",
 }
 
-# (marginals, block_terms, group2) memo entries per chain, from the manifest:
+# (marginals, block_terms) memo entries per chain, from the manifest:
 # a faster path must evaluate exactly the same keys
 MEMO_SIZES = {
-    "map": [(2660, 1290, 1083)],
-    "map-chains": [(2660, 1290, 1083), (1356, 1212, 351)],
-    "partition": [(321, 321, 0)],
-    "partition-hwe": [(310, 310, 0)],
+    "map": [(2660, 1290)],
+    "map-chains": [(2660, 1290), (1356, 1212)],
+    "partition": [(321, 321)],
+    "partition-hwe": [(310, 310)],
 }
 
 
@@ -103,7 +103,7 @@ def _run(tmp_path, panels, case):
         assert len(Path(out).read_text().splitlines()) - 1 < 60
     if case in MEMO_SIZES:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
-        sizes = [(c["marginals"], c["block_terms"], c["group2"]) for c in manifest["cache"]]
+        sizes = [(c["marginals"], c["block_terms"]) for c in manifest["cache"]]
         assert sizes == MEMO_SIZES[case]
     return _digests(tmp_path, GOLDEN[case])
 

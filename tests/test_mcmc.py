@@ -7,13 +7,14 @@ against the exhaustive enumerator on panels small enough to enumerate.
 
 import math
 from bisect import insort
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import helpers
 from beamscan import mcmc
-from beamscan.dataio import GenotypeDataset
 from beamscan.mcmc import (
     ChainState,
     Schedule,
@@ -35,35 +36,14 @@ from beamscan.model import (
 )
 from beamscan.oracle import enumerate_posterior
 
-
-def make_dataset(cases, controls):
-    cases = np.asarray(cases, np.int8).reshape(len(cases), -1)
-    controls = np.asarray(controls, np.int8).reshape(len(controls), -1)
-    n = cases.shape[1] if cases.size else controls.shape[1]
-    return GenotypeDataset(
-        cases=cases,
-        controls=controls,
-        snp_ids=tuple(f"s{i}" for i in range(n)),
-        positions=tuple(10 * i + 1 for i in range(n)),
-    )
-
-
-def empty_dataset(n_snps):
-    return GenotypeDataset(
-        cases=np.zeros((0, n_snps), np.int8),
-        controls=np.zeros((0, n_snps), np.int8),
-        snp_ids=tuple(f"s{i}" for i in range(n_snps)),
-        positions=tuple(10 * i + 1 for i in range(n_snps)),
-    )
+make_dataset = partial(helpers.make_dataset, spacing=10)
+empty_dataset = partial(helpers.empty_dataset, spacing=10)
+flat_priors = partial(helpers.flat_priors, p_boundary=0.2, p1=0.15, p2=0.1)
 
 
 def force_state(state, starts, labels):
     """Overwrite the chain configuration through the state's own writer."""
     state.assign(starts, labels)
-
-
-def flat_priors(p_boundary=0.2, p1=0.15, p2=0.1):
-    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, rho=1.5)
 
 
 # -- schedules -----------------------------------------------------------------------

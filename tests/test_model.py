@@ -1,15 +1,18 @@
 """Joint model: priors, block terms, log joint.
 
-Reference values come from a test-local sequential-predictive evaluator that
-never touches the package's likelihood code, so joint-probability checks are
-independent of the implementation under test.
+Reference values come from a sequential-predictive evaluator in the test
+helpers that never touches the package's likelihood code, so joint-probability
+checks are independent of the implementation under test.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+import helpers
+from helpers import ref_marginal
 from beamscan.dataio import GenotypeDataset
 from beamscan.model import (
     ConstraintError,
@@ -21,27 +24,7 @@ from beamscan.model import (
 )
 
 RHO = 1.5
-
-
-def ref_marginal(mat, rho=RHO):
-    """Sequential-predictive log marginal over the rows of ``mat``."""
-    mat = np.asarray(mat)
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return 0.0
-    width = mat.shape[1]
-    cells = {}
-    for row in map(tuple, mat.tolist()):
-        cells[row] = cells.get(row, 0) + 1
-    log_alpha = math.log(rho) - width * math.log(3.0)
-    alpha = math.exp(log_alpha)
-    total = 0.0
-    for n in cells.values():
-        total += log_alpha
-        for t in range(1, n):
-            total += math.log(alpha + t)
-    for t in range(sum(cells.values())):
-        total -= math.log(rho + t)
-    return total
+flat_priors = partial(helpers.flat_priors, p_boundary=0.2, p1=0.15, p2=0.1)
 
 
 def ref_block_term(cases, controls, a, b, labels):
@@ -241,10 +224,6 @@ def test_block_term_never_positive():
 # -- joint ----------------------------------------------------------------------------
 
 
-def flat_priors(p_boundary=0.2, p1=0.15, p2=0.1):
-    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, rho=RHO)
-
-
 def test_log_joint_empty_data_is_priors_only():
     ds = GenotypeDataset(
         cases=np.zeros((0, 4), np.int8),
@@ -295,6 +274,24 @@ def test_log_joint_group2_pair_reference():
     got = log_joint(ds, (0, 1), (0, 2, 2), priors)
     want = ref_log_joint(ds, [0, 1], (0, 2, 2), priors)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_group2_term_is_the_engine_case_and_control_marginals():
+    # the term keeps no memo of its own: cold and warm calls read the engine's
+    rng = np.random.default_rng(12)
+    ds = random_dataset(rng, 25, 30, 6)
+    for s2 in [(1,), (0, 3), (1, 2, 5)]:
+        fresh = JointModel(ds, flat_priors()).engine
+        want = fresh.marginal(s2, "cases") + fresh.marginal(s2, "controls")
+        model = JointModel(ds, flat_priors())
+        cold = model.group2_term(s2)
+        assert set(model.engine._marg) == {(s2, "cases"), (s2, "controls")}
+        warm = model.group2_term(s2)
+        eng = model.engine
+        assert cold == warm == eng.marginal(s2, "cases") + eng.marginal(s2, "controls") == want
+    model = JointModel(ds, flat_priors())
+    assert model.group2_term(()) == 0.0
+    assert model.engine._marg == {}
 
 
 def test_split_of_unassociated_block_changes_only_that_block():
