@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from .dataio import GenotypeDataset
 from .likelihood import WHO_BOTH, WHO_CASES, WHO_CONTROLS, LikelihoodEngine
@@ -115,7 +118,10 @@ class JointModel:
 
     Per-block terms are memoized by (start, end, ternary label mask), and the
     underlying diplotype marginals by (SNP subset, cohort), so repeated
-    sampler visits to a configuration cost a dictionary lookup.
+    sampler visits to a configuration cost a dictionary lookup. ``block_term``
+    evaluates one mask, the sampler's hot path; ``block_terms`` evaluates an
+    array of masks of one block in numpy passes, bit-equal to it, for the
+    exact enumerator.
     """
 
     def __init__(
@@ -187,6 +193,40 @@ class JointModel:
         )
         self._block_terms[key] = value
         return value
+
+    def block_terms(self, a: int, b: int, masks) -> np.ndarray:
+        """``block_term`` of every ternary mask in the 1-D int64 array ``masks``.
+
+        The digits are decoded with numpy and each distinct labelled subset
+        is looked up once; the marginals are then combined elementwise in
+        ``block_term``'s order, so every value and memo entry is bit-equal to
+        the scalar's. Masks of 40 or more SNPs overflow int64 and are refused.
+        """
+        w = b - a
+        if w >= 40:
+            raise ValueError(f"ternary masks of {w} SNPs overflow int64")
+        masks = np.asarray(masks, dtype=np.int64)
+        if not self.block_allowed(a, b):
+            values = np.full(masks.size, NEG_INF)
+        else:
+            eng = self.engine
+            whole = tuple(range(a, b))
+            digits = masks[:, None] // 3 ** np.arange(w, dtype=np.int64) % 3
+            bit = 1 << np.arange(w, dtype=np.int64)
+
+            def looked_up(in_set, cohorts):
+                """Per mask, the marginal in each cohort of its SNPs with ``in_set`` true."""
+                keys, inverse = np.unique(in_set @ bit, return_inverse=True)
+                subsets = [tuple(compress(whole, row)) for row in (keys[:, None] & bit).tolist()]
+                table = np.array([[eng.marginal(snps, who) for who in cohorts] for snps in subsets])
+                return table.reshape(len(subsets), len(cohorts))[inverse].T
+
+            mc_x, mu_x, mb_x = looked_up(digits > 0, (WHO_CASES, WHO_CONTROLS, WHO_BOTH))
+            mc_x2, mu_x2 = looked_up(digits == 2, (WHO_CASES, WHO_CONTROLS))
+            mb_whole = eng.marginal(whole, WHO_BOTH)
+            values = mc_x + mu_x + mb_whole - mb_x - mc_x2 - mu_x2
+        self._block_terms.update(zip([(a, b, m) for m in masks.tolist()], values.tolist()))
+        return values
 
     def group2_term(self, epistatic: tuple[int, ...]) -> float:
         """Joint case + control log marginals of the genome-wide group-2 set."""

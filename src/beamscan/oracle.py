@@ -2,21 +2,28 @@
 
 Once the genome-wide group-2 set is fixed, the joint factorizes over blocks,
 and each block's mixture over group-0/1 labels has a closed form: its weight
-is a sum over the block's label masks, taken from the same cached
-``JointModel.block_term`` the sampler uses. A partition's weight is then a
+is a sum over the block's label masks. A partition's weight is then a
 product of block weights, so a forward-backward recursion over block
 boundaries sums every partition that satisfies the diplotype cap, for all
 group-2 sets at once (one array entry per set). The mass covered is identical
 to the brute-force state sum. The recursion costs O(n^2 * group-2 sets)
 array operations and one weight per (block, block-local group-2 set), instead
 of one weight lookup per (partition, group-2 set, block).
+
+The weights are computed in array passes. Per block, one
+``JointModel.block_terms`` call evaluates the masks of every block-local
+group-2 set; it fills the same memo as the sampler's ``block_term`` with
+bit-equal values. The sets of one size share a (sets x labels) array whose
+row-wise log-sum-exp is their weight. Its terms are added in the order of a
+mask-by-mask loop, so every weight, and so every output, matches that loop bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -59,12 +66,12 @@ def _admissible_membership_count(n_snps: int, max_order: int) -> int:
     return total
 
 
-def _logsumexp(stack: np.ndarray) -> np.ndarray:
-    """Max-shifted log-sum-exp over axis 0; -inf where every entry is -inf."""
-    top = stack.max(axis=0)
+def _logsumexp(stack: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Max-shifted log-sum-exp over ``axis``; -inf where every entry is -inf."""
+    top = stack.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.exp(stack - shift).sum(axis=0))
+        return shift.squeeze(axis) + np.log(np.exp(stack - shift).sum(axis=axis))
 
 
 def enumerate_posterior(
@@ -81,7 +88,7 @@ def enumerate_posterior(
     model = JointModel(dataset, priors, constraints)
     max_order = min(model.max_order, n)
     log_p2 = model.log_label[2]
-    log_label01 = model.log_label[:2]
+    log_label01 = np.array(model.log_label[:2])
     # partition prior: n * log(1 - p) + blocks * log(p / (1 - p))
     odds = model.boundary_odds
 
@@ -94,27 +101,6 @@ def enumerate_posterior(
     for row, s in enumerate(subsets):
         in_set[row, list(s)] = 1.0
     set_bits = in_set.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-
-    def block_weights(a: int, b: int, t_local: tuple[int, ...]) -> tuple[float, np.ndarray]:
-        """(logW, per-local-SNP logW with label 1) over the block's free labels."""
-        w = b - a
-        free = [j for j in range(w) if j not in t_local]
-        base = sum(2 * 3**j for j in t_local)
-        terms: list[float] = []
-        bits: list[tuple[int, ...]] = []
-        for sigma in product((0, 1), repeat=len(free)):
-            mask = base
-            prior = 0.0
-            for j, lab in zip(free, sigma):
-                mask += lab * 3**j
-                prior += log_label01[lab]
-            terms.append(model.block_term(a, b, mask) + prior)
-            bits.append(sigma)
-        terms_arr = np.asarray(terms)
-        ones = np.asarray(bits, dtype=bool).reshape(len(bits), len(free))
-        log_w1 = np.full(w, NEG_INF)
-        log_w1[free] = _logsumexp(np.where(ones, terms_arr[:, None], NEG_INF))
-        return float(_logsumexp(terms_arr)), log_w1
 
     # A block's distinct-diplotype count bounds those of its sub-blocks, so when
     # any partition satisfies the cap every single-SNP block does, and every
@@ -130,16 +116,39 @@ def enumerate_posterior(
         raise ConstraintError("every partition violates the diplotype cap")
 
     # Per block and group-2 set: log weight plus the boundary odds, and the
-    # same with each SNP of the block held at label 1.
+    # same with each SNP of the block held at label 1. A block-local group-2
+    # set of m SNPs sums its block terms over the 0/1 labels sigma of its
+    # w - m free SNPs, in itertools.product order (first free SNP slowest),
+    # each plus its label prior summed over the free SNPs in index order.
     weight: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for a, b in allowed:
-        local = (set_bits >> a) & ((1 << (b - a)) - 1)
+        w = b - a
+        pow3 = 3 ** np.arange(w, dtype=np.int64)
+        local = (set_bits >> a) & ((1 << w) - 1)
         keys, inverse = np.unique(local, return_inverse=True)
+        in_key = (keys[:, None] >> np.arange(w)) & 1 == 1
+        size = in_key.sum(axis=1)
+        groups = []  # per group-2 size: its keys' rows, masks (keys x sigma) and sigma's prior
+        for m in sorted(set(size.tolist())):
+            same = (size == m).nonzero()[0]
+            f = w - m
+            sigma = np.arange(2**f)[:, None] >> np.arange(f - 1, -1, -1) & 1
+            prior = np.zeros(2**f)
+            for lab in sigma.T:
+                prior = prior + log_label01[lab]
+            free = (~in_key[same]).nonzero()[1].reshape(len(same), f)
+            masks = (2 * in_key[same] @ pow3)[:, None] + pow3[free] @ sigma.T
+            groups.append((same, masks, prior))
+        terms = model.block_terms(a, b, np.concatenate([masks.ravel() for _, masks, _ in groups]))
         log_w = np.empty(len(keys))
-        log_w1 = np.empty((len(keys), b - a))
-        for k, key in enumerate(keys.tolist()):
-            t_local = tuple(j for j in range(b - a) if (key >> j) & 1)
-            log_w[k], log_w1[k] = block_weights(a, b, t_local)
+        log_w1 = np.empty((len(keys), w))
+        done = 0
+        for same, masks, prior in groups:
+            group = terms[done : done + masks.size].reshape(masks.shape) + prior
+            done += masks.size
+            log_w[same] = _logsumexp(group, axis=1)
+            ones = masks[:, :, None] // pow3 % 3 == 1
+            log_w1[same] = _logsumexp(np.where(ones, group[:, :, None], NEG_INF), axis=1)
         weight[(a, b)] = (odds + log_w[inverse], odds + log_w1[inverse])
 
     # fwd[i]: log sum over splits of SNPs [0, i); bwd[i]: of SNPs [i, n).

@@ -53,14 +53,18 @@ PANELS = {
     "wide.tsv.truth.tsv": "0a412fd70a8e54eec2385ba70f33c39b14acacf0790651401263bad169a005cd",
 }
 
-# (marginals, block_terms) memo entries per chain, from the manifest:
-# a faster path must evaluate exactly the same keys
+# (marginals, block_terms) memo entries per chain, or of the oracle's one
+# model, from the manifest: a faster path must evaluate exactly the same keys
 MEMO_SIZES = {
     "map": [(2660, 1290)],
     "map-chains": [(2660, 1290), (1356, 1212)],
+    "oracle": [(339, 1977)],
     "partition": [(321, 321)],
     "partition-hwe": [(310, 310)],
 }
+
+# the oracle's exact evidence, which its TSV does not print
+ORACLE_LOG_NORMALIZER = -1129.2941965066393
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +107,11 @@ def _run(tmp_path, panels, case):
         assert len(Path(out).read_text().splitlines()) - 1 < 60
     if case in MEMO_SIZES:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
-        sizes = [(c["marginals"], c["block_terms"]) for c in manifest["cache"]]
+        caches = [manifest["cache"]] if case == "oracle" else manifest["cache"]
+        sizes = [(c["marginals"], c["block_terms"]) for c in caches]
         assert sizes == MEMO_SIZES[case]
+        if case == "oracle":
+            assert manifest["log_normalizer"] == ORACLE_LOG_NORMALIZER
     return _digests(tmp_path, GOLDEN[case])
 
 

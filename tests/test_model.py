@@ -221,6 +221,49 @@ def test_block_term_never_positive():
         assert log_block_term(ds, (a, b), labels) <= 1e-12
 
 
+def assert_block_terms_match_block_term(ds, priors, constraints, a, b, masks):
+    """The batch gives the scalar's values, bit for bit, and leaves the same memos."""
+    batch = JointModel(ds, priors, constraints)
+    scalar = JointModel(ds, priors, constraints)
+    got = batch.block_terms(a, b, np.asarray(masks, dtype=np.int64))
+    assert got.tolist() == [scalar.block_term(a, b, m) for m in masks]
+    assert batch._block_terms == scalar._block_terms
+    assert batch.engine._marg == scalar.engine._marg
+    assert batch.engine._distinct == scalar.engine._distinct
+    return got
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_block_terms_are_bit_equal_to_block_term(width):
+    rng = np.random.default_rng(60 + width)
+    arms = [tuple(int(v) for v in rng.integers(1, 81, size=2)) for _ in range(2)]
+    masks = [0, 3**width - 1, *rng.integers(0, 3**width, size=80).tolist()]
+    masks += masks[2:7]  # repeated masks
+    priors = [flat_priors(), flat_priors(p1=0.0), flat_priors(p2=0.0)]
+    for (n_cases, n_controls), prior in zip(arms + [(0, 0)], priors):
+        ds = random_dataset(rng, n_cases, n_controls, width + 3)
+        a = int(rng.integers(0, 4))
+        assert_block_terms_match_block_term(ds, prior, None, a, a + width, masks)
+
+
+def test_block_terms_of_a_block_over_the_cap_are_minus_infinity():
+    rng = np.random.default_rng(71)
+    ds = random_dataset(rng, 40, 40, 4)
+    masks = list(range(3**4))
+    capped = assert_block_terms_match_block_term(ds, flat_priors(), ModelConstraints(20, 2), 0, 4, masks)
+    assert (capped == -math.inf).all()
+    within = assert_block_terms_match_block_term(ds, flat_priors(), ModelConstraints(80, 2), 0, 4, masks)
+    assert np.isfinite(within).all()
+
+
+def test_block_terms_refuse_masks_that_overflow_int64():
+    rng = np.random.default_rng(72)
+    ds = random_dataset(rng, 3, 3, 40)
+    assert_block_terms_match_block_term(ds, flat_priors(), None, 0, 39, [0, 3**39 - 1])
+    with pytest.raises(ValueError, match="overflow int64"):
+        JointModel(ds, flat_priors()).block_terms(0, 40, [0])
+
+
 # -- joint ----------------------------------------------------------------------------
 
 
