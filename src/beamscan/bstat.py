@@ -103,7 +103,7 @@ class _SetKernel:
         )
 
 
-def _validated_set(dataset: GenotypeDataset, snp_set, max_order: int | None) -> tuple[int, ...]:
+def _validated_set(dataset: GenotypeDataset, snp_set) -> tuple[int, ...]:
     snps = tuple(int(s) for s in snp_set)
     if len(snps) < 1:
         raise ValueError("snp_set must contain at least one SNP")
@@ -117,16 +117,12 @@ def _validated_set(dataset: GenotypeDataset, snp_set, max_order: int | None) -> 
             f"set size {len(snps)} exceeds {MAX_SET_SIZE}, the largest whose "
             "3^M - 1 degrees of freedom fit a float"
         )
-    if max_order is not None and len(snps) > max_order:
-        raise ConstraintError(
-            f"set size {len(snps)} exceeds the interaction-order cap {max_order}"
-        )
     return snps
 
 
-def bstat(dataset: GenotypeDataset, snp_set, rho: float = 1.5, max_order: int | None = None) -> float:
+def bstat(dataset: GenotypeDataset, snp_set, rho: float = 1.5) -> float:
     """Log Bayes factor of joint association for ``snp_set``."""
-    snps = _validated_set(dataset, snp_set, max_order)
+    snps = _validated_set(dataset, snp_set)
     kernel = _SetKernel(dataset, snps, rho)
     return float(kernel.statistics(np.arange(dataset.n_cases)[None, :])[0])
 
@@ -139,7 +135,7 @@ def permutation_null(
     seed: int = 0,
 ) -> np.ndarray:
     """Statistic values under ``n_perm`` random case/control relabelings."""
-    snps = _validated_set(dataset, snp_set, None)
+    snps = _validated_set(dataset, snp_set)
     kernel = _SetKernel(dataset, snps, rho)
     total = dataset.n_cases + dataset.n_controls
     rng = default_rng(seed)
@@ -199,10 +195,16 @@ def _median_shift(null: np.ndarray, df: int) -> float:
     return float(np.median(null)) - _half_chi2_median(df)
 
 
+def _check_cohorts(n_cases: int, n_controls: int) -> None:
+    """Refuse a panel that lacks a cohort: a set's null compares the two."""
+    empty = [name for name, n in (("cases", n_cases), ("controls", n_controls)) if n < 1]
+    if empty:
+        raise ConstraintError(f"the panel has no {' and no '.join(empty)}; a set test needs both cohorts")
+
+
 def analytic_shift(n_cases: int, n_controls: int, m: int, c: float) -> float:
     """Shift of the chi-square null: -c * (3^M - 1) * ln(Nd*Nu / (Nd+Nu))."""
-    if n_cases < 1 or n_controls < 1:
-        raise ValueError("both cohorts must be non-empty for the analytic shift")
+    _check_cohorts(n_cases, n_controls)
     df = 3**m - 1
     return -c * df * math.log(n_cases * n_controls / (n_cases + n_controls))
 
@@ -218,7 +220,7 @@ def fit_shift_constant(
 
     Like permutation calibration, the fit needs at least 500 replicates.
     """
-    snps = _validated_set(dataset, snp_set, None)
+    snps = _validated_set(dataset, snp_set)
     if n_perm < 500:
         raise ValueError("fitting the shift constant needs n_perm >= 500")
     unit_shift = analytic_shift(dataset.n_cases, dataset.n_controls, len(snps), 1.0)
@@ -248,9 +250,8 @@ def null_calibration(
     ``shift_constant``, as returned by :func:`fit_shift_constant` for a set
     of the same size.
     """
-    snps = _validated_set(dataset, snp_set, None)
-    if dataset.n_cases < 1 or dataset.n_controls < 1:
-        raise ValueError("degenerate cohort sizes")
+    snps = _validated_set(dataset, snp_set)
+    _check_cohorts(dataset.n_cases, dataset.n_controls)
     df = 3 ** len(snps) - 1
     if mode == "permutation":
         if n_perm < 500:

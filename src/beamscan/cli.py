@@ -115,7 +115,7 @@ def _add_io_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_model_args(sub: argparse.ArgumentParser) -> None:
+def _add_prior_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rho", type=_positive_float, default=1.5, help="Dirichlet scale")
     sub.add_argument(
         "--prior-blocks",
@@ -123,6 +123,9 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
         default=50_000.0,
         help="expected genome-wide block count behind the boundary prior",
     )
+
+
+def _add_label_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p1", type=_unit_half_open, default=None, help="marginal-label prior")
     sub.add_argument("--p2", type=_unit_half_open, default=None, help="epistatic-label prior")
     sub.add_argument(
@@ -134,7 +137,6 @@ def _add_mcmc_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--chains", type=_positive_int, default=1, help="independent chains to run")
     sub.add_argument("--burnin", type=_nonneg_int, default=None, help="discarded iterations")
     sub.add_argument("--iters", type=_nonneg_int, default=None, help="retained iterations")
-    sub.add_argument("--thin", type=_positive_int, default=1, help="record every k-th sample")
     sub.add_argument("--seed", type=_nonneg_int, default=0, help="base RNG seed")
     sub.add_argument(
         "--threads",
@@ -153,7 +155,8 @@ def _load(args) -> GenotypeDataset:
 
 
 def _priors(args, dataset: GenotypeDataset):
-    """Priors and constraints from the model flags and the panel's shape."""
+    """Priors and constraints from the model flags and the panel's shape; `partition`
+    keeps every label 0, so it has no label flags and takes ``default_priors``' defaults."""
     return default_priors(
         dataset.n_snps,
         dataset.region_length,
@@ -161,9 +164,9 @@ def _priors(args, dataset: GenotypeDataset):
         dataset.n_controls,
         prior_blocks=args.prior_blocks,
         rho=args.rho,
-        p1=args.p1,
-        p2=args.p2,
-        max_order=args.max_order,
+        p1=getattr(args, "p1", None),
+        p2=getattr(args, "p2", None),
+        max_order=getattr(args, "max_order", None),
     )
 
 
@@ -171,7 +174,7 @@ def _resolved_schedule(dataset: GenotypeDataset, args) -> Schedule:
     base = default_schedule(dataset.n_snps)
     burnin = base.burnin if args.burnin is None else args.burnin
     iters = base.iterations if args.iters is None else args.iters
-    return Schedule(burnin=burnin, iterations=iters, thin=args.thin)
+    return Schedule(burnin=burnin, iterations=iters)
 
 
 class _PhaseClock:
@@ -376,7 +379,6 @@ def score_sets(
     mode: str = "permutation",
     n_perm: int = 1000,
     seed: int = 0,
-    max_order: int | None = None,
 ) -> list[BStatResult]:
     """Test each SNP set in order and flag Bonferroni significance.
 
@@ -393,7 +395,7 @@ def score_sets(
     results: list[BStatResult] = []
     for offset, snps in enumerate(sets):
         m = len(snps)
-        b = bstat(dataset, snps, rho=rho, max_order=max_order)
+        b = bstat(dataset, snps, rho=rho)
         if mode == "analytic" and m not in constants:
             constants[m] = fit_shift_constant(dataset, snps, rho=rho, n_perm=n_perm, seed=seed + offset)
         cal = null_calibration(
@@ -446,7 +448,6 @@ def cmd_bstat(args, clock: _PhaseClock):
         mode=args.calibration,
         n_perm=args.n_perm,
         seed=args.seed,
-        max_order=args.max_order,
     )
     clock.lap("compute_s")
     Path(args.outfile).write_text(results_to_tsv(results, dataset.snp_ids), encoding="utf-8")
@@ -500,13 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_chain = subs.add_parser(name, help=help_text)
         _add_io_args(p_chain)
-        _add_model_args(p_chain)
+        _add_prior_args(p_chain)
+        if name == "map":
+            _add_label_args(p_chain)
         _add_mcmc_args(p_chain)
         p_chain.set_defaults(func=cmd_chains)
 
     p_oracle = subs.add_parser("oracle", help="exact posterior by exhaustive enumeration")
     _add_io_args(p_oracle)
-    _add_model_args(p_oracle)
+    _add_prior_args(p_oracle)
+    _add_label_args(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_bstat = subs.add_parser("bstat", help="Bayes-factor tests for SNP sets")
@@ -523,14 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--calibration", choices=("permutation", "analytic"), default="permutation"
     )
     p_bstat.add_argument(
-        "--n-perm", type=_positive_int, default=1000, help="permutation replicates"
+        "--n-perm", type=_int_at_least(500), default=1000, help="permutation replicates"
     )
     p_bstat.add_argument("--alpha", type=_unit_open, default=0.05, help="family-wise level")
     p_bstat.add_argument(
         "--n-tests", type=_positive_int, default=None, help="Bonferroni divisor (default C(L, M))"
     )
     p_bstat.add_argument("--rho", type=_positive_float, default=1.5, help="Dirichlet scale")
-    p_bstat.add_argument("--max-order", type=_positive_int, default=None, help="cap on set size")
     p_bstat.add_argument("--seed", type=_nonneg_int, default=0, help="permutation RNG seed")
     p_bstat.set_defaults(func=cmd_bstat)
 
@@ -538,13 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", dest="outfile", required=True, help="output dataset TSV")
     p_sim.add_argument("--model", type=int, choices=(1, 2, 3), required=True)
     p_sim.add_argument("--maf", type=_maf_arg, required=True, help="disease allele frequency")
-    p_sim.add_argument(
+    risk = p_sim.add_mutually_exclusive_group()
+    risk.add_argument(
         "--effect",
         type=_nonneg_float,
         default=0.0,
         help="marginal log odds ratio per locus (0 gives the null model)",
     )
-    p_sim.add_argument("--theta", type=_nonneg_float, default=None, help="risk parameter, overrides --effect")
+    risk.add_argument("--theta", type=_nonneg_float, default=None, help="risk parameter, instead of --effect")
     p_sim.add_argument("--cases", type=_positive_int, default=1000)
     p_sim.add_argument("--controls", type=_positive_int, default=1000)
     p_sim.add_argument("--snps", type=_positive_int, default=100, help="SNPs in the written panel")

@@ -68,22 +68,19 @@ _KIND_PROBS = ((KIND_SPLIT, 0.1), (KIND_MERGE, 0.1), (KIND_SHIFT, 0.8))
 
 @dataclass(frozen=True)
 class Schedule:
-    """Burn-in, retained iterations, and sample thinning."""
+    """Burn-in and retained iterations; every retained iteration is a sample."""
 
     burnin: int
     iterations: int
-    thin: int = 1
 
     def __post_init__(self):
         if self.burnin < 0 or self.iterations < 0:
             raise ValueError("burnin and iterations must be non-negative")
-        if self.thin < 1:
-            raise ValueError("thin must be at least 1")
 
 
 def default_schedule(n_snps: int) -> Schedule:
     """Default run length scales with panel size."""
-    return Schedule(burnin=10 * n_snps, iterations=50 * n_snps, thin=1)
+    return Schedule(burnin=10 * n_snps, iterations=50 * n_snps)
 
 
 @dataclass
@@ -523,7 +520,7 @@ def run_chain(
     sample_membership: bool = True,
     progress: int = 0,
 ) -> PosteriorSummary:
-    """Run one chain and summarize post-burn-in samples.
+    """Run one chain and summarize its samples, one per retained iteration.
 
     With ``sample_membership=False`` only the partition is sampled (labels
     stay 0), which is the block-inference mode. ``progress > 0`` logs to
@@ -536,7 +533,6 @@ def run_chain(
     bound = np.zeros(n)
     set_counts: dict[tuple[int, ...], int] = {}
     trace: list[float] = []
-    samples = 0
     # Samples taken of the partition ``held_starts`` since it last changed,
     # which was at the state's ``held_version``-th repartition.
     held_starts, held_version, held = list(state.starts), state.repartitions, 0
@@ -555,18 +551,16 @@ def run_chain(
             swap_membership_move(state)
         if t >= schedule.burnin:
             trace.append(state.log_joint())
-            if (t - schedule.burnin) % schedule.thin == 0:
-                samples += 1
-                if sample_membership:
-                    marg[state.members[1]] += 1
-                    epi[state.members[2]] += 1
-                if state.repartitions != held_version:
-                    bound[held_starts] += held
-                    held_starts, held_version, held = list(state.starts), state.repartitions, 0
-                held += 1
-                if len(state.s2) >= 2:
-                    key = tuple(state.s2)
-                    set_counts[key] = set_counts.get(key, 0) + 1
+            if sample_membership:
+                marg[state.members[1]] += 1
+                epi[state.members[2]] += 1
+            if state.repartitions != held_version:
+                bound[held_starts] += held
+                held_starts, held_version, held = list(state.starts), state.repartitions, 0
+            held += 1
+            if len(state.s2) >= 2:
+                key = tuple(state.s2)
+                set_counts[key] = set_counts.get(key, 0) + 1
         if progress and (t + 1) % progress == 0:
             # one write per line, so lines from chains in worker processes do not interleave
             sys.stderr.write(
@@ -585,7 +579,7 @@ def run_chain(
     gd = state.counters.get("gibbs_draws", 0)
     acceptance["gibbs_change"] = state.counters.get("gibbs_changes", 0) / gd if gd else 0.0
     # with no samples every count is 0, and so is every estimate
-    per = max(samples, 1)
+    per = max(schedule.iterations, 1)
     marg /= per
     epi /= per
     bound /= per
@@ -595,11 +589,11 @@ def run_chain(
         assoc_posterior=marg + epi,
         boundary_posterior=bound,
         interaction_sets={k: v / per for k, v in sorted(set_counts.items())},
-        samples_used=samples,
+        samples_used=schedule.iterations,
         log_joint_trace=np.asarray(trace),
         acceptance=acceptance,
         cache=state.model.cache_sizes(),
-        warning=None if samples else "no samples recorded (iterations=0 or thinning too coarse)",
+        warning=None if schedule.iterations else "no samples recorded (iterations=0)",
     )
 
 

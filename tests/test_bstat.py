@@ -102,9 +102,6 @@ def test_set_validation():
         bstat(ds, (4,))
     with pytest.raises(IndexError):
         bstat(ds, (-1,))
-    with pytest.raises(ConstraintError):
-        bstat(ds, (0, 1, 2), max_order=2)
-    assert math.isfinite(bstat(ds, (0, 1), max_order=2))
 
 
 # -- permutation calibration -------------------------------------------------------------
@@ -267,7 +264,7 @@ def test_calibration_input_validation():
     ds = null_dataset(47, 20, 20, 2)
     with pytest.raises(ValueError):
         null_calibration(ds, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstraintError, match="the panel has no cases;"):
         null_calibration(null_dataset(47, 0, 20, 2), (0,))
     with pytest.raises(ValueError):
         null_calibration(ds, (0,), mode="permutation", n_perm=499)
@@ -286,8 +283,10 @@ def test_analytic_shift_algebra():
     # doubling both cohorts moves the shift by -c * df * log(2)
     delta = analytic_shift(2 * n, 2 * n, 1, c) - analytic_shift(n, n, 1, c)
     assert delta == pytest.approx(-c * 2 * math.log(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstraintError, match="the panel has no cases;"):
         analytic_shift(0, n, 1, c)
+    with pytest.raises(ConstraintError, match="the panel has no cases and no controls;"):
+        analytic_shift(0, 0, 1, c)
 
 
 def test_fitted_constant_sets_the_analytic_shift():
@@ -304,7 +303,7 @@ def test_fitted_constant_sets_the_analytic_shift():
         null_calibration(ds, (0,), mode="analytic")  # no constant given
     with pytest.raises(ValueError):
         fit_shift_constant(ds, (0,), n_perm=499)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstraintError, match="the panel has no controls;"):
         fit_shift_constant(null_dataset(48, 37, 0, 2), (0,), n_perm=600)
 
 
@@ -381,13 +380,6 @@ def test_screen_pure_epistasis_beats_marginals():
     assert joint.significant
     assert not single0.significant and not single1.significant
     assert joint.df == 8
-
-
-def test_screen_respects_order_cap():
-    ds = null_dataset(51, 20, 20, 3)
-    candidates = posterior_candidates([0, 0, 0], {(0, 1): 0.9}, 0.5)
-    with pytest.raises(ConstraintError):
-        score_sets(ds, candidates, 0.05, max_order=1, n_perm=500)
 
 
 def test_screen_n_tests_override():

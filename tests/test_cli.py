@@ -100,8 +100,20 @@ def test_simulate_keep_loci_and_theta_override(workdir, signal_panel):
     assert truth.loci_present and truth.windows is None
     assert truth.loci == (2, 12)
     manifest = json.loads(Path(str(signal_panel) + ".manifest.json").read_text())
-    assert manifest["theta"] == 3.0  # --theta wins over --effect
+    assert manifest["theta"] == 3.0  # --theta sets the risk parameter directly
     assert manifest["loci"] == [2, 12]
+
+
+def test_simulate_refuses_effect_with_theta(tmp_path, capsys):
+    # each sets the risk parameter, so naming both would silently drop one
+    out = tmp_path / "both.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(out), "--model", "2", "--maf", "0.3",
+              "--effect", "1", "--theta", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --theta: not allowed with argument --effect" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_null_effect_gives_theta_zero(workdir):
@@ -291,6 +303,9 @@ def test_partition_output(workdir, signal_panel):
     assert first[0] == "snp0001" and first[2] == "1.000000"
     values = [float(l.split("\t")[2]) for l in lines[1:]]
     assert all(0.0 <= v <= 1.0 for v in values)
+    # partition has no label flags, so its manifest lists no label priors
+    params = json.loads(Path(f"{out}.manifest.json").read_text())["parameters"]
+    assert {"p1", "p2", "max_order", "thin"}.isdisjoint(params) and params["rho"] == 1.5
 
 
 # -- oracle ----------------------------------------------------------------------------
@@ -462,14 +477,16 @@ def test_bstat_analytic_shift_ignores_earlier_runs(workdir, signal_panel):
 def test_bstat_analytic_needs_500_permutations(workdir, signal_panel, capsys):
     sets_path = workdir / "sets_one.tsv"
     sets_path.write_text("snp0003\n")
-    rc = main([
-        "bstat", "--in", str(signal_panel), "--sets", str(sets_path),
-        "--out", str(workdir / "bstat_nperm0.tsv"), "--calibration", "analytic",
-        "--n-perm", "499",
-    ])
+    out = workdir / "bstat_nperm0.tsv"
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error, before the panel is read
+        main([
+            "bstat", "--in", str(signal_panel), "--sets", str(sets_path),
+            "--out", str(out), "--calibration", "analytic", "--n-perm", "499",
+        ])
     err = capsys.readouterr().err
-    assert rc == 2
-    assert "n_perm >= 500" in err and "Warning" not in err
+    assert exc.value.code == 2
+    assert "argument --n-perm: must be at least 500" in err and "Warning" not in err
+    assert not out.exists()
 
 
 def test_bstat_analytic_on_two_cases_and_two_controls_exits_2(workdir, capsys):
@@ -486,6 +503,26 @@ def test_bstat_analytic_on_two_cases_and_two_controls_exits_2(workdir, capsys):
     assert "2 cases and 2 controls" in err and "permutation calibration" in err
     assert "Traceback" not in err
     assert main(argv) == 0  # permutation calibration still works
+
+
+@pytest.mark.parametrize("calibration", ["permutation", "analytic"])
+@pytest.mark.parametrize("rows, empty", [
+    ("0\t0\t1\n0\t1\t2\n0\t2\t0\n", "cases"),
+    ("", "cases and no controls"),
+], ids=["controls-only", "header-only"])
+def test_bstat_without_a_cohort_exits_4(tmp_path, capsys, rows, empty, calibration):
+    # a set test compares the cohorts, so a missing one is a constraint, not a usage error
+    panel = tmp_path / "panel.tsv"
+    panel.write_text("#snp\ta\tb\n#pos\t5\t9\n" + rows)
+    (tmp_path / "sets.tsv").write_text("a\na,b\n")
+    out = tmp_path / "out.tsv"
+    rc = main(["bstat", "--in", str(panel), "--sets", str(tmp_path / "sets.tsv"),
+               "--out", str(out), "--calibration", calibration])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert f"the panel has no {empty}; a set test needs both cohorts" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def test_bstat_empty_sets_file(workdir, signal_panel):
@@ -663,7 +700,7 @@ def test_bstat_bad_interactions_sidecar_exits_3(workdir, signal_panel, sidecar_p
     )
     rc = main([
         "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
-        "--out", str(workdir / "sidecar.bstat.tsv"), "--n-perm", "50",
+        "--out", str(workdir / "sidecar.bstat.tsv"), "--n-perm", "500",
     ])
     err = capsys.readouterr().err
     assert rc == 3
@@ -683,7 +720,7 @@ def test_bstat_repeated_interaction_set_exits_3(workdir, signal_panel, sidecar_p
     out = workdir / "sidecar_repeat.bstat.tsv"
     rc = main([
         "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
-        "--out", str(out), "--n-perm", "50", "--threshold", "0.6",
+        "--out", str(out), "--n-perm", "500", "--threshold", "0.6",
     ])
     err = capsys.readouterr().err
     assert rc == 3
@@ -719,7 +756,7 @@ def test_bstat_posterior_values_must_be_probabilities(workdir, signal_panel, sid
     out = workdir / "posterior_value.bstat.tsv"
     rc = main([
         "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
-        "--out", str(out), "--n-perm", "50",
+        "--out", str(out), "--n-perm", "500",
     ])
     err = capsys.readouterr().err
     assert rc == 3
@@ -734,7 +771,7 @@ def test_bstat_posterior_snp_row_repeated_exits_3(workdir, signal_panel, sidecar
     out = workdir / "posterior_repeat.bstat.tsv"
     rc = main([
         "bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
-        "--out", str(out), "--n-perm", "50",
+        "--out", str(out), "--n-perm", "500",
     ])
     err = capsys.readouterr().err
     assert rc == 3
@@ -779,7 +816,7 @@ def test_non_utf8_input_exits_3(workdir, signal_panel, sidecar_prefix, target, c
             bad = Path(str(sidecar_prefix) + ".interactions.tsv")
             bad.write_bytes(b"#members\tfrequency\nsnp0002,snp\xff0012\t0.25\n")
         argv = ["bstat", "--in", str(signal_panel), "--from-posterior", str(sidecar_prefix),
-                "--out", str(workdir / "latin1.out.tsv"), "--n-perm", "50"]
+                "--out", str(workdir / "latin1.out.tsv"), "--n-perm", "500"]
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 3
@@ -954,7 +991,6 @@ def test_value_errors_return_2(workdir, signal_panel):
             for argv in (
                 ["map", "--in", "{panel}", "--iters", "20"],
                 ["oracle", "--in", "{small}"],
-                ["bstat", "--in", "{panel}", "--sets", "{sets}"],
             )
         ],
         *[
@@ -971,7 +1007,7 @@ def test_value_errors_return_2(workdir, signal_panel):
         "hwe-filter", "hwe-filter-nan", "hwe-filter-1.5", "threads", "n-tests",
         "alpha-0", "alpha-1.5", "alpha-nan", "map-p1-nan", "map-p2-1.5",
         "founders-0", "founders-1", "threshold-nan", "threshold--1", "threshold-1.5",
-        "map-max-order-0", "oracle-max-order-0", "bstat-max-order-0",
+        "map-max-order-0", "oracle-max-order-0",
         "map-seed--1", "bstat-seed--1", "simulate-seed--1",
     ],
 )
@@ -994,12 +1030,12 @@ INTEGER_FLAGS = [
         (["map", "--in", "{panel}", "--iters", "20"], flag, bad, low)
         for flag, bad, low in (
             ("--chains", "0", 1), ("--burnin", "-1", 0), ("--iters", "-1", 0),
-            ("--thin", "0", 1), ("--threads", "0", 1),
+            ("--threads", "0", 1),
         )
     ],
     *[
         (["bstat", "--in", "{panel}", "--sets", "{sets}"], flag, bad, low)
-        for flag, bad, low in (("--n-perm", "0", 1), ("--n-tests", "0", 1))
+        for flag, bad, low in (("--n-perm", "499", 500), ("--n-tests", "0", 1))
     ],
     *[
         (["simulate", "--model", "2", "--maf", "0.3"], flag, bad, low)
@@ -1026,6 +1062,29 @@ def test_integer_flags_are_checked_where_they_are_parsed(tmp_path, signal_panel,
     need = "must be non-negative" if low == 0 else f"must be at least {low}"
     assert f"argument {flag}: {need}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["map", "--in", "{panel}", "--iters", "20"], ["--thin", "2"]),
+    (["partition", "--in", "{panel}", "--iters", "20"], ["--thin", "2"]),
+    (["partition", "--in", "{panel}", "--iters", "20"], ["--p1", "0.1"]),
+    (["partition", "--in", "{panel}", "--iters", "20"], ["--p2", "0.1"]),
+    (["partition", "--in", "{panel}", "--iters", "20"], ["--max-order", "2"]),
+    (["bstat", "--in", "{panel}", "--sets", "{sets}"], ["--max-order", "2"]),
+], ids=["map-thin", "partition-thin", "partition-p1", "partition-p2", "partition-max-order",
+        "bstat-max-order"])
+def test_flags_that_change_no_result_are_gone(tmp_path, signal_panel, capsys, argv, flag):
+    # the samplers record every retained iteration, partition keeps every label 0,
+    # and bstat tests each set it is given, so none of these flags has a use
+    (tmp_path / "sets.tsv").write_text("snp0003\n")
+    out = tmp_path / "out.tsv"
+    argv = [a.format(panel=signal_panel, sets=tmp_path / "sets.tsv") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in err and "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def test_every_numeric_flag_is_checked_where_it_is_parsed():

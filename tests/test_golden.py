@@ -30,10 +30,6 @@ GOLDEN = {
         "map.tsv": "fdec01374b01f4eb430c8c6ea7b4cbcf40e39d32809331817f11dd808089208f",
         "map.tsv.interactions.tsv": "e4a07b61eeff637446334a56711a678dcb9938286e829899c9424951eb42ec50",
     },
-    "map-thin": {
-        "map.tsv": "15c57676d9babe6de33ce20229a2a168e35d5cd241ce070af791d6dcdc46392d",
-        "map.tsv.interactions.tsv": "74a1693bf570d55352ed97897deab6b1acf89f0ca4be5436b43b8b7fdf502126",
-    },
     "oracle": {
         "oracle.tsv": "1a17122b58a1604129ee3ab52889efe07b4e3cfeebe6ca72a87d0d17921eb924",
     },
@@ -90,7 +86,6 @@ def _run(tmp_path, panels, case):
     chain = ["--burnin", "200", "--iters", "800", "--seed", "2"]
     argv = {
         "map": ["map", "--in", wide, "--out", out, *chain],
-        "map-thin": ["map", "--in", wide, "--out", out, *chain, "--thin", "3"],
         "map-chains": [
             "map", "--in", wide, "--out", out, *chain, "--chains", "2", "--threads", "2",
         ],

@@ -51,11 +51,9 @@ def force_state(state, starts, labels):
 
 def test_schedule_defaults_and_validation():
     sched = default_schedule(20)
-    assert (sched.burnin, sched.iterations, sched.thin) == (200, 1000, 1)
+    assert (sched.burnin, sched.iterations) == (200, 1000)
     with pytest.raises(ValueError):
         Schedule(burnin=-1, iterations=10)
-    with pytest.raises(ValueError):
-        Schedule(burnin=0, iterations=10, thin=0)
 
 
 # -- proposal shapes and Hastings ratios -----------------------------------------------
@@ -495,52 +493,45 @@ def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_member
     ds = random_signal_dataset(41, 10, 10, 12, hot=4)
     priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
-    schedule = Schedule(burnin=50, iterations=900, thin=3)
+    schedule = Schedule(burnin=50, iterations=900)
     running = ChainState.log_joint
-    calls = []
     tally = np.zeros(ds.n_snps)
     sampled = []
 
     def tallying_log_joint(state):
         # run_chain reads the log joint once per retained iteration, after its
-        # moves, and records a sample at every thin-th of those
-        calls.append(None)
-        if (len(calls) - 1) % schedule.thin == 0:
-            tally[state.starts] += 1
-            sampled.append(tuple(state.starts))
+        # moves, and records every retained iteration as a sample
+        tally[state.starts] += 1
+        sampled.append(tuple(state.starts))
         return running(state)
 
     monkeypatch.setattr(ChainState, "log_joint", tallying_log_joint)
     out = run_chain(ds, priors, schedule, seed=8, constraints=cons,
                     sample_membership=sample_membership)
-    assert out.samples_used == len(sampled) == 300
+    assert out.samples_used == len(sampled) == 900
     assert len(set(sampled)) > 10  # the tally spans many partition changes
     np.testing.assert_array_equal(out.boundary_posterior, tally / len(sampled))
 
 
-@pytest.mark.parametrize("thin", [1, 3])
-def test_label_posteriors_equal_a_per_sample_tally(monkeypatch, thin):
+def test_label_posteriors_equal_a_per_sample_tally(monkeypatch):
     ds = random_signal_dataset(41, 10, 10, 12, hot=4)
     priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
     cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
-    schedule = Schedule(burnin=50, iterations=900, thin=thin)
+    schedule = Schedule(burnin=50, iterations=900)
     running = ChainState.log_joint
-    calls = []
     tally = np.zeros((2, ds.n_snps))
     sampled = []
 
     def tallying_log_joint(state):
-        calls.append(None)
-        if (len(calls) - 1) % schedule.thin == 0:
-            labels = np.asarray(state.labels)
-            tally[0] += labels == 1
-            tally[1] += labels == 2
-            sampled.append(tuple(state.labels))
+        labels = np.asarray(state.labels)
+        tally[0] += labels == 1
+        tally[1] += labels == 2
+        sampled.append(tuple(state.labels))
         return running(state)
 
     monkeypatch.setattr(ChainState, "log_joint", tallying_log_joint)
     out = run_chain(ds, priors, schedule, seed=8, constraints=cons)
-    assert out.samples_used == len(sampled) == 900 // thin
+    assert out.samples_used == len(sampled) == 900
     assert len(set(sampled)) > 10  # the tally spans many label changes
     np.testing.assert_array_equal(out.marginal_posterior, tally[0] / len(sampled))
     np.testing.assert_array_equal(out.epistatic_posterior, tally[1] / len(sampled))
