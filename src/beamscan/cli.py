@@ -42,7 +42,7 @@ from .dataio import (
     write_dataset,
 )
 from .mcmc import Schedule, default_schedule, run_chains
-from .model import ConstraintError, default_priors
+from .model import ConstraintError, PriorConfig, default_priors
 from .oracle import enumerate_posterior
 from .simulate import (
     DiseaseModel,
@@ -154,9 +154,9 @@ def _load(args) -> GenotypeDataset:
     return dataset
 
 
-def _priors(args, dataset: GenotypeDataset):
-    """Priors and constraints from the model flags and the panel's shape; `partition`
-    keeps every label 0, so it has no label flags and takes ``default_priors``' defaults."""
+def _priors(args, dataset: GenotypeDataset) -> PriorConfig:
+    """The prior, whose caps bound its support, from the model flags and the panel's
+    shape; `partition` keeps every label 0 and takes ``default_priors``' label priors."""
     return default_priors(
         dataset.n_snps,
         dataset.region_length,
@@ -251,10 +251,9 @@ def cmd_chains(args, clock: _PhaseClock):
     """`map` samples labels and block boundaries; `partition` boundaries only."""
     dataset = _load(args)
     clock.lap("load_s")
-    priors, constraints = _priors(args, dataset)
+    priors = _priors(args, dataset)
     schedule = _resolved_schedule(dataset, args)
     threads = args.threads if args.threads is not None else _default_threads()
-    total = schedule.burnin + schedule.iterations
     sample_membership = args.subcommand == "map"
     summary, chains = run_chains(
         dataset,
@@ -262,14 +261,12 @@ def cmd_chains(args, clock: _PhaseClock):
         schedule,
         n_chains=args.chains,
         base_seed=args.seed,
-        constraints=constraints,
         sample_membership=sample_membership,
         threads=threads,
-        progress=max(1, total // 10) if total else 0,
     )
     clock.lap("compute_s")
-    if summary.warning:
-        print(f"warning: {summary.warning}", file=sys.stderr)
+    if not schedule.iterations:
+        print("warning: no samples recorded", file=sys.stderr)
     outputs = [args.outfile]
     if sample_membership:
         _write_snp_table(args.outfile, dataset, summary, POSTERIOR_COLUMNS)
@@ -287,8 +284,7 @@ def cmd_chains(args, clock: _PhaseClock):
 def cmd_oracle(args, clock: _PhaseClock):
     dataset = _load(args)
     clock.lap("load_s")
-    priors, constraints = _priors(args, dataset)
-    result = enumerate_posterior(dataset, priors, constraints)
+    result = enumerate_posterior(dataset, _priors(args, dataset))
     clock.lap("compute_s")
     _write_snp_table(args.outfile, dataset, result, POSTERIOR_COLUMNS)
     return [args.infile], [args.outfile], {

@@ -2,9 +2,10 @@
 
 The on-disk format is UTF-8, tab-separated:
 
-* line 1: ``#snp`` followed by one identifier per SNP (no commas or
-  whitespace, since files that name SNP sets separate ids by those),
-* line 2: ``#pos`` followed by strictly increasing integer base-pair positions,
+* line 1: ``#snp`` followed by one non-empty identifier per SNP (no commas
+  or whitespace, since files that name SNP sets separate ids by those),
+* line 2: ``#pos`` followed by strictly increasing non-negative integer
+  base-pair positions,
 * every further line: one individual, phenotype first (``1`` case, ``0``
   control), then one genotype code per SNP (``0``/``1``/``2`` minor-allele
   dosage; ``NA``, ``.``, ``-1`` or ``N`` missing).
@@ -199,6 +200,8 @@ def _parse_header(first: str, second: str) -> tuple[tuple[str, ...], tuple[int, 
     if len(set(snp_ids)) != n_snps:
         raise DataFormatError("duplicate SNP identifiers", line=1)
     for sid in snp_ids:
+        if not sid:
+            raise DataFormatError("empty SNP id (a doubled or trailing tab)", line=1)
         if "," in sid or any(map(str.isspace, sid)):
             raise DataFormatError(f"SNP id {sid!r} contains a comma or whitespace", line=1)
 
@@ -211,6 +214,8 @@ def _parse_header(first: str, second: str) -> tuple[tuple[str, ...], tuple[int, 
         raise DataFormatError("positions must be integers", line=2) from None
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise DataFormatError("positions must be strictly increasing", line=2)
+    if positions[0] < 0:
+        raise DataFormatError("positions must be non-negative", line=2)
     return snp_ids, positions
 
 

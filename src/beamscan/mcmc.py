@@ -55,7 +55,6 @@ from .model import (
     NEG_INF,
     ConstraintError,
     JointModel,
-    ModelConstraints,
     PriorConfig,
     mask_from_labels,
 )
@@ -96,7 +95,6 @@ class PosteriorSummary:
     log_joint_trace: np.ndarray
     acceptance: dict[str, float] = field(default_factory=dict)
     cache: dict[str, float] = field(default_factory=dict)  # memo entries and cold time at the end
-    warning: str | None = None
 
 
 @dataclass
@@ -290,14 +288,9 @@ class ChainState:
         return self.running_log_joint
 
 
-def init_state(
-    dataset: GenotypeDataset,
-    priors: PriorConfig,
-    seed: int,
-    constraints: ModelConstraints | None = None,
-) -> ChainState:
+def init_state(dataset: GenotypeDataset, priors: PriorConfig, seed: int) -> ChainState:
     """All-singleton, all-unassociated starting state with a seeded generator."""
-    model = JointModel(dataset, priors, constraints)
+    model = JointModel(dataset, priors)
     return ChainState(model, default_rng(seed))
 
 
@@ -516,17 +509,15 @@ def run_chain(
     priors: PriorConfig,
     schedule: Schedule,
     seed: int,
-    constraints: ModelConstraints | None = None,
     sample_membership: bool = True,
-    progress: int = 0,
 ) -> PosteriorSummary:
     """Run one chain and summarize its samples, one per retained iteration.
 
     With ``sample_membership=False`` only the partition is sampled (labels
-    stay 0), which is the block-inference mode. ``progress > 0`` logs to
-    stderr every that many iterations.
+    stay 0), which is the block-inference mode. Progress goes to stderr every
+    tenth of the run, burn-in included, and at most once per iteration.
     """
-    state = init_state(dataset, priors, seed, constraints)
+    state = init_state(dataset, priors, seed)
     n = dataset.n_snps
     marg = np.zeros(n)
     epi = np.zeros(n)
@@ -537,6 +528,7 @@ def run_chain(
     # which was at the state's ``held_version``-th repartition.
     held_starts, held_version, held = list(state.starts), state.repartitions, 0
     total_iters = schedule.burnin + schedule.iterations
+    progress = max(1, total_iters // 10)
     for t in range(total_iters):
         kind = _choose_kind(state.rng)
         proposal = propose_block_move(state, kind)
@@ -561,10 +553,10 @@ def run_chain(
             if len(state.s2) >= 2:
                 key = tuple(state.s2)
                 set_counts[key] = set_counts.get(key, 0) + 1
-        if progress and (t + 1) % progress == 0:
+        if (t + 1) % progress == 0:
             # one write per line, so lines from chains in worker processes do not interleave
             sys.stderr.write(
-                f"chain {seed} iteration {t + 1}/{total_iters} log_joint={state.log_joint():.4f} "
+                f"chain {seed} iteration {t + 1}/{total_iters} log_joint={state.running_log_joint:.4f} "
                 f"counters={state.counters}\n"
             )
     bound[held_starts] += held
@@ -593,7 +585,6 @@ def run_chain(
         log_joint_trace=np.asarray(trace),
         acceptance=acceptance,
         cache=state.model.cache_sizes(),
-        warning=None if schedule.iterations else "no samples recorded (iterations=0)",
     )
 
 
@@ -603,10 +594,8 @@ def run_chains(
     schedule: Schedule,
     n_chains: int,
     base_seed: int,
-    constraints: ModelConstraints | None = None,
     sample_membership: bool = True,
     threads: int = 1,
-    progress: int = 0,
 ) -> tuple[PosteriorSummary, list[PosteriorSummary]]:
     """Run independent chains (chain c seeded with base_seed + c) and merge.
 
@@ -619,10 +608,7 @@ def run_chains(
         raise ValueError("n_chains must be at least 1")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    job = partial(
-        run_chain, dataset, priors, schedule,
-        constraints=constraints, sample_membership=sample_membership, progress=progress,
-    )
+    job = partial(run_chain, dataset, priors, schedule, sample_membership=sample_membership)
     seeds = range(base_seed, base_seed + n_chains)
     if threads > 1 and n_chains > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported here, off every command's start-up
@@ -646,7 +632,6 @@ def run_chains(
         interaction_sets=merged_sets,
         samples_used=total_samples,
         log_joint_trace=np.asarray([]),
-        warning=None if total_samples else "no samples recorded",
     )
     return averaged, chains
 

@@ -6,9 +6,9 @@ SNPs are partitioned into contiguous blocks, given by their start indices
 associated) or 2 (jointly/epistatically associated). Within a block,
 labelled SNPs get cohort-specific diplotype distributions while the
 unlabelled remainder is explained conditionally on them; group-2 SNPs across
-the genome share one joint case and one joint control distribution. Hard
-constraints (diplotype cap per block, maximum interaction order) mark a state
-forbidden, signalled by -inf.
+the genome share one joint case and one joint control distribution. The
+prior's two caps (distinct diplotypes per block, interaction order) bound its
+support: a state beyond either has zero prior mass, signalled by -inf.
 """
 
 from __future__ import annotations
@@ -31,14 +31,19 @@ class ConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Prior weights: boundary probability, label probabilities, rho.
+    """The model's prior: boundary probability, label probabilities, rho, and
+    the two caps that bound its support.
 
-    The group-0 probability ``p0`` is what ``p1`` and ``p2`` leave.
+    The group-0 probability ``p0`` is what ``p1`` and ``p2`` leave. A block
+    with more than ``max_distinct_diplotypes`` distinct diplotypes, or a
+    group-2 set of more than ``max_order`` SNPs, has zero prior mass.
     """
 
     p_boundary: float
     p1: float
     p2: float
+    max_distinct_diplotypes: int
+    max_order: int
     rho: float = 1.5
 
     def __post_init__(self):
@@ -52,22 +57,12 @@ class PriorConfig:
             raise ValueError("p0 = 1 - p1 - p2 must be positive")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be finite and positive")
+        if self.max_distinct_diplotypes < 1 or self.max_order < 1:
+            raise ValueError("max_distinct_diplotypes and max_order must be at least 1")
 
     @property
     def p0(self) -> float:
         return 1.0 - self.p1 - self.p2
-
-
-@dataclass(frozen=True)
-class ModelConstraints:
-    """Hard caps: distinct diplotypes per block, interaction order."""
-
-    max_distinct_diplotypes: int
-    max_order: int
-
-    def __post_init__(self):
-        if self.max_distinct_diplotypes < 1 or self.max_order < 1:
-            raise ValueError("constraints must be at least 1")
 
 
 def default_priors(
@@ -80,15 +75,18 @@ def default_priors(
     p1: float | None = None,
     p2: float | None = None,
     max_order: int | None = None,
-) -> tuple[PriorConfig, ModelConstraints]:
-    """Derive the default priors and constraints from panel dimensions.
+) -> PriorConfig:
+    """Derive the default prior, caps included, from panel dimensions.
 
     The boundary prior scales the expected genome-wide block count
     (``prior_blocks`` over 3 Gb) down to the panel; the association priors
-    expect about five associated SNPs. Constraints require the pooled sample
-    to support per-block diplotype estimation: at least 30 individuals, or
-    none at all, in which case the priors come with one-diplotype blocks and
-    an interaction order of ``max_order`` (default 1).
+    expect about five associated SNPs. The caps bound the prior's support
+    by what the pooled sample can estimate: a block holds at most one
+    distinct diplotype per ten individuals, less one, and the interaction
+    order is the base-3 log of a tenth of the sample (``max_order``
+    overrides it). That needs at least 30 individuals, or none at all: then
+    the likelihood is constant, no block holds a diplotype, and both caps are
+    at their floor of 1.
     """
     if n_snps < 1:
         raise ValueError("n_snps must be at least 1")
@@ -99,18 +97,17 @@ def default_priors(
         raise ConstraintError(
             f"need at least 30 individuals for usable constraints, got {total}"
         )
-    p_boundary = min(0.5, prior_blocks * region_length / (3.0e9 * n_snps))
-    p1 = min(0.1, 5.0 / n_snps) if p1 is None else p1
-    p2 = min(0.1, 5.0 / n_snps) if p2 is None else p2
-    priors = PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, rho=rho)
-    if total == 0:
-        # No individuals: the likelihood is constant and no block holds a
-        # diplotype, so the sample-size caps cannot bind and the priors echo.
-        return priors, ModelConstraints(1, 1 if max_order is None else max_order)
-    cap = math.ceil(total / 10.0) - 1
-    order = int(math.floor(math.log(total / 10.0, 3) + 1e-9)) if max_order is None else max_order
-    constraints = ModelConstraints(max_distinct_diplotypes=cap, max_order=order)
-    return priors, constraints
+    cap = max(math.ceil(total / 10.0) - 1, 1)
+    if max_order is None:
+        max_order = max(int(math.floor(math.log(max(total, 10) / 10.0, 3) + 1e-9)), 1)
+    return PriorConfig(
+        p_boundary=min(0.5, prior_blocks * region_length / (3.0e9 * n_snps)),
+        p1=min(0.1, 5.0 / n_snps) if p1 is None else p1,
+        p2=min(0.1, 5.0 / n_snps) if p2 is None else p2,
+        max_distinct_diplotypes=cap,
+        max_order=max_order,
+        rho=rho,
+    )
 
 
 class JointModel:
@@ -124,16 +121,11 @@ class JointModel:
     exact enumerator.
     """
 
-    def __init__(
-        self,
-        dataset: GenotypeDataset,
-        priors: PriorConfig,
-        constraints: ModelConstraints | None = None,
-    ):
+    def __init__(self, dataset: GenotypeDataset, priors: PriorConfig):
         self.engine = LikelihoodEngine(dataset, priors.rho)
-        self.constraints = constraints
         self.n_snps = dataset.n_snps
-        self.max_order = constraints.max_order if constraints is not None else self.n_snps
+        self.max_distinct_diplotypes = priors.max_distinct_diplotypes
+        self.max_order = priors.max_order
         self._log_p = math.log(priors.p_boundary)
         self._log_1mp = math.log1p(-priors.p_boundary)
         # log p(boundary) - log p(no boundary): the prior change per added block
@@ -145,14 +137,11 @@ class JointModel:
         )
         self._block_terms: dict[tuple[int, int, int], float] = {}
 
-    # -- hard constraints ---------------------------------------------------
+    # -- the prior's support ------------------------------------------------
 
     def block_allowed(self, a: int, b: int) -> bool:
         """True when the block's observed diplotype diversity is within cap."""
-        if self.constraints is None:
-            return True
-        distinct = self.engine.distinct_count(tuple(range(a, b)))
-        return distinct <= self.constraints.max_distinct_diplotypes
+        return self.engine.distinct_count(tuple(range(a, b))) <= self.max_distinct_diplotypes
 
     # -- model terms ----------------------------------------------------------
 

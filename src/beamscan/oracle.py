@@ -32,7 +32,6 @@ from .model import (
     NEG_INF,
     ConstraintError,
     JointModel,
-    ModelConstraints,
     PriorConfig,
 )
 
@@ -74,18 +73,14 @@ def _logsumexp(stack: np.ndarray, axis: int = 0) -> np.ndarray:
         return shift.squeeze(axis) + np.log(np.exp(stack - shift).sum(axis=axis))
 
 
-def enumerate_posterior(
-    dataset: GenotypeDataset,
-    priors: PriorConfig,
-    constraints: ModelConstraints | None = None,
-) -> OracleResult:
+def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> OracleResult:
     """Exactly sum the joint over all partitions and memberships."""
     n = dataset.n_snps
     if n > ORACLE_MAX_SNPS:
         raise OracleGuardError(
             f"exact enumeration is limited to {ORACLE_MAX_SNPS} SNPs, got {n}"
         )
-    model = JointModel(dataset, priors, constraints)
+    model = JointModel(dataset, priors)
     max_order = min(model.max_order, n)
     log_p2 = model.log_label[2]
     log_label01 = np.array(model.log_label[:2])

@@ -1,5 +1,6 @@
-"""Helpers shared by several test modules: hand-built panels, flat priors and
-a reference log marginal that never touches the package's likelihood code.
+"""Helpers shared by several test modules: hand-built panels, flat priors
+(with caps that never bind unless a test sets them) and a reference log
+marginal that never touches the package's likelihood code.
 
 Each module binds its own SNP spacing and prior values, for example
 ``make_dataset = partial(helpers.make_dataset, spacing=10)``.
@@ -32,8 +33,20 @@ def empty_dataset(n_snps, spacing):
     return make_dataset(np.zeros((0, n_snps)), np.zeros((0, n_snps)), spacing)
 
 
-def flat_priors(p_boundary, p1, p2):
-    return PriorConfig(p_boundary=p_boundary, p1=p1, p2=p2, rho=1.5)
+# a cap that no test panel reaches: no block holds this many distinct
+# diplotypes and no group-2 set this many SNPs
+NEVER_BINDS = 10**9
+
+
+def flat_priors(p_boundary, p1, p2, max_distinct_diplotypes=NEVER_BINDS, max_order=NEVER_BINDS):
+    return PriorConfig(
+        p_boundary=p_boundary,
+        p1=p1,
+        p2=p2,
+        max_distinct_diplotypes=max_distinct_diplotypes,
+        max_order=max_order,
+        rho=1.5,
+    )
 
 
 def ref_marginal(mat, rho=1.5):

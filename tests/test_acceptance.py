@@ -6,11 +6,13 @@ the bounds were chosen with slack against rerun noise, not tuned to the seed.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, chi2_contingency
 
+import helpers
 from beamscan.bstat import permutation_null
 from beamscan.dataio import GenotypeDataset
 from beamscan.likelihood import log_marginal
@@ -22,7 +24,7 @@ from beamscan.mcmc import (
     run_chain,
     run_chains,
 )
-from beamscan.model import JointModel, PriorConfig, default_priors
+from beamscan.model import JointModel, default_priors
 from beamscan.oracle import enumerate_posterior
 from beamscan.simulate import (
     DiseaseModel,
@@ -122,11 +124,9 @@ def test_02_chain_agrees_with_enumeration_on_five_panels():
     started = time.time()
     for k in range(5):
         ds = one_causal_dataset(100 + k)
-        priors, cons = default_priors(ds.n_snps, ds.region_length, ds.n_cases, ds.n_controls)
-        exact = enumerate_posterior(ds, priors, cons)
-        summary = run_chain(
-            ds, priors, Schedule(burnin=5000, iterations=50000), seed=7 + k, constraints=cons
-        )
+        priors = default_priors(ds.n_snps, ds.region_length, ds.n_cases, ds.n_controls)
+        exact = enumerate_posterior(ds, priors)
+        summary = run_chain(ds, priors, Schedule(burnin=5000, iterations=50000), seed=7 + k)
         assert np.max(np.abs(summary.assoc_posterior - exact.assoc_posterior)) <= 0.05
         assert np.max(np.abs(summary.boundary_posterior - exact.boundary_posterior)) <= 0.05
     assert time.time() - started < 300.0
@@ -146,9 +146,9 @@ def test_03_partition_moves_hit_the_exact_conditional():
         snp_ids=tuple(f"s{i}" for i in range(n)),
         positions=tuple(10 * i + 1 for i in range(n)),
     )
-    priors = PriorConfig(p_boundary=0.4, p1=0.15, p2=0.05, rho=RHO)
+    priors = helpers.flat_priors(p_boundary=0.4, p1=0.15, p2=0.05)
 
-    model = JointModel(ds, priors, None)
+    model = JointModel(ds, priors)
     labels = (0,) * n
     exact = {}
     logw = []
@@ -161,7 +161,7 @@ def test_03_partition_moves_hit_the_exact_conditional():
     for p, v in zip(parts, w / w.sum()):
         exact[p] = float(v)
 
-    state = init_state(ds, priors, seed=11, constraints=None)
+    state = init_state(ds, priors, seed=11)
     kind_rng = np.random.default_rng(12)
     kinds = np.array(["split", "merge", "shift"])[
         kind_rng.choice(3, size=1_100_000, p=[0.1, 0.1, 0.8])
@@ -244,10 +244,10 @@ def test_05_power_and_parsimony_at_two_hundred_snps():
         model = DiseaseModel.from_theta(3, theta, 0.2, loci)
         sim = drop_loci(simulate_dataset(pool, model, 500, 500, seed=1001 + rep))
         ds = sim.dataset
-        priors, cons = default_priors(ds.n_snps, ds.region_length, 500, 500)
+        priors = default_priors(ds.n_snps, ds.region_length, 500, 500)
         summary, _ = run_chains(
             ds, priors, Schedule(burnin=4000, iterations=6000),
-            n_chains=3, base_seed=50 + rep, constraints=cons, threads=3,
+            n_chains=3, base_seed=50 + rep, threads=3,
         )
         assoc = summary.assoc_posterior
         near = np.zeros(ds.n_snps, bool)
@@ -280,17 +280,12 @@ def test_06_block_count_robust_to_tenfold_prior_change():
         snp_ids=tuple(f"s{i:02d}" for i in range(50)),
         positions=tuple(1000 * i + 1 for i in range(50)),
     )
-    priors, cons = default_priors(50, ds.region_length, 500, 500)
-    boosted = PriorConfig(
-        p_boundary=min(0.5, 10 * priors.p_boundary),
-        p1=priors.p1, p2=priors.p2, rho=priors.rho,
-    )
+    priors = default_priors(50, ds.region_length, 500, 500)
+    boosted = replace(priors, p_boundary=min(0.5, 10 * priors.p_boundary))
     assert boosted.p_boundary == pytest.approx(10 * priors.p_boundary)
     expected = {}
     for name, pr in (("base", priors), ("x10", boosted)):
-        summary = run_chain(
-            ds, pr, Schedule(burnin=3000, iterations=5000), seed=21, constraints=cons
-        )
+        summary = run_chain(ds, pr, Schedule(burnin=3000, iterations=5000), seed=21)
         expected[name] = float(summary.boundary_posterior.sum())
     rel = abs(expected["x10"] - expected["base"]) / expected["base"]
     assert rel < 0.10
@@ -319,15 +314,13 @@ def test_07_distinct_seeds_agree_and_identical_seeds_repeat():
     """Five chains with distinct seeds give pairwise association-posterior
     correlations of at least 0.9; rerunning one seed is bit-identical."""
     ds = unlinked_pair_dataset()
-    priors, cons = default_priors(ds.n_snps, ds.region_length, 200, 200)
+    priors = default_priors(ds.n_snps, ds.region_length, 200, 200)
     schedule = Schedule(burnin=1000, iterations=6000)
-    _, chains = run_chains(
-        ds, priors, schedule, n_chains=5, base_seed=200, constraints=cons
-    )
+    _, chains = run_chains(ds, priors, schedule, n_chains=5, base_seed=200)
     pairwise = np.corrcoef([c.assoc_posterior for c in chains])[np.triu_indices(5, 1)]
     assert float(pairwise.min()) >= 0.9
 
-    again = run_chain(ds, priors, schedule, seed=200, constraints=cons)
+    again = run_chain(ds, priors, schedule, seed=200)
     assert np.array_equal(again.assoc_posterior, chains[0].assoc_posterior)
     assert np.array_equal(again.boundary_posterior, chains[0].boundary_posterior)
     assert again.interaction_sets == chains[0].interaction_sets
@@ -348,10 +341,8 @@ def test_08_boundary_posterior_recovers_founder_blocks():
         snp_ids=tuple(f"s{i:02d}" for i in range(50)),
         positions=tuple(1000 * i + 1 for i in range(50)),
     )
-    priors, cons = default_priors(50, ds.region_length, 500, 500)
-    summary = run_chain(
-        ds, priors, Schedule(burnin=3000, iterations=5000), seed=10, constraints=cons
-    )
+    priors = default_priors(50, ds.region_length, 500, 500)
+    summary = run_chain(ds, priors, Schedule(burnin=3000, iterations=5000), seed=10)
     b = summary.boundary_posterior
     truth = set(pool.block_starts)
     internal = sorted(truth - {0})

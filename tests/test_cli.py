@@ -336,8 +336,8 @@ def test_oracle_matches_library_enumeration(workdir):
     rc = main(["oracle", "--in", str(infile), "--out", str(out)])
     assert rc == 0
     post = read_posterior(out)
-    priors, cons = default_priors(5, ds.region_length, 30, 30)
-    exact = enumerate_posterior(ds, priors, cons)
+    priors = default_priors(5, ds.region_length, 30, 30)
+    exact = enumerate_posterior(ds, priors)
     np.testing.assert_allclose(post["assoc"], exact.assoc_posterior, atol=1.1e-6)
     np.testing.assert_allclose(post["boundary"], exact.boundary_posterior, atol=1.1e-6)
     assert post["assoc"][2] > 0.9
@@ -590,8 +590,12 @@ def test_bstat_repeated_id_exits_3(workdir, signal_panel, capsys):
     assert "line 2:" in err and "'snp0005' repeated" in err
 
 
-@pytest.mark.parametrize("bad_id", ["rs1,rs2", "rs 3"])
-def test_snp_ids_that_sets_files_cannot_name_exit_3(tmp_path, capsys, bad_id):
+@pytest.mark.parametrize("bad_id, message", [
+    ("rs1,rs2", "SNP id 'rs1,rs2' contains a comma or whitespace"),
+    ("rs 3", "SNP id 'rs 3' contains a comma or whitespace"),
+    ("", "empty SNP id"),
+], ids=["rs1,rs2", "rs 3", "empty"])
+def test_snp_ids_that_sets_files_cannot_name_exit_3(tmp_path, capsys, bad_id, message):
     panel = tmp_path / "panel.tsv"
     panel.write_text(f"#snp\t{bad_id}\trs4\n#pos\t5\t9\n1\t0\t1\n0\t2\t0\n")
     (tmp_path / "sets.tsv").write_text(bad_id + "\n")
@@ -600,7 +604,7 @@ def test_snp_ids_that_sets_files_cannot_name_exit_3(tmp_path, capsys, bad_id):
                "--out", str(out), "--n-perm", "500"])
     err = capsys.readouterr().err
     assert rc == 3
-    assert f"line 1: SNP id {bad_id!r} contains a comma or whitespace" in err
+    assert f"line 1: {message}" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -1114,6 +1118,33 @@ def test_malformed_input_returns_3(workdir):
     bad.write_text("this is not the format\n")
     rc = main(["map", "--in", str(bad), "--out", str(workdir / "z.tsv")])
     assert rc == 3
+
+
+def test_negative_position_exits_3_naming_line_2(tmp_path, capsys):
+    panel = tmp_path / "panel.tsv"
+    panel.write_text("#snp\ta\tb\n#pos\t-5\t9\n" + "".join(
+        f"{i % 2}\t{i % 3}\t{(i // 3) % 3}\n" for i in range(40)
+    ))
+    out = tmp_path / "out.tsv"
+    rc = main(["map", "--in", str(panel), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "line 2: positions must be non-negative" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+def test_map_without_retained_iterations_warns_once(workdir, signal_panel, capsys):
+    out = workdir / "no_samples.tsv"
+    rc = main(["map", "--in", str(signal_panel), "--out", str(out),
+               "--burnin", "10", "--iters", "0", "--chains", "2", "--threads", "1"])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert err.count("warning:") == 1 and "warning: no samples recorded" in err
+    post = read_posterior(out)
+    assert len(post["ids"]) == 15
+    for col in ("marginal", "epistatic", "assoc", "boundary"):
+        assert not post[col].any()
 
 
 @pytest.mark.parametrize("token", ["NA", ".", "-1"])

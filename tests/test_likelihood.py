@@ -14,6 +14,7 @@ import pytest
 from scipy.special import gammaln
 
 from beamscan import likelihood
+from helpers import NEVER_BINDS
 from beamscan.dataio import GenotypeDataset
 from beamscan.likelihood import (
     FLOAT_KEY_WIDTH,
@@ -91,7 +92,8 @@ def decode_counts(keys, rows):
 
 
 def block_term(ds, a, b, labels):
-    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, rho=RHO)
+    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, rho=RHO,
+                         max_distinct_diplotypes=NEVER_BINDS, max_order=NEVER_BINDS)
     return JointModel(ds, priors).block_term(a, b, mask_from_labels(labels, a, b))
 
 

@@ -29,7 +29,6 @@ from beamscan.mcmc import (
 )
 from beamscan.model import (
     ConstraintError,
-    ModelConstraints,
     PriorConfig,
     default_priors,
     mask_from_labels,
@@ -122,7 +121,7 @@ def test_inapplicable_moves_return_none():
 def test_accept_probability_matches_log_ratio():
     # empty data, p = 1/3: splitting a 2-SNP block has acceptance odds
     # exp(log(p) - log(1-p)) = 1/2 exactly
-    priors = PriorConfig(p_boundary=1.0 / 3.0, p1=0.1, p2=0.1, rho=1.5)
+    priors = flat_priors(p_boundary=1.0 / 3.0, p1=0.1, p2=0.1)
     state = init_state(empty_dataset(2), priors, seed=11)
     hits = 0
     trials = 100_000
@@ -140,8 +139,8 @@ def test_accept_probability_matches_log_ratio():
 def test_capped_merge_never_accepted():
     # merged block has 3 distinct diplotypes, over the cap of 2; singletons fit
     ds = make_dataset([[0, 0], [1, 0], [0, 1]], [[0, 0]])
-    state = init_state(ds, flat_priors(p_boundary=0.45), seed=4,
-                       constraints=ModelConstraints(max_distinct_diplotypes=2, max_order=1))
+    priors = flat_priors(p_boundary=0.45, max_distinct_diplotypes=2, max_order=1)
+    state = init_state(ds, priors, seed=4)
     for _ in range(500):
         prop = propose_block_move(state, "merge")
         assert not accept(state, prop)
@@ -151,8 +150,7 @@ def test_capped_merge_never_accepted():
 def test_singleton_over_cap_is_rejected_at_init():
     ds = make_dataset([[0], [1], [2]], [[0]])
     with pytest.raises(ConstraintError):
-        init_state(ds, flat_priors(), seed=0,
-                   constraints=ModelConstraints(max_distinct_diplotypes=2, max_order=1))
+        init_state(ds, flat_priors(max_distinct_diplotypes=2, max_order=1), seed=0)
 
 
 # -- membership kernels ----------------------------------------------------------------
@@ -160,7 +158,7 @@ def test_singleton_over_cap_is_rejected_at_init():
 
 def test_gibbs_samples_prior_on_empty_data():
     third = 1.0 / 3.0
-    priors = PriorConfig(p_boundary=0.2, p1=third, p2=third, rho=1.5)
+    priors = flat_priors(p_boundary=0.2, p1=third, p2=third)
     state = init_state(empty_dataset(1), priors, seed=5)
     counts = [0, 0, 0]
     sweeps = 6000
@@ -172,9 +170,9 @@ def test_gibbs_samples_prior_on_empty_data():
 
 
 def test_gibbs_respects_interaction_order_cap():
-    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.5, rho=1.5)
-    state = init_state(empty_dataset(6), priors, seed=6,
-                       constraints=ModelConstraints(max_distinct_diplotypes=9, max_order=2))
+    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.5, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=2)
+    state = init_state(empty_dataset(6), priors, seed=6)
     saw_full = False
     for _ in range(400):
         gibbs_membership_sweep(state)
@@ -304,9 +302,9 @@ def test_one_swap_pass_leaves_the_target_invariant(orbit, starts):
     multiset: pi P = pi under the model's own block and group-2 terms."""
     n = len(orbit)
     ds = random_signal_dataset(40 + n, 12, 12, n)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=81, max_order=3)
-    state = init_state(ds, priors, seed=0, constraints=cons)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=81, max_order=3)
+    state = init_state(ds, priors, seed=0)
     arrangements = sorted(set(permutations(orbit)))
     logw = np.array([state.model.log_joint(starts, x) for x in arrangements])
     pi = np.exp(logw - logw.max())
@@ -340,32 +338,32 @@ def random_signal_dataset(seed, n_cases, n_controls, n_snps, hot=None):
 
 def test_run_chain_is_deterministic_in_the_seed():
     ds = random_signal_dataset(12, 25, 25, 5, hot=2)
-    priors, cons = default_priors(5, 50, 25, 25)
+    priors = default_priors(5, 50, 25, 25)
     sched = Schedule(burnin=200, iterations=800)
-    a = run_chain(ds, priors, sched, seed=42, constraints=cons)
-    b = run_chain(ds, priors, sched, seed=42, constraints=cons)
+    a = run_chain(ds, priors, sched, seed=42)
+    b = run_chain(ds, priors, sched, seed=42)
     assert np.array_equal(a.assoc_posterior, b.assoc_posterior)
     assert np.array_equal(a.boundary_posterior, b.boundary_posterior)
     assert np.array_equal(a.log_joint_trace, b.log_joint_trace)
     assert a.interaction_sets == b.interaction_sets
     assert a.acceptance == b.acceptance
-    c = run_chain(ds, priors, sched, seed=43, constraints=cons)
+    c = run_chain(ds, priors, sched, seed=43)
     assert not np.array_equal(a.log_joint_trace, c.log_joint_trace)
 
 
 def test_run_chain_zero_samples_warns():
     ds = random_signal_dataset(13, 20, 20, 3)
-    priors, cons = default_priors(3, 30, 20, 20)
-    out = run_chain(ds, priors, Schedule(burnin=10, iterations=0), seed=0, constraints=cons)
+    priors = default_priors(3, 30, 20, 20)
+    out = run_chain(ds, priors, Schedule(burnin=10, iterations=0), seed=0)
     assert out.samples_used == 0
-    assert out.warning is not None and "no samples" in out.warning
+    assert "warning" not in vars(out)  # `map` warns, from the schedule
     assert not out.assoc_posterior.any()
     assert not out.boundary_posterior.any()
     assert not out.marginal_posterior.any() and not out.epistatic_posterior.any()
     assert out.interaction_sets == {}
     assert out.log_joint_trace.size == 0
     # no iterations at all: the same acceptance keys, every rate 0
-    idle = run_chain(ds, priors, Schedule(burnin=0, iterations=0), seed=0, constraints=cons)
+    idle = run_chain(ds, priors, Schedule(burnin=0, iterations=0), seed=0)
     assert idle.samples_used == 0 and not idle.assoc_posterior.any()
     assert idle.acceptance == dict.fromkeys(out.acceptance, 0.0)
     assert set(out.acceptance) == {"split", "merge", "shift", "swap", "gibbs_change"}
@@ -373,8 +371,8 @@ def test_run_chain_zero_samples_warns():
 
 def test_run_chain_acceptance_bookkeeping():
     ds = random_signal_dataset(14, 25, 25, 4)
-    priors, cons = default_priors(4, 40, 25, 25)
-    out = run_chain(ds, priors, Schedule(burnin=100, iterations=400), seed=3, constraints=cons)
+    priors = default_priors(4, 40, 25, 25)
+    out = run_chain(ds, priors, Schedule(burnin=100, iterations=400), seed=3)
     for key in ("split", "merge", "shift", "swap", "gibbs_change"):
         assert key in out.acceptance
         assert 0.0 <= out.acceptance[key] <= 1.0
@@ -385,19 +383,19 @@ def test_run_chain_acceptance_bookkeeping():
 
 def test_partition_only_mode_keeps_labels_off():
     ds = random_signal_dataset(15, 30, 30, 4, hot=1)
-    priors, cons = default_priors(4, 40, 30, 30)
+    priors = default_priors(4, 40, 30, 30)
     out = run_chain(ds, priors, Schedule(burnin=100, iterations=300), seed=4,
-                    constraints=cons, sample_membership=False)
+                    sample_membership=False)
     assert not out.assoc_posterior.any()
     assert out.boundary_posterior[0] == 1.0
 
 
 def test_run_chains_single_chain_matches_run_chain():
     ds = random_signal_dataset(16, 20, 20, 4)
-    priors, cons = default_priors(4, 40, 20, 20)
+    priors = default_priors(4, 40, 20, 20)
     sched = Schedule(burnin=100, iterations=300)
-    solo = run_chain(ds, priors, sched, seed=21, constraints=cons)
-    avg, chains = run_chains(ds, priors, sched, n_chains=1, base_seed=21, constraints=cons)
+    solo = run_chain(ds, priors, sched, seed=21)
+    avg, chains = run_chains(ds, priors, sched, n_chains=1, base_seed=21)
     assert np.array_equal(avg.assoc_posterior, solo.assoc_posterior)
     assert np.array_equal(avg.boundary_posterior, solo.boundary_posterior)
     assert len(chains) == 1
@@ -420,10 +418,9 @@ def test_independent_chains_agree_on_an_epistatic_pair():
     ))
     model = DiseaseModel.from_effect(2, 1.5, 0.3, (9, 22))
     ds = simulate_dataset(pool, model, 200, 200, seed=6).dataset
-    priors, cons = default_priors(ds.n_snps, ds.region_length, 200, 200)
+    priors = default_priors(ds.n_snps, ds.region_length, 200, 200)
     sched = Schedule(burnin=500, iterations=2000)
-    avg, chains = run_chains(ds, priors, sched, n_chains=4, base_seed=200,
-                             constraints=cons)
+    avg, chains = run_chains(ds, priors, sched, n_chains=4, base_seed=200)
     pairwise = np.corrcoef([c.assoc_posterior for c in chains])[np.triu_indices(4, 1)]
     assert pairwise.min() >= 0.9
     assert avg.assoc_posterior[9] > 0.9
@@ -432,12 +429,10 @@ def test_independent_chains_agree_on_an_epistatic_pair():
 
 def test_run_chains_thread_count_does_not_change_results():
     ds = random_signal_dataset(17, 20, 20, 4, hot=0)
-    priors, cons = default_priors(4, 40, 20, 20)
+    priors = default_priors(4, 40, 20, 20)
     sched = Schedule(burnin=100, iterations=300)
-    serial, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5,
-                           constraints=cons, threads=1)
-    pooled, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5,
-                           constraints=cons, threads=2)
+    serial, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5, threads=1)
+    pooled, _ = run_chains(ds, priors, sched, n_chains=2, base_seed=5, threads=2)
     assert np.array_equal(serial.assoc_posterior, pooled.assoc_posterior)
     assert np.array_equal(serial.boundary_posterior, pooled.boundary_posterior)
     assert serial.interaction_sets == pooled.interaction_sets
@@ -445,8 +440,8 @@ def test_run_chains_thread_count_does_not_change_results():
 
 def test_cached_log_joint_stays_coherent_during_sampling():
     ds = random_signal_dataset(18, 20, 20, 5, hot=3)
-    priors, cons = default_priors(5, 50, 20, 20)
-    state = init_state(ds, priors, seed=30, constraints=cons)
+    priors = default_priors(5, 50, 20, 20)
+    state = init_state(ds, priors, seed=30)
     for t in range(300):
         prop = propose_block_move(state, ("split", "merge", "shift")[t % 3])
         if prop is not None:
@@ -461,8 +456,8 @@ def test_cached_log_joint_stays_coherent_during_sampling():
 @pytest.mark.parametrize("sample_membership", [True, False])
 def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sample_membership):
     ds = random_signal_dataset(37, 40, 40, 12, hot=4)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=7, max_order=3)
     running = ChainState.log_joint
     calls = []  # run_chain reads the log joint once per retained iteration, after its moves
     checked = []
@@ -478,7 +473,7 @@ def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sa
 
     monkeypatch.setattr(ChainState, "log_joint", checked_log_joint)
     out = run_chain(ds, priors, Schedule(burnin=0, iterations=1500), seed=15,
-                    constraints=cons, sample_membership=sample_membership)
+                    sample_membership=sample_membership)
     assert len(checked) >= 1500 // 7
     assert out.acceptance["split"] > 0 and out.acceptance["merge"] > 0
     assert out.acceptance["shift"] > 0
@@ -491,8 +486,8 @@ def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sa
 def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_membership):
     # a weak-data panel, so the partition changes often
     ds = random_signal_dataset(41, 10, 10, 12, hot=4)
-    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=3)
     schedule = Schedule(burnin=50, iterations=900)
     running = ChainState.log_joint
     tally = np.zeros(ds.n_snps)
@@ -506,8 +501,7 @@ def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_member
         return running(state)
 
     monkeypatch.setattr(ChainState, "log_joint", tallying_log_joint)
-    out = run_chain(ds, priors, schedule, seed=8, constraints=cons,
-                    sample_membership=sample_membership)
+    out = run_chain(ds, priors, schedule, seed=8, sample_membership=sample_membership)
     assert out.samples_used == len(sampled) == 900
     assert len(set(sampled)) > 10  # the tally spans many partition changes
     np.testing.assert_array_equal(out.boundary_posterior, tally / len(sampled))
@@ -515,8 +509,8 @@ def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_member
 
 def test_label_posteriors_equal_a_per_sample_tally(monkeypatch):
     ds = random_signal_dataset(41, 10, 10, 12, hot=4)
-    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=3)
     schedule = Schedule(burnin=50, iterations=900)
     running = ChainState.log_joint
     tally = np.zeros((2, ds.n_snps))
@@ -530,7 +524,7 @@ def test_label_posteriors_equal_a_per_sample_tally(monkeypatch):
         return running(state)
 
     monkeypatch.setattr(ChainState, "log_joint", tallying_log_joint)
-    out = run_chain(ds, priors, schedule, seed=8, constraints=cons)
+    out = run_chain(ds, priors, schedule, seed=8)
     assert out.samples_used == len(sampled) == 900
     assert len(set(sampled)) > 10  # the tally spans many label changes
     np.testing.assert_array_equal(out.marginal_posterior, tally[0] / len(sampled))
@@ -539,8 +533,8 @@ def test_label_posteriors_equal_a_per_sample_tally(monkeypatch):
 
 def test_member_lists_follow_every_relabel(monkeypatch):
     ds = random_signal_dataset(31, 40, 40, 12, hot=5)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=7, max_order=3)
     relabel = ChainState.relabel
     calls = []
 
@@ -553,36 +547,33 @@ def test_member_lists_follow_every_relabel(monkeypatch):
         return stale
 
     monkeypatch.setattr(ChainState, "relabel", checked_relabel)
-    out = run_chain(ds, priors, Schedule(burnin=0, iterations=1500), seed=3, constraints=cons)
+    out = run_chain(ds, priors, Schedule(burnin=0, iterations=1500), seed=3)
     assert out.acceptance["swap"] > 0 and out.acceptance["gibbs_change"] > 0
     assert len(calls) > 300
 
 
 def test_chain_matches_enumeration_on_four_snps():
     ds = random_signal_dataset(19, 40, 40, 4, hot=1)
-    priors, cons = default_priors(4, 40, 40, 40)
-    out = run_chain(ds, priors, Schedule(burnin=2000, iterations=20000), seed=9,
-                    constraints=cons)
-    exact = enumerate_posterior(ds, priors, cons)
+    priors = default_priors(4, 40, 40, 40)
+    out = run_chain(ds, priors, Schedule(burnin=2000, iterations=20000), seed=9)
+    exact = enumerate_posterior(ds, priors)
     assert np.max(np.abs(out.assoc_posterior - exact.assoc_posterior)) < 0.05
     assert np.max(np.abs(out.boundary_posterior - exact.boundary_posterior)) < 0.05
 
 
 def test_single_snp_chain_matches_enumeration():
     ds = random_signal_dataset(20, 30, 30, 1, hot=0)
-    priors, cons = default_priors(1, 1, 30, 30)
-    out = run_chain(ds, priors, Schedule(burnin=500, iterations=4000), seed=2,
-                    constraints=cons)
-    exact = enumerate_posterior(ds, priors, cons)
+    priors = default_priors(1, 1, 30, 30)
+    out = run_chain(ds, priors, Schedule(burnin=500, iterations=4000), seed=2)
+    exact = enumerate_posterior(ds, priors)
     assert exact.assoc_posterior[0] > 0.9  # the signal is unmistakable
     assert abs(out.assoc_posterior[0] - exact.assoc_posterior[0]) < 0.03
 
 
 def test_null_data_association_stays_low():
     ds = random_signal_dataset(21, 200, 200, 12)
-    priors, cons = default_priors(12, 120, 200, 200)
-    out = run_chain(ds, priors, Schedule(burnin=1000, iterations=4000), seed=7,
-                    constraints=cons)
+    priors = default_priors(12, 120, 200, 200)
+    out = run_chain(ds, priors, Schedule(burnin=1000, iterations=4000), seed=7)
     assert float(out.assoc_posterior.mean()) < 0.5 * (priors.p1 + priors.p2)
     assert float(out.assoc_posterior.max()) < 0.2
 
@@ -675,15 +666,15 @@ def random_force(rng, n, max_order):
     return starts, labels
 
 
-def run_pair(ds, priors, constraints, seed, steps, moves=True, force_every=0, init=None):
+def run_pair(ds, priors, seed, steps, moves=True, force_every=0, init=None):
     """Drive a reference and an incremental state through the same kernels.
 
     Each step applies one block move and one swap pass (with ``moves``), one
     sweep, and every ``force_every`` steps a random ``force_state`` rewrite.
     Returns the two states and the number of labels changed overall.
     """
-    ref = init_state(ds, priors, seed, constraints)
-    new = init_state(ds, priors, seed, constraints)
+    ref = init_state(ds, priors, seed)
+    new = init_state(ds, priors, seed)
     if init is not None:
         force_state(ref, *init)
         force_state(new, *init)
@@ -718,14 +709,14 @@ def run_pair(ds, priors, constraints, seed, steps, moves=True, force_every=0, in
 
 def test_incremental_sweep_matches_reference_with_moves_and_swaps():
     ds = random_signal_dataset(31, 40, 40, 12, hot=5)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=7, max_order=3)
     # coverage guards are taken over all seeds: a single chain this short
     # may accept no split or merge at all
     accepted = {"block": 0, "swap": 0}
     wide = False
     for seed in (3, 4, 5, 6, 7):
-        ref, _, changed = run_pair(ds, priors, cons, seed=seed, steps=400)
+        ref, _, changed = run_pair(ds, priors, seed=seed, steps=400)
         assert changed > 100
         assert ref.counters["gibbs_draws"] == 400 * 12
         accepted["block"] += ref.counters.get("split_accepted", 0)
@@ -739,11 +730,11 @@ def test_incremental_sweep_matches_reference_with_moves_and_swaps():
 
 def test_incremental_sweep_matches_reference_through_group2_entries_and_exits():
     # empty data: labels follow the prior, so group 2 is entered and left often
-    priors = PriorConfig(p_boundary=0.3, p1=0.25, p2=0.35, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=9)
+    priors = PriorConfig(p_boundary=0.3, p1=0.25, p2=0.35, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=9)
     seen = {"enter": 0, "exit": 0}
-    ref = init_state(empty_dataset(8), priors, 5, cons)
-    new = init_state(empty_dataset(8), priors, 5, cons)
+    ref = init_state(empty_dataset(8), priors, 5)
+    new = init_state(empty_dataset(8), priors, 5)
     force_state(ref, (0, 3, 5), (0,) * 8)
     force_state(new, (0, 3, 5), (0,) * 8)
     for _ in range(300):
@@ -758,48 +749,48 @@ def test_incremental_sweep_matches_reference_through_group2_entries_and_exits():
 
 
 def test_incremental_sweep_matches_reference_when_the_order_cap_binds():
-    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.6, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=2)
-    ref, _, changed = run_pair(empty_dataset(7), priors, cons, seed=6, steps=300)
+    priors = PriorConfig(p_boundary=0.2, p1=0.1, p2=0.6, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=2)
+    ref, _, changed = run_pair(empty_dataset(7), priors, seed=6, steps=300)
     assert len(ref.s2) <= 2 and changed > 100
     ds = random_signal_dataset(32, 30, 30, 6, hot=2)
-    run_pair(ds, priors, cons, seed=7, steps=300, force_every=7)
+    run_pair(ds, priors, seed=7, steps=300, force_every=7)
 
 
 @pytest.mark.parametrize("p1, p2", [(0.0, 0.3), (0.3, 0.0)])
 def test_incremental_sweep_matches_reference_with_impossible_labels(p1, p2):
-    priors = PriorConfig(p_boundary=0.25, p1=p1, p2=p2, rho=1.5)
+    priors = PriorConfig(p_boundary=0.25, p1=p1, p2=p2, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=3)
     ds = random_signal_dataset(33, 25, 25, 6, hot=1)
-    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=3)
-    run_pair(ds, priors, cons, seed=8, steps=200, force_every=9)
-    run_pair(empty_dataset(5), priors, cons, seed=9, steps=200, force_every=4)
+    run_pair(ds, priors, seed=8, steps=200, force_every=9)
+    run_pair(empty_dataset(5), priors, seed=9, steps=200, force_every=4)
 
 
 def test_incremental_sweep_matches_reference_after_force_state_rewrites():
     ds = random_signal_dataset(34, 30, 30, 10, hot=4)
-    priors, cons = default_priors(10, 100, 30, 30, p1=0.15, p2=0.15, max_order=3)
-    run_pair(ds, priors, cons, seed=10, steps=300, force_every=3)
-    run_pair(ds, priors, cons, seed=11, steps=150, moves=False, force_every=2)
+    priors = default_priors(10, 100, 30, 30, p1=0.15, p2=0.15, max_order=3)
+    run_pair(ds, priors, seed=10, steps=300, force_every=3)
+    run_pair(ds, priors, seed=11, steps=150, moves=False, force_every=2)
 
 
 def test_incremental_sweep_matches_reference_on_a_block_wider_than_int64():
     # 45 SNPs in one block: the ternary mask exceeds 3**40 > 2**63
     n = 45
-    priors = PriorConfig(p_boundary=0.05, p1=0.3, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=4)
+    priors = PriorConfig(p_boundary=0.05, p1=0.3, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=4)
     labels = [0] * (n - 1) + [1]
-    ref, _, changed = run_pair(empty_dataset(n), priors, cons, seed=12, steps=60,
+    ref, _, changed = run_pair(empty_dataset(n), priors, seed=12, steps=60,
                                moves=False, init=((0,), labels))
     assert ref.block_masks[(0, n)] > 2**63 and changed > 100
 
 
 def test_run_chain_is_unchanged_by_the_incremental_sweep(monkeypatch):
     ds = random_signal_dataset(35, 40, 40, 8, hot=3)
-    priors, cons = default_priors(8, 80, 40, 40, p1=0.15, p2=0.15)
+    priors = default_priors(8, 80, 40, 40, p1=0.15, p2=0.15)
     sched = Schedule(burnin=100, iterations=400)
-    new = run_chain(ds, priors, sched, seed=13, constraints=cons)
+    new = run_chain(ds, priors, sched, seed=13)
     monkeypatch.setattr(mcmc, "gibbs_membership_sweep", reference_gibbs_sweep)
-    ref = run_chain(ds, priors, sched, seed=13, constraints=cons)
+    ref = run_chain(ds, priors, sched, seed=13)
     for field in ("marginal_posterior", "epistatic_posterior", "assoc_posterior",
                   "boundary_posterior", "log_joint_trace"):
         assert np.array_equal(getattr(new, field), getattr(ref, field)), field
@@ -823,9 +814,9 @@ def assert_valid_rows_are_fresh(state):
 
 def test_every_kernel_marks_the_rows_it_invalidates():
     ds = random_signal_dataset(36, 30, 30, 10, hot=4)
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=7, max_order=3)
-    state = init_state(ds, priors, seed=14, constraints=cons)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=7, max_order=3)
+    state = init_state(ds, priors, seed=14)
     checked = 0
     for _ in range(600):
         prop = propose_block_move(state, mcmc._choose_kind(state.rng))
@@ -876,9 +867,9 @@ def test_repartition_edits_starts_as_a_full_rebuild_would():
     # weak data and a flat boundary prior, so that many moves of each kind are
     # accepted; label sweeps and swaps in between make the masks non-zero
     ds = random_signal_dataset(41, 12, 12, 14, hot=6)
-    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5)
-    cons = ModelConstraints(max_distinct_diplotypes=20, max_order=3)
-    state = init_state(ds, priors, seed=9, constraints=cons)
+    priors = PriorConfig(p_boundary=0.5, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=20, max_order=3)
+    state = init_state(ds, priors, seed=9)
     accepted = {"split": 0, "merge": 0, "shift": 0}
     labelled = 0  # accepted moves whose added blocks carry a label
     for t in range(3000):

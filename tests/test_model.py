@@ -6,18 +6,18 @@ checks are independent of the implementation under test.
 """
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 import helpers
-from helpers import ref_marginal
+from helpers import NEVER_BINDS, ref_marginal
 from beamscan.dataio import GenotypeDataset
 from beamscan.model import (
     ConstraintError,
     JointModel,
-    ModelConstraints,
     PriorConfig,
     default_priors,
     mask_from_labels,
@@ -60,7 +60,8 @@ def ref_log_joint(ds, starts, labels, priors):
 def log_block_term(ds, block, labels):
     """One block's conditional term for the full-length label sequence ``labels``."""
     a, b = block
-    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, rho=RHO)
+    priors = PriorConfig(p_boundary=0.5, p1=0.1, p2=0.1, rho=RHO,
+                         max_distinct_diplotypes=NEVER_BINDS, max_order=NEVER_BINDS)
     return JointModel(ds, priors).block_term(a, b, mask_from_labels(labels, a, b))
 
 
@@ -81,61 +82,62 @@ def random_dataset(rng, n_cases, n_controls, n_snps):
 
 
 def test_default_priors_boundary_formula():
-    priors, _ = default_priors(1000, 10**6, 500, 500)
+    priors = default_priors(1000, 10**6, 500, 500)
     assert priors.p_boundary == pytest.approx(1.0 / 60.0, rel=1e-9)
     assert priors.p_boundary == pytest.approx(0.016667, abs=5e-7)
 
 
 def test_default_priors_membership_formula():
-    priors, _ = default_priors(1000, 10**6, 500, 500)
+    priors = default_priors(1000, 10**6, 500, 500)
     assert priors.p1 == pytest.approx(0.005)
     assert priors.p2 == pytest.approx(0.005)
     assert priors.p0 == pytest.approx(0.99)
-    small, _ = default_priors(10, 1000, 50, 50)
+    small = default_priors(10, 1000, 50, 50)
     assert small.p1 == pytest.approx(0.1)
     assert small.p0 == pytest.approx(0.8)
 
 
 def test_default_priors_constraints():
-    _, cons = default_priors(1000, 10**6, 500, 500)
-    assert cons.max_order == 4  # 3^4 = 81 <= 100 < 243
-    assert cons.max_distinct_diplotypes == 99
-    _, cons30 = default_priors(10, 1000, 15, 15)
-    assert cons30.max_order == 1
+    priors = default_priors(1000, 10**6, 500, 500)
+    assert priors.max_order == 4  # 3^4 = 81 <= 100 < 243
+    assert priors.max_distinct_diplotypes == 99
+    priors30 = default_priors(10, 1000, 15, 15)
+    assert priors30.max_order == 1
     with pytest.raises(ConstraintError):
         default_priors(10, 1000, 15, 14)
     with pytest.raises(ConstraintError):
         default_priors(10, 1000, 1, 0)
-    # no individuals: the caps cannot bind and the priors are echoed
-    priors0, cons0 = default_priors(10, 1000, 0, 0)
-    assert priors0 == default_priors(10, 1000, 15, 15)[0]
-    assert (cons0.max_distinct_diplotypes, cons0.max_order) == (1, 1)
-    assert default_priors(10, 1000, 0, 0, max_order=3)[1].max_order == 3
+    # no individuals: the caps cannot bind and the other prior values are echoed
+    priors0 = default_priors(10, 1000, 0, 0)
+    assert priors0 == replace(priors30, max_distinct_diplotypes=1, max_order=1)
+    assert (priors0.max_distinct_diplotypes, priors0.max_order) == (1, 1)
+    assert default_priors(10, 1000, 0, 0, max_order=3).max_order == 3
 
 
 def test_default_priors_overrides():
-    priors, cons = default_priors(100, 10**5, 100, 100, p1=0.02, p2=0.01, max_order=2)
+    priors = default_priors(100, 10**5, 100, 100, p1=0.02, p2=0.01, max_order=2)
     assert (priors.p1, priors.p2) == (0.02, 0.01)
     assert priors.p0 == pytest.approx(0.97)
-    assert cons.max_order == 2
+    assert priors.max_order == 2
 
 
 def test_prior_config_validation():
+    valid = flat_priors(p_boundary=0.1, p1=0.1, p2=0.1)
     with pytest.raises(ValueError):
-        PriorConfig(p_boundary=0.6, p1=0.1, p2=0.1)
+        replace(valid, p_boundary=0.6)
     with pytest.raises(ValueError):
-        PriorConfig(p_boundary=0.0, p1=0.1, p2=0.1)
+        replace(valid, p_boundary=0.0)
     with pytest.raises(ValueError, match="p0"):
-        PriorConfig(p_boundary=0.1, p1=0.5, p2=0.5)
+        replace(valid, p1=0.5, p2=0.5)
     for name in ("p1", "p2"):
         for bad in (-0.1, 1.0, float("nan")):
             with pytest.raises(ValueError, match=f"{name} must lie"):
-                PriorConfig(**{"p_boundary": 0.1, "p1": 0.1, "p2": 0.1, name: bad})
+                replace(valid, **{name: bad})
     for rho in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="rho"):
-            PriorConfig(p_boundary=0.1, p1=0.1, p2=0.1, rho=rho)
+            replace(valid, rho=rho)
     with pytest.raises(ValueError):
-        ModelConstraints(max_distinct_diplotypes=0, max_order=1)
+        replace(valid, max_distinct_diplotypes=0, max_order=1)
 
 
 # -- state encoding ---------------------------------------------------------------------
@@ -221,10 +223,10 @@ def test_block_term_never_positive():
         assert log_block_term(ds, (a, b), labels) <= 1e-12
 
 
-def assert_block_terms_match_block_term(ds, priors, constraints, a, b, masks):
+def assert_block_terms_match_block_term(ds, priors, a, b, masks):
     """The batch gives the scalar's values, bit for bit, and leaves the same memos."""
-    batch = JointModel(ds, priors, constraints)
-    scalar = JointModel(ds, priors, constraints)
+    batch = JointModel(ds, priors)
+    scalar = JointModel(ds, priors)
     got = batch.block_terms(a, b, np.asarray(masks, dtype=np.int64))
     assert got.tolist() == [scalar.block_term(a, b, m) for m in masks]
     assert batch._block_terms == scalar._block_terms
@@ -243,23 +245,25 @@ def test_block_terms_are_bit_equal_to_block_term(width):
     for (n_cases, n_controls), prior in zip(arms + [(0, 0)], priors):
         ds = random_dataset(rng, n_cases, n_controls, width + 3)
         a = int(rng.integers(0, 4))
-        assert_block_terms_match_block_term(ds, prior, None, a, a + width, masks)
+        assert_block_terms_match_block_term(ds, prior, a, a + width, masks)
 
 
 def test_block_terms_of_a_block_over_the_cap_are_minus_infinity():
     rng = np.random.default_rng(71)
     ds = random_dataset(rng, 40, 40, 4)
     masks = list(range(3**4))
-    capped = assert_block_terms_match_block_term(ds, flat_priors(), ModelConstraints(20, 2), 0, 4, masks)
+    over = flat_priors(max_distinct_diplotypes=20, max_order=2)
+    capped = assert_block_terms_match_block_term(ds, over, 0, 4, masks)
     assert (capped == -math.inf).all()
-    within = assert_block_terms_match_block_term(ds, flat_priors(), ModelConstraints(80, 2), 0, 4, masks)
+    under = flat_priors(max_distinct_diplotypes=80, max_order=2)
+    within = assert_block_terms_match_block_term(ds, under, 0, 4, masks)
     assert np.isfinite(within).all()
 
 
 def test_block_terms_refuse_masks_that_overflow_int64():
     rng = np.random.default_rng(72)
     ds = random_dataset(rng, 3, 3, 40)
-    assert_block_terms_match_block_term(ds, flat_priors(), None, 0, 39, [0, 3**39 - 1])
+    assert_block_terms_match_block_term(ds, flat_priors(), 0, 39, [0, 3**39 - 1])
     with pytest.raises(ValueError, match="overflow int64"):
         JointModel(ds, flat_priors()).block_terms(0, 40, [0])
 
@@ -357,9 +361,8 @@ def test_split_of_unassociated_block_changes_only_that_block():
 def test_log_joint_forbidden_states():
     rng = np.random.default_rng(11)
     ds = random_dataset(rng, 20, 20, 4)
-    priors = flat_priors()
-    tight = ModelConstraints(max_distinct_diplotypes=2, max_order=1)
-    model = JointModel(ds, priors, tight)
+    tight = flat_priors(max_distinct_diplotypes=2, max_order=1)
+    model = JointModel(ds, tight)
     # a 4-SNP block on random N=40 data exceeds 2 distinct diplotypes
     assert model.log_joint((0,), (0, 0, 0, 0)) == -math.inf
     # epistatic set above max_order
@@ -369,7 +372,8 @@ def test_log_joint_forbidden_states():
 def test_log_joint_zero_label_prior_forbids_label():
     rng = np.random.default_rng(12)
     ds = random_dataset(rng, 10, 10, 2)
-    priors = PriorConfig(p_boundary=0.2, p1=0.0, p2=0.2, rho=RHO)
+    priors = PriorConfig(p_boundary=0.2, p1=0.0, p2=0.2, rho=RHO,
+                         max_distinct_diplotypes=NEVER_BINDS, max_order=NEVER_BINDS)
     model = JointModel(ds, priors)
     assert model.log_joint((0, 1), (1, 0)) == -math.inf
     finite = model.log_joint((0, 1), (2, 0))
@@ -383,7 +387,7 @@ def test_block_allowed_uses_distinct_count():
         snp_ids=("a", "b"),
         positions=(1, 2),
     )
-    model = JointModel(ds, flat_priors(), ModelConstraints(max_distinct_diplotypes=2, max_order=1))
+    model = JointModel(ds, flat_priors(max_distinct_diplotypes=2, max_order=1))
     assert model.block_allowed(1, 2)  # column b: one distinct value
     assert not model.block_allowed(0, 2)  # three distinct rows
     assert not model.block_allowed(0, 1)  # three distinct values at column a

@@ -1,6 +1,7 @@
 """Exhaustive-enumeration oracle against plain brute force and prior echoes."""
 
 import math
+from dataclasses import replace
 from functools import partial
 from itertools import combinations, product
 
@@ -9,12 +10,7 @@ import pytest
 from scipy.special import logsumexp
 
 import helpers
-from beamscan.model import (
-    ConstraintError,
-    JointModel,
-    ModelConstraints,
-    PriorConfig,
-)
+from beamscan.model import ConstraintError, JointModel
 from beamscan.oracle import ORACLE_MAX_SNPS, OracleGuardError, enumerate_posterior
 
 
@@ -29,10 +25,10 @@ def all_partitions(n):
         yield tuple(starts)
 
 
-def brute_force(ds, priors, constraints=None):
+def brute_force(ds, priors):
     """Plain double loop over every partition and every label vector."""
     n = ds.n_snps
-    model = JointModel(ds, priors, constraints)
+    model = JointModel(ds, priors)
     states = []
     for starts in all_partitions(n):
         for labels in product((0, 1, 2), repeat=n):
@@ -68,9 +64,8 @@ def test_empty_data_echoes_the_prior():
 
 
 def test_empty_data_with_order_cap_truncates_the_label_prior():
-    priors = flat_priors()
-    cons = ModelConstraints(max_distinct_diplotypes=50, max_order=1)
-    res = enumerate_posterior(empty_dataset(3), priors, cons)
+    priors = flat_priors(max_distinct_diplotypes=50, max_order=1)
+    res = enumerate_posterior(empty_dataset(3), priors)
     # direct truncated-prior computation over label vectors with <= 1 twos
     p = (priors.p0, priors.p1, priors.p2)
     mass = np.zeros(1)
@@ -129,10 +124,9 @@ def test_factorized_sum_matches_brute_force():
 def test_factorized_sum_matches_brute_force_under_constraints():
     rng = np.random.default_rng(32)
     ds = make_dataset(rng.integers(0, 3, (20, 4)), rng.integers(0, 3, (20, 4)))
-    priors = flat_priors()
-    cons = ModelConstraints(max_distinct_diplotypes=12, max_order=1)
-    res = enumerate_posterior(ds, priors, cons)
-    p1, p2, boundary, log_z = brute_force(ds, priors, cons)
+    priors = flat_priors(max_distinct_diplotypes=12, max_order=1)
+    res = enumerate_posterior(ds, priors)
+    p1, p2, boundary, log_z = brute_force(ds, priors)
     np.testing.assert_allclose(res.marginal_posterior, p1, atol=1e-10)
     np.testing.assert_allclose(res.epistatic_posterior, p2, atol=1e-10)
     np.testing.assert_allclose(res.boundary_posterior, boundary, atol=1e-10)
@@ -143,15 +137,14 @@ def test_states_enumerated_accounting():
     priors = flat_priors()
     res = enumerate_posterior(empty_dataset(4), priors)
     assert res.states_enumerated == 2**3 * 3**4
-    cons = ModelConstraints(max_distinct_diplotypes=50, max_order=1)
-    capped = enumerate_posterior(empty_dataset(4), priors, cons)
+    capped = enumerate_posterior(empty_dataset(4), replace(priors, max_distinct_diplotypes=50, max_order=1))
     assert capped.states_enumerated == 2**3 * (2**4 + 4 * 2**3)
 
 
 def test_zero_epistatic_prior_closes_group2():
     rng = np.random.default_rng(33)
     ds = make_dataset(rng.integers(0, 3, (10, 3)), rng.integers(0, 3, (10, 3)))
-    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.0, rho=1.5)
+    priors = flat_priors(p_boundary=0.3, p1=0.2, p2=0.0)
     res = enumerate_posterior(ds, priors)
     assert not res.epistatic_posterior.any()
     assert (res.marginal_posterior > 0).all()
@@ -161,16 +154,15 @@ def test_size_guard():
     priors = flat_priors()
     with pytest.raises(OracleGuardError):
         enumerate_posterior(empty_dataset(ORACLE_MAX_SNPS + 1), priors)
-    cons = ModelConstraints(max_distinct_diplotypes=50, max_order=1)
-    res = enumerate_posterior(empty_dataset(ORACLE_MAX_SNPS), priors, cons)
+    capped = replace(priors, max_distinct_diplotypes=50, max_order=1)
+    res = enumerate_posterior(empty_dataset(ORACLE_MAX_SNPS), capped)
     assert res.boundary_posterior.shape == (ORACLE_MAX_SNPS,)
 
 
 def test_every_partition_blocked_raises():
     ds = make_dataset([[0], [1], [2]], [[1], [2]])
     with pytest.raises(ConstraintError):
-        enumerate_posterior(ds, flat_priors(),
-                            ModelConstraints(max_distinct_diplotypes=2, max_order=1))
+        enumerate_posterior(ds, flat_priors(max_distinct_diplotypes=2, max_order=1))
 
 
 def test_posteriors_are_probabilities():
@@ -188,10 +180,10 @@ def test_posteriors_are_probabilities():
 # -- equivalence with the partition-by-partition enumeration ---------------------------
 
 
-def reference_enumerate_posterior(dataset, priors, constraints=None, model_cls=JointModel):
+def reference_enumerate_posterior(dataset, priors, model_cls=JointModel):
     """Double loop over allowed partitions and group-2 sets, summed term by term."""
     n = dataset.n_snps
-    model = model_cls(dataset, priors, constraints)
+    model = model_cls(dataset, priors)
     max_order = min(model.max_order, n)
     log_p2 = model.log_label[2]
     log_label01 = model.log_label[:2]
@@ -273,24 +265,23 @@ def capped_panel(seed=41, n_snps=8, n_per_arm=150):
                         rng.integers(0, 3, (n_per_arm, n_snps)))
 
 
-def assert_matches_reference(ds, priors, constraints):
-    res = enumerate_posterior(ds, priors, constraints)
-    p1, p2, boundary, log_z = reference_enumerate_posterior(ds, priors, constraints)
+def assert_matches_reference(ds, priors):
+    res = enumerate_posterior(ds, priors)
+    p1, p2, boundary, log_z = reference_enumerate_posterior(ds, priors)
     np.testing.assert_allclose(res.marginal_posterior, p1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(res.epistatic_posterior, p2, rtol=0, atol=1e-12)
     np.testing.assert_allclose(res.boundary_posterior, boundary, rtol=0, atol=1e-12)
     assert abs(res.log_normalizer - log_z) <= 1e-12
     n = ds.n_snps
-    max_order = constraints.max_order if constraints is not None else n
     assert res.states_enumerated == 2 ** (n - 1) * sum(
-        math.comb(n, k) * 2 ** (n - k) for k in range(min(max_order, n) + 1)
+        math.comb(n, k) * 2 ** (n - k) for k in range(min(priors.max_order, n) + 1)
     )
     return res
 
 
 def test_capped_panel_forbids_some_blocks_but_not_every_partition():
     ds = capped_panel()
-    model = JointModel(ds, flat_priors(), ModelConstraints(29, 3))
+    model = JointModel(ds, flat_priors(max_distinct_diplotypes=29, max_order=3))
     assert not model.block_allowed(0, 8)
     assert all(model.block_allowed(i, i + 2) for i in range(7))
 
@@ -299,26 +290,27 @@ def test_capped_panel_forbids_some_blocks_but_not_every_partition():
     "priors, max_order",
     [
         (flat_priors(), 3),
-        (PriorConfig(p_boundary=0.3, p1=0.0, p2=0.1, rho=1.5), 3),
-        (PriorConfig(p_boundary=0.3, p1=0.2, p2=0.0, rho=1.5), 3),
+        (flat_priors(p_boundary=0.3, p1=0.0, p2=0.1), 3),
+        (flat_priors(p_boundary=0.3, p1=0.2, p2=0.0), 3),
         (flat_priors(), 1),
         (flat_priors(), 2),
     ],
     ids=["default", "p1-zero", "p2-zero", "order-1", "order-2"],
 )
 def test_forward_backward_matches_reference_on_a_capped_panel(priors, max_order):
-    assert_matches_reference(capped_panel(), priors, ModelConstraints(29, max_order))
+    capped = replace(priors, max_distinct_diplotypes=29, max_order=max_order)
+    assert_matches_reference(capped_panel(), capped)
 
 
 def test_forward_backward_matches_reference_without_constraints():
     rng = np.random.default_rng(42)
     ds = make_dataset(rng.integers(0, 3, (40, 5)), rng.integers(0, 3, (40, 5)))
-    assert_matches_reference(ds, flat_priors(p_boundary=0.45), None)
+    assert_matches_reference(ds, flat_priors(p_boundary=0.45))
 
 
 def test_forward_backward_matches_reference_on_zero_individuals():
-    for constraints in (None, ModelConstraints(1, 2)):
-        assert_matches_reference(empty_dataset(6), flat_priors(), constraints)
+    for priors in (flat_priors(), flat_priors(max_distinct_diplotypes=1, max_order=2)):
+        assert_matches_reference(empty_dataset(6), priors)
 
 
 def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
@@ -333,10 +325,10 @@ def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
             built.append(self)
 
     ds = capped_panel()
-    cons = ModelConstraints(29, 3)
+    priors = flat_priors(max_distinct_diplotypes=29, max_order=3)
     monkeypatch.setattr(oracle_module, "JointModel", RecordingModel)
-    oracle_module.enumerate_posterior(ds, flat_priors(), cons)
-    reference_enumerate_posterior(ds, flat_priors(), cons, model_cls=RecordingModel)
+    oracle_module.enumerate_posterior(ds, priors)
+    reference_enumerate_posterior(ds, priors, model_cls=RecordingModel)
     new, ref = built
     assert new._block_terms == ref._block_terms
     assert new.engine._marg == ref.engine._marg
@@ -345,15 +337,15 @@ def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
 def test_factorized_sum_matches_brute_force_when_the_cap_removes_partitions():
     rng = np.random.default_rng(43)
     ds = make_dataset(rng.integers(0, 3, (20, 5)), rng.integers(0, 3, (20, 5)))
-    cons = ModelConstraints(max_distinct_diplotypes=9, max_order=2)
-    model = JointModel(ds, flat_priors(), cons)
+    priors = flat_priors(max_distinct_diplotypes=9, max_order=2)
+    model = JointModel(ds, priors)
     allowed = [
         starts for starts in all_partitions(5)
         if all(model.block_allowed(a, b) for a, b in zip(starts, starts[1:] + (5,)))
     ]
     assert 0 < len(allowed) < 2**4
-    res = enumerate_posterior(ds, flat_priors(), cons)
-    p1, p2, boundary, log_z = brute_force(ds, flat_priors(), cons)
+    res = enumerate_posterior(ds, priors)
+    p1, p2, boundary, log_z = brute_force(ds, priors)
     np.testing.assert_allclose(res.marginal_posterior, p1, atol=1e-10)
     np.testing.assert_allclose(res.epistatic_posterior, p2, atol=1e-10)
     np.testing.assert_allclose(res.boundary_posterior, boundary, atol=1e-10)
@@ -364,4 +356,4 @@ def test_factorized_sum_matches_brute_force_when_the_cap_removes_partitions():
 def test_every_partition_blocked_names_the_cap():
     ds = make_dataset([[0, 1], [1, 1], [2, 1]], [[1, 1], [2, 1]])
     with pytest.raises(ConstraintError, match="every partition violates the diplotype cap"):
-        enumerate_posterior(ds, flat_priors(), ModelConstraints(2, 1))
+        enumerate_posterior(ds, flat_priors(max_distinct_diplotypes=2, max_order=1))
