@@ -41,6 +41,7 @@ from .dataio import (
     read_text,
     write_dataset,
 )
+from .likelihood import RHO_RULE, rho_is_valid
 from .mcmc import Schedule, default_schedule, run_chains
 from .model import ConstraintError, PriorConfig, default_priors
 from .oracle import enumerate_posterior
@@ -90,6 +91,7 @@ _nonneg_int = _int_at_least(0)
 _positive_int = _int_at_least(1)
 # each range test below is false for nan, so nan is refused too
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
+_rho_arg = _checked(float, rho_is_valid, RHO_RULE)
 _nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "must be finite and non-negative")
 _maf_arg = _checked(float, lambda v: 0.0 < v <= 0.5, "minor allele frequency must lie in (0, 0.5]")
 _unit_closed = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
@@ -116,7 +118,7 @@ def _add_io_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_prior_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rho", type=_positive_float, default=1.5, help="Dirichlet scale")
+    sub.add_argument("--rho", type=_rho_arg, default=1.5, help="Dirichlet scale")
     sub.add_argument(
         "--prior-blocks",
         type=_positive_float,
@@ -277,6 +279,7 @@ def cmd_chains(args, clock: _PhaseClock):
         _write_snp_table(args.outfile, dataset, summary, ["p_boundary"])
     return [args.infile], outputs, {
         "acceptance": [chain.acceptance for chain in chains],
+        "counters": [chain.counters for chain in chains],
         "cache": [chain.cache for chain in chains],
     }
 
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bstat.add_argument(
         "--n-tests", type=_positive_int, default=None, help="Bonferroni divisor (default C(L, M))"
     )
-    p_bstat.add_argument("--rho", type=_positive_float, default=1.5, help="Dirichlet scale")
+    p_bstat.add_argument("--rho", type=_rho_arg, default=1.5, help="Dirichlet scale")
     p_bstat.add_argument("--seed", type=_nonneg_int, default=0, help="permutation RNG seed")
     p_bstat.set_defaults(func=cmd_bstat)
 

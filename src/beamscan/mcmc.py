@@ -37,6 +37,18 @@ A block proposal names only the blocks it removes and adds, so drawing one
 costs the same at any partition size; ``accept`` cuts the added blocks'
 label masks from the removed blocks' masks by ternary arithmetic, and
 ``repartition`` edits the start list in place.
+
+A chain draws from :class:`BlockDraws`, which reads the seeded generator's
+raw 64-bit words in blocks and returns exactly the numbers that
+``default_rng(seed)`` would, at a quarter to a half of a ``Generator`` call's
+cost; a block move makes three or four scalar draws, so at the Generator's
+cost they were a large share of it. The kernels only call ``integers(k)`` and
+``random(size=None)``, so a ``ChainState`` runs the same with a plain
+``Generator`` or a scripted stand-in.
+
+``run_chain`` reports each chain's ``counters`` (block no-ops, proposals and
+acceptances per move kind, Gibbs draws and label changes, swap proposals and
+acceptances) with the acceptance rates derived from them.
 """
 
 from __future__ import annotations
@@ -59,10 +71,124 @@ from .model import (
     mask_from_labels,
 )
 
+_BLOCK_WORDS = 64  # raw words a draw source reads at a time
+_TWO_M53 = 2.0**-53
+_LOW32 = 0xFFFFFFFF
+_LOW64 = 0xFFFFFFFFFFFFFFFF
+
+
+class BlockDraws:
+    """The draws of ``numpy.random.default_rng(seed)``, bit for bit, from its
+    raw 64-bit words read in blocks.
+
+    A scalar ``Generator`` draw costs 0.5-2 us, mostly call overhead; here it
+    is a little integer arithmetic on the next word of a list. numpy's own
+    algorithms are reproduced exactly:
+
+    - ``random()`` is ``(word >> 11) * 2**-53``;
+    - ``integers(k)`` for 2 <= k <= 2**32 is Lemire's multiply-and-reject
+      (Lemire 2019) over 32-bit halves: a fresh word gives its low half first
+      and keeps its high half for the next 32-bit request; ``integers(1)``
+      reads nothing;
+    - ``integers(k)`` for k > 2**32 is the 64-bit Lemire over whole words,
+      which leaves a kept half alone;
+    - ``random(n)`` takes the block's unread words, as an array, and then the
+      generator's own ``random`` for the rest, which reads the words after
+      the block.
+    """
+
+    def __init__(self, seed: int):
+        self._gen = default_rng(seed)
+        self._raw = self._gen.bit_generator.random_raw
+        self._block = np.empty(0, dtype=np.uint64)
+        self._words = iter([])  # the block's words as Python ints, unread ones last
+        self._next = self._words.__next__
+        self._half = -1  # the kept high half of the last split word, or -1
+
+    # random() and integers(k <= 2**32) inline _word and _word32 on their
+    # common path: a method call would add about half the cost of a draw
+
+    def _word(self) -> int:
+        """The next raw word; a spent block is replaced by the next one."""
+        try:
+            return self._next()
+        except StopIteration:
+            self._block = self._raw(_BLOCK_WORDS)
+            self._words = iter(self._block.tolist())
+            self._next = self._words.__next__
+            return self._next()
+
+    def _word32(self) -> int:
+        """The kept high half, or the low half of a fresh word, whose high half is kept."""
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _LOW32
+
+    def random(self, size=None):
+        """A uniform on [0, 1), or an array of ``size`` of them."""
+        if size is None:
+            try:
+                word = self._next()
+            except StopIteration:
+                word = self._word()
+            return (word >> 11) * _TWO_M53
+        left = self._words.__length_hint__()
+        if not left:
+            return self._gen.random(size)
+        start = self._block.size - left
+        take = min(left, size)
+        self._words.__setstate__(start + take)
+        head = (self._block[start : start + take] >> 11) * _TWO_M53
+        return head if take == size else np.concatenate((head, self._gen.random(size - take)))
+
+    def integers(self, k: int) -> int:
+        """A uniform integer in [0, k)."""
+        if k <= 0x100000000:
+            if k <= 1:
+                if k == 1:
+                    return 0
+                raise ValueError("k must be at least 1")
+            half = self._half
+            if half >= 0:
+                self._half = -1
+                m = half * k
+            else:
+                try:
+                    word = self._next()
+                except StopIteration:
+                    word = self._word()
+                self._half = word >> 32
+                m = (word & _LOW32) * k
+            if m & _LOW32 < k:
+                threshold = (0x100000000 - k) % k
+                while m & _LOW32 < threshold:
+                    m = self._word32() * k
+            return m >> 32
+        if k > 1 << 63:
+            raise ValueError("k must be at most 2**63")
+        m = self._word() * k
+        if m & _LOW64 < k:
+            threshold = ((1 << 64) - k) % k
+            while m & _LOW64 < threshold:
+                m = self._word() * k
+        return m >> 64
+
+
 KIND_SPLIT = "split"
 KIND_MERGE = "merge"
 KIND_SHIFT = "shift"
 _KIND_PROBS = ((KIND_SPLIT, 0.1), (KIND_MERGE, 0.1), (KIND_SHIFT, 0.8))
+# each acceptance rate with the counters it divides: accepted (or changed) over proposed (or drawn)
+_RATES = (
+    *((kind, f"{kind}_accepted", f"{kind}_proposed") for kind, _ in _KIND_PROBS),
+    ("swap", "swap_accepted", "swap_proposed"),
+    ("gibbs_change", "gibbs_changes", "gibbs_draws"),
+)
+COUNTERS = ("block_noop", *(key for _, num, den in _RATES for key in (den, num)))
 
 
 @dataclass(frozen=True)
@@ -94,6 +220,7 @@ class PosteriorSummary:
     samples_used: int
     log_joint_trace: np.ndarray
     acceptance: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)  # every ``COUNTERS`` key, 0 if never bumped
     cache: dict[str, float] = field(default_factory=dict)  # memo entries and cold time at the end
 
 
@@ -192,7 +319,7 @@ class ChainState:
     recomputes the log joint from scratch.
     """
 
-    def __init__(self, model: JointModel, rng: np.random.Generator):
+    def __init__(self, model: JointModel, rng: BlockDraws | np.random.Generator):
         self.model = model
         self.rng = rng
         n = model.n_snps
@@ -289,9 +416,10 @@ class ChainState:
 
 
 def init_state(dataset: GenotypeDataset, priors: PriorConfig, seed: int) -> ChainState:
-    """All-singleton, all-unassociated starting state with a seeded generator."""
+    """All-singleton, all-unassociated starting state whose draws are those of
+    ``default_rng(seed)``, read in blocks."""
     model = JointModel(dataset, priors)
-    return ChainState(model, default_rng(seed))
+    return ChainState(model, BlockDraws(seed))
 
 
 # -- block moves --------------------------------------------------------------
@@ -561,15 +689,8 @@ def run_chain(
             )
     bound[held_starts] += held
 
-    acceptance: dict[str, float] = {}
-    for kind, _ in _KIND_PROBS:
-        prop = state.counters.get(f"{kind}_proposed", 0)
-        acc = state.counters.get(f"{kind}_accepted", 0)
-        acceptance[kind] = acc / prop if prop else 0.0
-    sp = state.counters.get("swap_proposed", 0)
-    acceptance["swap"] = state.counters.get("swap_accepted", 0) / sp if sp else 0.0
-    gd = state.counters.get("gibbs_draws", 0)
-    acceptance["gibbs_change"] = state.counters.get("gibbs_changes", 0) / gd if gd else 0.0
+    counters = {key: state.counters.get(key, 0) for key in COUNTERS}
+    acceptance = {name: counters[num] / counters[den] if counters[den] else 0.0 for name, num, den in _RATES}
     # with no samples every count is 0, and so is every estimate
     per = max(schedule.iterations, 1)
     marg /= per
@@ -584,6 +705,7 @@ def run_chain(
         samples_used=schedule.iterations,
         log_joint_trace=np.asarray(trace),
         acceptance=acceptance,
+        counters=counters,
         cache=state.model.cache_sizes(),
     )
 

@@ -20,7 +20,7 @@ from itertools import compress
 import numpy as np
 
 from .dataio import GenotypeDataset
-from .likelihood import WHO_BOTH, WHO_CASES, WHO_CONTROLS, LikelihoodEngine
+from .likelihood import WHO_BOTH, WHO_CASES, WHO_CONTROLS, LikelihoodEngine, checked_rho
 
 NEG_INF = float("-inf")
 
@@ -55,8 +55,7 @@ class PriorConfig:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if self.p0 <= 0.0:
             raise ValueError("p0 = 1 - p1 - p2 must be positive")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be finite and positive")
+        checked_rho(self.rho)
         if self.max_distinct_diplotypes < 1 or self.max_order < 1:
             raise ValueError("max_distinct_diplotypes and max_order must be at least 1")
 

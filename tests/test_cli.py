@@ -16,6 +16,7 @@ import beamscan
 from beamscan.bstat import bstat, null_calibration
 from beamscan.cli import build_parser, main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
+from beamscan.mcmc import COUNTERS
 from beamscan.model import default_priors
 from beamscan.oracle import enumerate_posterior
 from beamscan.simulate import read_truth
@@ -218,6 +219,32 @@ def test_map_manifest_records_per_chain_acceptance(workdir, signal_panel):
         assert set(chain) == {"split", "merge", "shift", "swap", "gibbs_change"}
         assert all(math.isfinite(r) and 0.0 <= r <= 1.0 for r in chain.values())
     assert rates[0] != rates[1]
+
+
+@pytest.mark.parametrize("subcommand", ["map", "partition"])
+def test_chain_manifest_records_per_chain_counters(workdir, signal_panel, subcommand):
+    out = workdir / f"counters_{subcommand}.tsv"
+    rc = main([
+        subcommand, "--in", str(signal_panel), "--out", str(out),
+        "--burnin", "30", "--iters", "120", "--seed", "5", "--chains", "2", "--threads", "1",
+    ])
+    assert rc == 0
+    counters = json.loads(Path(str(out) + ".manifest.json").read_text())["counters"]
+    assert len(counters) == 2
+    for chain in counters:
+        assert set(chain) == set(COUNTERS)
+        assert all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in chain.values())
+        # one block draw per iteration: a no-op or a proposal of one kind
+        kinds = ("split", "merge", "shift")
+        assert chain["block_noop"] + sum(chain[f"{k}_proposed"] for k in kinds) == 150
+        for name in (*kinds, "swap"):
+            assert chain[f"{name}_accepted"] <= chain[f"{name}_proposed"]
+        assert chain["gibbs_changes"] <= chain["gibbs_draws"]
+        if subcommand == "map":
+            assert chain["gibbs_draws"] == 150 * 15 and chain["swap_proposed"] > 0
+        else:
+            assert chain["gibbs_draws"] == chain["swap_proposed"] == 0
+    assert "counters" not in out.read_text()
 
 
 def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signal_panel):
@@ -1027,6 +1054,30 @@ def test_bad_numbers_exit_2(tmp_path, signal_panel, mapped, capsys, argv, messag
     assert exc.value.code == 2
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["3e305", "1e-320"])
+@pytest.mark.parametrize("argv", [
+    ["map", "--iters", "20"],
+    ["oracle"],
+    ["bstat", "--sets", "{sets}"],
+], ids=["map", "oracle", "bstat"])
+def test_rho_with_an_infinite_lngamma_exits_2(tmp_path, capsys, argv, rho):
+    # lnGamma(rho) is inf above 2.556348e305 and for subnormal rho, where the
+    # model's terms would be inf - inf and every result nan
+    panel = tmp_path / "panel.tsv"
+    write_dataset(hot_column_dataset(78, 30, 10, hot=3), panel)
+    (tmp_path / "sets.tsv").write_text("s3\ns2 s3\n")
+    out = tmp_path / "out.tsv"
+    argv = [a.format(sets=tmp_path / "sets.tsv") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--in", str(panel), "--rho", rho, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --rho: must be finite and positive, with a finite lnGamma(rho)" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.tsv", "sets.tsv"]
 
 
 INTEGER_FLAGS = [

@@ -17,6 +17,7 @@ from beamscan import likelihood
 from helpers import NEVER_BINDS
 from beamscan.dataio import GenotypeDataset
 from beamscan.likelihood import (
+    FLOAT32_KEY_WIDTH,
     FLOAT_KEY_WIDTH,
     LikelihoodEngine,
     _lgam_ascending,
@@ -26,6 +27,7 @@ from beamscan.likelihood import (
     _run_counts,
     _table_counts,
     log_marginal,
+    rho_is_valid,
 )
 from beamscan.model import JointModel, PriorConfig, mask_from_labels
 
@@ -212,8 +214,12 @@ def test_snp_major_keys_equal_row_major_keys(w):
     want = row_major_keys(rows)
     assert same_order_and_counts(got, want)
     assert got.argmax() == 0 and got.argmin() == 1
-    if w <= FLOAT_KEY_WIDTH:
-        assert got.dtype == np.float64 and got[0] == 3**w - 1
+    # float32 keys while 3^w - 1 < 2^24, float64 keys while it is below 2^53;
+    # the largest key is exact at either width
+    if w <= FLOAT32_KEY_WIDTH:
+        assert got.dtype == np.float32 and int(got[0]) == 3**w - 1
+    elif w <= FLOAT_KEY_WIDTH:
+        assert got.dtype == np.float64 and int(got[0]) == 3**w - 1
     # the engine packs row slices of its SNP-major matrix, which are views
     assert same_order_and_counts(_pack_matrix(np.vstack([codes, codes])[:w, 100:]), want[100:])
 
@@ -240,6 +246,27 @@ def test_keys_group_and_order_as_python_int_keys(w):
     snps = tuple(range(w))
     assert LikelihoodEngine(ds, rho=RHO).marginal(snps, "both") == log_marginal(counts, w, RHO)
     assert LikelihoodEngine(ds, rho=RHO).distinct_count(snps) == counts.size
+
+
+@pytest.mark.parametrize("w", [6, 15, 16])
+def test_engine_marginals_at_the_float32_key_edge(w):
+    # the widest float32 keys and the narrowest float64 ones, over a run of
+    # SNPs (a view of the panel) and a scattered set (a copy of its rows),
+    # in every cohort; at width 6 the cohorts are counted by bincount
+    rng = np.random.default_rng(200 + w)
+    n_cases, n_snps = 800, w + 3
+    codes = rng.integers(0, 3, size=(n_snps, 1700)).astype(np.int8)
+    codes[:, 0] = 2  # the largest key of every width
+    codes[:, 900:1000] = codes[:, 100:200]  # repeated diplotypes
+    ds = dataset_from_rows(codes.T[:n_cases], codes.T[n_cases:], n_snps)
+    engine = LikelihoodEngine(ds, rho=RHO)
+    cohorts = {"cases": slice(None, n_cases), "controls": slice(n_cases, None), "both": slice(None)}
+    for snps in (tuple(range(2, 2 + w)), (0, *range(4, 3 + w))):
+        assert len(snps) == w
+        assert _pack_matrix(codes[list(snps)]).dtype == (np.float32 if w <= FLOAT32_KEY_WIDTH else np.float64)
+        for who, columns in cohorts.items():
+            _, counts = np.unique(python_int_keys(codes[list(snps), columns]), return_counts=True)
+            assert engine.marginal(snps, who) == log_marginal(counts, w, RHO), (snps, who)
 
 
 @pytest.mark.parametrize("w", [1, 33, 34, 700])
@@ -353,12 +380,21 @@ def test_rho_config_respected():
     ds = dataset_from_rows([(0,), (0,)], np.zeros((0, 1)), 1)
     assert LikelihoodEngine(ds, rho=3.0).marginal((0,), "cases") == pytest.approx(loose, abs=1e-12)
     # every marginal, the engine's and the set statistic's, rejects a rho
-    # that is not finite and positive
-    for rho in (0.0, -1.0, math.nan, math.inf):
+    # that is not positive with a finite lnGamma(rho)
+    for rho in (0.0, -1.0, math.nan, math.inf, 3e305, 1e-320):
         with pytest.raises(ValueError, match="finite and positive"):
             log_marginal(np.array([2]), 1, rho)
         with pytest.raises(ValueError, match="finite and positive"):
             LikelihoodEngine(ds, rho=rho).marginal((0,), "cases")
+
+
+def test_rho_is_valid_exactly_where_lngamma_is_finite():
+    # Cephes lgam is finite up to 2.556348e305 and down to where 1/rho overflows
+    edges = [5e-309, 6e-309, 2.2250738585072014e-308, 1.5, 2.556348e305, 2.5563481e305]
+    for rho in [*edges, 1e-320, 3e305]:
+        assert rho_is_valid(rho) == math.isfinite(gammaln(rho)), rho
+    assert [rho_is_valid(r) for r in edges] == [False, True, True, True, True, False]
+    assert not any(rho_is_valid(r) for r in (0.0, -1.0, -0.5, math.nan, math.inf))
 
 
 # -- conditional terms ----------------------------------------------------------------

@@ -29,6 +29,7 @@ from beamscan.mcmc import (
 )
 from beamscan.model import (
     ConstraintError,
+    JointModel,
     PriorConfig,
     default_priors,
     mask_from_labels,
@@ -317,6 +318,99 @@ def test_one_swap_pass_leaves_the_target_invariant(orbit, starts):
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     # relative to each state's own weight, so the unlikely arrangements count too
     assert np.all(np.abs(pi @ P - pi) <= 1e-9 * pi)
+
+
+# -- the chain's draw source -----------------------------------------------------------
+
+# bounds for integers(k): 1 reads nothing; just above 2^31 about half the
+# 32-bit draws are rejected; 2^32 takes a whole half; above it the draw is
+# the 64-bit Lemire over whole words, up to numpy's int64 limit of 2^63
+DRAW_BOUNDS = (1, 2, 3, 57, 400, 2**31 + 1, 2**31 + 12345, 2**32 - 1, 2**32,
+               2**32 + 1, 3 * 2**40 + 7, 2**62 + 1, 2**63)
+
+
+def same_draw(want, got):
+    if isinstance(want, np.ndarray):
+        return want.dtype == got.dtype and want.tobytes() == got.tobytes()
+    return want == got and type(want) is type(got)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 12345])
+def test_block_draws_equal_generator_draws(seed):
+    """Mixed scalar integers, scalar uniforms and uniform arrays, bit for bit."""
+    want = np.random.default_rng(seed)
+    got = mcmc.BlockDraws(seed)
+    side = np.random.default_rng(seed + 500)
+    rejected_bounds = 0
+    for _ in range(6000):
+        r = side.random()
+        if r < 0.5:
+            k = DRAW_BOUNDS[side.integers(len(DRAW_BOUNDS))] if r < 0.25 else int(side.integers(1, 500))
+            rejected_bounds += k in (2**31 + 1, 2**31 + 12345)
+            pair = int(want.integers(k)), got.integers(k)
+        elif r < 0.97:
+            pair = want.random(), got.random()
+        else:
+            n = int(side.integers(0, 150))  # 0 to past two blocks of words
+            pair = want.random(n), got.random(n)
+        assert same_draw(*pair)
+    assert rejected_bounds > 100
+    assert same_draw(want.random(3), got.random(3))
+
+
+def test_block_draws_at_block_edges_and_bounds():
+    want = np.random.default_rng(9)
+    got = mcmc.BlockDraws(9)
+    words = mcmc._BLOCK_WORDS
+    # an array from an empty block, then one that straddles a block's end
+    assert same_draw(want.random(5), got.random(5))
+    for _ in range(words - 3):
+        assert want.random() == got.random()
+    assert same_draw(want.random(10), got.random(10))
+    # a kept 32-bit half outlives uniforms, arrays and 64-bit integers
+    assert int(want.integers(1000)) == got.integers(1000)
+    assert same_draw(want.random(words + 1), got.random(words + 1))
+    assert int(want.integers(2**40)) == got.integers(2**40)
+    assert want.random() == got.random()
+    assert int(want.integers(1000)) == got.integers(1000)  # the kept half
+    assert int(want.integers(1)) == got.integers(1) == 0  # reads nothing
+    assert int(want.integers(2**32)) == got.integers(2**32)
+    assert same_draw(want.random(0), got.random(0))
+    assert want.random() == got.random()
+    for bad in (0, -3, 2**63 + 1):
+        with pytest.raises(ValueError):
+            want.integers(bad)
+        with pytest.raises(ValueError):
+            got.integers(bad)
+
+
+@pytest.mark.parametrize("sample_membership", [True, False], ids=["map", "partition"])
+def test_run_chain_through_block_draws_equals_a_generator_chain(monkeypatch, sample_membership):
+    # repeated columns: blocks in perfect LD, so merges and shifts are accepted
+    base = random_signal_dataset(38, 40, 40, 4, hot=1)
+    cols = [0, 0, 0, 1, 1, 2, 2, 2, 3, 3]
+    ds = make_dataset(base.cases[:, cols], base.controls[:, cols])
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=7, max_order=3)
+    sched = Schedule(burnin=100, iterations=600)
+    new = run_chain(ds, priors, sched, seed=17, sample_membership=sample_membership)
+
+    def generator_state(dataset, priors, seed):
+        return ChainState(JointModel(dataset, priors), np.random.default_rng(seed))
+
+    monkeypatch.setattr(mcmc, "init_state", generator_state)
+    ref = run_chain(ds, priors, sched, seed=17, sample_membership=sample_membership)
+    for name in ("marginal_posterior", "epistatic_posterior", "assoc_posterior",
+                 "boundary_posterior", "log_joint_trace"):
+        assert same_draw(getattr(ref, name), getattr(new, name)), name
+    assert new.interaction_sets == ref.interaction_sets
+    assert new.acceptance == ref.acceptance and new.counters == ref.counters
+    assert new.samples_used == ref.samples_used == 600
+    # the chain moved: it is no test of the draws if nothing was drawn
+    assert new.counters["split_proposed"] > 0
+    assert new.counters["merge_accepted"] > 0 and new.counters["shift_accepted"] > 0
+    if sample_membership:
+        assert new.counters["swap_accepted"] > 0 and new.interaction_sets
 
 
 # -- chain drivers ---------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_prior_config_validation():
         for bad in (-0.1, 1.0, float("nan")):
             with pytest.raises(ValueError, match=f"{name} must lie"):
                 replace(valid, **{name: bad})
-    for rho in (0.0, float("nan"), float("inf")):
+    for rho in (0.0, float("nan"), float("inf"), 3e305, 1e-320):
         with pytest.raises(ValueError, match="rho"):
             replace(valid, rho=rho)
     with pytest.raises(ValueError):
