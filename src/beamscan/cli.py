@@ -280,6 +280,7 @@ def cmd_chains(args, clock: _PhaseClock):
     return [args.infile], outputs, {
         "acceptance": [chain.acceptance for chain in chains],
         "counters": [chain.counters for chain in chains],
+        "kernel_s": [chain.kernel_s for chain in chains],
         "cache": [chain.cache for chain in chains],
     }
 

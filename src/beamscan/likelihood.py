@@ -37,6 +37,15 @@ both values. The engine, ``bstat`` and the tests all count through
 ``_pack_matrix``; since both key forms sort like the code sequences, counts
 come out in the same cell order at every width.
 
+A chain asks for nearly every SNP's single-SNP marginals at its start: the
+diplotype-cap check reads each combined-cohort count, and the first label
+sweep most case/control pairs. ``prefetch_singletons`` evaluates all of one
+kind in one array pass, counting each SNP's codes per cohort with
+``np.count_nonzero``, bit-equal to one-at-a-time evaluation. The values wait
+in a pending table and ``marginal`` moves each into the memo, with its
+distinct count, the first time it is asked for, so the memo holds exactly
+the keys that one-at-a-time evaluation would have put there.
+
 Counts are integers, so every lnG the marginal needs is lnG(k + a) for an
 integer k and one of a few offsets a: alpha_h of each width, and rho itself
 (lnG(total + rho) and lnG(rho)). ``_lngamma`` keeps one table per offset,
@@ -44,9 +53,11 @@ grown to the largest k asked for. Its entries come from a port of Cephes
 ``lgam`` (Moshier 1989), the routine behind ``scipy.special.gammaln``, and
 equal it bit for bit, so scipy is not imported here.
 
-``rho_is_valid`` is the one rule on rho: it must be positive with a finite
-lnG(rho), which refuses 0, nan, inf, rho above 2.556348e305 and rho below
-about 5.6e-309, where the terms would be inf - inf. The command line,
+``rho_is_valid`` is the one rule on rho: it must be positive, at most
+``RHO_MAX`` = 1e8 and have a finite lnG(rho). That refuses 0, nan, inf, rho
+below about 5.6e-309, where the terms would be inf - inf, and rho above 1e8,
+where lnG(n + rho) - lnG(rho) cancels so many digits that marginals drift
+and, near lnG's own limit, posteriors exceed 1. The command line,
 ``PriorConfig`` and every marginal apply it.
 """
 
@@ -66,6 +77,7 @@ WHO_BOTH = "both"
 WHO_CASES = "cases"
 WHO_CONTROLS = "controls"
 
+_PREFETCH_CELLS = 1 << 22  # genotype codes compared at a time by the singleton pass
 FLOAT_KEY_WIDTH = 33  # widest set whose ternary key is exact in float64
 FLOAT32_KEY_WIDTH = 15  # widest set whose ternary key is exact in float32
 _TERNARY = 3.0 ** np.arange(FLOAT_KEY_WIDTH)
@@ -182,17 +194,22 @@ def _lngamma(a: float, k):
     return _LNGAMMA[a][k]
 
 
-RHO_RULE = "must be finite and positive, with a finite lnGamma(rho)"
+RHO_MAX = 1e8
+RHO_RULE = "must be finite and positive, with a finite lnGamma(rho), and at most 1e8"
 
 
 def rho_is_valid(rho: float) -> bool:
-    """True when rho > 0 and lnG(rho) is finite: the one condition on rho.
+    """True when 0 < rho <= ``RHO_MAX`` and lnG(rho) is finite: the one
+    condition on rho.
 
-    lnG is infinite above Cephes' 2.556348e305 and below about 5.6e-309,
-    where 1/rho overflows; there the model's terms would be inf - inf.
-    False for nan.
+    lnG is infinite below about 5.6e-309, where 1/rho overflows; there the
+    model's terms would be inf - inf. Every marginal subtracts lnG(rho) from
+    lnG(n + rho), two values near rho ln(rho), so a large rho cancels their
+    digits: for counts (100, 80, 20) of one SNP the error is about 1e-7 at
+    rho = 1e8, 1e-5 at 1e10, 0.2 at 1e14 and 90 at 1e16, and near lnG's own
+    limit (2.556348e305) posteriors come out above 1. False for nan.
     """
-    return rho > 0 and math.isfinite(float(_lgam_ascending(np.array([rho], dtype=np.float64))[0]))
+    return 0 < rho <= RHO_MAX and math.isfinite(float(_lgam_ascending(np.array([rho], dtype=np.float64))[0]))
 
 
 def checked_rho(rho: float) -> float:
@@ -295,14 +312,53 @@ class LikelihoodEngine:
         self._cohorts = {WHO_BOTH: (both,), WHO_CASES: pair, WHO_CONTROLS: pair}
         self._marg: dict[tuple[tuple[int, ...], str], float] = {}
         self._distinct: dict[tuple[int, ...], int] = {}
+        # memo key -> (value, distinct count) evaluated ahead by prefetch_singletons
+        self._pending: dict[tuple[tuple[int, ...], str], tuple[float, int]] = {}
         self.cold_s = 0.0  # seconds spent evaluating marginals that were not memoized
+
+    def prefetch_singletons(self, who: str) -> None:
+        """Evaluate every SNP's singleton marginal in the cohorts that a cold
+        ``who`` request evaluates, in one array pass, and hold each value
+        that is not memoized yet as pending.
+
+        ``marginal`` moves a pending value, with its distinct count, into the
+        memo when it is first asked for, so the memo holds the same keys as
+        without the pass. The values are ``_log_marginal_present``'s, bit for
+        bit: the same lnG table entries, absent cells adding exact zeros in
+        ``np.add.reduce``'s order, and the same operations after the sum.
+        """
+        started = time.perf_counter()
+        alpha, per_present, log_g_rho = _marginal_constants(1, self.rho)
+        n_snps = self._codes.shape[0]
+        for cohort, columns, log_g_total in self._cohorts[who]:
+            codes = self._codes[:, columns]
+            counts = np.empty((n_snps, 3), dtype=np.intp)
+            # a few MB of rows at a time: a comparison over the whole panel
+            # would take as much memory again as the panel
+            step = max(1, _PREFETCH_CELLS // max(codes.shape[1], 1))
+            for lo in range(0, n_snps, step):
+                rows = codes[lo : lo + step]
+                counts[lo : lo + step, 1] = np.count_nonzero(rows == 1, axis=1)
+                counts[lo : lo + step, 2] = np.count_nonzero(rows == 2, axis=1)
+            counts[:, 0] = codes.shape[1] - counts[:, 1] - counts[:, 2]  # codes are 0, 1 or 2
+            terms = _lngamma(alpha, counts)
+            terms[counts == 0] = 0.0
+            present = np.count_nonzero(counts, axis=1)
+            values = present * per_present + (terms[:, 0] + terms[:, 1] + terms[:, 2])
+            values = values + log_g_rho - log_g_total
+            for snp, (value, distinct) in enumerate(zip(values.tolist(), present.tolist())):
+                key = ((snp,), cohort)
+                if key not in self._marg:
+                    self._pending[key] = (value, distinct)
+        self.cold_s += time.perf_counter() - started
 
     def marginal(self, snps: tuple[int, ...], who: str) -> float:
         """Log marginal of ``snps``, a sorted tuple of SNP indices, in cohort
         ``who``; 0 for an empty set or cohort.
 
         A cold case or control request evaluates and memoizes both cohorts
-        from one pack of the set's rows.
+        from one pack of the set's rows, or moves both from the pending
+        values of ``prefetch_singletons``.
         """
         if not snps:
             return 0.0
@@ -313,6 +369,13 @@ class LikelihoodEngine:
         cohorts = self._cohorts.get(who)
         if cohorts is None:
             raise ValueError(f"unknown cohort selector: {who!r}")
+        if key in self._pending:
+            for cohort, _, _ in cohorts:
+                value, distinct = self._pending.pop((snps, cohort))
+                self._marg[(snps, cohort)] = value
+                if cohort == WHO_BOTH:
+                    self._distinct[snps] = distinct
+            return self._marg[key]
         started = time.perf_counter()
         width = len(snps)
         first = snps[0]

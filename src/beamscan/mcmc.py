@@ -29,9 +29,20 @@ trace therefore reads one float; ``JointModel.log_joint`` recomputes the
 same value from scratch, up to rounding.
 
 ``relabel`` also keeps the sorted SNP list of each label (the group-2 set is
-the label-2 list). A swap pass starts from a copy of those lists, and
-``run_chain`` adds each sample to the label tallies at the label-1 and
-label-2 lists, instead of scanning the labels.
+the label-2 list). A swap pass starts from a copy of those lists. Each of its
+steps makes the same two draws whatever happens, so the pass binds what it
+reads once, finds both blocks by bisection, evaluates the current group-2
+term only when a step first needs it and again after an accepted swap
+changed the set, and bumps its counters once.
+
+``run_chain`` tallies samples in runs, as it does for the partition: it
+holds the label-1 and label-2 lists of the last change with the number of
+samples taken of them, and adds that run to the label tallies and the
+interaction-set counts when either list differs from the held one. Counts
+are integers, so the float sums equal a per-sample tally exactly. Before
+the first sweep it has the engine evaluate every SNP's case/control
+singleton marginals in one array pass (``LikelihoodEngine.prefetch_singletons``),
+as ``ChainState`` does for the combined cohort before its cap check.
 
 A block proposal names only the blocks it removes and adds, so drawing one
 costs the same at any partition size; ``accept`` cuts the added blocks'
@@ -42,19 +53,23 @@ A chain draws from :class:`BlockDraws`, which reads the seeded generator's
 raw 64-bit words in blocks and returns exactly the numbers that
 ``default_rng(seed)`` would, at a quarter to a half of a ``Generator`` call's
 cost; a block move makes three or four scalar draws, so at the Generator's
-cost they were a large share of it. The kernels only call ``integers(k)`` and
-``random(size=None)``, so a ``ChainState`` runs the same with a plain
-``Generator`` or a scripted stand-in.
+cost they were a large share of it. After a sweep's array draw the next
+block is small and grows while only scalar draws come, so few read-ahead
+words are left for the next sweep to convert. The kernels only call
+``integers(k)`` and ``random(size=None)``, so a ``ChainState`` runs the same
+with a plain ``Generator`` or a scripted stand-in.
 
 ``run_chain`` reports each chain's ``counters`` (block no-ops, proposals and
 acceptances per move kind, Gibbs draws and label changes, swap proposals and
-acceptances) with the acceptance rates derived from them.
+acceptances) with the acceptance rates derived from them, and ``kernel_s``,
+the seconds spent in block moves, Gibbs sweeps and swap passes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import partial
@@ -63,6 +78,7 @@ import numpy as np
 from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on first use
 
 from .dataio import GenotypeDataset
+from .likelihood import WHO_BOTH, WHO_CASES
 from .model import (
     NEG_INF,
     ConstraintError,
@@ -71,7 +87,8 @@ from .model import (
     mask_from_labels,
 )
 
-_BLOCK_WORDS = 64  # raw words a draw source reads at a time
+_BLOCK_WORDS = 64  # the most raw words a draw source reads at a time
+_FIRST_WORDS = 16  # the words it reads first after an array draw, doubled on each refill
 _TWO_M53 = 2.0**-53
 _LOW32 = 0xFFFFFFFF
 _LOW64 = 0xFFFFFFFFFFFFFFFF
@@ -92,18 +109,26 @@ class BlockDraws:
       reads nothing;
     - ``integers(k)`` for k > 2**32 is the 64-bit Lemire over whole words,
       which leaves a kept half alone;
-    - ``random(n)`` takes the block's unread words, as an array, and then the
-      generator's own ``random`` for the rest, which reads the words after
-      the block.
+    - ``random(n)`` converts the block's unread words one by one, and the
+      generator's own ``random`` fills the rest of the array from the words
+      after the block.
+
+    Blocks hold up to ``_BLOCK_WORDS`` words. After an array draw the next
+    block holds ``_FIRST_WORDS``, and each refill doubles the size while only
+    scalar draws come: a chain that alternates a Gibbs sweep's ``random(n)``
+    with a few dozen scalar draws then reads and converts few words that the
+    next array draw has to take over, while a run of scalar draws soon reads
+    full blocks again.
     """
 
     def __init__(self, seed: int):
         self._gen = default_rng(seed)
         self._raw = self._gen.bit_generator.random_raw
-        self._block = np.empty(0, dtype=np.uint64)
-        self._words = iter([])  # the block's words as Python ints, unread ones last
+        self._block: list[int] = []  # the block's words as Python ints
+        self._words = iter(self._block)  # over the block, unread words last
         self._next = self._words.__next__
         self._half = -1  # the kept high half of the last split word, or -1
+        self._size = _BLOCK_WORDS  # the words the next block reads
 
     # random() and integers(k <= 2**32) inline _word and _word32 on their
     # common path: a method call would add about half the cost of a draw
@@ -113,9 +138,12 @@ class BlockDraws:
         try:
             return self._next()
         except StopIteration:
-            self._block = self._raw(_BLOCK_WORDS)
-            self._words = iter(self._block.tolist())
+            size = self._size
+            self._block = self._raw(size).tolist()
+            self._words = iter(self._block)
             self._next = self._words.__next__
+            if size < _BLOCK_WORDS:
+                self._size = 2 * size
             return self._next()
 
     def _word32(self) -> int:
@@ -136,14 +164,18 @@ class BlockDraws:
             except StopIteration:
                 word = self._word()
             return (word >> 11) * _TWO_M53
+        self._size = _FIRST_WORDS
         left = self._words.__length_hint__()
         if not left:
             return self._gen.random(size)
-        start = self._block.size - left
+        start = len(self._block) - left
         take = min(left, size)
         self._words.__setstate__(start + take)
-        head = (self._block[start : start + take] >> 11) * _TWO_M53
-        return head if take == size else np.concatenate((head, self._gen.random(size - take)))
+        out = np.empty(size)
+        out[:take] = [(word >> 11) * _TWO_M53 for word in self._block[start : start + take]]
+        if take < size:
+            self._gen.random(out=out[take:])
+        return out
 
     def integers(self, k: int) -> int:
         """A uniform integer in [0, k)."""
@@ -222,6 +254,7 @@ class PosteriorSummary:
     acceptance: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)  # every ``COUNTERS`` key, 0 if never bumped
     cache: dict[str, float] = field(default_factory=dict)  # memo entries and cold time at the end
+    kernel_s: dict[str, float] = field(default_factory=dict)  # seconds in block moves, sweeps and swap passes
 
 
 @dataclass
@@ -326,6 +359,7 @@ class ChainState:
         self.counters: dict[str, int] = {}
         self.repartitions = 0
         self.label_rows = LabelRows(n)
+        model.engine.prefetch_singletons(WHO_BOTH)  # every singleton block's cap check reads one
         for i in range(n):
             if not model.block_allowed(i, i + 1):
                 raise ConstraintError(
@@ -564,62 +598,111 @@ def swap_membership_move(state: ChainState) -> int:
     keep the label counts, so that set of pairs has the same size before and
     after every step; the proposal is symmetric and the membership prior
     cancels. Returns the number of accepted swaps.
+
+    Every step draws ``integers(n_pairs)`` and then ``random()``, whatever
+    the outcome, so the pass binds what it reads once: the draw methods, the
+    model's term methods, the start list and the masks. The group-2 term of
+    the current set is evaluated at the first step that needs it and taken
+    over from the proposal after an accepted group-2 swap; the counters are
+    bumped once per pass.
     """
-    model = state.model
-    rng = state.rng
-    counts = state.label_counts
-    classes = [(a, b, counts[a] * counts[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
-    n_pairs = sum(w for _, _, w in classes)
+    members = state.members
+    c0, c1, c2 = len(members[0]), len(members[1]), len(members[2])
+    w01 = c0 * c1  # pairs of labels (0, 1), then (0, 2) up to w012, then (1, 2)
+    w012 = w01 + c0 * c2
+    n_pairs = w012 + c1 * c2
     if n_pairs == 0:
         return 0
+    model = state.model
+    block_term = model.block_term
+    group2_term = model.group2_term
+    integers = state.rng.integers
+    random = state.rng.random
+    exp = math.exp
+    starts = state.starts
+    masks = state.block_masks
+    s2 = members[2]  # the state's sorted group-2 list, which relabel keeps current
+    nb = len(starts)
+    n = model.n_snps
     # the pass's own copies: an accepted swap puts each SNP in the other's place
-    members = [list(m) for m in state.members]
+    members = [list(m) for m in members]
+    g2_cur = None  # group2_term of the current group-2 set, once a step needed it
+    steps = c1 + c2
     accepted = 0
-    for _ in range(counts[1] + counts[2]):
-        r = int(rng.integers(n_pairs))
-        for li, lj, w in classes:
-            if r < w:
-                break
-            r -= w
-        ki, kj = divmod(r, counts[lj])
+    for _ in range(steps):
+        r = int(integers(n_pairs))
+        if r < w01:
+            li, lj, cj = 0, 1, c1
+        elif r < w012:
+            li, lj, cj = 0, 2, c2
+            r -= w01
+        else:
+            li, lj, cj = 1, 2, c2
+            r -= w012
+        ki, kj = divmod(r, cj)
         i = members[li][ki]
         j = members[lj][kj]
-        state.bump("swap_proposed")
 
-        bi = state.block_of(i)
-        bj = state.block_of(j)
-        pi = 3 ** (i - bi[0])
-        pj = 3 ** (j - bj[0])
-        old_terms = model.block_term(*bi, state.block_masks[bi])
-        if bj != bi:
-            old_terms += model.block_term(*bj, state.block_masks[bj])
-            new_terms = model.block_term(
-                *bi, state.block_masks[bi] + (lj - li) * pi
-            ) + model.block_term(*bj, state.block_masks[bj] + (li - lj) * pj)
+        k = bisect_right(starts, i) - 1
+        ai = starts[k]
+        bi = starts[k + 1] if k + 1 < nb else n
+        mi = masks[(ai, bi)]
+        pi = 3 ** (i - ai)
+        old_terms = block_term(ai, bi, mi)
+        if j < ai or j >= bi:
+            k = bisect_right(starts, j) - 1
+            aj = starts[k]
+            bj = starts[k + 1] if k + 1 < nb else n
+            mj = masks[(aj, bj)]
+            pj = 3 ** (j - aj)
+            old_terms += block_term(aj, bj, mj)
+            new_terms = block_term(ai, bi, mi + (lj - li) * pi) + block_term(aj, bj, mj + (li - lj) * pj)
         else:
-            new_terms = model.block_term(
-                *bi, state.block_masks[bi] + (lj - li) * pi + (li - lj) * pj
-            )
+            pj = 3 ** (j - ai)
+            new_terms = block_term(ai, bi, mi + (lj - li) * pi + (li - lj) * pj)
         if lj == 2:  # li < lj, so i takes j's place in the group-2 set
-            tmp = [v for v in state.s2 if v != j]
+            tmp = [v for v in s2 if v != j]
             insort(tmp, i)
-            delta_g2 = model.group2_term(tuple(tmp)) - model.group2_term(tuple(state.s2))
+            g2_new = group2_term(tuple(tmp))
+            if g2_cur is None:
+                g2_cur = group2_term(tuple(s2))
+            delta_g2 = g2_new - g2_cur
         else:
             delta_g2 = 0.0
 
         log_ratio = new_terms - old_terms + delta_g2
-        u = rng.random()
-        if log_ratio >= 0.0 or u < math.exp(log_ratio):
+        u = random()
+        if log_ratio >= 0.0 or u < exp(log_ratio):
             accepted += 1
-            state.bump("swap_accepted")
             state.relabel(i, lj, log_ratio)
             state.relabel(j, li, 0.0)
             members[li][ki] = j
             members[lj][kj] = i
+            if lj == 2:
+                g2_cur = g2_new
+    state.bump("swap_proposed", steps)
+    if accepted:
+        state.bump("swap_accepted", accepted)
     return accepted
 
 
 # -- chain drivers --------------------------------------------------------------
+
+
+_PROPOSED = {kind: f"{kind}_proposed" for kind, _ in _KIND_PROBS}
+_ACCEPTED = {kind: f"{kind}_accepted" for kind, _ in _KIND_PROBS}
+
+
+def _add_label_run(marg, epi, set_counts, m1, m2, run: int) -> None:
+    """Add ``run`` samples of the label-1 list ``m1`` and the label-2 list
+    ``m2`` to the label tallies, and of ``m2`` to the interaction-set counts
+    when it holds two SNPs or more."""
+    if run:
+        marg[m1] += run
+        epi[m2] += run
+        if len(m2) >= 2:
+            key = tuple(m2)
+            set_counts[key] = set_counts.get(key, 0) + run
 
 
 def _choose_kind(rng: np.random.Generator) -> str:
@@ -646,6 +729,8 @@ def run_chain(
     tenth of the run, burn-in included, and at most once per iteration.
     """
     state = init_state(dataset, priors, seed)
+    if sample_membership:  # the first sweep asks for most SNPs' case/control marginals
+        state.model.engine.prefetch_singletons(WHO_CASES)
     n = dataset.n_snps
     marg = np.zeros(n)
     epi = np.zeros(n)
@@ -655,32 +740,44 @@ def run_chain(
     # Samples taken of the partition ``held_starts`` since it last changed,
     # which was at the state's ``held_version``-th repartition.
     held_starts, held_version, held = list(state.starts), state.repartitions, 0
+    # Samples taken of the label-1 and label-2 lists ``held_m1`` and ``held_m2``
+    # since either last changed; a change is seen by comparing the lists.
+    held_m1, held_m2, held_labels = list(state.members[1]), list(state.members[2]), 0
     total_iters = schedule.burnin + schedule.iterations
     progress = max(1, total_iters // 10)
+    rng = state.rng
+    clock = time.perf_counter
+    block_move_s = gibbs_s = swap_s = 0.0
     for t in range(total_iters):
-        kind = _choose_kind(state.rng)
+        started = clock()
+        kind = _choose_kind(rng)
         proposal = propose_block_move(state, kind)
         if proposal is None:
             state.bump("block_noop")
         else:
-            state.bump(f"{kind}_proposed")
+            state.bump(_PROPOSED[kind])
             if accept(state, proposal):
-                state.bump(f"{kind}_accepted")
+                state.bump(_ACCEPTED[kind])
+        moved = clock()
+        block_move_s += moved - started
         if sample_membership:
             gibbs_membership_sweep(state)
+            swept = clock()
             swap_membership_move(state)
+            gibbs_s += swept - moved
+            swap_s += clock() - swept
         if t >= schedule.burnin:
             trace.append(state.log_joint())
-            if sample_membership:
-                marg[state.members[1]] += 1
-                epi[state.members[2]] += 1
             if state.repartitions != held_version:
                 bound[held_starts] += held
                 held_starts, held_version, held = list(state.starts), state.repartitions, 0
             held += 1
-            if len(state.s2) >= 2:
-                key = tuple(state.s2)
-                set_counts[key] = set_counts.get(key, 0) + 1
+            if sample_membership:
+                members = state.members
+                if members[1] != held_m1 or members[2] != held_m2:
+                    _add_label_run(marg, epi, set_counts, held_m1, held_m2, held_labels)
+                    held_m1, held_m2, held_labels = list(members[1]), list(members[2]), 0
+                held_labels += 1
         if (t + 1) % progress == 0:
             # one write per line, so lines from chains in worker processes do not interleave
             sys.stderr.write(
@@ -688,6 +785,7 @@ def run_chain(
                 f"counters={state.counters}\n"
             )
     bound[held_starts] += held
+    _add_label_run(marg, epi, set_counts, held_m1, held_m2, held_labels)
 
     counters = {key: state.counters.get(key, 0) for key in COUNTERS}
     acceptance = {name: counters[num] / counters[den] if counters[den] else 0.0 for name, num, den in _RATES}
@@ -707,6 +805,11 @@ def run_chain(
         acceptance=acceptance,
         counters=counters,
         cache=state.model.cache_sizes(),
+        kernel_s={
+            "block_move_s": round(block_move_s, 6),
+            "gibbs_s": round(gibbs_s, 6),
+            "swap_s": round(swap_s, 6),
+        },
     )
 
 

@@ -247,6 +247,31 @@ def test_chain_manifest_records_per_chain_counters(workdir, signal_panel, subcom
     assert "counters" not in out.read_text()
 
 
+@pytest.mark.parametrize("subcommand", ["map", "partition"])
+def test_chain_manifest_records_per_chain_kernel_seconds(workdir, signal_panel, subcommand):
+    out = workdir / f"kernel_s_{subcommand}.tsv"
+    rc = main([
+        subcommand, "--in", str(signal_panel), "--out", str(out),
+        "--burnin", "30", "--iters", "120", "--seed", "5", "--chains", "2", "--threads", "1",
+    ])
+    assert rc == 0
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    kernel_s = manifest["kernel_s"]
+    assert len(kernel_s) == 2
+    for chain in kernel_s:
+        assert set(chain) == {"block_move_s", "gibbs_s", "swap_s"}
+        assert all(isinstance(v, float) and math.isfinite(v) and v >= 0.0 for v in chain.values())
+        # one chain's kernels run inside the command's compute phase
+        assert sum(chain.values()) <= manifest["phases"]["compute_s"]
+        assert chain["block_move_s"] > 0.0
+        if subcommand == "map":
+            assert chain["gibbs_s"] > 0.0 and chain["swap_s"] > 0.0
+        else:
+            assert chain["gibbs_s"] == chain["swap_s"] == 0.0
+    table = out.read_text()
+    assert "kernel_s" not in table and "block_move_s" not in table
+
+
 def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signal_panel):
     small = workdir / "observe_small.tsv"
     ds = load_dataset(signal_panel)
@@ -1077,6 +1102,30 @@ def test_rho_with_an_infinite_lngamma_exits_2(tmp_path, capsys, argv, rho):
     assert "argument --rho: must be finite and positive, with a finite lnGamma(rho)" in err
     assert "Traceback" not in err
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.tsv", "sets.tsv"]
+
+
+@pytest.mark.parametrize("rho", ["1e9", "2.5e305"])
+@pytest.mark.parametrize("argv", [
+    ["map", "--iters", "20"],
+    ["partition", "--iters", "20"],
+    ["oracle"],
+    ["bstat", "--sets", "{sets}"],
+], ids=["map", "partition", "oracle", "bstat"])
+def test_rho_above_1e8_exits_2(tmp_path, capsys, argv, rho):
+    # lnGamma(n + rho) - lnGamma(rho) cancels its digits for a large rho: at
+    # 2.5e305 it gave posteriors above 1
+    panel = tmp_path / "panel.tsv"
+    write_dataset(hot_column_dataset(78, 30, 10, hot=3), panel)
+    (tmp_path / "sets.tsv").write_text("s3\ns2 s3\n")
+    out = tmp_path / "out.tsv"
+    argv = [a.format(sets=tmp_path / "sets.tsv") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--in", str(panel), "--rho", rho, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --rho: must be finite and positive, with a finite lnGamma(rho), and at most 1e8" in err
+    assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.tsv", "sets.tsv"]
 
 

@@ -388,13 +388,41 @@ def test_rho_config_respected():
             LikelihoodEngine(ds, rho=rho).marginal((0,), "cases")
 
 
-def test_rho_is_valid_exactly_where_lngamma_is_finite():
-    # Cephes lgam is finite up to 2.556348e305 and down to where 1/rho overflows
-    edges = [5e-309, 6e-309, 2.2250738585072014e-308, 1.5, 2.556348e305, 2.5563481e305]
-    for rho in [*edges, 1e-320, 3e305]:
+def test_rho_is_valid_up_to_1e8_where_lngamma_is_finite():
+    # Cephes lgam is finite down to where 1/rho overflows; above 1e8 the
+    # marginals' lnG(n + rho) - lnG(rho) loses too many digits
+    low = [1e-320, 5e-309, 6e-309, 2.2250738585072014e-308, 1.5]
+    for rho in low:
         assert rho_is_valid(rho) == math.isfinite(gammaln(rho)), rho
-    assert [rho_is_valid(r) for r in edges] == [False, True, True, True, True, False]
+    assert [rho_is_valid(r) for r in low] == [False, False, True, True, True]
+    high = [1e8, math.nextafter(1e8, math.inf), 1e9, 2.5e305, 2.556348e305, 3e305]
+    assert [rho_is_valid(r) for r in high] == [True, False, False, False, False, False]
     assert not any(rho_is_valid(r) for r in (0.0, -1.0, -0.5, math.nan, math.inf))
+
+
+def fsum_log_marginal(cell_counts, width, rho):
+    """The log marginal as one correctly rounded sum of its ln(a + k) terms."""
+    log_alpha = math.log(rho) - width * LOG3
+    alpha = math.exp(log_alpha)
+    terms = []
+    for n in cell_counts:
+        if n:
+            terms.append(log_alpha)
+            terms.extend(math.log(alpha + k) for k in range(1, n))
+    terms.extend(-math.log(rho + t) for t in range(sum(cell_counts)))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("counts, width", [([100, 80, 20], 1), ([3, 1, 250, 7, 40], 3), ([2000], 2)])
+def test_log_marginal_at_the_largest_valid_rho_keeps_its_digits(counts, width):
+    # lnG(n + rho) - lnG(rho) cancels: at rho = 1e8 the error is about 1e-7 on a value near -220
+    for rho in (RHO, 1e4, 1e8):
+        want = fsum_log_marginal(counts, width, rho)
+        assert abs(log_marginal(np.array(counts), width, rho) - want) < 1e-6, rho
+        if width == 1:  # the engine's singleton, cell c holding code c
+            rows = [(cell,) for cell, n in enumerate(counts) for _ in range(n)]
+            engine = LikelihoodEngine(dataset_from_rows(rows, np.zeros((0, 1)), 1), rho=rho)
+            assert abs(engine.marginal((0,), "cases") - want) < 1e-6, rho
 
 
 # -- conditional terms ----------------------------------------------------------------
@@ -525,6 +553,66 @@ def test_cohort_pair_memo_is_bit_equal_to_a_per_cohort_reference(n_cases, n_cont
             want = reference_marginal(ds, snps, who)
             assert engine._marg[(snps, who)] == want, (snps, who)
             assert pair.marginal(snps, who) == want, (snps, who)
+
+
+def singleton_panel(case):
+    """Panels for the singleton pass: random codes, monomorphic and two-code
+    columns, a single SNP, and panels with an empty cohort."""
+    rng = np.random.default_rng(len(case))
+    shapes = {"random": (210, 170, 40), "monomorphic": (60, 50, 9), "one-snp": (25, 30, 1),
+              "two-people": (1, 1, 12), "no-cases": (0, 80, 7), "no-controls": (80, 0, 7)}
+    n_cases, n_controls, n_snps = shapes[case]
+    codes = rng.integers(0, 3, size=(n_cases + n_controls, n_snps)).astype(np.int8)
+    if case == "monomorphic":
+        codes[:, 0] = 0
+        codes[:, 1] = 1
+        codes[:, 2] = 2
+        codes[:, 3] = 2 * rng.integers(0, 2, size=codes.shape[0])  # codes 0 and 2 only
+        codes[:n_cases, 4] = 1  # one code per cohort, another overall
+        codes[n_cases:, 4] = 0
+    return GenotypeDataset(
+        cases=codes[:n_cases],
+        controls=codes[n_cases:],
+        snp_ids=tuple(f"s{i}" for i in range(n_snps)),
+        positions=tuple(range(1, n_snps + 1)),
+    )
+
+
+@pytest.mark.parametrize("case", ["random", "monomorphic", "one-snp", "two-people",
+                                  "no-cases", "no-controls"])
+@pytest.mark.parametrize("cells", [None, 37], ids=["one-pass", "row-chunks"])
+def test_prefetched_singletons_equal_the_scalar_path(monkeypatch, case, cells):
+    if cells is not None:  # count a few rows at a time, the last chunk short
+        monkeypatch.setattr(likelihood, "_PREFETCH_CELLS", cells)
+    ds = singleton_panel(case)
+    for rho in (RHO, 0.01, 1e8):
+        scalar = LikelihoodEngine(ds, rho=rho)
+        fetched = LikelihoodEngine(ds, rho=rho)
+        fetched.prefetch_singletons("both")
+        fetched.prefetch_singletons("cases")
+        assert fetched._marg == {} and fetched._distinct == {}  # pending until asked for
+        for i in reversed(range(ds.n_snps)):
+            for who in ("controls", "both", "cases"):
+                want = scalar.marginal((i,), who)
+                got = fetched.marginal((i,), who)
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (i, who)
+                # the memo holds the same keys after every request, pairs included
+                assert fetched._marg.keys() == scalar._marg.keys(), (i, who)
+            assert fetched.distinct_count((i,)) == scalar.distinct_count((i,))
+        assert fetched._marg == scalar._marg and fetched._distinct == scalar._distinct
+        assert fetched._pending == {}
+
+
+def test_prefetch_leaves_memoized_singletons_alone():
+    ds = singleton_panel("random")
+    engine = LikelihoodEngine(ds, rho=RHO)
+    engine.marginal((3,), "cases")
+    engine.marginal((5,), "both")
+    engine.prefetch_singletons("cases")
+    engine.prefetch_singletons("both")
+    assert ((3,), "cases") not in engine._pending and ((3,), "controls") not in engine._pending
+    assert ((5,), "both") not in engine._pending
+    assert len(engine._pending) == 3 * ds.n_snps - 3
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 6, 8, 12])

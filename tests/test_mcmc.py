@@ -15,6 +15,7 @@ import pytest
 
 import helpers
 from beamscan import mcmc
+from beamscan.likelihood import LikelihoodEngine
 from beamscan.mcmc import (
     ChainState,
     Schedule,
@@ -411,6 +412,43 @@ def test_run_chain_through_block_draws_equals_a_generator_chain(monkeypatch, sam
     assert new.counters["merge_accepted"] > 0 and new.counters["shift_accepted"] > 0
     if sample_membership:
         assert new.counters["swap_accepted"] > 0 and new.interaction_sets
+
+
+def test_block_draws_grow_their_blocks_after_an_array_draw():
+    """An array draw shrinks the next block to _FIRST_WORDS; each refill while
+    only scalar draws come doubles it up to _BLOCK_WORDS."""
+    want = np.random.default_rng(4)
+    got = mcmc.BlockDraws(4)
+    sizes = []
+    raw = got._raw
+    got._raw = lambda n: sizes.append(n) or raw(n)
+    first, full = mcmc._FIRST_WORDS, mcmc._BLOCK_WORDS
+
+    def scalars(count):
+        for _ in range(count):
+            assert want.random() == got.random()
+
+    scalars(10)
+    assert sizes == [full]
+    assert same_draw(want.random(30), got.random(30))  # from the block's unread words
+    scalars(full - 40)  # the rest of the block
+    for _ in range(100):  # 32-bit halves and whole words, across growing blocks
+        assert want.random() == got.random()
+        assert int(want.integers(57)) == got.integers(57)
+        assert int(want.integers(2**40)) == got.integers(2**40)
+    assert sizes[:4] == [full, first, 2 * first, 4 * first] and set(sizes[4:]) == {full}
+    assert same_draw(want.random(7), got.random(7))
+    assert same_draw(want.random(200), got.random(200))  # unread words, then the generator's
+    del sizes[:]
+    scalars(3 * first + 2)  # through a small block and a doubled one into a full one
+    assert sizes == [first, 2 * first, 4 * first]
+    assert same_draw(want.random(3), got.random(3))
+    assert same_draw(want.random(0), got.random(0))
+    assert int(want.integers(1000)) == got.integers(1000)
+    assert same_draw(want.random(5 * full), got.random(5 * full))
+    assert int(want.integers(1000)) == got.integers(1000)  # the half kept across arrays
+    scalars(2)
+    assert sizes[-1] == first
 
 
 # -- chain drivers ---------------------------------------------------------------------
@@ -892,6 +930,176 @@ def test_run_chain_is_unchanged_by_the_incremental_sweep(monkeypatch):
     assert new.acceptance == ref.acceptance
     assert new.samples_used == ref.samples_used
     assert ref.acceptance["gibbs_change"] > 0
+
+
+# -- the swap pass against the per-step reference --------------------------------------
+
+
+def reference_swap_move(state):
+    """The swap pass step by step: the label class by a loop over the classes,
+    blocks by ``block_of``, both group-2 terms and the counters on every step."""
+    model = state.model
+    rng = state.rng
+    counts = state.label_counts
+    classes = [(a, b, counts[a] * counts[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
+    n_pairs = sum(w for _, _, w in classes)
+    if n_pairs == 0:
+        return 0
+    members = [list(m) for m in state.members]
+    accepted = 0
+    for _ in range(counts[1] + counts[2]):
+        r = int(rng.integers(n_pairs))
+        for li, lj, w in classes:
+            if r < w:
+                break
+            r -= w
+        ki, kj = divmod(r, counts[lj])
+        i = members[li][ki]
+        j = members[lj][kj]
+        state.bump("swap_proposed")
+        bi = state.block_of(i)
+        bj = state.block_of(j)
+        pi = 3 ** (i - bi[0])
+        pj = 3 ** (j - bj[0])
+        old_terms = model.block_term(*bi, state.block_masks[bi])
+        if bj != bi:
+            old_terms += model.block_term(*bj, state.block_masks[bj])
+            new_terms = model.block_term(
+                *bi, state.block_masks[bi] + (lj - li) * pi
+            ) + model.block_term(*bj, state.block_masks[bj] + (li - lj) * pj)
+        else:
+            new_terms = model.block_term(
+                *bi, state.block_masks[bi] + (lj - li) * pi + (li - lj) * pj
+            )
+        if lj == 2:
+            tmp = [v for v in state.s2 if v != j]
+            insort(tmp, i)
+            delta_g2 = model.group2_term(tuple(tmp)) - model.group2_term(tuple(state.s2))
+        else:
+            delta_g2 = 0.0
+        log_ratio = new_terms - old_terms + delta_g2
+        u = rng.random()
+        if log_ratio >= 0.0 or u < math.exp(log_ratio):
+            accepted += 1
+            state.bump("swap_accepted")
+            state.relabel(i, lj, log_ratio)
+            state.relabel(j, li, 0.0)
+            members[li][ki] = j
+            members[lj][kj] = i
+    return accepted
+
+
+def captured_run_chain(monkeypatch, *args, **kwargs):
+    """``run_chain``'s summary and the final state of its chain."""
+    states = []
+
+    def capturing_init_state(dataset, priors, seed, _init=mcmc.init_state):
+        states.append(_init(dataset, priors, seed))
+        return states[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mcmc, "init_state", capturing_init_state)
+        summary = run_chain(*args, **kwargs)
+    return summary, states[0]
+
+
+def memos(model):
+    return model.engine._marg, model.engine._distinct, model._block_terms
+
+
+def test_run_chain_is_unchanged_by_the_swap_pass(monkeypatch, capsys):
+    # weak data, so labels and blocks keep moving
+    ds = random_signal_dataset(41, 10, 10, 12, hot=4)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.3, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=3)
+    sched = Schedule(burnin=100, iterations=700)
+    new, new_state = captured_run_chain(monkeypatch, ds, priors, sched, seed=19)
+    new_log = capsys.readouterr().err
+    monkeypatch.setattr(mcmc, "swap_membership_move", reference_swap_move)
+    ref, ref_state = captured_run_chain(monkeypatch, ds, priors, sched, seed=19)
+    assert capsys.readouterr().err == new_log  # progress lines, counters included
+    for name in ("marginal_posterior", "epistatic_posterior", "assoc_posterior",
+                 "boundary_posterior", "log_joint_trace"):
+        assert same_draw(getattr(ref, name), getattr(new, name)), name
+    assert new.interaction_sets == ref.interaction_sets
+    assert new.acceptance == ref.acceptance and new.counters == ref.counters
+    assert new.cache["marginals"] == ref.cache["marginals"]
+    assert new.cache["block_terms"] == ref.cache["block_terms"]
+    for got, want in zip(memos(new_state.model), memos(ref_state.model)):
+        assert got == want
+    assert new_state.labels == ref_state.labels and new_state.starts == ref_state.starts
+    # many swaps were accepted, group-2 sets changed, and blocks merged and split
+    assert new.counters["swap_accepted"] > 300 and len(new.interaction_sets) > 10
+    assert new.counters["merge_accepted"] > 0 and new.counters["split_accepted"] > 0
+
+
+def test_swap_pass_equals_the_reference_step_for_step():
+    ds = random_signal_dataset(31, 40, 40, 12, hot=5)
+    priors = PriorConfig(p_boundary=0.3, p1=0.25, p2=0.25, rho=1.5,
+                         max_distinct_diplotypes=7, max_order=4)
+    side = np.random.default_rng(3)
+    ref = init_state(ds, priors, seed=21)
+    new = init_state(ds, priors, seed=21)
+    accepted = 0
+    for _ in range(300):
+        starts, labels = random_force(side, ds.n_snps, 4)
+        force_state(ref, starts, labels)
+        force_state(new, starts, labels)
+        got = swap_membership_move(new)
+        assert got == reference_swap_move(ref)
+        accepted += got
+        assert_same_state(ref, new)
+        assert new.running_log_joint == ref.running_log_joint
+    assert new.rng.random() == ref.rng.random()
+    assert accepted > 50
+    for got, want in zip(memos(new.model), memos(ref.model)):
+        assert got == want
+
+
+# -- singleton marginals evaluated ahead ------------------------------------------------
+
+
+def scalar_singletons(monkeypatch):
+    """Turn the singleton pass off, so every marginal is evaluated on its own."""
+    monkeypatch.setattr(LikelihoodEngine, "prefetch_singletons", lambda engine, who: None)
+
+
+@pytest.mark.parametrize("sample_membership, iterations", [(False, 300), (True, 300), (True, 0)],
+                         ids=["partition", "map", "map-no-iterations"])
+def test_singleton_pass_leaves_the_memos_as_the_scalar_path(monkeypatch, sample_membership,
+                                                            iterations):
+    ds = random_signal_dataset(43, 60, 60, 14, hot=6)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=9, max_order=3)
+    sched = Schedule(burnin=iterations // 5, iterations=iterations)
+    new, new_state = captured_run_chain(monkeypatch, ds, priors, sched, seed=5,
+                                        sample_membership=sample_membership)
+    with monkeypatch.context() as patch:
+        scalar_singletons(patch)
+        ref, ref_state = captured_run_chain(monkeypatch, ds, priors, sched, seed=5,
+                                            sample_membership=sample_membership)
+    for got, want in zip(memos(new_state.model), memos(ref_state.model)):
+        assert got == want
+    assert new.cache["marginals"] == ref.cache["marginals"]
+    assert same_draw(new.log_joint_trace, ref.log_joint_trace)
+    assert new.counters == ref.counters
+
+
+def test_singleton_pass_leaves_the_memos_as_the_scalar_path_when_init_fails(monkeypatch):
+    # SNP 2 shows 3 diplotypes, over the cap of 2: the cap check stops there
+    ds = make_dataset([[0, 1, 0, 2], [1, 1, 1, 2], [0, 1, 2, 2]], [[1, 1, 0, 2]])
+    priors = flat_priors(max_distinct_diplotypes=2, max_order=1)
+    new = JointModel(ds, priors)
+    with pytest.raises(ConstraintError):
+        ChainState(new, np.random.default_rng(0))
+    with monkeypatch.context() as patch:
+        scalar_singletons(patch)
+        ref = JointModel(ds, priors)
+        with pytest.raises(ConstraintError):
+            ChainState(ref, np.random.default_rng(0))
+    assert set(ref.engine._marg) == {((0,), "both"), ((1,), "both"), ((2,), "both")}
+    for got, want in zip(memos(new), memos(ref)):
+        assert got == want
 
 
 def assert_valid_rows_are_fresh(state):
