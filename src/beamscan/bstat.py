@@ -13,19 +13,28 @@ the degrees of freedom) from them.
 
 Both shifts put the null's median on half the chi-square median, which
 ``_half_chi2_median`` gives without scipy and equal to ``scipy.special``'s
-value bit for bit; scipy is imported only for an analytic p-value.
+value bit for bit; scipy is imported only for an analytic p-value. The
+null's median comes from ``_median``: ``np.median``'s own partition and mean,
+without the NaN check that imports ``numpy.ma``.
 
 The observed labelling and every permuted one go through one statistic,
-``_SetKernel.statistics``: it scores a matrix of case assignments with one
-offset ``bincount`` over the set's joint diplotype cells, derives the per-SNP
-counts from the joint counts with one matrix product, and evaluates every
-marginal with ``log_marginal`` over the count rows. A permutation that
-reproduces the observed count table therefore ties with the observed value
-exactly, which the ``null >= b`` count of the p-value relies on.
-``permutation_null`` draws ``PERM_BATCH`` replicates at a time with
-``Generator.permuted`` over stacked ``arange`` rows; that consumes the seed's
-stream exactly as one ``Generator.permutation`` call per replicate does, so
-the null values of a seed do not depend on the batch size.
+``_SetKernel.statistics``: it takes each labelling's case cells (every case's
+joint diplotype cell, row i offset by i times the cell count), counts them
+with one ``bincount``, derives the per-SNP counts from the joint counts with
+one matrix product, and evaluates every marginal with ``log_marginal`` over
+the count rows. ``bstat`` passes the first ``n_cases`` cells unshuffled. A
+permutation that reproduces the observed count table therefore ties with the
+observed value exactly, which the ``null >= b`` count of the p-value relies
+on.
+
+``permutation_null`` shuffles cell labels, not individuals: each batch fills
+the ``PERM_BATCH`` rows of one reused buffer with every individual's joint
+cell, shuffles each row with ``Generator.permuted``, and offsets row i's case
+columns by i cells. The shuffle's draws depend on the row length only, never
+on the values, so row i's case columns hold the cells of exactly the
+individuals that the i-th successive ``Generator.permutation`` call would put
+first: the stream and every null value are those of one such call per
+replicate, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -85,14 +94,11 @@ class _SetKernel:
         singles = (joint @ self.single_map).reshape(joint.shape[0], self.width, 3)
         return log_marginal(singles, 1, self.rho).sum(axis=-1)
 
-    def statistics(self, case_rows: np.ndarray) -> np.ndarray:
-        """The statistic for each row of ``case_rows``, which lists the cases
-        by their index in the cases-then-controls stacking."""
-        r, cells = case_rows.shape[0], self.joint_counts.size
-        offsets = (np.arange(r) * cells)[:, None]
-        cases = np.bincount(
-            (self.joint_inverse[case_rows] + offsets).ravel(), minlength=r * cells
-        ).reshape(r, cells)
+    def statistics(self, case_cells: np.ndarray) -> np.ndarray:
+        """The statistic for each row of ``case_cells``, which lists the joint
+        cells of one labelling's cases, row i offset by i times the cell count."""
+        r, cells = case_cells.shape[0], self.joint_counts.size
+        cases = np.bincount(case_cells.ravel(), minlength=r * cells).reshape(r, cells)
         controls = self.joint_counts - cases
         log_cases = log_marginal(cases, self.width, self.rho)
         log_controls = log_marginal(controls, self.width, self.rho)
@@ -124,7 +130,7 @@ def bstat(dataset: GenotypeDataset, snp_set, rho: float = 1.5) -> float:
     """Log Bayes factor of joint association for ``snp_set``."""
     snps = _validated_set(dataset, snp_set)
     kernel = _SetKernel(dataset, snps, rho)
-    return float(kernel.statistics(np.arange(dataset.n_cases)[None, :])[0])
+    return float(kernel.statistics(kernel.joint_inverse[None, : dataset.n_cases])[0])
 
 
 def permutation_null(
@@ -137,15 +143,19 @@ def permutation_null(
     """Statistic values under ``n_perm`` random case/control relabelings."""
     snps = _validated_set(dataset, snp_set)
     kernel = _SetKernel(dataset, snps, rho)
-    total = dataset.n_cases + dataset.n_controls
     rng = default_rng(seed)
     values = np.empty(n_perm)
+    rows = min(PERM_BATCH, n_perm)
+    shuffled = np.empty((rows, kernel.joint_inverse.size), dtype=kernel.joint_inverse.dtype)
+    offsets = (np.arange(rows) * kernel.joint_counts.size)[:, None]
     for start in range(0, n_perm, PERM_BATCH):
         r = min(PERM_BATCH, n_perm - start)
-        # Row i is what the i-th successive rng.permutation(total) would draw.
-        perm = np.tile(np.arange(total), (r, 1))
-        rng.permuted(perm, axis=1, out=perm)
-        values[start : start + r] = kernel.statistics(perm[:, : dataset.n_cases])
+        # each row is every individual's joint cell, shuffled; a row's offset
+        # is the same in every column, so it is added to the case columns only
+        batch = shuffled[:r]
+        batch[...] = kernel.joint_inverse
+        rng.permuted(batch, axis=1, out=batch)
+        values[start : start + r] = kernel.statistics(batch[:, : dataset.n_cases] + offsets[:r])
     return values
 
 
@@ -190,9 +200,24 @@ def _half_chi2_median(df: int) -> float:
     return _HALF_MEDIANS[df]
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit.
+
+    The same partition (the middle index or two, and the last for a NaN) and
+    the same mean of the middle slice, without the NaN check that imports
+    ``numpy.ma``: a NaN sorts last, and then the median is NaN.
+    """
+    half = values.size // 2
+    kth = [half] if values.size % 2 else [half - 1, half]
+    part = np.partition(values, [*kth, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[kth[0] : half + 1]))
+
+
 def _median_shift(null: np.ndarray, df: int) -> float:
     """The shift that puts half the chi-square median on the null's median."""
-    return float(np.median(null)) - _half_chi2_median(df)
+    return _median(null) - _half_chi2_median(df)
 
 
 def _check_cohorts(n_cases: int, n_controls: int) -> None:

@@ -392,11 +392,6 @@ class ChainState:
         """The sorted group-2 set, ``members[2]``."""
         return self.members[2]
 
-    @property
-    def label_counts(self) -> list[int]:
-        """How many SNPs carry label 0, 1 and 2."""
-        return [len(m) for m in self.members]
-
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
 

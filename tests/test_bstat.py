@@ -1,20 +1,27 @@
 """Set-association statistic, permutation and analytic calibration, candidate sets."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammaincinv
 from scipy.stats import chi2, kstest
 
+import beamscan
 import helpers
 from helpers import ref_marginal
 from beamscan.bstat import (
     MAX_SET_SIZE,
     PERM_BATCH,
     BStatResult,
+    _median,
     _median_shift,
+    _SetKernel,
     analytic_shift,
     bstat,
     fit_shift_constant,
@@ -209,6 +216,124 @@ def test_batched_null_on_a_zero_individual_panel():
         want, _ = reference_permutation_null(ds, snps, PERM_BATCH + 3, seed=1)
         got = permutation_null(ds, snps, n_perm=PERM_BATCH + 3, seed=1)
         assert np.array_equal(got, want) and not got.any()
+
+
+def index_statistics(kernel, case_rows):
+    """The statistic as it was computed from a matrix of case indices: gather
+    each row's joint cells, offset row i by i cells, and count."""
+    r, cells = case_rows.shape[0], kernel.joint_counts.size
+    offsets = (np.arange(r) * cells)[:, None]
+    cases = np.bincount(
+        (kernel.joint_inverse[case_rows] + offsets).ravel(), minlength=r * cells
+    ).reshape(r, cells)
+    controls = kernel.joint_counts - cases
+    return (
+        log_marginal(cases, kernel.width, kernel.rho)
+        + np.logaddexp(log_marginal(controls, kernel.width, kernel.rho), kernel._log_singles(controls))
+        - np.logaddexp(kernel.log_joint_both, kernel.log_singles_both)
+    )
+
+
+def index_permutation_null(ds, snps, n_perm, seed):
+    """The null as it was drawn: shuffle stacked ``arange`` rows of individual
+    indices, then gather the cases' joint cells."""
+    kernel = _SetKernel(ds, snps, RHO)
+    total = ds.n_cases + ds.n_controls
+    rng = np.random.default_rng(seed)
+    values = np.empty(n_perm)
+    for start in range(0, n_perm, PERM_BATCH):
+        r = min(PERM_BATCH, n_perm - start)
+        perm = np.tile(np.arange(total), (r, 1))
+        rng.permuted(perm, axis=1, out=perm)
+        values[start : start + r] = index_statistics(kernel, perm[:, : ds.n_cases])
+    return values
+
+
+@pytest.mark.parametrize("n_perm", [1, 255, 256, 257, 600, 1000])
+def test_null_over_cell_labels_equals_the_index_shuffle_bit_for_bit(n_perm):
+    # shuffling the cell labels draws what shuffling the indices drew, since
+    # the shuffle's draws depend on the row length only
+    base = null_dataset(60, 29, 47, 4)
+    monomorphic = lambda g: np.column_stack([g, np.ones(len(g), dtype=np.int8)])
+    ds = make_dataset(monomorphic(base.cases), monomorphic(base.controls))
+    for snps in [(0,), (4,), (1, 4), (0, 2, 3), (0, 1, 3, 4)]:
+        for seed in range(5):
+            want = index_permutation_null(ds, snps, n_perm, seed)
+            assert np.array_equal(permutation_null(ds, snps, n_perm=n_perm, seed=seed), want)
+
+
+def test_observed_statistic_equals_the_index_path_bit_for_bit():
+    for ds in (null_dataset(61, 29, 47, 4), null_dataset(62, 40, 13, 4)):
+        for snps in [(0,), (3,), (1, 2), (0, 1, 3), (0, 1, 2, 3)]:
+            kernel = _SetKernel(ds, snps, RHO)
+            want = index_statistics(kernel, np.arange(ds.n_cases)[None, :])[0]
+            assert bstat(ds, snps) == want
+
+
+def float_bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2.5],
+        [-0.0],
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [-0.0, -0.0],
+        [1.0, 3.0],
+        [0.1, 0.2],
+        [3.0, -1.0, 0.5],
+        [3.0, -1.0, 0.5, 2.0],
+        [1.0, 1.0, 1.0, 2.0, 2.0],
+        [2.0, 2.0, 1.0, 1.0],
+        [-np.inf, np.inf],
+        [-np.inf, 1.0, np.inf],
+        [np.inf, np.inf, 1.0, 2.0],
+        [-np.inf, -np.inf, 1.0],
+        [1.0, np.nan, 2.0],
+        [np.nan],
+        [np.nan, 1.0],
+        [np.inf, np.nan, -np.inf, 0.0],
+    ],
+)
+def test_median_equals_numpy_bit_for_bit(values):
+    values = np.array(values)
+    with np.errstate(invalid="ignore"):  # the mean of -inf and inf is nan
+        got, want = _median(values), np.median(values)
+    assert (np.isnan(got) and np.isnan(want)) or float_bits(got) == float_bits(want)
+
+
+def test_median_equals_numpy_on_permutation_nulls():
+    rng = np.random.default_rng(9)
+    for n in (500, 501, 1000, 1001):
+        values = np.round(rng.normal(size=n), 2)  # many ties
+        assert float_bits(_median(values)) == float_bits(np.median(values))
+    null = permutation_null(null_dataset(63, 30, 30, 2), (0, 1), n_perm=1000, seed=2)
+    assert float_bits(_median(null)) == float_bits(np.median(null))
+
+
+def test_shift_fits_and_calibrations_leave_numpy_ma_unloaded():
+    # np.median imports numpy.ma for its NaN check; both calibrations take a
+    # median before any p-value would import scipy
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from beamscan.bstat import fit_shift_constant, null_calibration\n"
+        "from beamscan.dataio import GenotypeDataset\n"
+        "rng = np.random.default_rng(0)\n"
+        "g = lambda n: rng.integers(0, 3, size=(n, 3)).astype(np.int8)\n"
+        "ds = GenotypeDataset(g(40), g(50), ('a', 'b', 'c'), (1, 2, 3))\n"
+        "c = fit_shift_constant(ds, (0, 2), n_perm=500)\n"
+        "null_calibration(ds, (1,), n_perm=500)\n"
+        "null_calibration(ds, (0, 2), mode='analytic', shift_constant=c)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'] or m.startswith('scipy')))\n"
+    )
+    src = str(Path(beamscan.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_permutations_that_reproduce_the_observed_table_tie_exactly():

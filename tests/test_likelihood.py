@@ -14,6 +14,7 @@ import pytest
 from scipy.special import gammaln
 
 from beamscan import likelihood
+from beamscan.bstat import _SetKernel
 from helpers import NEVER_BINDS
 from beamscan.dataio import GenotypeDataset
 from beamscan.likelihood import (
@@ -288,6 +289,44 @@ def test_all_two_row_at_the_widest_float_key():
     assert keys.tolist() == [3**w - 1, 3**w - 2, 3**w - 1]
     assert 3**w - 1 < 2**53 <= 3 ** (w + 1)
     assert _pack_matrix(np.vstack([codes, codes[:1]])).dtype != np.float64
+
+
+def unique_row_ranks(codes):
+    """Dense ranks of a wide set's code columns, last SNP most significant,
+    as ``np.unique`` over the reversed rows gives them."""
+    _, ranks = np.unique(codes[::-1].T, axis=0, return_inverse=True)
+    return ranks.reshape(codes.shape[1])
+
+
+@pytest.mark.parametrize("w", [34, 40, 66, 100])
+def test_wide_keys_equal_unique_row_ranks(w):
+    # LD-like columns: copies of eight founders with 2% noise, so many ties,
+    # plus columns that differ only in their first or last SNP
+    rng = np.random.default_rng(300 + w)
+    founders = rng.integers(0, 3, size=(w, 8)).astype(np.int8)
+    codes = founders[:, rng.integers(0, 8, size=1500)]
+    noise = rng.random(codes.shape) < 0.02
+    codes[noise] = rng.integers(0, 3, size=int(noise.sum()))
+    codes[:, 1:4] = codes[:, :1]
+    codes[0, 1] = (codes[0, 0] + 1) % 3
+    codes[-1, 2] = (codes[-1, 0] + 1) % 3
+    keys = _pack_matrix(codes)
+    assert keys.dtype == np.intp
+    assert np.array_equal(keys, unique_row_ranks(codes))
+    assert np.array_equal(_pack_matrix(codes[:, ::7]), unique_row_ranks(codes[:, ::7]))
+    # every value counted through the keys is the one the unique ranks give
+    ds = dataset_from_rows(codes.T[:700], codes.T[700:], w)
+    snps = tuple(range(w))
+    engine = LikelihoodEngine(ds, rho=RHO)
+    for who, columns in (("cases", slice(None, 700)), ("controls", slice(700, None)), ("both", slice(None))):
+        _, counts = np.unique(unique_row_ranks(codes[:, columns]), return_counts=True)
+        assert engine.marginal(snps, who) == log_marginal(counts, w, RHO), who
+    assert engine.distinct_count(snps) == np.unique(unique_row_ranks(codes)).size
+    kernel = _SetKernel(ds, snps, RHO)
+    _, inverse, counts = np.unique(unique_row_ranks(codes), return_inverse=True, return_counts=True)
+    assert np.array_equal(kernel.joint_inverse, inverse)
+    assert np.array_equal(kernel.joint_counts, counts)
+    assert kernel.log_joint_both == log_marginal(counts, w, RHO)
 
 
 # -- log marginal ------------------------------------------------------------------

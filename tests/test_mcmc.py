@@ -784,7 +784,7 @@ def assert_same_state(ref, new):
     assert new.members == [np.flatnonzero(labels == v).tolist() for v in (0, 1, 2)]
     for (a, b), mask in new.block_masks.items():
         assert mask == mask_from_labels(new.labels, a, b)
-    assert new.label_counts == ref.label_counts
+    assert [len(m) for m in new.members] == [len(m) for m in ref.members]
     assert new.counters == ref.counters
     assert list(new.counters) == list(ref.counters)
 
@@ -940,7 +940,7 @@ def reference_swap_move(state):
     blocks by ``block_of``, both group-2 terms and the counters on every step."""
     model = state.model
     rng = state.rng
-    counts = state.label_counts
+    counts = [len(m) for m in state.members]
     classes = [(a, b, counts[a] * counts[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
     n_pairs = sum(w for _, _, w in classes)
     if n_pairs == 0:
