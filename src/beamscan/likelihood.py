@@ -43,7 +43,8 @@ A chain asks for nearly every SNP's single-SNP marginals at its start: the
 diplotype-cap check reads each combined-cohort count, and the first label
 sweep most case/control pairs. ``prefetch_singletons`` evaluates all of one
 kind in one array pass, counting each SNP's codes per cohort with
-``np.count_nonzero``, bit-equal to one-at-a-time evaluation. The values wait
+``np.count_nonzero`` and evaluating the count matrix by ``log_marginal``'s
+row form, bit-equal to one-at-a-time evaluation. The values wait
 in a pending table and ``marginal`` moves each into the memo, with its
 distinct count, the first time it is asked for, so the memo holds exactly
 the keys that one-at-a-time evaluation would have put there.
@@ -272,6 +273,23 @@ def _log_marginal_present(counts: np.ndarray, width: int, rho: float, log_g_tota
     return per_cell + log_g_rho - log_g_total
 
 
+def _log_marginal_rows(counts: np.ndarray, width: int, rho: float, log_g_total=None):
+    """``log_marginal`` of each row of an intp count array; ``log_g_total``,
+    lnG(total + rho) for every row alike, saves looking up each row's own."""
+    alpha, per_present, log_g_rho = _marginal_constants(width, rho)
+    if log_g_total is None:
+        # an empty sample gives lnG(rho) - lnG(0 + rho), exactly 0
+        log_g_total = _lngamma(rho, np.add.reduce(counts, axis=-1))
+    terms = _lngamma(alpha, counts)
+    present = counts.shape[-1]
+    if np.count_nonzero(counts) < counts.size:
+        absent = counts == 0
+        terms[absent] = 0.0
+        present = present - np.add.reduce(absent, axis=-1)
+    per_cell = present * per_present + np.add.reduce(terms, axis=-1)
+    return per_cell + log_g_rho - log_g_total
+
+
 def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarray:
     """Log marginal of multinomial samples under the width-scaled prior.
 
@@ -282,18 +300,9 @@ def log_marginal(counts: np.ndarray, width: int, rho: float) -> float | np.ndarr
     """
     given = np.asarray(counts)
     counts = given.astype(np.intp)
-    alpha, per_present, log_g_rho = _marginal_constants(width, rho)
     if counts.size and (counts.min() < 0 or not np.array_equal(counts, given)):
         raise ValueError("counts must be non-negative integers")
-    terms = _lngamma(alpha, counts)
-    present = counts.shape[-1]
-    if np.count_nonzero(counts) < counts.size:
-        absent = counts == 0
-        terms[absent] = 0.0
-        present = present - np.add.reduce(absent, axis=-1)
-    per_cell = present * per_present + np.add.reduce(terms, axis=-1)
-    # an empty sample gives lnG(rho) - lnG(0 + rho), exactly 0
-    value = per_cell + log_g_rho - _lngamma(rho, np.add.reduce(counts, axis=-1))
+    value = _log_marginal_rows(counts, width, rho)
     return float(value) if counts.ndim == 1 else value
 
 
@@ -336,12 +345,12 @@ class LikelihoodEngine:
 
         ``marginal`` moves a pending value, with its distinct count, into the
         memo when it is first asked for, so the memo holds the same keys as
-        without the pass. The values are ``_log_marginal_present``'s, bit for
-        bit: the same lnG table entries, absent cells adding exact zeros in
-        ``np.add.reduce``'s order, and the same operations after the sum.
+        without the pass. The values come from ``_log_marginal_rows``, the row
+        form behind ``log_marginal``, and equal ``_log_marginal_present``'s bit
+        for bit: the same lnG table entries, absent cells adding exact zeros
+        in ``np.add.reduce``'s order, and the same operations after the sum.
         """
         started = time.perf_counter()
-        alpha, per_present, log_g_rho = _marginal_constants(1, self.rho)
         n_snps = self._codes.shape[0]
         for cohort, columns, log_g_total in self._cohorts[who]:
             codes = self._codes[:, columns]
@@ -354,11 +363,8 @@ class LikelihoodEngine:
                 counts[lo : lo + step, 1] = np.count_nonzero(rows == 1, axis=1)
                 counts[lo : lo + step, 2] = np.count_nonzero(rows == 2, axis=1)
             counts[:, 0] = codes.shape[1] - counts[:, 1] - counts[:, 2]  # codes are 0, 1 or 2
-            terms = _lngamma(alpha, counts)
-            terms[counts == 0] = 0.0
+            values = _log_marginal_rows(counts, 1, self.rho, log_g_total)
             present = np.count_nonzero(counts, axis=1)
-            values = present * per_present + (terms[:, 0] + terms[:, 1] + terms[:, 2])
-            values = values + log_g_rho - log_g_total
             for snp, (value, distinct) in enumerate(zip(values.tolist(), present.tolist())):
                 key = ((snp,), cohort)
                 if key not in self._marg:

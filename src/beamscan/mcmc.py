@@ -53,11 +53,11 @@ A chain draws from :class:`BlockDraws`, which reads the seeded generator's
 raw 64-bit words in blocks and returns exactly the numbers that
 ``default_rng(seed)`` would, at a quarter to a half of a ``Generator`` call's
 cost; a block move makes three or four scalar draws, so at the Generator's
-cost they were a large share of it. After a sweep's array draw the next
-block is small and grows while only scalar draws come, so few read-ahead
-words are left for the next sweep to convert. The kernels only call
-``integers(k)`` and ``random(size=None)``, so a ``ChainState`` runs the same
-with a plain ``Generator`` or a scripted stand-in.
+cost they were a large share of it. A sweep's array draw steps the
+generator back over the block's unread words and takes the whole array from
+the generator itself. The kernels only call ``integers(k)`` and
+``random(size=None)``, so a ``ChainState`` runs the same with a plain
+``Generator`` or a scripted stand-in.
 
 ``run_chain`` reports each chain's ``counters`` (block no-ops, proposals and
 acceptances per move kind, Gibbs draws and label changes, swap proposals and
@@ -87,8 +87,8 @@ from .model import (
     mask_from_labels,
 )
 
-_BLOCK_WORDS = 64  # the most raw words a draw source reads at a time
-_FIRST_WORDS = 16  # the words it reads first after an array draw, doubled on each refill
+_BLOCK_WORDS = 64  # the raw words a draw source reads at a time
+_REWIND = 1 << 128  # PCG64's period: advancing by _REWIND - k steps the state back k words
 _TWO_M53 = 2.0**-53
 _LOW32 = 0xFFFFFFFF
 _LOW64 = 0xFFFFFFFFFFFFFFFF
@@ -96,7 +96,7 @@ _LOW64 = 0xFFFFFFFFFFFFFFFF
 
 class BlockDraws:
     """The draws of ``numpy.random.default_rng(seed)``, bit for bit, from its
-    raw 64-bit words read in blocks.
+    raw 64-bit words read ``_BLOCK_WORDS`` at a time.
 
     A scalar ``Generator`` draw costs 0.5-2 us, mostly call overhead; here it
     is a little integer arithmetic on the next word of a list. numpy's own
@@ -108,27 +108,22 @@ class BlockDraws:
       and keeps its high half for the next 32-bit request; ``integers(1)``
       reads nothing;
     - ``integers(k)`` for k > 2**32 is the 64-bit Lemire over whole words,
-      which leaves a kept half alone;
-    - ``random(n)`` converts the block's unread words one by one, and the
-      generator's own ``random`` fills the rest of the array from the words
-      after the block.
+      which leaves a kept half alone.
 
-    Blocks hold up to ``_BLOCK_WORDS`` words. After an array draw the next
-    block holds ``_FIRST_WORDS``, and each refill doubles the size while only
-    scalar draws come: a chain that alternates a Gibbs sweep's ``random(n)``
-    with a few dozen scalar draws then reads and converts few words that the
-    next array draw has to take over, while a run of scalar draws soon reads
-    full blocks again.
+    ``random(n)`` is the generator's own. It first steps the PCG64 state back
+    over the block's unread words, an exact rewind because the state's period
+    is 2**128 (O'Neill 2014), so the array starts at the word that the next
+    scalar draw would have read, and the next scalar draw reads a fresh block.
+    A kept half is no word of the state and outlives the array, as in numpy.
     """
 
     def __init__(self, seed: int):
         self._gen = default_rng(seed)
         self._raw = self._gen.bit_generator.random_raw
-        self._block: list[int] = []  # the block's words as Python ints
-        self._words = iter(self._block)  # over the block, unread words last
+        self._advance = self._gen.bit_generator.advance
+        self._words = iter(())  # over the block's words as Python ints
         self._next = self._words.__next__
         self._half = -1  # the kept high half of the last split word, or -1
-        self._size = _BLOCK_WORDS  # the words the next block reads
 
     # random() and integers(k <= 2**32) inline _word and _word32 on their
     # common path: a method call would add about half the cost of a draw
@@ -138,12 +133,8 @@ class BlockDraws:
         try:
             return self._next()
         except StopIteration:
-            size = self._size
-            self._block = self._raw(size).tolist()
-            self._words = iter(self._block)
+            self._words = iter(self._raw(_BLOCK_WORDS).tolist())
             self._next = self._words.__next__
-            if size < _BLOCK_WORDS:
-                self._size = 2 * size
             return self._next()
 
     def _word32(self) -> int:
@@ -164,18 +155,12 @@ class BlockDraws:
             except StopIteration:
                 word = self._word()
             return (word >> 11) * _TWO_M53
-        self._size = _FIRST_WORDS
         left = self._words.__length_hint__()
-        if not left:
-            return self._gen.random(size)
-        start = len(self._block) - left
-        take = min(left, size)
-        self._words.__setstate__(start + take)
-        out = np.empty(size)
-        out[:take] = [(word >> 11) * _TWO_M53 for word in self._block[start : start + take]]
-        if take < size:
-            self._gen.random(out=out[take:])
-        return out
+        if left:
+            self._advance(_REWIND - left)
+            self._words = iter(())
+            self._next = self._words.__next__
+        return self._gen.random(size)
 
     def integers(self, k: int) -> int:
         """A uniform integer in [0, k)."""

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules: hand-built panels, flat priors
-(with caps that never bind unless a test sets them) and a reference log
-marginal that never touches the package's likelihood code.
+(with caps that never bind unless a test sets them), a reference log
+marginal that never touches the package's likelihood code, and an exact
+transition enumerator for the sampler's kernels (``kernel_transitions``).
 
 Each module binds its own SNP spacing and prior values, for example
 ``make_dataset = partial(helpers.make_dataset, spacing=10)``.
@@ -68,3 +69,74 @@ def ref_marginal(mat, rho=1.5):
     for t in range(sum(cells.values())):
         total -= math.log(rho + t)
     return total
+
+
+# -- exact kernel transitions -------------------------------------------------------
+
+
+class _Uniform(float):
+    """A uniform draw that accepts (choice 0) or rejects (choice 1) whatever
+    threshold it is compared with, and records that branch's probability."""
+
+    def __new__(cls, draw):
+        self = super().__new__(cls, 0.5)
+        self.draw = draw
+        return self
+
+    def __lt__(self, threshold):
+        p_accept = min(1.0, float(threshold))
+        self.draw[2] = p_accept if self.draw[1] == 0 else 1.0 - p_accept
+        return self.draw[1] == 0
+
+
+class ScriptedRng:
+    """Replays one branch of a kernel's random draws and records each one.
+
+    ``integers(m)`` returns the scripted choice among m equally likely values;
+    ``random()`` returns a :class:`_Uniform`. Draws past the end of the script
+    take choice 0. Each record is ``[n_choices, choice, probability]``; a
+    uniform that is never compared leaves the outcome unchanged, so its
+    choice 0 carries probability 1 and choice 1 probability 0.
+    """
+
+    def __init__(self, script):
+        self.script = script
+        self.draws = []
+
+    def _next(self, n_choices, p):
+        pos = len(self.draws)
+        choice = self.script[pos] if pos < len(self.script) else 0
+        self.draws.append([n_choices, choice, p])
+        return choice
+
+    def integers(self, m):
+        return self._next(int(m), 1.0 / int(m))
+
+    def random(self):
+        choice = self._next(2, 1.0)
+        if choice == 1:
+            self.draws[-1][2] = 0.0
+        return _Uniform(self.draws[-1])
+
+
+def kernel_transitions(state, run, starts, labels):
+    """Every outcome of ``run(state)`` from the chain state (starts, labels),
+    keyed by its own ``(starts, labels)`` tuples, with its probability."""
+    out = {}
+    stack = [[]]
+    while stack:
+        script = stack.pop()
+        state.assign(starts, labels)
+        state.rng = ScriptedRng(script)
+        run(state)
+        draws = state.rng.draws
+        p = math.prod(d[2] for d in draws)
+        if p > 0.0:
+            key = (tuple(state.starts), tuple(state.labels))
+            out[key] = out.get(key, 0.0) + p
+        for pos in range(len(script), len(draws)):
+            if draws[pos][2] == 1.0:  # the other choices have probability 0
+                continue
+            prefix = [d[1] for d in draws[:pos]]
+            stack.extend(prefix + [alt] for alt in range(1, draws[pos][0]))
+    return out

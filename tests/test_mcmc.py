@@ -227,72 +227,6 @@ def test_swap_prefers_the_cleaner_signal_column():
     assert to_causal > 3 * to_noise
 
 
-class _Uniform(float):
-    """A uniform draw that accepts (choice 0) or rejects (choice 1) whatever
-    threshold it is compared with, and records that branch's probability."""
-
-    def __new__(cls, draw):
-        self = super().__new__(cls, 0.5)
-        self.draw = draw
-        return self
-
-    def __lt__(self, threshold):
-        p_accept = min(1.0, float(threshold))
-        self.draw[2] = p_accept if self.draw[1] == 0 else 1.0 - p_accept
-        return self.draw[1] == 0
-
-
-class ScriptedRng:
-    """Replays one branch of a kernel's random draws and records each one.
-
-    ``integers(m)`` returns the scripted choice among m equally likely values;
-    ``random()`` returns a :class:`_Uniform`. Draws past the end of the script
-    take choice 0. Each record is ``[n_choices, choice, probability]``; a
-    uniform that is never compared leaves the outcome unchanged, so its
-    choice 0 carries probability 1 and choice 1 probability 0.
-    """
-
-    def __init__(self, script):
-        self.script = script
-        self.draws = []
-
-    def _next(self, n_choices, p):
-        pos = len(self.draws)
-        choice = self.script[pos] if pos < len(self.script) else 0
-        self.draws.append([n_choices, choice, p])
-        return choice
-
-    def integers(self, m):
-        return self._next(int(m), 1.0 / int(m))
-
-    def random(self):
-        choice = self._next(2, 1.0)
-        if choice == 1:
-            self.draws[-1][2] = 0.0
-        return _Uniform(self.draws[-1])
-
-
-def kernel_transitions(state, run, starts, labels):
-    """Every outcome of ``run(state)`` from (starts, labels), with its probability."""
-    out = {}
-    stack = [[]]
-    while stack:
-        script = stack.pop()
-        force_state(state, starts, labels)
-        state.rng = ScriptedRng(script)
-        run(state)
-        draws = state.rng.draws
-        p = math.prod(d[2] for d in draws)
-        if p > 0.0:
-            out[tuple(state.labels)] = out.get(tuple(state.labels), 0.0) + p
-        for pos in range(len(script), len(draws)):
-            if draws[pos][2] == 1.0:  # the other choices have probability 0
-                continue
-            prefix = [d[1] for d in draws[:pos]]
-            stack.extend(prefix + [alt] for alt in range(1, draws[pos][0]))
-    return out
-
-
 @pytest.mark.parametrize("orbit, starts", [
     ((1, 2, 0), (0, 1)),
     ((1, 1, 0, 0), (0, 2, 3)),
@@ -314,10 +248,46 @@ def test_one_swap_pass_leaves_the_target_invariant(orbit, starts):
     index = {x: k for k, x in enumerate(arrangements)}
     P = np.zeros((len(arrangements), len(arrangements)))
     for k, x in enumerate(arrangements):
-        for y, p in kernel_transitions(state, swap_membership_move, starts, x).items():
+        for (to_starts, y), p in helpers.kernel_transitions(state, swap_membership_move, starts, x).items():
+            assert to_starts == starts
             P[k, index[y]] += p
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     # relative to each state's own weight, so the unlikely arrangements count too
+    assert np.all(np.abs(pi @ P - pi) <= 1e-9 * pi)
+
+
+def block_move(kind, state):
+    proposal = propose_block_move(state, kind)
+    if proposal is not None:
+        accept(state, proposal)
+
+
+@pytest.mark.parametrize("cap, admissible", [(9, 8), (81, 16)], ids=["cap-binds", "cap-free"])
+def test_block_moves_leave_the_target_invariant_with_mixed_labels(cap, admissible):
+    """Exact transition matrix of the 0.1 / 0.1 / 0.8 split / merge / shift
+    mixture on every partition of 5 SNPs whose labels are not all 0:
+    pi P = pi over the partitions that the diplotype cap admits."""
+    labels = (1, 0, 2, 2, 0)
+    n = len(labels)
+    ds = random_signal_dataset(45, 12, 12, n)
+    priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
+                         max_distinct_diplotypes=cap, max_order=3)
+    state = init_state(ds, priors, seed=0)
+    partitions = [(0, *(i for i in range(1, n) if bits >> (i - 1) & 1)) for bits in range(1 << (n - 1))]
+    logw = {s: state.model.log_joint(s, labels) for s in partitions}
+    live = [s for s in partitions if logw[s] > -math.inf]
+    assert len(live) == admissible
+    top = max(logw[s] for s in live)
+    pi = np.array([math.exp(logw[s] - top) for s in live])
+    pi /= pi.sum()
+    index = {s: k for k, s in enumerate(live)}
+    P = np.zeros((len(live), len(live)))
+    for kind, prob in (("split", 0.1), ("merge", 0.1), ("shift", 0.8)):
+        for k, s in enumerate(live):
+            for (to, y), p in helpers.kernel_transitions(state, partial(block_move, kind), s, labels).items():
+                assert y == labels
+                P[k, index[to]] += prob * p
+    assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.abs(pi @ P - pi) <= 1e-9 * pi)
 
 
@@ -385,6 +355,28 @@ def test_block_draws_at_block_edges_and_bounds():
             got.integers(bad)
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 400])
+def test_array_draws_rewind_over_the_words_read_ahead(n):
+    """After k scalar draws, with or without a kept 32-bit half, an array
+    draw leaves the PCG64 state and the kept half where numpy's own
+    generator has them, whatever part of a block was read ahead."""
+    for k in range(2 * mcmc._BLOCK_WORDS + 2):
+        for keep_half in (False, True):
+            want = np.random.default_rng(k)
+            got = mcmc.BlockDraws(k)
+            for _ in range(k):
+                assert want.random() == got.random()
+            if keep_half:
+                assert int(want.integers(1000)) == got.integers(1000)
+            assert same_draw(want.random(n), got.random(n))
+            ref = want.bit_generator.state
+            assert got._gen.bit_generator.state["state"] == ref["state"]
+            assert got._half == (ref["uinteger"] if ref["has_uint32"] else -1)
+            assert (got._half >= 0) == keep_half
+            assert int(want.integers(1000)) == got.integers(1000)
+            assert want.random() == got.random()
+
+
 @pytest.mark.parametrize("sample_membership", [True, False], ids=["map", "partition"])
 def test_run_chain_through_block_draws_equals_a_generator_chain(monkeypatch, sample_membership):
     # repeated columns: blocks in perfect LD, so merges and shifts are accepted
@@ -412,43 +404,6 @@ def test_run_chain_through_block_draws_equals_a_generator_chain(monkeypatch, sam
     assert new.counters["merge_accepted"] > 0 and new.counters["shift_accepted"] > 0
     if sample_membership:
         assert new.counters["swap_accepted"] > 0 and new.interaction_sets
-
-
-def test_block_draws_grow_their_blocks_after_an_array_draw():
-    """An array draw shrinks the next block to _FIRST_WORDS; each refill while
-    only scalar draws come doubles it up to _BLOCK_WORDS."""
-    want = np.random.default_rng(4)
-    got = mcmc.BlockDraws(4)
-    sizes = []
-    raw = got._raw
-    got._raw = lambda n: sizes.append(n) or raw(n)
-    first, full = mcmc._FIRST_WORDS, mcmc._BLOCK_WORDS
-
-    def scalars(count):
-        for _ in range(count):
-            assert want.random() == got.random()
-
-    scalars(10)
-    assert sizes == [full]
-    assert same_draw(want.random(30), got.random(30))  # from the block's unread words
-    scalars(full - 40)  # the rest of the block
-    for _ in range(100):  # 32-bit halves and whole words, across growing blocks
-        assert want.random() == got.random()
-        assert int(want.integers(57)) == got.integers(57)
-        assert int(want.integers(2**40)) == got.integers(2**40)
-    assert sizes[:4] == [full, first, 2 * first, 4 * first] and set(sizes[4:]) == {full}
-    assert same_draw(want.random(7), got.random(7))
-    assert same_draw(want.random(200), got.random(200))  # unread words, then the generator's
-    del sizes[:]
-    scalars(3 * first + 2)  # through a small block and a doubled one into a full one
-    assert sizes == [first, 2 * first, 4 * first]
-    assert same_draw(want.random(3), got.random(3))
-    assert same_draw(want.random(0), got.random(0))
-    assert int(want.integers(1000)) == got.integers(1000)
-    assert same_draw(want.random(5 * full), got.random(5 * full))
-    assert int(want.integers(1000)) == got.integers(1000)  # the half kept across arrays
-    scalars(2)
-    assert sizes[-1] == first
 
 
 # -- chain drivers ---------------------------------------------------------------------
