@@ -339,20 +339,23 @@ def _read_posterior_prefix(prefix: str, dataset: GenotypeDataset) -> tuple[np.nd
     Every value read must be a probability, and each SNP row and each interaction
     set (in any member order) may appear once; a SNP with no row reads as 0."""
     index = {sid: i for i, sid in enumerate(dataset.snp_ids)}
+    # the layout of _write_snp_table: id, position, then POSTERIOR_COLUMNS
+    n_cols = 2 + len(POSTERIOR_COLUMNS)
+    at_assoc = 2 + list(POSTERIOR_COLUMNS).index("p_assoc")
     assoc = np.zeros(dataset.n_snps)
     seen: set[str] = set()
     for lineno, raw in enumerate(read_text(prefix).splitlines(), start=1):
         if raw.startswith("#") or not raw.strip():
             continue
         toks = raw.split("\t")
-        if len(toks) != 6:
-            raise DataFormatError("posterior rows need 6 columns", line=lineno)
+        if len(toks) != n_cols:
+            raise DataFormatError(f"posterior rows need {n_cols} columns", line=lineno)
         if toks[0] not in index:
             raise DataFormatError(f"unknown SNP id {toks[0]!r} in {prefix}", line=lineno)
         if toks[0] in seen:
             raise DataFormatError(f"SNP id {toks[0]!r} repeated in {prefix}", line=lineno)
         seen.add(toks[0])
-        assoc[index[toks[0]]] = _probability(toks[4], prefix, lineno)
+        assoc[index[toks[0]]] = _probability(toks[at_assoc], prefix, lineno)
     sets: dict[tuple[int, ...], float] = {}
     inter_path = prefix + ".interactions.tsv"
     if Path(inter_path).exists():

@@ -40,13 +40,15 @@ MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
 _BYTE_CODES = np.full(256, 255, dtype=np.uint8)  # byte value -> genotype code, 255 for none
 _BYTE_CODES[[ord(tok) for tok in _CODE_MAP]] = list(_CODE_MAP.values())
+_COUNT_CELLS = 1 << 22  # genotype codes compared at a time by genotype_counts
 
 
 def chi2_sf(x: float, df: float) -> float:
     """Chi-square upper tail P(X >= x); equals ``scipy.stats.chi2.sf``.
 
     ``scipy.special`` is imported on the first call with x > 0, off every
-    command's start-up: only ``--hwe-filter`` and analytic calibration call this.
+    command's start-up: only analytic calibration calls this, and
+    ``hwe_filter`` calls the same ufunc on all its statistics at once.
     """
     if x <= 0:
         return 1.0
@@ -298,34 +300,50 @@ def write_dataset(dataset: GenotypeDataset, path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
+def genotype_counts(rows: np.ndarray) -> np.ndarray:
+    """Per-row counts of codes 0, 1 and 2 in a (rows, width) code matrix, as
+    a (rows, 3) intp array.
+
+    Codes 1 and 2 are counted ``_COUNT_CELLS`` codes at a time, so the
+    comparison never takes as much memory again as the matrix; code 0 is
+    what remains of the width.
+    """
+    n_rows, width = rows.shape
+    counts = np.empty((n_rows, 3), dtype=np.intp)
+    step = max(1, _COUNT_CELLS // max(width, 1))
+    for lo in range(0, n_rows, step):
+        chunk = rows[lo : lo + step]
+        counts[lo : lo + step, 1] = np.count_nonzero(chunk == 1, axis=1)
+        counts[lo : lo + step, 2] = np.count_nonzero(chunk == 2, axis=1)
+    counts[:, 0] = width - counts[:, 1] - counts[:, 2]
+    return counts
+
+
 def hwe_filter(dataset: GenotypeDataset, threshold: float) -> tuple[GenotypeDataset, list[str]]:
     """Drop SNPs out of Hardy-Weinberg equilibrium in controls.
 
     A 1-df chi-square test compares control genotype counts against the
     (q^2, 2q(1-q), (1-q)^2) expectation from the control allele frequency;
-    SNPs with p-value below ``threshold`` are removed. With no controls the
-    dataset is returned unchanged.
+    a cell expected to hold no one adds nothing. SNPs with p-value below
+    ``threshold`` are removed. With no controls the dataset is returned
+    unchanged.
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError("threshold must be in [0, 1)")
     m = dataset.n_controls
     if m == 0 or threshold == 0.0:
         return dataset, []
-    keep: list[int] = []
-    removed: list[str] = []
-    for j in range(dataset.n_snps):
-        counts = np.bincount(dataset.controls[:, j], minlength=3)[:3]
-        q = (2 * counts[2] + counts[1]) / (2.0 * m)
-        expected = m * np.array([(1 - q) ** 2, 2 * q * (1 - q), q**2])
-        mask = expected > 0
-        stat = float(np.sum((counts[mask] - expected[mask]) ** 2 / expected[mask]))
-        p = chi2_sf(stat, 1)
-        if p < threshold:
-            removed.append(dataset.snp_ids[j])
-        else:
-            keep.append(j)
-    if not keep:
+    from scipy.special import chdtrc  # off every command's start-up, as in chi2_sf
+
+    counts = genotype_counts(dataset.controls.T)
+    q = (2 * counts[:, 2] + counts[:, 1]) / (2.0 * m)
+    expected = m * np.stack([(1 - q) ** 2, 2 * q * (1 - q), q**2], axis=1)
+    terms = np.zeros_like(expected)
+    np.divide((counts - expected) ** 2, expected, out=terms, where=expected > 0)
+    out = chdtrc(1, np.add.reduce(terms, axis=1)) < threshold  # chdtrc(1, 0) is 1
+    if out.all():
         raise DataFormatError("Hardy-Weinberg filter removed every SNP")
-    if not removed:
+    if not out.any():
         return dataset, []
-    return dataset.select(keep), removed
+    removed = [dataset.snp_ids[j] for j in np.flatnonzero(out).tolist()]
+    return dataset.select(np.flatnonzero(~out).tolist()), removed

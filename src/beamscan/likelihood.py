@@ -43,11 +43,10 @@ A chain asks for nearly every SNP's single-SNP marginals at its start: the
 diplotype-cap check reads each combined-cohort count, and the first label
 sweep most case/control pairs. ``prefetch_singletons`` evaluates all of one
 kind in one array pass, counting each SNP's codes per cohort with
-``np.count_nonzero`` and evaluating the count matrix by ``log_marginal``'s
-row form, bit-equal to one-at-a-time evaluation. The values wait
-in a pending table and ``marginal`` moves each into the memo, with its
-distinct count, the first time it is asked for, so the memo holds exactly
-the keys that one-at-a-time evaluation would have put there.
+``dataio.genotype_counts`` and evaluating the count matrix by
+``log_marginal``'s row form, bit-equal to one-at-a-time evaluation. The
+values go straight into the memo, the combined cohort's distinct counts with
+them, so the memo may hold singletons that no one has asked for yet.
 
 Counts are integers, so every lnG the marginal needs is lnG(k + a) for an
 integer k and one of a few offsets a: alpha_h of each width, and rho itself
@@ -72,7 +71,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dataio import GenotypeDataset
+from .dataio import GenotypeDataset, genotype_counts
 
 LOG3 = math.log(3.0)
 
@@ -80,7 +79,6 @@ WHO_BOTH = "both"
 WHO_CASES = "cases"
 WHO_CONTROLS = "controls"
 
-_PREFETCH_CELLS = 1 << 22  # genotype codes compared at a time by the singleton pass
 FLOAT_KEY_WIDTH = 33  # widest set whose ternary key is exact in float64
 FLOAT32_KEY_WIDTH = 15  # widest set whose ternary key is exact in float32
 _TERNARY = 3.0 ** np.arange(FLOAT_KEY_WIDTH)
@@ -334,41 +332,29 @@ class LikelihoodEngine:
         self._cohorts = {WHO_BOTH: (both,), WHO_CASES: pair, WHO_CONTROLS: pair}
         self._marg: dict[tuple[tuple[int, ...], str], float] = {}
         self._distinct: dict[tuple[int, ...], int] = {}
-        # memo key -> (value, distinct count) evaluated ahead by prefetch_singletons
-        self._pending: dict[tuple[tuple[int, ...], str], tuple[float, int]] = {}
         self.cold_s = 0.0  # seconds spent evaluating marginals that were not memoized
 
     def prefetch_singletons(self, who: str) -> None:
         """Evaluate every SNP's singleton marginal in the cohorts that a cold
-        ``who`` request evaluates, in one array pass, and hold each value
-        that is not memoized yet as pending.
+        ``who`` request evaluates, in one array pass, and memoize each value
+        that is not memoized yet, with the combined cohort's distinct counts.
 
-        ``marginal`` moves a pending value, with its distinct count, into the
-        memo when it is first asked for, so the memo holds the same keys as
-        without the pass. The values come from ``_log_marginal_rows``, the row
-        form behind ``log_marginal``, and equal ``_log_marginal_present``'s bit
-        for bit: the same lnG table entries, absent cells adding exact zeros
-        in ``np.add.reduce``'s order, and the same operations after the sum.
+        The values come from ``_log_marginal_rows``, the row form behind
+        ``log_marginal``, and equal ``_log_marginal_present``'s bit for bit:
+        the same lnG table entries, absent cells adding exact zeros in
+        ``np.add.reduce``'s order, and the same operations after the sum.
         """
         started = time.perf_counter()
-        n_snps = self._codes.shape[0]
         for cohort, columns, log_g_total in self._cohorts[who]:
-            codes = self._codes[:, columns]
-            counts = np.empty((n_snps, 3), dtype=np.intp)
-            # a few MB of rows at a time: a comparison over the whole panel
-            # would take as much memory again as the panel
-            step = max(1, _PREFETCH_CELLS // max(codes.shape[1], 1))
-            for lo in range(0, n_snps, step):
-                rows = codes[lo : lo + step]
-                counts[lo : lo + step, 1] = np.count_nonzero(rows == 1, axis=1)
-                counts[lo : lo + step, 2] = np.count_nonzero(rows == 2, axis=1)
-            counts[:, 0] = codes.shape[1] - counts[:, 1] - counts[:, 2]  # codes are 0, 1 or 2
+            counts = genotype_counts(self._codes[:, columns])
             values = _log_marginal_rows(counts, 1, self.rho, log_g_total)
             present = np.count_nonzero(counts, axis=1)
             for snp, (value, distinct) in enumerate(zip(values.tolist(), present.tolist())):
                 key = ((snp,), cohort)
                 if key not in self._marg:
-                    self._pending[key] = (value, distinct)
+                    self._marg[key] = value
+                    if cohort == WHO_BOTH:
+                        self._distinct[(snp,)] = distinct
         self.cold_s += time.perf_counter() - started
 
     def marginal(self, snps: tuple[int, ...], who: str) -> float:
@@ -376,8 +362,8 @@ class LikelihoodEngine:
         ``who``; 0 for an empty set or cohort.
 
         A cold case or control request evaluates and memoizes both cohorts
-        from one pack of the set's rows, or moves both from the pending
-        values of ``prefetch_singletons``.
+        from one pack of the set's rows; ``prefetch_singletons`` may have
+        memoized a singleton's values before it is asked for.
         """
         if not snps:
             return 0.0
@@ -388,13 +374,6 @@ class LikelihoodEngine:
         cohorts = self._cohorts.get(who)
         if cohorts is None:
             raise ValueError(f"unknown cohort selector: {who!r}")
-        if key in self._pending:
-            for cohort, _, _ in cohorts:
-                value, distinct = self._pending.pop((snps, cohort))
-                self._marg[(snps, cohort)] = value
-                if cohort == WHO_BOTH:
-                    self._distinct[snps] = distinct
-            return self._marg[key]
         started = time.perf_counter()
         width = len(snps)
         first = snps[0]

@@ -39,8 +39,8 @@ changed the set, and bumps its counters once.
 holds the label-1 and label-2 lists of the last change with the number of
 samples taken of them, and adds that run to the label tallies and the
 interaction-set counts when either list differs from the held one. Counts
-are integers, so the float sums equal a per-sample tally exactly. Before
-the first sweep it has the engine evaluate every SNP's case/control
+are integers, so the float sums equal a per-sample tally exactly. When it
+will sweep labels, it first has the engine memoize every SNP's case/control
 singleton marginals in one array pass (``LikelihoodEngine.prefetch_singletons``),
 as ``ChainState`` does for the combined cohort before its cap check.
 
@@ -80,7 +80,6 @@ from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on
 from .dataio import GenotypeDataset
 from .likelihood import WHO_BOTH, WHO_CASES
 from .model import (
-    NEG_INF,
     ConstraintError,
     JointModel,
     PriorConfig,
@@ -519,10 +518,8 @@ def accept(state: ChainState, proposal: BlockProposal) -> bool:
     delta = new - old + delta_blocks * model.boundary_odds
     log_ratio = delta + proposal.log_q_ratio
     u = state.rng.random()
-    if new == NEG_INF:
-        ok = False
-    else:
-        ok = log_ratio >= 0.0 or u < math.exp(log_ratio)
+    # a -inf ratio rejects: exp(-inf) is 0, and nan (-inf on both sides) compares false
+    ok = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if ok:
         state.repartition(proposal, new_masks, delta)
     return ok
@@ -709,7 +706,10 @@ def run_chain(
     tenth of the run, burn-in included, and at most once per iteration.
     """
     state = init_state(dataset, priors, seed)
-    if sample_membership:  # the first sweep asks for most SNPs' case/control marginals
+    total_iters = schedule.burnin + schedule.iterations
+    # the first sweep asks for most SNPs' case/control marginals; a chain
+    # that never sweeps reads none of them
+    if sample_membership and total_iters:
         state.model.engine.prefetch_singletons(WHO_CASES)
     n = dataset.n_snps
     marg = np.zeros(n)
@@ -723,7 +723,6 @@ def run_chain(
     # Samples taken of the label-1 and label-2 lists ``held_m1`` and ``held_m2``
     # since either last changed; a change is seen by comparing the lists.
     held_m1, held_m2, held_labels = list(state.members[1]), list(state.members[2]), 0
-    total_iters = schedule.burnin + schedule.iterations
     progress = max(1, total_iters // 10)
     rng = state.rng
     clock = time.perf_counter

@@ -13,6 +13,7 @@ import pytest
 from scipy.stats import chi2, chi2_contingency
 
 import helpers
+from beamscan import cli
 from beamscan.bstat import permutation_null
 from beamscan.dataio import GenotypeDataset
 from beamscan.likelihood import log_marginal
@@ -352,3 +353,51 @@ def test_08_boundary_posterior_recovers_founder_blocks():
     assert len(interior) == 40
     quiet = sum(v < 0.2 for v in interior)
     assert quiet >= 36
+
+
+# -- 9: map against the exact posterior on twelve 8-SNP panels ------------------------
+
+
+def posterior_columns(path):
+    """The p_assoc and p_boundary columns of a per-SNP posterior table."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].lstrip("#").split("\t")
+    at = [header.index("p_assoc"), header.index("p_boundary")]
+    return np.array([[float(line.split("\t")[j]) for j in at] for line in lines[1:]])
+
+
+# the panels where map misses the target, with the errors measured at the time
+# the suite was added; a fix turns them into failures until the mark goes
+MAP_MISSES = {
+    1: "|dp_assoc| 0.485, |dp_boundary| 0.484",
+    2: "|dp_assoc| 1.0, |dp_boundary| 1.0",
+    3: "|dp_assoc| 1.0, |dp_boundary| 1.0",
+    4: "|dp_assoc| 0.303",
+    7: "|dp_assoc| 1.0, |dp_boundary| 1.0",
+    12: "|dp_assoc| 1.0, |dp_boundary| 1.0",
+}
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=MAP_MISSES[s])) if s in MAP_MISSES
+    else s
+    for s in range(1, 13)
+])
+def test_09_map_agrees_with_oracle_on_8_snp_panels(tmp_path, seed):
+    """`simulate --snps 8 --cases 500 --controls 500 --model 2 --maf 0.3
+    --effect 1.5`, then `map --burnin 1000 --iters 10000 --seed 1` lands
+    within 0.05 absolute of `oracle`'s per-SNP association and boundary
+    posteriors."""
+    panel = str(tmp_path / "panel.tsv")
+    assert cli.main(["simulate", "--out", panel, "--snps", "8", "--cases", "500",
+                     "--controls", "500", "--model", "2", "--maf", "0.3", "--effect", "1.5",
+                     "--seed", str(seed)]) == 0
+    assert cli.main(["map", "--in", panel, "--out", str(tmp_path / "map.tsv"),
+                     "--burnin", "1000", "--iters", "10000", "--seed", "1"]) == 0
+    assert cli.main(["oracle", "--in", panel, "--out", str(tmp_path / "oracle.tsv")]) == 0
+    sampled = posterior_columns(tmp_path / "map.tsv")
+    exact = posterior_columns(tmp_path / "oracle.tsv")
+    assert sampled.shape == exact.shape == (8, 2)
+    error = np.abs(sampled - exact).max(axis=0)
+    assert error[0] <= 0.05, f"|dp_assoc| {error[0]:.3f}"
+    assert error[1] <= 0.05, f"|dp_boundary| {error[1]:.3f}"

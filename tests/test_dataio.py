@@ -266,6 +266,39 @@ def test_hwe_filter_removes_violations():
     assert removed0 == [] and unchanged is ds
 
 
+def hwe_reference_p(column):
+    """One control column's HWE p-value, cell by cell, from ``scipy.stats``."""
+    m = column.size
+    counts = np.bincount(column, minlength=3)
+    q = (2 * counts[2] + counts[1]) / (2.0 * m)
+    expected = m * np.array([(1 - q) ** 2, 2 * q * (1 - q), q**2])
+    stat = sum((c - e) ** 2 / e for c, e in zip(counts, expected) if e > 0)
+    return float(chi2.sf(stat, 1))
+
+
+def test_hwe_filter_equals_a_per_snp_reference(monkeypatch):
+    m = 300
+    monkeypatch.setattr(dataio, "_COUNT_CELLS", 3 * m + 1)  # three SNPs a chunk, the last one short
+    rng = np.random.default_rng(23)
+    columns = [hw_controls(rng, q, m) for q in (0.05, 0.2, 0.35, 0.5)]
+    columns += [rng.choice(3, size=m, p=rng.dirichlet([4.0, 4.0, 4.0])).astype(np.int8)
+                for _ in range(16)]
+    columns += [np.zeros(m, np.int8), np.full(m, 2, np.int8)]  # two cells expected empty
+    controls = np.stack(columns, axis=1)
+    ids = tuple(f"s{j}" for j in range(controls.shape[1]))
+    ds = GenotypeDataset(cases=np.zeros((3, len(ids)), np.int8), controls=controls,
+                         snp_ids=ids, positions=range(1, len(ids) + 1))
+    p = [hwe_reference_p(column) for column in controls.T]
+    assert p[-2:] == [1.0, 1.0]
+    threshold = sorted(p)[len(p) // 2]  # one SNP's own p-value: strict < keeps it
+    assert 0.0 < threshold < 1.0
+    filtered, removed = hwe_filter(ds, threshold)
+    assert removed == [sid for sid, value in zip(ids, p) if value < threshold]
+    assert ids[p.index(threshold)] in filtered.snp_ids
+    assert filtered.snp_ids == tuple(sid for sid, value in zip(ids, p) if value >= threshold)
+    assert 0 < len(removed) < len(ids)
+
+
 def test_hwe_filter_no_controls_is_noop():
     ds = GenotypeDataset(
         cases=np.array([[1, 1]], np.int8),

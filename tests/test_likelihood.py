@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from beamscan import likelihood
+from beamscan import dataio, likelihood
 from beamscan.bstat import _SetKernel
 from helpers import NEVER_BINDS
 from beamscan.dataio import GenotypeDataset
@@ -622,24 +622,28 @@ def singleton_panel(case):
 @pytest.mark.parametrize("cells", [None, 37], ids=["one-pass", "row-chunks"])
 def test_prefetched_singletons_equal_the_scalar_path(monkeypatch, case, cells):
     if cells is not None:  # count a few rows at a time, the last chunk short
-        monkeypatch.setattr(likelihood, "_PREFETCH_CELLS", cells)
+        monkeypatch.setattr(dataio, "_COUNT_CELLS", cells)
     ds = singleton_panel(case)
+    snps = [(i,) for i in range(ds.n_snps)]
+    singletons = {(snp, who) for snp in snps for who in ("cases", "controls", "both")}
     for rho in (RHO, 0.01, 1e8):
         scalar = LikelihoodEngine(ds, rho=rho)
         fetched = LikelihoodEngine(ds, rho=rho)
         fetched.prefetch_singletons("both")
         fetched.prefetch_singletons("cases")
-        assert fetched._marg == {} and fetched._distinct == {}  # pending until asked for
-        for i in reversed(range(ds.n_snps)):
+        # the two passes memoize every singleton, and the combined distinct counts
+        assert fetched._marg.keys() == singletons
+        assert fetched._distinct.keys() == set(snps)
+        for snp in reversed(snps):
             for who in ("controls", "both", "cases"):
-                want = scalar.marginal((i,), who)
-                got = fetched.marginal((i,), who)
-                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (i, who)
-                # the memo holds the same keys after every request, pairs included
-                assert fetched._marg.keys() == scalar._marg.keys(), (i, who)
-            assert fetched.distinct_count((i,)) == scalar.distinct_count((i,))
+                want = scalar.marginal(snp, who)
+                got = fetched._marg[(snp, who)]
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (snp, who)
+                assert fetched.marginal(snp, who) is got, (snp, who)
+            assert fetched._distinct[snp] == scalar.distinct_count(snp)
+            assert fetched.distinct_count(snp) == fetched._distinct[snp]
+        assert fetched._marg.keys() == singletons and fetched._distinct.keys() == set(snps)
         assert fetched._marg == scalar._marg and fetched._distinct == scalar._distinct
-        assert fetched._pending == {}
 
 
 def test_prefetch_leaves_memoized_singletons_alone():
@@ -647,11 +651,13 @@ def test_prefetch_leaves_memoized_singletons_alone():
     engine = LikelihoodEngine(ds, rho=RHO)
     engine.marginal((3,), "cases")
     engine.marginal((5,), "both")
+    before = dict(engine._marg)
+    assert before.keys() == {((3,), "cases"), ((3,), "controls"), ((5,), "both")}
     engine.prefetch_singletons("cases")
     engine.prefetch_singletons("both")
-    assert ((3,), "cases") not in engine._pending and ((3,), "controls") not in engine._pending
-    assert ((5,), "both") not in engine._pending
-    assert len(engine._pending) == 3 * ds.n_snps - 3
+    for key, value in before.items():
+        assert engine._marg[key] is value, key
+    assert len(engine._marg) == 3 * ds.n_snps
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 6, 8, 12])
