@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on first use
 
-from .dataio import GenotypeDataset, chi2_sf
+from .dataio import GenotypeDataset
 from .likelihood import _pack_matrix, log_marginal
 from .model import ConstraintError
 
@@ -157,6 +157,19 @@ def permutation_null(
         rng.permuted(batch, axis=1, out=batch)
         values[start : start + r] = kernel.statistics(batch[:, : dataset.n_cases] + offsets[:r])
     return values
+
+
+def chi2_sf(x: float, df: float) -> float:
+    """Chi-square upper tail P(X >= x); equals ``scipy.stats.chi2.sf``.
+
+    ``scipy.special`` is imported on the first call with x > 0, off every
+    command's start-up: only an analytic p-value calls this.
+    """
+    if x <= 0:
+        return 1.0
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, x))
 
 
 @dataclass

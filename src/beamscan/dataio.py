@@ -43,20 +43,6 @@ _BYTE_CODES[[ord(tok) for tok in _CODE_MAP]] = list(_CODE_MAP.values())
 _COUNT_CELLS = 1 << 22  # genotype codes compared at a time by genotype_counts
 
 
-def chi2_sf(x: float, df: float) -> float:
-    """Chi-square upper tail P(X >= x); equals ``scipy.stats.chi2.sf``.
-
-    ``scipy.special`` is imported on the first call with x > 0, off every
-    command's start-up: only analytic calibration calls this, and
-    ``hwe_filter`` calls the same ufunc on all its statistics at once.
-    """
-    if x <= 0:
-        return 1.0
-    from scipy.special import chdtrc
-
-    return float(chdtrc(df, x))
-
-
 class DataFormatError(ValueError):
     """Malformed genotype data; carries the offending 1-based line number."""
 
@@ -333,7 +319,7 @@ def hwe_filter(dataset: GenotypeDataset, threshold: float) -> tuple[GenotypeData
     m = dataset.n_controls
     if m == 0 or threshold == 0.0:
         return dataset, []
-    from scipy.special import chdtrc  # off every command's start-up, as in chi2_sf
+    from scipy.special import chdtrc  # off every command's start-up, as in bstat.chi2_sf
 
     counts = genotype_counts(dataset.controls.T)
     q = (2 * counts[:, 2] + counts[:, 1]) / (2.0 * m)

@@ -44,10 +44,11 @@ will sweep labels, it first has the engine memoize every SNP's case/control
 singleton marginals in one array pass (``LikelihoodEngine.prefetch_singletons``),
 as ``ChainState`` does for the combined cohort before its cap check.
 
-A block proposal names only the blocks it removes and adds, so drawing one
-costs the same at any partition size; ``accept`` cuts the added blocks'
-label masks from the removed blocks' masks by ternary arithmetic, and
-``repartition`` edits the start list in place.
+Block k's ternary label mask is ``block_masks[k]``, aligned with ``starts``.
+A block proposal names the blocks it removes and adds and the index of the
+first removed one, so drawing one costs the same at any partition size;
+``accept`` cuts the added blocks' masks from the removed blocks' slice by
+ternary arithmetic, and ``repartition`` replaces that slice of both lists.
 
 A chain draws from :class:`BlockDraws`, which reads the seeded generator's
 raw 64-bit words in blocks and returns exactly the numbers that
@@ -245,11 +246,12 @@ class PosteriorSummary:
 class BlockProposal:
     """One proposed partition change with its Hastings log-ratio.
 
-    ``removed`` are adjacent blocks of the current partition, in order, and
-    ``added`` the blocks that tile the same SNPs after the move.
+    ``removed`` are adjacent blocks of the current partition, in order, the
+    first of them block ``first``; ``added`` tile the same SNPs after the move.
     """
 
     kind: str
+    first: int
     removed: tuple[tuple[int, int], ...]
     added: tuple[tuple[int, int], ...]
     log_q_ratio: float
@@ -280,8 +282,8 @@ class LabelRows:
     def build(self, state: "ChainState", i: int, r: float) -> int:
         """Rebuild row ``i`` from the current state; return the label ``r`` picks."""
         model = state.model
-        a, b = state.block_of(i)
-        mask = state.block_masks[(a, b)]
+        k, a, b = state.block_of(i)
+        mask = state.block_masks[k]
         cur = state.labels[i]
         power = 3 ** (i - a)
         base = mask - cur * power
@@ -327,12 +329,12 @@ class ChainState:
     """Mutable sampler state bound to one :class:`JointModel`.
 
     Tracks the partition (block start list), labels, per-block ternary label
-    masks, the sorted SNP list of each label (``members``; ``members[2]`` is
-    the group-2 set ``s2``) and ``running_log_joint``, the joint log
-    probability of the state, all kept up to date by the writers
-    :meth:`assign`, :meth:`relabel` and :meth:`repartition`.
-    ``repartitions`` counts the writes that changed the partition.
-    ``state.model.log_joint(state.starts, state.labels)``
+    masks (``block_masks``, aligned with ``starts``), the sorted SNP list of
+    each label (``members``; ``members[2]`` is the group-2 set ``s2``) and
+    ``running_log_joint``, the joint log probability of the state, all kept
+    up to date by the writers :meth:`assign`, :meth:`relabel` and
+    :meth:`repartition`. ``repartitions`` counts the writes that changed the
+    partition. ``state.model.log_joint(state.starts, state.labels)``
     recomputes the log joint from scratch.
     """
 
@@ -359,9 +361,7 @@ class ChainState:
         self.starts: list[int] = [int(a) for a in starts]
         self.labels: list[int] = [int(v) for v in labels]
         bounds = self.starts + [n]
-        self.block_masks: dict[tuple[int, int], int] = {
-            (a, b): mask_from_labels(self.labels, a, b) for a, b in zip(bounds, bounds[1:])
-        }
+        self.block_masks = [mask_from_labels(self.labels, a, b) for a, b in zip(bounds, bounds[1:])]
         self.members: list[list[int]] = [[], [], []]
         for i, lab in enumerate(self.labels):
             self.members[lab].append(i)
@@ -379,10 +379,11 @@ class ChainState:
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
 
-    def block_of(self, snp: int) -> tuple[int, int]:
+    def block_of(self, snp: int) -> tuple[int, int, int]:
+        """The index, start and end of the block that holds ``snp``."""
         k = bisect_right(self.starts, snp) - 1
         end = self.starts[k + 1] if k + 1 < len(self.starts) else self.model.n_snps
-        return (self.starts[k], end)
+        return k, self.starts[k], end
 
     def relabel(self, i: int, lab: int, delta: float) -> tuple[int, int]:
         """Give SNP ``i`` label ``lab``; return the label rows marked stale.
@@ -392,9 +393,9 @@ class ChainState:
         completes; a swap passes its whole log ratio with its first call.
         """
         cur = self.labels[i]
-        a, b = self.block_of(i)
+        k, a, b = self.block_of(i)
         self.labels[i] = lab
-        self.block_masks[(a, b)] += (lab - cur) * 3 ** (i - a)
+        self.block_masks[k] += (lab - cur) * 3 ** (i - a)
         old = self.members[cur]
         del old[bisect_left(old, i)]
         insort(self.members[lab], i)
@@ -404,24 +405,20 @@ class ChainState:
         self.running_log_joint += delta
         return a, b
 
-    def repartition(
-        self, proposal: BlockProposal, masks: dict[tuple[int, int], int], delta: float
-    ) -> None:
-        """Apply an accepted block move whose log-joint change is ``delta``.
+    def repartition(self, proposal: BlockProposal, masks: list[int], delta: float) -> None:
+        """Apply an accepted block move whose added blocks have the label
+        ``masks`` and whose log-joint change is ``delta``.
 
-        One slice assignment puts the added blocks' starts in place of the
-        removed blocks' starts; the rows of the added blocks go stale.
+        The added blocks' starts and masks replace the removed blocks' slice
+        of each list; the rows of the SNPs they cover go stale.
         """
         self.running_log_joint += delta
         self.repartitions += 1
-        removed = proposal.removed
-        k = bisect_left(self.starts, removed[0][0])
-        self.starts[k : k + len(removed)] = [a for a, _ in proposal.added]
-        for key in removed:
-            del self.block_masks[key]
-        self.block_masks.update(masks)
-        for a, b in masks:
-            self.label_rows.stale[a:b] = True
+        added = proposal.added
+        k, r = proposal.first, len(proposal.removed)
+        self.starts[k : k + r] = [a for a, _ in added]
+        self.block_masks[k : k + r] = masks
+        self.label_rows.stale[added[0][0] : added[-1][1]] = True
 
     def log_joint(self) -> float:
         """The running joint log probability of the current state."""
@@ -455,7 +452,7 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         # forward: pick block (1/nb) and cut (1/(w-1)); reverse merge picks the
         # new adjacent pair among nb pairs.
         log_q_ratio = math.log(w - 1)
-        return BlockProposal(kind, ((a, b),), ((a, cut), (cut, b)), log_q_ratio)
+        return BlockProposal(kind, k, ((a, b),), ((a, cut), (cut, b)), log_q_ratio)
     if kind == KIND_MERGE:
         if nb < 2:
             return None
@@ -466,7 +463,7 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         # forward: pick pair (1/(nb-1)); reverse split picks the merged block
         # (1/(nb-1)) and the former cut (1/(w-1)).
         log_q_ratio = -math.log(b - a - 1)
-        return BlockProposal(kind, ((a, mid), (mid, b)), ((a, b),), log_q_ratio)
+        return BlockProposal(kind, k, ((a, mid), (mid, b)), ((a, b),), log_q_ratio)
     if kind == KIND_SHIFT:
         if nb < 2:
             return None
@@ -485,34 +482,36 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         b = starts[k + 1] if k + 1 < nb else n
         # neighbours are unchanged, so the reverse move has the same n_targets
         # choices and the proposal is symmetric
-        return BlockProposal(kind, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
+        return BlockProposal(kind, k - 1, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
     raise ValueError(f"unknown move kind: {kind!r}")
 
 
-def added_masks(
-    block_masks: dict[tuple[int, int], int], proposal: BlockProposal
-) -> dict[tuple[int, int], int]:
-    """The label masks of the proposal's added blocks, by ternary digit
-    arithmetic on its removed blocks' masks: the removed masks are joined
+def added_masks(removed_masks: list[int], proposal: BlockProposal) -> list[int]:
+    """The label masks of the proposal's added blocks, in order, by ternary
+    digit arithmetic on the masks of its removed blocks: those are joined
     into one mask over their SNPs, which is then cut at the added blocks."""
+    start = proposal.removed[0][0]
     whole = 0
-    for a, b in reversed(proposal.removed):
-        whole = whole * 3 ** (b - a) + block_masks[(a, b)]
-    masks = {}
+    for (a, _), mask in zip(proposal.removed, removed_masks):
+        whole += mask * 3 ** (a - start)
+    masks = []
     for a, b in proposal.added:
-        whole, masks[(a, b)] = divmod(whole, 3 ** (b - a))
+        whole, mask = divmod(whole, 3 ** (b - a))
+        masks.append(mask)
     return masks
 
 
 def accept(state: ChainState, proposal: BlockProposal) -> bool:
     """Metropolis-Hastings decision; exactly one uniform draw per call."""
     model = state.model
+    k = proposal.first
+    old_masks = state.block_masks[k : k + len(proposal.removed)]
     old = 0.0
-    for a, b in proposal.removed:
-        old += model.block_term(a, b, state.block_masks[(a, b)])
-    new_masks = added_masks(state.block_masks, proposal)
+    for (a, b), mask in zip(proposal.removed, old_masks):
+        old += model.block_term(a, b, mask)
+    new_masks = added_masks(old_masks, proposal)
     new = 0.0
-    for (a, b), mask in new_masks.items():
+    for (a, b), mask in zip(proposal.added, new_masks):
         new += model.block_term(a, b, mask)
     delta_blocks = len(proposal.added) - len(proposal.removed)
     delta = new - old + delta_blocks * model.boundary_odds
@@ -623,14 +622,14 @@ def swap_membership_move(state: ChainState) -> int:
         k = bisect_right(starts, i) - 1
         ai = starts[k]
         bi = starts[k + 1] if k + 1 < nb else n
-        mi = masks[(ai, bi)]
+        mi = masks[k]
         pi = 3 ** (i - ai)
         old_terms = block_term(ai, bi, mi)
         if j < ai or j >= bi:
             k = bisect_right(starts, j) - 1
             aj = starts[k]
             bj = starts[k + 1] if k + 1 < nb else n
-            mj = masks[(aj, bj)]
+            mj = masks[k]
             pj = 3 ** (j - aj)
             old_terms += block_term(aj, bj, mj)
             new_terms = block_term(ai, bi, mi + (lj - li) * pi) + block_term(aj, bj, mj + (li - lj) * pj)

@@ -24,6 +24,7 @@ from beamscan.bstat import (
     _SetKernel,
     analytic_shift,
     bstat,
+    chi2_sf,
     fit_shift_constant,
     null_calibration,
     permutation_null,
@@ -443,6 +444,18 @@ def test_median_shift_equals_scipy_for_every_set_size():
     for m in range(1, MAX_SET_SIZE + 1):
         df = 3**m - 1
         assert _median_shift(null, df) == 1.25 - float(gammaincinv((3**m - 1) / 2, 0.5)), m
+
+
+def test_chi2_sf_equals_scipy_stats():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, -2.5, 1e-300, 5e-324, np.inf, -np.inf, np.nan]
+    for df in list(range(1, 243)) + [3**m - 1 for m in range(6, 21)]:
+        scale = df if df < 1e6 else 1.0
+        xs = np.concatenate([special, rng.exponential(scale + 1.0, 40),
+                             df + rng.normal(0.0, 3 * np.sqrt(df), 20)])
+        for x, want in zip(xs, chi2.sf(xs, df=df)):
+            got = chi2_sf(float(x), df)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (df, x)
 
 
 def test_fit_shift_constant_rejects_two_cases_and_two_controls():

@@ -8,7 +8,7 @@ against the exhaustive enumerator on panels small enough to enumerate.
 import math
 from bisect import insort
 from functools import partial
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -47,6 +47,23 @@ def force_state(state, starts, labels):
     state.assign(starts, labels)
 
 
+def removed_masks(state, proposal):
+    """The masks of the proposal's removed blocks: one slice of the state's list."""
+    return state.block_masks[proposal.first : proposal.first + len(proposal.removed)]
+
+
+def apply_move(state, proposal):
+    """Apply a proposal whatever its odds, with a log-joint change of 0."""
+    state.repartition(proposal, mcmc.added_masks(removed_masks(state, proposal), proposal), 0.0)
+
+
+def assert_masks_follow_labels(state):
+    """One mask per block, each equal to the one its labels encode."""
+    ends = state.starts[1:] + [state.model.n_snps]
+    assert len(state.block_masks) == len(state.starts)
+    assert state.block_masks == [mask_from_labels(state.labels, a, b) for a, b in zip(state.starts, ends)]
+
+
 # -- schedules -----------------------------------------------------------------------
 
 
@@ -65,20 +82,22 @@ def test_split_proposal_two_snps():
     force_state(state, (0,), (0, 0))
     prop = propose_block_move(state, "split")
     assert prop.kind == "split"
+    assert prop.first == 0
     assert prop.removed == ((0, 2),)
     assert prop.added == ((0, 1), (1, 2))
     assert prop.log_q_ratio == pytest.approx(0.0)
-    state.repartition(prop, mcmc.added_masks(state.block_masks, prop), 0.0)
+    apply_move(state, prop)
     assert state.starts == [0, 1]
 
 
 def test_merge_proposal_two_snps():
     state = init_state(empty_dataset(2), flat_priors(), seed=0)
     prop = propose_block_move(state, "merge")
+    assert prop.first == 0
     assert prop.removed == ((0, 1), (1, 2))
     assert prop.added == ((0, 2),)
     assert prop.log_q_ratio == pytest.approx(0.0)
-    state.repartition(prop, mcmc.added_masks(state.block_masks, prop), 0.0)
+    apply_move(state, prop)
     assert state.starts == [0]
 
 
@@ -98,11 +117,12 @@ def test_shift_targets_and_symmetric_ratio():
         prop = propose_block_move(state, "shift")
         assert prop.kind == "shift"
         assert prop.log_q_ratio == pytest.approx(0.0)
+        assert prop.first == 0
         assert prop.removed == ((0, 3), (3, 6))
         (a, new_t), (new_t2, b) = prop.added
         assert (a, b) == (0, 6) and new_t == new_t2
         assert new_t in {1, 2, 4, 5}
-        state.repartition(prop, mcmc.added_masks(state.block_masks, prop), 0.0)
+        apply_move(state, prop)
         assert state.starts == [0, new_t]
         seen.add(new_t)
     assert seen == {1, 2, 4, 5}
@@ -289,6 +309,179 @@ def test_block_moves_leave_the_target_invariant_with_mixed_labels(cap, admissibl
                 P[k, index[to]] += prob * p
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.abs(pi @ P - pi) <= 1e-9 * pi)
+
+
+# -- the Gibbs sweep, exactly -----------------------------------------------------------
+
+
+class StubRng:
+    """``random(n)`` returns the given uniforms, ``integers(k)`` the next given
+    choice (at most k - 1), and ``random()`` 0.0, which accepts every block
+    move whose odds are not zero."""
+
+    def __init__(self, uniforms=(), choices=()):
+        self.uniforms = list(uniforms)
+        self.choices = list(choices)
+
+    def random(self, size=None):
+        if size is None:
+            return 0.0
+        assert size == len(self.uniforms)
+        return np.array(self.uniforms)
+
+    def integers(self, k):
+        return min(self.choices.pop(0), k - 1)
+
+
+def exact_conditionals(model):
+    """SNP i's full conditional over labels 0, 1 and 2 from the joint itself,
+    as a function of (starts, labels, i); each value is computed once."""
+    memo = {}
+
+    def conditional(starts, labels, i):
+        key = (tuple(starts), tuple(labels), i)
+        if key not in memo:
+            logw = [model.log_joint(starts, labels[:i] + [lab] + labels[i + 1 :]) for lab in (0, 1, 2)]
+            top = max(logw)
+            weights = [math.exp(w - top) for w in logw]
+            memo[key] = [w / sum(weights) for w in weights]
+        return memo[key]
+
+    return conditional
+
+
+def row_conditional(rows, i):
+    """The conditional over labels 0, 1 and 2 that label row i decides with."""
+    acc0, acc1, total = rows.acc0[i], rows.acc1[i], rows.total[i]
+    return [acc0 / total, (acc1 - acc0) / total, (total - acc1) / total]
+
+
+def assert_row_is(rows, i, want):
+    got = row_conditional(rows, i)
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12, (got, want)
+
+
+def midpoints(cond, labels):
+    """Per SNP, the midpoint of its label's interval in its conditional."""
+    return [sum(c[:lab]) + c[lab] / 2 for c, lab in zip(cond, labels)]
+
+
+def label_paths(probe, conditional, starts, labels):
+    """Every label path of one sweep from (starts, labels), as (labels after,
+    uniforms at the midpoints of the exact intervals along the path, the
+    product of the built rows' probabilities along it)."""
+    out = []
+
+    def walk(cur, uniforms, p):
+        i = len(uniforms)
+        if i == len(cur):
+            out.append((cur, uniforms, p))
+            return
+        probe.assign(starts, cur)
+        probe.label_rows.build(probe, i, 0.0)
+        built = row_conditional(probe.label_rows, i)
+        exact = conditional(starts, cur, i)
+        for lab in (0, 1, 2):
+            if exact[lab] > 0.0:
+                walk(cur[:i] + [lab] + cur[i + 1 :], uniforms + midpoints([exact], [lab]), p * built[lab])
+
+    walk(list(labels), [], 1.0)
+    return out
+
+
+GIBBS_PRIORS = {
+    "cap-binds": dict(p1=0.2, p2=0.3, max_order=1),
+    "cap-free": dict(p1=0.2, p2=0.3, max_order=3),
+    "p1-zero": dict(p1=0.0, p2=0.3, max_order=3),
+}
+
+
+@pytest.mark.parametrize("setting", list(GIBBS_PRIORS))
+def test_gibbs_sweep_is_exact_on_three_snps(monkeypatch, setting):
+    """On every partition and admissible label state of 3 SNPs: (a) every
+    built label row is the exact full conditional; (b) uniforms at the
+    midpoints of the exact intervals drive the sweep along every label path,
+    from all-stale rows and from rows cached by a sweep and a block move;
+    (c) the sweep's transition matrix leaves the target invariant."""
+    n = 3
+    ds = random_signal_dataset(47, 10, 10, n, hot=1)
+    priors = PriorConfig(p_boundary=0.3, rho=1.5, max_distinct_diplotypes=81, **GIBBS_PRIORS[setting])
+    state = init_state(ds, priors, seed=0)
+    model = state.model
+    probe = ChainState(model, None)
+    conditional = exact_conditionals(model)
+    partitions = [(0,), (0, 1), (0, 2), (0, 1, 2)]
+    admissible = [list(x) for x in product((0, 1, 2), repeat=n) if model.log_joint((0,), x) > -math.inf]
+    assert len(admissible) == {"cap-binds": 20, "cap-free": 27, "p1-zero": 8}[setting]
+
+    # (a) every row, built from every state
+    for starts in partitions:
+        for labels in admissible:
+            state.assign(starts, labels)
+            for i in range(n):
+                state.label_rows.build(state, i, 0.0)
+                assert_row_is(state.label_rows, i, conditional(starts, labels, i))
+
+    # and every row that a sweep below builds
+    def checked_build(rows, st, i, r, _build=mcmc.LabelRows.build):
+        lab = _build(rows, st, i, r)
+        assert_row_is(rows, i, conditional(st.starts, st.labels, i))
+        return lab
+
+    monkeypatch.setattr(mcmc.LabelRows, "build", checked_build)
+
+    log_joint = {(s, tuple(x)): model.log_joint(s, x) for s in partitions for x in admissible}
+
+    def sweep_along(starts, labels, uniforms, path):
+        state.rng = StubRng(uniforms)
+        changed = gibbs_membership_sweep(state)
+        assert state.labels == path and state.starts == list(starts)
+        assert changed == sum(x != y for x, y in zip(labels, path))
+        assert_masks_follow_labels(state)
+        assert state.running_log_joint == pytest.approx(log_joint[starts, tuple(path)], rel=1e-12)
+
+    # (b) from all-stale rows, and (c) from the rows' probabilities
+    paths = {}
+    for starts in partitions:
+        logw = np.array([log_joint[starts, tuple(x)] for x in admissible])
+        pi = np.exp(logw - logw.max())
+        pi /= pi.sum()
+        P = np.zeros((len(admissible), len(admissible)))
+        for k, labels in enumerate(admissible):
+            paths[starts, tuple(labels)] = label_paths(probe, conditional, starts, labels)
+            for path, uniforms, p in paths[starts, tuple(labels)]:
+                state.assign(starts, labels)
+                sweep_along(starts, labels, uniforms, path)
+                P[k, admissible.index(path)] += p
+        assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.abs(pi @ P - pi) <= 1e-9 * pi)
+
+    # (b) from rows cached by a sweep that keeps every label and an accepted
+    # block move that leaves some rows valid
+    moves = {}
+    for before in partitions:
+        state.assign(before, [0] * n)
+        for kind in ("split", "merge", "shift"):
+            for choices in product(range(2), repeat=2):
+                state.rng = StubRng(choices=choices)
+                prop = propose_block_move(state, kind)
+                if prop is not None and (prop.added[0][0] > 0 or prop.added[-1][1] < n):
+                    after = tuple(rebuilt_starts(before, prop))
+                    moves.setdefault((before, after), (kind, choices))
+    assert len(moves) == 4
+    cached = 0
+    for (before, after), (kind, choices) in moves.items():
+        for labels in admissible:
+            keep = midpoints([conditional(before, labels, i) for i in range(n)], labels)
+            for path, uniforms, _ in paths[after, tuple(labels)]:
+                state.assign(before, labels)
+                sweep_along(before, labels, keep, labels)
+                state.rng = StubRng(choices=choices)
+                assert accept(state, propose_block_move(state, kind))
+                assert tuple(state.starts) == after
+                cached += int((~state.label_rows.stale).sum())
+                sweep_along(after, labels, uniforms, path)
+    assert cached > 0
 
 
 # -- the chain's draw source -----------------------------------------------------------
@@ -677,8 +870,8 @@ def reference_gibbs_sweep(state):
     max_order = model.max_order
     changed = 0
     for i in range(model.n_snps):
-        a, b = state.block_of(i)
-        mask = state.block_masks[(a, b)]
+        k, a, b = state.block_of(i)
+        mask = state.block_masks[k]
         cur = labels[i]
         power = 3 ** (i - a)
         base = mask - cur * power
@@ -722,7 +915,7 @@ def reference_gibbs_sweep(state):
             changed += 1
             state.bump("gibbs_changes")
             labels[i] = pick
-            state.block_masks[(a, b)] = base + pick * power
+            state.block_masks[k] = base + pick * power
             state.members[cur].remove(i)
             insort(state.members[pick], i)
             state.running_log_joint += weights[labs.index(pick)] - weights[labs.index(cur)]
@@ -737,8 +930,7 @@ def assert_same_state(ref, new):
     # both sides also agree with the labels themselves
     labels = np.asarray(new.labels)
     assert new.members == [np.flatnonzero(labels == v).tolist() for v in (0, 1, 2)]
-    for (a, b), mask in new.block_masks.items():
-        assert mask == mask_from_labels(new.labels, a, b)
+    assert_masks_follow_labels(new)
     assert [len(m) for m in new.members] == [len(m) for m in ref.members]
     assert new.counters == ref.counters
     assert list(new.counters) == list(ref.counters)
@@ -809,7 +1001,7 @@ def test_incremental_sweep_matches_reference_with_moves_and_swaps():
         accepted["block"] += ref.counters.get("split_accepted", 0)
         accepted["block"] += ref.counters.get("merge_accepted", 0)
         accepted["swap"] += ref.counters.get("swap_accepted", 0)
-        wide = wide or any(b - a > 1 for a, b in ref.block_masks)
+        wide = wide or len(ref.starts) < ds.n_snps  # some block is wider than one SNP
     assert accepted["block"] > 0
     assert accepted["swap"] > 0
     assert wide
@@ -868,7 +1060,7 @@ def test_incremental_sweep_matches_reference_on_a_block_wider_than_int64():
     labels = [0] * (n - 1) + [1]
     ref, _, changed = run_pair(empty_dataset(n), priors, seed=12, steps=60,
                                moves=False, init=((0,), labels))
-    assert ref.block_masks[(0, n)] > 2**63 and changed > 100
+    assert ref.starts == [0] and ref.block_masks[0] > 2**63 and changed > 100
 
 
 def test_run_chain_is_unchanged_by_the_incremental_sweep(monkeypatch):
@@ -912,20 +1104,19 @@ def reference_swap_move(state):
         i = members[li][ki]
         j = members[lj][kj]
         state.bump("swap_proposed")
-        bi = state.block_of(i)
-        bj = state.block_of(j)
-        pi = 3 ** (i - bi[0])
-        pj = 3 ** (j - bj[0])
-        old_terms = model.block_term(*bi, state.block_masks[bi])
+        bi, ai, ei = state.block_of(i)
+        bj, aj, ej = state.block_of(j)
+        mi, mj = state.block_masks[bi], state.block_masks[bj]
+        pi = 3 ** (i - ai)
+        pj = 3 ** (j - aj)
+        old_terms = model.block_term(ai, ei, mi)
         if bj != bi:
-            old_terms += model.block_term(*bj, state.block_masks[bj])
-            new_terms = model.block_term(
-                *bi, state.block_masks[bi] + (lj - li) * pi
-            ) + model.block_term(*bj, state.block_masks[bj] + (li - lj) * pj)
-        else:
-            new_terms = model.block_term(
-                *bi, state.block_masks[bi] + (lj - li) * pi + (li - lj) * pj
+            old_terms += model.block_term(aj, ej, mj)
+            new_terms = model.block_term(ai, ei, mi + (lj - li) * pi) + model.block_term(
+                aj, ej, mj + (li - lj) * pj
             )
+        else:
+            new_terms = model.block_term(ai, ei, mi + (lj - li) * pi + (li - lj) * pj)
         if lj == 2:
             tmp = [v for v in state.s2 if v != j]
             insort(tmp, i)
@@ -1062,7 +1253,9 @@ def test_singleton_pass_leaves_the_memos_as_the_scalar_path_when_init_fails(monk
 
 
 def assert_valid_rows_are_fresh(state):
-    """Every label row not marked stale equals a row rebuilt from the state now."""
+    """Every label row not marked stale equals a row rebuilt from the state now,
+    and every block mask the one its labels encode."""
+    assert_masks_follow_labels(state)
     rows = state.label_rows
     fresh = mcmc.LabelRows(state.model.n_snps)
     for i in range(state.model.n_snps):
@@ -1117,10 +1310,11 @@ def test_added_masks_equal_masks_from_labels(kind):
         if prop is None:
             continue
         made += 1
-        masks = mcmc.added_masks(state.block_masks, prop)
-        assert list(masks) == list(prop.added)
-        for a, b in prop.added:
-            assert masks[(a, b)] == mask_from_labels(labels, a, b)
+        ends = state.starts[1:] + [40]
+        first = prop.first
+        assert prop.removed == tuple(zip(state.starts, ends))[first : first + len(prop.removed)]
+        masks = mcmc.added_masks(removed_masks(state, prop), prop)
+        assert masks == [mask_from_labels(labels, a, b) for a, b in prop.added]
     assert made > 100
 
 
@@ -1142,13 +1336,12 @@ def test_repartition_edits_starts_as_a_full_rebuild_would():
             if accept(state, prop):
                 accepted[kind] += 1
                 assert state.starts == want
-                for a, b in prop.added:
-                    assert state.block_masks[(a, b)] == mask_from_labels(state.labels, a, b)
-                labelled += any(state.block_masks[key] for key in prop.added)
+                added = state.block_masks[prop.first : prop.first + len(prop.added)]
+                assert added == [mask_from_labels(state.labels, a, b) for a, b in prop.added]
+                labelled += any(added)
             else:
                 assert state.starts == before
-        ends = state.starts[1:] + [state.model.n_snps]
-        assert sorted(state.block_masks) == list(zip(state.starts, ends))
+        assert_masks_follow_labels(state)
         gibbs_membership_sweep(state)
         swap_membership_move(state)
         if t % 10 == 0:
