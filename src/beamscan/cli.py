@@ -45,13 +45,6 @@ from .likelihood import RHO_RULE, rho_is_valid
 from .mcmc import Schedule, default_schedule, run_chains
 from .model import ConstraintError, PriorConfig, default_priors
 from .oracle import enumerate_posterior
-from .simulate import (
-    DiseaseModel,
-    disease_pool,
-    drop_loci,
-    simulate_dataset,
-    write_truth,
-)
 
 # the per-SNP posterior columns and the result attributes they print
 POSTERIOR_COLUMNS = {
@@ -458,6 +451,9 @@ def cmd_bstat(args, clock: _PhaseClock):
 
 
 def cmd_simulate(args, clock: _PhaseClock):
+    # imported here, off every command's start-up
+    from .simulate import DiseaseModel, disease_pool, drop_loci, simulate_dataset, write_truth
+
     # no input: the load phase stays 0
     n_generated = args.snps if args.keep_loci else args.snps + 2
     pool, loci = disease_pool(

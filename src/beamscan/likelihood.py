@@ -317,9 +317,13 @@ class LikelihoodEngine:
         self.n_cases = dataset.n_cases
         self.n_controls = dataset.n_controls
         # One SNP-major matrix: row j holds SNP j's codes, cases before controls.
-        self._codes = np.ascontiguousarray(
-            np.hstack([dataset.cases.T, dataset.controls.T]), dtype=np.int8
-        )
+        # It is filled from 256-individual slices of each cohort, which
+        # transpose in cache; one strided copy of a whole cohort does not.
+        self._codes = np.empty((dataset.n_snps, self.n_cases + self.n_controls), dtype=np.int8)
+        for offset, cohort in ((0, dataset.cases), (self.n_cases, dataset.controls)):
+            for i in range(0, len(cohort), 256):
+                rows = cohort[i : i + 256]
+                self._codes[:, offset + i : offset + i + len(rows)] = rows.T
         # the cohorts a cold request evaluates, each with its columns and
         # lnG(size + rho): the model always asks for a set's case and control
         # marginals together

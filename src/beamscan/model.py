@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 import numpy as np
@@ -185,7 +186,8 @@ class JointModel:
     def block_terms(self, a: int, b: int, masks) -> np.ndarray:
         """``block_term`` of every ternary mask in the 1-D int64 array ``masks``.
 
-        The digits are decoded with numpy and each distinct labelled subset
+        The digits are decoded with numpy, once per width and mask array
+        (``_decoded_masks``), and each distinct labelled subset of the block
         is looked up once; the marginals are then combined elementwise in
         ``block_term``'s order, so every value and memo entry is bit-equal to
         the scalar's. Masks of 40 or more SNPs overflow int64 and are refused.
@@ -198,20 +200,20 @@ class JointModel:
             values = np.full(masks.size, NEG_INF)
         else:
             eng = self.engine
-            whole = tuple(range(a, b))
-            digits = masks[:, None] // 3 ** np.arange(w, dtype=np.int64) % 3
-            bit = 1 << np.arange(w, dtype=np.int64)
 
-            def looked_up(in_set, cohorts):
-                """Per mask, the marginal in each cohort of its SNPs with ``in_set`` true."""
-                keys, inverse = np.unique(in_set @ bit, return_inverse=True)
-                subsets = [tuple(compress(whole, row)) for row in (keys[:, None] & bit).tolist()]
-                table = np.array([[eng.marginal(snps, who) for who in cohorts] for snps in subsets])
-                return table.reshape(len(subsets), len(cohorts))[inverse].T
+            def looked_up(decoded, cohorts):
+                """Per mask, the marginal in each cohort of its decoded SNP subset."""
+                offsets, inverse = decoded
+                table = np.array([
+                    [eng.marginal(snps, who) for who in cohorts]
+                    for snps in [tuple([a + i for i in subset]) for subset in offsets]
+                ])
+                return table.reshape(len(offsets), len(cohorts))[inverse].T
 
-            mc_x, mu_x, mb_x = looked_up(digits > 0, (WHO_CASES, WHO_CONTROLS, WHO_BOTH))
-            mc_x2, mu_x2 = looked_up(digits == 2, (WHO_CASES, WHO_CONTROLS))
-            mb_whole = eng.marginal(whole, WHO_BOTH)
+            labelled, group2 = _decoded_masks(w, masks.tobytes())
+            mc_x, mu_x, mb_x = looked_up(labelled, (WHO_CASES, WHO_CONTROLS, WHO_BOTH))
+            mc_x2, mu_x2 = looked_up(group2, (WHO_CASES, WHO_CONTROLS))
+            mb_whole = eng.marginal(tuple(range(a, b)), WHO_BOTH)
             values = mc_x + mu_x + mb_whole - mb_x - mc_x2 - mu_x2
         self._block_terms.update(zip([(a, b, m) for m in masks.tolist()], values.tolist()))
         return values
@@ -267,6 +269,30 @@ class JointModel:
                     return NEG_INF
                 prior += count * log_p
         return total + prior
+
+
+@lru_cache(maxsize=32)
+def _decoded_masks(width: int, packed: bytes):
+    """Decode the ternary masks of a width-``width`` block, given as native
+    int64 bytes, relative to the block's first SNP.
+
+    Returns one (offsets, inverse) pair for the labelled SNPs (digit 1 or 2)
+    and one for the group-2 SNPs (digit 2): ``offsets`` lists each distinct
+    subset once, as a tuple of SNP offsets, in ascending order of its bit key,
+    and ``inverse`` gives each mask's row in it. A decode depends on its
+    arguments alone, so blocks of one width share it.
+    """
+    masks = np.frombuffer(packed, dtype=np.int64)
+    digits = masks[:, None] // 3 ** np.arange(width, dtype=np.int64) % 3
+    bit = 1 << np.arange(width, dtype=np.int64)
+
+    def subsets(in_set):
+        keys, inverse = np.unique(in_set @ bit, return_inverse=True)
+        inverse.flags.writeable = False
+        offsets = [tuple(compress(range(width), row)) for row in (keys[:, None] & bit).tolist()]
+        return offsets, inverse
+
+    return subsets(digits > 0), subsets(digits == 2)
 
 
 def mask_from_labels(labels, a: int, b: int) -> int:

@@ -17,6 +17,12 @@ bit-equal values. The sets of one size share a (sets x labels) array whose
 row-wise log-sum-exp is their weight. Its terms are added in the order of a
 mask-by-mask loop, so every weight, and so every output, matches that loop bit
 for bit.
+
+A block's label shapes (``_label_shapes``: masks, their label priors and
+label-1 indicators) depend only on its width and its block-local group-2
+sets, so they are built once per width, and ``block_terms`` decodes each
+width's mask array once. A block's own work is the ``np.unique`` that maps the
+group-2 sets to its local sets, its block terms and two log-sum-exps.
 """
 
 from __future__ import annotations
@@ -73,6 +79,33 @@ def _logsumexp(stack: np.ndarray, axis: int = 0) -> np.ndarray:
         return shift.squeeze(axis) + np.log(np.exp(stack - shift).sum(axis=axis))
 
 
+def _label_shapes(w: int, keys: np.ndarray, log_label01: np.ndarray):
+    """The label masks of a width-``w`` block with block-local group-2 sets ``keys``.
+
+    A local set of m SNPs sums its block terms over the 0/1 labels sigma of
+    its w - m free SNPs, in itertools.product order (first free SNP slowest),
+    each plus its label prior summed over the free SNPs in index order. Per
+    set size: the rows of ``keys`` of that size, their masks (sets x sigma),
+    sigma's prior, and which masks hold each SNP at label 1 (sets x sigma x
+    w); then every mask, concatenated in that order.
+    """
+    pow3 = 3 ** np.arange(w, dtype=np.int64)
+    in_key = (keys[:, None] >> np.arange(w)) & 1 == 1
+    size = in_key.sum(axis=1)
+    groups = []
+    for m in sorted(set(size.tolist())):
+        same = (size == m).nonzero()[0]
+        f = w - m
+        sigma = np.arange(2**f)[:, None] >> np.arange(f - 1, -1, -1) & 1
+        prior = np.zeros(2**f)
+        for lab in sigma.T:
+            prior = prior + log_label01[lab]
+        free = (~in_key[same]).nonzero()[1].reshape(len(same), f)
+        masks = (2 * in_key[same] @ pow3)[:, None] + pow3[free] @ sigma.T
+        groups.append((same, masks, prior, masks[:, :, None] // pow3 % 3 == 1))
+    return groups, np.concatenate([masks.ravel() for _, masks, _, _ in groups])
+
+
 def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> OracleResult:
     """Exactly sum the joint over all partitions and memberships."""
     n = dataset.n_snps
@@ -111,38 +144,25 @@ def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> Oracle
         raise ConstraintError("every partition violates the diplotype cap")
 
     # Per block and group-2 set: log weight plus the boundary odds, and the
-    # same with each SNP of the block held at label 1. A block-local group-2
-    # set of m SNPs sums its block terms over the 0/1 labels sigma of its
-    # w - m free SNPs, in itertools.product order (first free SNP slowest),
-    # each plus its label prior summed over the free SNPs in index order.
+    # same with each SNP of the block held at label 1; blocks of one width
+    # share their label shapes.
+    shapes: dict[tuple[int, bytes], tuple[list, np.ndarray]] = {}
     weight: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for a, b in allowed:
         w = b - a
-        pow3 = 3 ** np.arange(w, dtype=np.int64)
-        local = (set_bits >> a) & ((1 << w) - 1)
-        keys, inverse = np.unique(local, return_inverse=True)
-        in_key = (keys[:, None] >> np.arange(w)) & 1 == 1
-        size = in_key.sum(axis=1)
-        groups = []  # per group-2 size: its keys' rows, masks (keys x sigma) and sigma's prior
-        for m in sorted(set(size.tolist())):
-            same = (size == m).nonzero()[0]
-            f = w - m
-            sigma = np.arange(2**f)[:, None] >> np.arange(f - 1, -1, -1) & 1
-            prior = np.zeros(2**f)
-            for lab in sigma.T:
-                prior = prior + log_label01[lab]
-            free = (~in_key[same]).nonzero()[1].reshape(len(same), f)
-            masks = (2 * in_key[same] @ pow3)[:, None] + pow3[free] @ sigma.T
-            groups.append((same, masks, prior))
-        terms = model.block_terms(a, b, np.concatenate([masks.ravel() for _, masks, _ in groups]))
+        keys, inverse = np.unique((set_bits >> a) & ((1 << w) - 1), return_inverse=True)
+        shape = (w, keys.tobytes())
+        if shape not in shapes:
+            shapes[shape] = _label_shapes(w, keys, log_label01)
+        groups, masks = shapes[shape]
+        terms = model.block_terms(a, b, masks)
         log_w = np.empty(len(keys))
         log_w1 = np.empty((len(keys), w))
         done = 0
-        for same, masks, prior in groups:
-            group = terms[done : done + masks.size].reshape(masks.shape) + prior
-            done += masks.size
+        for same, sized, prior, ones in groups:
+            group = terms[done : done + sized.size].reshape(sized.shape) + prior
+            done += sized.size
             log_w[same] = _logsumexp(group, axis=1)
-            ones = masks[:, :, None] // pow3 % 3 == 1
             log_w1[same] = _logsumexp(np.where(ones, group[:, :, None], NEG_INF), axis=1)
         weight[(a, b)] = (odds + log_w[inverse], odds + log_w1[inverse])
 

@@ -520,6 +520,26 @@ def test_engine_matches_direct_computation():
             assert engine.marginal(snps, who) == engine.marginal(snps, who)
 
 
+@pytest.mark.parametrize(
+    "n_cases, n_controls", [(0, 600), (600, 0), (1, 257), (257, 1), (255, 256), (256, 255), (0, 0)]
+)
+def test_engine_panel_is_the_stacked_transpose_byte_for_byte(n_cases, n_controls):
+    rng = np.random.default_rng(n_cases + 1000 * n_controls)
+    cases = rng.integers(0, 3, size=(n_cases, 7)).astype(np.int8)
+    controls = rng.integers(0, 3, size=(n_controls, 7)).astype(np.int8)
+    ds = GenotypeDataset(
+        cases=cases,
+        controls=controls,
+        snp_ids=tuple(f"s{i}" for i in range(7)),
+        positions=tuple(range(1, 8)),
+    )
+    codes = LikelihoodEngine(ds, rho=RHO)._codes
+    want = np.hstack([cases.T, controls.T])
+    assert codes.dtype == np.int8 and codes.flags.c_contiguous
+    assert codes.shape == want.shape
+    assert codes.tobytes() == want.tobytes()
+
+
 def test_engine_empty_inputs():
     ds = dataset_from_rows([(0,)], np.zeros((0, 1)), 1)
     engine = LikelihoodEngine(ds, rho=RHO)

@@ -19,6 +19,7 @@ from beamscan.model import (
     ConstraintError,
     JointModel,
     PriorConfig,
+    _decoded_masks,
     default_priors,
     mask_from_labels,
 )
@@ -246,6 +247,23 @@ def test_block_terms_are_bit_equal_to_block_term(width):
         ds = random_dataset(rng, n_cases, n_controls, width + 3)
         a = int(rng.integers(0, 4))
         assert_block_terms_match_block_term(ds, prior, a, a + width, masks)
+
+
+def test_blocks_of_one_width_share_a_decode_but_not_its_values():
+    rng = np.random.default_rng(73)
+    ds = random_dataset(rng, 60, 50, 10)
+    masks = np.arange(3**4, dtype=np.int64)
+    batch = JointModel(ds, flat_priors())
+    scalar = JointModel(ds, flat_priors())
+    hits = _decoded_masks.cache_info().hits
+    first = batch.block_terms(0, 4, masks)
+    second = batch.block_terms(5, 9, masks)
+    assert _decoded_masks.cache_info().hits > hits  # the second block reused the decode
+    assert first.tolist() == [scalar.block_term(0, 4, m) for m in masks.tolist()]
+    assert second.tolist() == [scalar.block_term(5, 9, m) for m in masks.tolist()]
+    assert first.tolist() != second.tolist()
+    assert batch._block_terms == scalar._block_terms
+    assert batch.engine._marg == scalar.engine._marg
 
 
 def test_block_terms_of_a_block_over_the_cap_are_minus_infinity():
