@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -113,12 +111,14 @@ def default_priors(
 class JointModel:
     """Cached evaluator of the joint log probability for one dataset.
 
-    Per-block terms are memoized by (start, end, ternary label mask), and the
-    underlying diplotype marginals by (SNP subset, cohort), so repeated
-    sampler visits to a configuration cost a dictionary lookup. ``block_term``
-    evaluates one mask, the sampler's hot path; ``block_terms`` evaluates an
-    array of masks of one block in numpy passes, bit-equal to it, for the
-    exact enumerator.
+    ``block_term`` evaluates one block's labels, given as a ternary mask: the
+    sampler's hot path, which revisits configurations, so its terms are
+    memoized by (start, end, mask), and the underlying diplotype marginals by
+    (SNP subset, cohort). ``block_terms`` evaluates a batch of one block's
+    labellings for the exact enumerator, which visits each labelling once:
+    they come as decoded labelled and group-2 subsets, not masks, and only
+    the marginals they share are memoized. Its values are bit-equal to
+    ``block_term``'s.
     """
 
     def __init__(self, dataset: GenotypeDataset, priors: PriorConfig):
@@ -183,40 +183,34 @@ class JointModel:
         self._block_terms[key] = value
         return value
 
-    def block_terms(self, a: int, b: int, masks) -> np.ndarray:
-        """``block_term`` of every ternary mask in the 1-D int64 array ``masks``.
+    def block_terms(self, a: int, b: int, labelled, group2) -> np.ndarray:
+        """``block_term`` of a batch of labellings of the block [a, b).
 
-        The digits are decoded with numpy, once per width and mask array
-        (``_decoded_masks``), and each distinct labelled subset of the block
-        is looked up once; the marginals are then combined elementwise in
-        ``block_term``'s order, so every value and memo entry is bit-equal to
-        the scalar's. Masks of 40 or more SNPs overflow int64 and are refused.
+        ``labelled`` and ``group2`` are (subsets, inverse) pairs, one for the
+        labellings' labelled SNPs (label 1 or 2) and one for their group-2
+        SNPs: ``subsets`` lists distinct SNP subsets as tuples of offsets from
+        ``a``, and ``inverse`` gives each labelling's row in it. Each subset's
+        marginals are looked up once and combined elementwise in
+        ``block_term``'s order, so every value is bit-equal to the scalar's.
+        Nothing is memoized per labelling.
         """
-        w = b - a
-        if w >= 40:
-            raise ValueError(f"ternary masks of {w} SNPs overflow int64")
-        masks = np.asarray(masks, dtype=np.int64)
         if not self.block_allowed(a, b):
-            values = np.full(masks.size, NEG_INF)
-        else:
-            eng = self.engine
+            return np.full(len(labelled[1]), NEG_INF)
+        eng = self.engine
 
-            def looked_up(decoded, cohorts):
-                """Per mask, the marginal in each cohort of its decoded SNP subset."""
-                offsets, inverse = decoded
-                table = np.array([
-                    [eng.marginal(snps, who) for who in cohorts]
-                    for snps in [tuple([a + i for i in subset]) for subset in offsets]
-                ])
-                return table.reshape(len(offsets), len(cohorts))[inverse].T
+        def looked_up(decoded, cohorts):
+            """Per labelling, the marginal in each cohort of its SNP subset."""
+            subsets, inverse = decoded
+            table = np.array([
+                [eng.marginal(snps, who) for who in cohorts]
+                for snps in [tuple([a + i for i in subset]) for subset in subsets]
+            ])
+            return table.reshape(len(subsets), len(cohorts))[inverse].T
 
-            labelled, group2 = _decoded_masks(w, masks.tobytes())
-            mc_x, mu_x, mb_x = looked_up(labelled, (WHO_CASES, WHO_CONTROLS, WHO_BOTH))
-            mc_x2, mu_x2 = looked_up(group2, (WHO_CASES, WHO_CONTROLS))
-            mb_whole = eng.marginal(tuple(range(a, b)), WHO_BOTH)
-            values = mc_x + mu_x + mb_whole - mb_x - mc_x2 - mu_x2
-        self._block_terms.update(zip([(a, b, m) for m in masks.tolist()], values.tolist()))
-        return values
+        mc_x, mu_x, mb_x = looked_up(labelled, (WHO_CASES, WHO_CONTROLS, WHO_BOTH))
+        mc_x2, mu_x2 = looked_up(group2, (WHO_CASES, WHO_CONTROLS))
+        mb_whole = eng.marginal(tuple(range(a, b)), WHO_BOTH)
+        return mc_x + mu_x + mb_whole - mb_x - mc_x2 - mu_x2
 
     def group2_term(self, epistatic: tuple[int, ...]) -> float:
         """Joint case + control log marginals of the genome-wide group-2 set."""
@@ -269,30 +263,6 @@ class JointModel:
                     return NEG_INF
                 prior += count * log_p
         return total + prior
-
-
-@lru_cache(maxsize=32)
-def _decoded_masks(width: int, packed: bytes):
-    """Decode the ternary masks of a width-``width`` block, given as native
-    int64 bytes, relative to the block's first SNP.
-
-    Returns one (offsets, inverse) pair for the labelled SNPs (digit 1 or 2)
-    and one for the group-2 SNPs (digit 2): ``offsets`` lists each distinct
-    subset once, as a tuple of SNP offsets, in ascending order of its bit key,
-    and ``inverse`` gives each mask's row in it. A decode depends on its
-    arguments alone, so blocks of one width share it.
-    """
-    masks = np.frombuffer(packed, dtype=np.int64)
-    digits = masks[:, None] // 3 ** np.arange(width, dtype=np.int64) % 3
-    bit = 1 << np.arange(width, dtype=np.int64)
-
-    def subsets(in_set):
-        keys, inverse = np.unique(in_set @ bit, return_inverse=True)
-        inverse.flags.writeable = False
-        offsets = [tuple(compress(range(width), row)) for row in (keys[:, None] & bit).tolist()]
-        return offsets, inverse
-
-    return subsets(digits > 0), subsets(digits == 2)
 
 
 def mask_from_labels(labels, a: int, b: int) -> int:

@@ -2,7 +2,7 @@
 
 Once the genome-wide group-2 set is fixed, the joint factorizes over blocks,
 and each block's mixture over group-0/1 labels has a closed form: its weight
-is a sum over the block's label masks. A partition's weight is then a
+is a sum over the block's labellings. A partition's weight is then a
 product of block weights, so a forward-backward recursion over block
 boundaries sums every partition that satisfies the diplotype cap, for all
 group-2 sets at once (one array entry per set). The mass covered is identical
@@ -10,19 +10,19 @@ to the brute-force state sum. The recursion costs O(n^2 * group-2 sets)
 array operations and one weight per (block, block-local group-2 set), instead
 of one weight lookup per (partition, group-2 set, block).
 
-The weights are computed in array passes. Per block, one
-``JointModel.block_terms`` call evaluates the masks of every block-local
-group-2 set; it fills the same memo as the sampler's ``block_term`` with
-bit-equal values. The sets of one size share a (sets x labels) array whose
-row-wise log-sum-exp is their weight. Its terms are added in the order of a
-mask-by-mask loop, so every weight, and so every output, matches that loop bit
-for bit.
-
-A block's label shapes (``_label_shapes``: masks, their label priors and
-label-1 indicators) depend only on its width and its block-local group-2
-sets, so they are built once per width, and ``block_terms`` decodes each
-width's mask array once. A block's own work is the ``np.unique`` that maps the
-group-2 sets to its local sets, its block terms and two log-sum-exps.
+The weights are computed in array passes, with each labelling given by two
+bit keys, its labelled (label 1 or 2) and its group-2 SNPs, never by a
+ternary mask. A block's labellings (``_label_shapes``: label priors, label-1
+indicators, and both keys decoded once into distinct SNP-offset subsets)
+depend only on its width and block-local group-2 sets, so blocks of one width
+share them. Per block, one ``JointModel.block_terms`` call looks up each
+subset's marginals once and returns every labelling's term, bit-equal to the
+sampler's ``block_term`` and not memoized (each is evaluated once). The sets
+of one size share a (sets x labels) array whose row-wise log-sum-exp is their
+weight, its terms added in the order of a labelling-by-labelling loop, so
+every output matches that loop bit for bit. A block's own work is the
+``np.unique`` that maps the group-2 sets to its local sets, its block terms
+and two log-sum-exps.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class OracleResult:
     boundary_posterior: np.ndarray  # P(SNP starts a block)
     log_normalizer: float
     states_enumerated: int
-    cache: dict[str, float] = field(default_factory=dict)  # memo entries and cold time at the end
+    cache: dict[str, float] = field(default_factory=dict)  # marginals, block terms evaluated, cold time
 
     @property
     def assoc_posterior(self) -> np.ndarray:
@@ -79,20 +79,30 @@ def _logsumexp(stack: np.ndarray, axis: int = 0) -> np.ndarray:
         return shift.squeeze(axis) + np.log(np.exp(stack - shift).sum(axis=axis))
 
 
+def _subsets(w: int, keys: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct bit keys of a width-``w`` block as tuples of SNP offsets,
+    in ascending key order, and each key's row among them."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return [tuple(i for i in range(w) if k >> i & 1) for k in distinct.tolist()], inverse
+
+
 def _label_shapes(w: int, keys: np.ndarray, log_label01: np.ndarray):
-    """The label masks of a width-``w`` block with block-local group-2 sets ``keys``.
+    """The labellings of a width-``w`` block with block-local group-2 sets ``keys``.
 
     A local set of m SNPs sums its block terms over the 0/1 labels sigma of
     its w - m free SNPs, in itertools.product order (first free SNP slowest),
-    each plus its label prior summed over the free SNPs in index order. Per
-    set size: the rows of ``keys`` of that size, their masks (sets x sigma),
-    sigma's prior, and which masks hold each SNP at label 1 (sets x sigma x
-    w); then every mask, concatenated in that order.
+    each plus its label prior summed over the free SNPs in index order. A
+    labelling is two bit keys, offset i at bit i: its labelled SNPs (the
+    set's key or'ed with the free SNPs at label 1) and its group-2 SNPs (the
+    set's key). Per set size: the rows of ``keys`` of that size, sigma's
+    prior, and which labellings hold each SNP at label 1 (sets x sigma x w).
+    Then, over every labelling in that order, the ``_subsets`` of its
+    labelled and of its group-2 keys.
     """
-    pow3 = 3 ** np.arange(w, dtype=np.int64)
-    in_key = (keys[:, None] >> np.arange(w)) & 1 == 1
+    bit = 1 << np.arange(w, dtype=np.int64)
+    in_key = keys[:, None] & bit != 0
     size = in_key.sum(axis=1)
-    groups = []
+    groups, labelled, group2 = [], [], []
     for m in sorted(set(size.tolist())):
         same = (size == m).nonzero()[0]
         f = w - m
@@ -101,9 +111,11 @@ def _label_shapes(w: int, keys: np.ndarray, log_label01: np.ndarray):
         for lab in sigma.T:
             prior = prior + log_label01[lab]
         free = (~in_key[same]).nonzero()[1].reshape(len(same), f)
-        masks = (2 * in_key[same] @ pow3)[:, None] + pow3[free] @ sigma.T
-        groups.append((same, masks, prior, masks[:, :, None] // pow3 % 3 == 1))
-    return groups, np.concatenate([masks.ravel() for _, masks, _, _ in groups])
+        ones = bit[free] @ sigma.T  # the label-1 SNPs' keys, sets x sigma
+        groups.append((same, prior, ones[:, :, None] & bit != 0))
+        labelled.append((keys[same, None] | ones).ravel())
+        group2.append(np.repeat(keys[same], 2**f))
+    return groups, _subsets(w, np.concatenate(labelled)), _subsets(w, np.concatenate(group2))
 
 
 def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> OracleResult:
@@ -145,23 +157,25 @@ def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> Oracle
 
     # Per block and group-2 set: log weight plus the boundary odds, and the
     # same with each SNP of the block held at label 1; blocks of one width
-    # share their label shapes.
-    shapes: dict[tuple[int, bytes], tuple[list, np.ndarray]] = {}
+    # share their labellings.
+    shapes: dict[tuple[int, bytes], tuple] = {}
     weight: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    evaluated = 0  # block terms
     for a, b in allowed:
         w = b - a
         keys, inverse = np.unique((set_bits >> a) & ((1 << w) - 1), return_inverse=True)
         shape = (w, keys.tobytes())
         if shape not in shapes:
             shapes[shape] = _label_shapes(w, keys, log_label01)
-        groups, masks = shapes[shape]
-        terms = model.block_terms(a, b, masks)
+        groups, labelled, group2 = shapes[shape]
+        terms = model.block_terms(a, b, labelled, group2)
+        evaluated += terms.size
         log_w = np.empty(len(keys))
         log_w1 = np.empty((len(keys), w))
         done = 0
-        for same, sized, prior, ones in groups:
-            group = terms[done : done + sized.size].reshape(sized.shape) + prior
-            done += sized.size
+        for same, prior, ones in groups:
+            group = terms[done : done + same.size * prior.size].reshape(same.size, -1) + prior
+            done += group.size
             log_w[same] = _logsumexp(group, axis=1)
             log_w1[same] = _logsumexp(np.where(ones, group[:, :, None], NEG_INF), axis=1)
         weight[(a, b)] = (odds + log_w[inverse], odds + log_w1[inverse])
@@ -195,11 +209,13 @@ def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> Oracle
 
     log_z = top + math.log(z_rel)
     states = (2 ** (n - 1)) * _admissible_membership_count(n, max_order)
+    cache = model.cache_sizes()
+    cache["block_terms"] = evaluated
     return OracleResult(
         marginal_posterior=p1 / z_rel,
         epistatic_posterior=p2 / z_rel,
         boundary_posterior=boundary / z_rel,
         log_normalizer=log_z,
         states_enumerated=states,
-        cache=model.cache_sizes(),
+        cache=cache,
     )

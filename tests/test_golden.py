@@ -49,8 +49,9 @@ PANELS = {
     "wide.tsv.truth.tsv": "0a412fd70a8e54eec2385ba70f33c39b14acacf0790651401263bad169a005cd",
 }
 
-# (marginals, block_terms) memo entries per chain, or of the oracle's one
-# model, from the manifest: a faster path must evaluate exactly the same keys
+# (marginals, block_terms) per chain from the manifest: memo entries, except
+# that the oracle's block_terms counts the block terms it evaluated (each
+# once); a faster path must evaluate exactly the same keys
 MEMO_SIZES = {
     "map": [(2660, 1290)],
     "map-chains": [(2660, 1290), (1356, 1212)],

@@ -19,7 +19,6 @@ from beamscan.model import (
     ConstraintError,
     JointModel,
     PriorConfig,
-    _decoded_masks,
     default_priors,
     mask_from_labels,
 )
@@ -224,13 +223,29 @@ def test_block_term_never_positive():
         assert log_block_term(ds, (a, b), labels) <= 1e-12
 
 
+def labellings(width, masks):
+    """The (subsets, inverse) pairs of the labelled and of the group-2 SNPs
+    of ternary ``masks``, subsets in order of first appearance."""
+
+    def decoded(rows):
+        subsets = list(dict.fromkeys(rows))
+        return subsets, np.array([subsets.index(row) for row in rows], dtype=np.intp)
+
+    digits = [[m // 3**i % 3 for i in range(width)] for m in masks]
+    return (
+        decoded([tuple(i for i, d in enumerate(row) if d) for row in digits]),
+        decoded([tuple(i for i, d in enumerate(row) if d == 2) for row in digits]),
+    )
+
+
 def assert_block_terms_match_block_term(ds, priors, a, b, masks):
-    """The batch gives the scalar's values, bit for bit, and leaves the same memos."""
+    """The batch gives the scalar's values, bit for bit, the same marginal
+    memos and no block-term memo."""
     batch = JointModel(ds, priors)
     scalar = JointModel(ds, priors)
-    got = batch.block_terms(a, b, np.asarray(masks, dtype=np.int64))
+    got = batch.block_terms(a, b, *labellings(b - a, masks))
     assert got.tolist() == [scalar.block_term(a, b, m) for m in masks]
-    assert batch._block_terms == scalar._block_terms
+    assert batch._block_terms == {}
     assert batch.engine._marg == scalar.engine._marg
     assert batch.engine._distinct == scalar.engine._distinct
     return got
@@ -249,20 +264,26 @@ def test_block_terms_are_bit_equal_to_block_term(width):
         assert_block_terms_match_block_term(ds, prior, a, a + width, masks)
 
 
+def test_block_terms_of_a_block_wider_than_an_int64_mask():
+    rng = np.random.default_rng(72)
+    ds = random_dataset(rng, 3, 3, 42)
+    masks = [0, 3**41 - 1, 2 * 3**40, *(int(m) for m in rng.integers(0, 2**62, size=6))]
+    assert_block_terms_match_block_term(ds, flat_priors(), 1, 42, masks)
+
+
 def test_blocks_of_one_width_share_a_decode_but_not_its_values():
     rng = np.random.default_rng(73)
     ds = random_dataset(rng, 60, 50, 10)
-    masks = np.arange(3**4, dtype=np.int64)
+    masks = range(3**4)
+    decoded = labellings(4, masks)
     batch = JointModel(ds, flat_priors())
     scalar = JointModel(ds, flat_priors())
-    hits = _decoded_masks.cache_info().hits
-    first = batch.block_terms(0, 4, masks)
-    second = batch.block_terms(5, 9, masks)
-    assert _decoded_masks.cache_info().hits > hits  # the second block reused the decode
-    assert first.tolist() == [scalar.block_term(0, 4, m) for m in masks.tolist()]
-    assert second.tolist() == [scalar.block_term(5, 9, m) for m in masks.tolist()]
+    first = batch.block_terms(0, 4, *decoded)
+    second = batch.block_terms(5, 9, *decoded)
+    assert first.tolist() == [scalar.block_term(0, 4, m) for m in masks]
+    assert second.tolist() == [scalar.block_term(5, 9, m) for m in masks]
     assert first.tolist() != second.tolist()
-    assert batch._block_terms == scalar._block_terms
+    assert batch._block_terms == {}
     assert batch.engine._marg == scalar.engine._marg
 
 
@@ -276,14 +297,6 @@ def test_block_terms_of_a_block_over_the_cap_are_minus_infinity():
     under = flat_priors(max_distinct_diplotypes=80, max_order=2)
     within = assert_block_terms_match_block_term(ds, under, 0, 4, masks)
     assert np.isfinite(within).all()
-
-
-def test_block_terms_refuse_masks_that_overflow_int64():
-    rng = np.random.default_rng(72)
-    ds = random_dataset(rng, 3, 3, 40)
-    assert_block_terms_match_block_term(ds, flat_priors(), 0, 39, [0, 3**39 - 1])
-    with pytest.raises(ValueError, match="overflow int64"):
-        JointModel(ds, flat_priors()).block_terms(0, 40, [0])
 
 
 # -- joint ----------------------------------------------------------------------------

@@ -314,23 +314,38 @@ def test_forward_backward_matches_reference_on_zero_individuals():
 
 
 def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
-    """Same (block, mask) terms, bit for bit, and the same cap checks as the double loop."""
+    """Same (block, labels) terms, bit for bit, and the same cap checks as the
+    double loop, with nothing memoized per labelling."""
     import beamscan.oracle as oracle_module
 
     built = []
 
     class RecordingModel(JointModel):
+        """Records each ``block_terms`` value by (start, end, ternary mask)."""
+
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.evaluated = {}
             built.append(self)
+
+        def block_terms(self, a, b, labelled, group2):
+            values = super().block_terms(a, b, labelled, group2)
+            (x, x_rows), (x2, x2_rows) = labelled, group2
+            for i, j, value in zip(x_rows.tolist(), x2_rows.tolist(), values.tolist()):
+                mask = sum(3**k for k in x[i]) + sum(3**k for k in x2[j])
+                assert (a, b, mask) not in self.evaluated
+                self.evaluated[a, b, mask] = value
+            return values
 
     ds = capped_panel()
     priors = flat_priors(max_distinct_diplotypes=29, max_order=3)
     monkeypatch.setattr(oracle_module, "JointModel", RecordingModel)
-    oracle_module.enumerate_posterior(ds, priors)
+    result = oracle_module.enumerate_posterior(ds, priors)
     reference_enumerate_posterior(ds, priors, model_cls=RecordingModel)
     new, ref = built
-    assert new._block_terms == ref._block_terms
+    assert new.evaluated == ref._block_terms
+    assert new._block_terms == {}
+    assert result.cache["block_terms"] == len(new.evaluated)
     assert new.engine._marg == ref.engine._marg
 
 
