@@ -9,6 +9,10 @@ unlabelled remainder is explained conditionally on them; group-2 SNPs across
 the genome share one joint case and one joint control distribution. The
 prior's two caps (distinct diplotypes per block, interaction order) bound its
 support: a state beyond either has zero prior mass, signalled by -inf.
+
+A block is scored in two layers: its block term for one labelling, and its
+block weight per group-2 set, the terms plus label priors summed over the 0/1
+labels of its free SNPs, with which the exact enumerator tiles the panel.
 """
 
 from __future__ import annotations
@@ -115,10 +119,11 @@ class JointModel:
     sampler's hot path, which revisits configurations, so its terms are
     memoized by (start, end, mask), and the underlying diplotype marginals by
     (SNP subset, cohort). ``block_terms`` evaluates a batch of one block's
-    labellings for the exact enumerator, which visits each labelling once:
-    they come as decoded labelled and group-2 subsets, not masks, and only
-    the marginals they share are memoized. Its values are bit-equal to
-    ``block_term``'s.
+    labellings, which come as decoded labelled and group-2 subsets, not
+    masks; only the marginals they share are memoized. Its values are
+    bit-equal to ``block_term``'s. ``block_weights`` builds a block's
+    labellings per group-2 set, sums them with one ``block_terms`` call, and
+    keeps the labellings (not the weights) for blocks of the same shape.
     """
 
     def __init__(self, dataset: GenotypeDataset, priors: PriorConfig):
@@ -136,6 +141,9 @@ class JointModel:
             math.log(priors.p2) if priors.p2 > 0 else NEG_INF,
         )
         self._block_terms: dict[tuple[int, int, int], float] = {}
+        self._batch_terms = 0  # block terms evaluated by ``block_terms``
+        # (width, block-local group-2 keys) -> that block shape's labellings
+        self._shapes: dict[tuple[int, bytes], tuple] = {}
 
     # -- the prior's support ------------------------------------------------
 
@@ -194,6 +202,7 @@ class JointModel:
         ``block_term``'s order, so every value is bit-equal to the scalar's.
         Nothing is memoized per labelling.
         """
+        self._batch_terms += len(labelled[1])
         if not self.block_allowed(a, b):
             return np.full(len(labelled[1]), NEG_INF)
         eng = self.engine
@@ -212,6 +221,33 @@ class JointModel:
         mb_whole = eng.marginal(tuple(range(a, b)), WHO_BOTH)
         return mc_x + mu_x + mb_whole - mb_x - mc_x2 - mu_x2
 
+    def block_weights(self, a: int, b: int, set_bits: np.ndarray):
+        """Label-summed log weights of the block [a, b), per group-2 set.
+
+        ``set_bits`` holds each group-2 set as an int64 bit key, SNP i at bit
+        i. The block's group-2 SNPs keep label 2 and its free SNPs take every
+        0/1 labelling, each scored by its ``block_term`` plus the free SNPs'
+        label priors. Returns the log-sum-exp over the labellings per set, and
+        over those that hold each SNP at label 1 (sets x w), both bit-equal
+        to a labelling-by-labelling loop.
+        """
+        w = b - a
+        keys, inverse = np.unique((set_bits >> a) & ((1 << w) - 1), return_inverse=True)
+        shape = (w, keys.tobytes())
+        if shape not in self._shapes:
+            self._shapes[shape] = _label_shapes(w, keys, np.array(self.log_label[:2]))
+        groups, labelled, group2 = self._shapes[shape]
+        terms = self.block_terms(a, b, labelled, group2)
+        log_w = np.empty(len(keys))
+        log_w1 = np.empty((len(keys), w))
+        done = 0
+        for same, prior, ones in groups:
+            group = terms[done : done + same.size * prior.size].reshape(same.size, -1) + prior
+            done += group.size
+            log_w[same] = log_sum_exp(group, axis=1)
+            log_w1[same] = log_sum_exp(np.where(ones, group[:, :, None], NEG_INF), axis=1)
+        return log_w[inverse], log_w1[inverse]
+
     def group2_term(self, epistatic: tuple[int, ...]) -> float:
         """Joint case + control log marginals of the genome-wide group-2 set."""
         if not epistatic:
@@ -220,10 +256,11 @@ class JointModel:
         return eng.marginal(epistatic, WHO_CASES) + eng.marginal(epistatic, WHO_CONTROLS)
 
     def cache_sizes(self) -> dict[str, float]:
-        """Marginal and block-term memo entries, and seconds spent on cold marginals."""
+        """Marginal memo entries, block terms evaluated (each memo entry once,
+        each batch term once) and seconds spent on cold marginals."""
         return {
             "marginals": len(self.engine._marg),
-            "block_terms": len(self._block_terms),
+            "block_terms": len(self._block_terms) + self._batch_terms,
             "marginal_cold_s": round(self.engine.cold_s, 6),
         }
 
@@ -274,3 +311,44 @@ def mask_from_labels(labels, a: int, b: int) -> int:
         power *= 3
     return mask
 
+
+def log_sum_exp(stack: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Max-shifted log-sum-exp over ``axis``; -inf where every entry is -inf."""
+    top = stack.max(axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift.squeeze(axis) + np.log(np.exp(stack - shift).sum(axis=axis))
+
+
+def _offsets(w: int, keys: np.ndarray) -> list[tuple[int, ...]]:
+    """Bit keys of a width-``w`` block as tuples of SNP offsets, offset i at bit i."""
+    return [tuple(i for i in range(w) if k >> i & 1) for k in keys.tolist()]
+
+
+def _label_shapes(w: int, keys: np.ndarray, log_label01: np.ndarray):
+    """The labellings of a width-``w`` block with the sorted, distinct local
+    group-2 keys ``keys``, the free SNPs' 0/1 labels sigma in itertools.product
+    order (first free SNP slowest), prior terms added in SNP order. Per set
+    size: the rows of ``keys`` of that size, sigma's prior, and which
+    labellings hold each SNP at label 1 (sets x sigma x w). Then the (offset
+    subsets, inverse) pairs of the labellings' labelled SNPs (key | label-1
+    SNPs) and group-2 SNPs (key), as ``block_terms`` takes them.
+    """
+    bit = 1 << np.arange(w, dtype=np.int64)
+    in_key = keys[:, None] & bit != 0
+    size = in_key.sum(axis=1)
+    groups, labelled, group2 = [], [], []
+    for m in sorted(set(size.tolist())):
+        same = (size == m).nonzero()[0]
+        f = w - m
+        sigma = np.arange(2**f)[:, None] >> np.arange(f - 1, -1, -1) & 1
+        prior = np.zeros(2**f)
+        for lab in sigma.T:
+            prior = prior + log_label01[lab]
+        free = (~in_key[same]).nonzero()[1].reshape(len(same), f)
+        ones = bit[free] @ sigma.T  # the label-1 SNPs' keys, sets x sigma
+        groups.append((same, prior, ones[:, :, None] & bit != 0))
+        labelled.append((keys[same, None] | ones).ravel())
+        group2.append(np.repeat(same, 2**f))
+    distinct, inverse = np.unique(np.concatenate(labelled), return_inverse=True)
+    return groups, (_offsets(w, distinct), inverse), (_offsets(w, keys), np.concatenate(group2))

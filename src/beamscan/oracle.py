@@ -1,28 +1,16 @@
 """Exact posterior enumeration for small panels, for sampler verification.
 
 Once the genome-wide group-2 set is fixed, the joint factorizes over blocks,
-and each block's mixture over group-0/1 labels has a closed form: its weight
-is a sum over the block's labellings. A partition's weight is then a
-product of block weights, so a forward-backward recursion over block
-boundaries sums every partition that satisfies the diplotype cap, for all
-group-2 sets at once (one array entry per set). The mass covered is identical
-to the brute-force state sum. The recursion costs O(n^2 * group-2 sets)
-array operations and one weight per (block, block-local group-2 set), instead
-of one weight lookup per (partition, group-2 set, block).
-
-The weights are computed in array passes, with each labelling given by two
-bit keys, its labelled (label 1 or 2) and its group-2 SNPs, never by a
-ternary mask. A block's labellings (``_label_shapes``: label priors, label-1
-indicators, and both keys decoded once into distinct SNP-offset subsets)
-depend only on its width and block-local group-2 sets, so blocks of one width
-share them. Per block, one ``JointModel.block_terms`` call looks up each
-subset's marginals once and returns every labelling's term, bit-equal to the
-sampler's ``block_term`` and not memoized (each is evaluated once). The sets
-of one size share a (sets x labels) array whose row-wise log-sum-exp is their
-weight, its terms added in the order of a labelling-by-labelling loop, so
-every output matches that loop bit for bit. A block's own work is the
-``np.unique`` that maps the group-2 sets to its local sets, its block terms
-and two log-sum-exps.
+and each block's mixture over group-0/1 labels has a closed form, its
+label-summed weight (``JointModel.block_weights``). A partition's weight is
+then a product of block weights, as in a product-partition model, so one
+recursion over block boundaries (``tilings``), run forward and over the
+mirrored blocks, sums every partition that satisfies the diplotype cap, for
+all group-2 sets at once (one array entry per set). The mass covered is
+identical to the brute-force state sum. The recursion costs O(n^2 * group-2
+sets) array operations and one ``block_weights`` call per allowed block,
+instead of one weight lookup per (partition, group-2 set, block). Every
+output matches a labelling-by-labelling loop bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +27,7 @@ from .model import (
     ConstraintError,
     JointModel,
     PriorConfig,
+    log_sum_exp,
 )
 
 ORACLE_MAX_SNPS = 10
@@ -64,58 +53,24 @@ class OracleResult:
         return self.marginal_posterior + self.epistatic_posterior
 
 
-def _admissible_membership_count(n_snps: int, max_order: int) -> int:
-    total = 0
-    for k in range(0, min(max_order, n_snps) + 1):
-        total += math.comb(n_snps, k) * (2 ** (n_snps - k))
-    return total
+def tilings(blocks) -> np.ndarray:
+    """Log sums over the tilings of [lo, i) by ``blocks``, one row per i from
+    lo to hi, the least block start and the greatest block end.
 
-
-def _logsumexp(stack: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Max-shifted log-sum-exp over ``axis``; -inf where every entry is -inf."""
-    top = stack.max(axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return shift.squeeze(axis) + np.log(np.exp(stack - shift).sum(axis=axis))
-
-
-def _subsets(w: int, keys: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The distinct bit keys of a width-``w`` block as tuples of SNP offsets,
-    in ascending key order, and each key's row among them."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return [tuple(i for i in range(w) if k >> i & 1) for k in distinct.tolist()], inverse
-
-
-def _label_shapes(w: int, keys: np.ndarray, log_label01: np.ndarray):
-    """The labellings of a width-``w`` block with block-local group-2 sets ``keys``.
-
-    A local set of m SNPs sums its block terms over the 0/1 labels sigma of
-    its w - m free SNPs, in itertools.product order (first free SNP slowest),
-    each plus its label prior summed over the free SNPs in index order. A
-    labelling is two bit keys, offset i at bit i: its labelled SNPs (the
-    set's key or'ed with the free SNPs at label 1) and its group-2 SNPs (the
-    set's key). Per set size: the rows of ``keys`` of that size, sigma's
-    prior, and which labellings hold each SNP at label 1 (sets x sigma x w).
-    Then, over every labelling in that order, the ``_subsets`` of its
-    labelled and of its group-2 keys.
+    ``blocks`` lists (start, end, weight) triples, each weight an array over
+    group-2 sets; some block ends at each point after lo, and the blocks
+    ending at a point are summed in list order. Over the mirrored blocks
+    (lo + hi - end, lo + hi - start, weight), the rows are the sums over the
+    tilings of [i, hi), last i first.
     """
-    bit = 1 << np.arange(w, dtype=np.int64)
-    in_key = keys[:, None] & bit != 0
-    size = in_key.sum(axis=1)
-    groups, labelled, group2 = [], [], []
-    for m in sorted(set(size.tolist())):
-        same = (size == m).nonzero()[0]
-        f = w - m
-        sigma = np.arange(2**f)[:, None] >> np.arange(f - 1, -1, -1) & 1
-        prior = np.zeros(2**f)
-        for lab in sigma.T:
-            prior = prior + log_label01[lab]
-        free = (~in_key[same]).nonzero()[1].reshape(len(same), f)
-        ones = bit[free] @ sigma.T  # the label-1 SNPs' keys, sets x sigma
-        groups.append((same, prior, ones[:, :, None] & bit != 0))
-        labelled.append((keys[same, None] | ones).ravel())
-        group2.append(np.repeat(keys[same], 2**f))
-    return groups, _subsets(w, np.concatenate(labelled)), _subsets(w, np.concatenate(group2))
+    lo = min(a for a, _, _ in blocks)
+    hi = max(b for _, b, _ in blocks)
+    f = np.full((hi - lo + 1, len(blocks[0][2])), NEG_INF)
+    f[0] = 0.0
+    for end in range(lo + 1, hi + 1):
+        rows = [f[a - lo] + w for a, b, w in blocks if b == end]
+        f[end - lo] = log_sum_exp(np.stack(rows))
+    return f
 
 
 def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> OracleResult:
@@ -128,70 +83,36 @@ def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> Oracle
     model = JointModel(dataset, priors)
     max_order = min(model.max_order, n)
     log_p2 = model.log_label[2]
-    log_label01 = np.array(model.log_label[:2])
-    # partition prior: n * log(1 - p) + blocks * log(p / (1 - p))
-    odds = model.boundary_odds
 
     subsets: list[tuple[int, ...]] = [()]
     if log_p2 > NEG_INF:
         for k in range(1, max_order + 1):
             subsets.extend(combinations(range(n), k))
     g2 = np.array([model.group2_term(s) + len(s) * (log_p2 if s else 0.0) for s in subsets])
-    in_set = np.zeros((len(subsets), n))
-    for row, s in enumerate(subsets):
-        in_set[row, list(s)] = 1.0
-    set_bits = in_set.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    set_bits = np.array([sum(1 << i for i in s) for s in subsets], dtype=np.int64)
+    in_set = (set_bits[:, None] >> np.arange(n) & 1).astype(float)
 
-    # A block's distinct-diplotype count bounds those of its sub-blocks, so when
-    # any partition satisfies the cap every single-SNP block does, and every
-    # allowed block lies on an allowed partition.
+    # A block's distinct-diplotype count bounds those of its sub-blocks, so some
+    # partition satisfies the cap exactly when every single-SNP block does, and
+    # then every allowed block lies on an allowed partition.
     allowed = [
         (a, b) for a in range(n) for b in range(a + 1, n + 1) if model.block_allowed(a, b)
     ]
-    reached = {0}
-    for a, b in allowed:
-        if a in reached:
-            reached.add(b)
-    if n not in reached:
+    if sum(b == a + 1 for a, b in allowed) < n:
         raise ConstraintError("every partition violates the diplotype cap")
 
-    # Per block and group-2 set: log weight plus the boundary odds, and the
-    # same with each SNP of the block held at label 1; blocks of one width
-    # share their labellings.
-    shapes: dict[tuple[int, bytes], tuple] = {}
-    weight: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    evaluated = 0  # block terms
+    # Per block and group-2 set: log weight plus the boundary odds (the
+    # partition prior is n * log(1 - p) + blocks * log(p / (1 - p))), and the
+    # same with each SNP of the block held at label 1.
+    blocks, held = [], []
     for a, b in allowed:
-        w = b - a
-        keys, inverse = np.unique((set_bits >> a) & ((1 << w) - 1), return_inverse=True)
-        shape = (w, keys.tobytes())
-        if shape not in shapes:
-            shapes[shape] = _label_shapes(w, keys, log_label01)
-        groups, labelled, group2 = shapes[shape]
-        terms = model.block_terms(a, b, labelled, group2)
-        evaluated += terms.size
-        log_w = np.empty(len(keys))
-        log_w1 = np.empty((len(keys), w))
-        done = 0
-        for same, prior, ones in groups:
-            group = terms[done : done + same.size * prior.size].reshape(same.size, -1) + prior
-            done += group.size
-            log_w[same] = _logsumexp(group, axis=1)
-            log_w1[same] = _logsumexp(np.where(ones, group[:, :, None], NEG_INF), axis=1)
-        weight[(a, b)] = (odds + log_w[inverse], odds + log_w1[inverse])
+        log_w, log_w1 = model.block_weights(a, b, set_bits)
+        blocks.append((a, b, model.boundary_odds + log_w))
+        held.append(model.boundary_odds + log_w1)
 
     # fwd[i]: log sum over splits of SNPs [0, i); bwd[i]: of SNPs [i, n).
-    fwd = np.full((n, len(subsets)), NEG_INF)
-    fwd[0] = 0.0
-    for end in range(1, n):
-        rows = [fwd[a] + w for (a, b), (w, _) in weight.items() if b == end]
-        fwd[end] = _logsumexp(np.stack(rows))
-    bwd = np.full((n + 1, len(subsets)), NEG_INF)
-    bwd[n] = 0.0
-    for start in range(n - 1, -1, -1):
-        rows = [w + bwd[b] for (a, b), (w, _) in weight.items() if a == start]
-        bwd[start] = _logsumexp(np.stack(rows))
-
+    fwd = tilings(blocks)
+    bwd = tilings([(n - b, n - a, w) for a, b, w in blocks])[::-1]
     total = bwd[0]  # log sum over partitions, per group-2 set
     log_set = model.log_partition_prior(0) + g2 + total  # n * log(1 - p)
     top = float(log_set.max())
@@ -200,22 +121,20 @@ def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> Oracle
     wt = np.exp(log_set - top)
     # fwd[0] + bwd[0] - bwd[0] is exactly 0, so the first SNP's boundary mass
     # is the normalizer and its posterior is exactly 1.
-    boundary = np.exp(fwd + bwd[:n] - total) @ wt
+    boundary = np.exp(fwd[:n] + bwd[:n] - total) @ wt
     z_rel = boundary[0]
     p1 = np.zeros(n)
-    for (a, b), (_, w1) in weight.items():
+    for (a, b, _), w1 in zip(blocks, held):
         p1[a:b] += wt @ np.exp((fwd[a] + bwd[b] - total)[:, None] + w1)
     p2 = wt @ in_set
 
     log_z = top + math.log(z_rel)
-    states = (2 ** (n - 1)) * _admissible_membership_count(n, max_order)
-    cache = model.cache_sizes()
-    cache["block_terms"] = evaluated
+    states = 2 ** (n - 1) * sum(math.comb(n, k) * 2 ** (n - k) for k in range(max_order + 1))
     return OracleResult(
         marginal_posterior=p1 / z_rel,
         epistatic_posterior=p2 / z_rel,
         boundary_posterior=boundary / z_rel,
         log_normalizer=log_z,
         states_enumerated=states,
-        cache=cache,
+        cache=model.cache_sizes(),
     )

@@ -33,6 +33,15 @@ GOLDEN = {
     "oracle": {
         "oracle.tsv": "1a17122b58a1604129ee3ab52889efe07b4e3cfeebe6ca72a87d0d17921eb924",
     },
+    "oracle-order-1": {
+        "oracle.tsv": "3256bbc3c491df65e1e29065cfae313c2b3eac855cd26502e7222a23735afbb3",
+    },
+    "oracle-p1-zero": {
+        "oracle.tsv": "1441a163f1be9dbccd131d07c95fea5422dc33d938dd90737066f00ed5c60f51",
+    },
+    "oracle-p2-zero": {
+        "oracle.tsv": "f7d210857ee1cf266496fdbb14edd8b8d958090c0f9e825d11a3d1c1d4c0dd60",
+    },
     "partition": {
         "partition.tsv": "91118140a10e0426fe3d1853541ecce8ee5db188b1a0fa256ec3c967d2272b38",
     },
@@ -49,19 +58,27 @@ PANELS = {
     "wide.tsv.truth.tsv": "0a412fd70a8e54eec2385ba70f33c39b14acacf0790651401263bad169a005cd",
 }
 
-# (marginals, block_terms) per chain from the manifest: memo entries, except
-# that the oracle's block_terms counts the block terms it evaluated (each
-# once); a faster path must evaluate exactly the same keys
+# (marginals, block_terms) per chain from the manifest: marginal memo entries
+# and block terms evaluated (each once); a faster path must evaluate exactly
+# the same keys
 MEMO_SIZES = {
     "map": [(2660, 1290)],
     "map-chains": [(2660, 1290), (1356, 1212)],
     "oracle": [(339, 1977)],
+    "oracle-order-1": [(319, 1223)],
+    "oracle-p1-zero": [(339, 1977)],
+    "oracle-p2-zero": [(319, 394)],
     "partition": [(321, 321)],
     "partition-hwe": [(310, 310)],
 }
 
 # the oracle's exact evidence, which its TSV does not print
-ORACLE_LOG_NORMALIZER = -1129.2941965066393
+ORACLE_LOG_NORMALIZER = {
+    "oracle": -1129.2941965066393,
+    "oracle-order-1": -1129.2944743049172,
+    "oracle-p1-zero": -1137.5889756574309,
+    "oracle-p2-zero": -1129.5698756580018,
+}
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +110,9 @@ def _run(tmp_path, panels, case):
         "partition": ["partition", "--in", wide, "--out", out, *chain],
         "partition-hwe": ["partition", "--in", wide, "--out", out, *chain, "--hwe-filter", "0.1"],
         "oracle": ["oracle", "--in", narrow, "--out", out],
+        "oracle-order-1": ["oracle", "--in", narrow, "--out", out, "--max-order", "1"],
+        "oracle-p1-zero": ["oracle", "--in", narrow, "--out", out, "--p1", "0"],
+        "oracle-p2-zero": ["oracle", "--in", narrow, "--out", out, "--p2", "0"],
         "bstat": [
             "bstat", "--in", wide, "--sets", str(panels["sets"]), "--out", out,
             "--calibration", "permutation", "--n-perm", "500", "--seed", "5",
@@ -103,11 +123,11 @@ def _run(tmp_path, panels, case):
         assert len(Path(out).read_text().splitlines()) - 1 < 60
     if case in MEMO_SIZES:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
-        caches = [manifest["cache"]] if case == "oracle" else manifest["cache"]
+        caches = [manifest["cache"]] if case in ORACLE_LOG_NORMALIZER else manifest["cache"]
         sizes = [(c["marginals"], c["block_terms"]) for c in caches]
         assert sizes == MEMO_SIZES[case]
-        if case == "oracle":
-            assert manifest["log_normalizer"] == ORACLE_LOG_NORMALIZER
+        if case in ORACLE_LOG_NORMALIZER:
+            assert manifest["log_normalizer"] == ORACLE_LOG_NORMALIZER[case]
     return _digests(tmp_path, GOLDEN[case])
 
 

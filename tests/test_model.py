@@ -8,9 +8,11 @@ checks are independent of the implementation under test.
 import math
 from dataclasses import replace
 from functools import partial
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import helpers
 from helpers import NEVER_BINDS, ref_marginal
@@ -297,6 +299,76 @@ def test_block_terms_of_a_block_over_the_cap_are_minus_infinity():
     under = flat_priors(max_distinct_diplotypes=80, max_order=2)
     within = assert_block_terms_match_block_term(ds, under, 0, 4, masks)
     assert np.isfinite(within).all()
+
+
+# -- label-summed block weights -------------------------------------------------------
+
+
+def brute_block_weights(model, a, b, set_bits):
+    """Per set, the log-sum-exp over the block's 0/1 labellings of the scalar
+    ``block_term`` plus the free SNPs' label priors, and the same over the
+    labellings that hold each SNP at label 1."""
+    w = b - a
+    log_w, log_w1 = [], []
+    for bits in set_bits.tolist():
+        free = [i for i in range(w) if not bits >> (a + i) & 1]
+        scores, at_one = [], [[] for _ in range(w)]
+        for sigma in product((0, 1), repeat=len(free)):
+            labels = [2] * w
+            for i, lab in zip(free, sigma):
+                labels[i] = lab
+            score = model.block_term(a, b, mask_from_labels(labels, 0, w))
+            score += sum(model.log_label[lab] for lab in sigma)
+            scores.append(score)
+            for i in range(w):
+                at_one[i].append(score if labels[i] == 1 else -math.inf)
+        log_w.append(logsumexp(scores))
+        log_w1.append([logsumexp(row) for row in at_one])
+    return np.array(log_w), np.array(log_w1)
+
+
+@pytest.mark.parametrize("cap", [NEVER_BINDS, 8], ids=["no-cap", "cap-binds"])
+@pytest.mark.parametrize(
+    "priors",
+    [flat_priors(), flat_priors(p1=0.0), flat_priors(p2=0.0)],
+    ids=["default", "p1-zero", "p2-zero"],
+)
+def test_block_weights_match_a_labelling_by_labelling_sum(priors, cap):
+    rng = np.random.default_rng(80)
+    ds = random_dataset(rng, 40, 40, 7)
+    priors = replace(priors, max_distinct_diplotypes=cap)
+    sets = [s for k in range(4) for s in combinations(range(7), k)]
+    set_bits = np.array([sum(1 << i for i in s) for s in sets], dtype=np.int64)
+    model = JointModel(ds, priors)
+    scalar = JointModel(ds, priors)
+    allowed = []
+    for width in range(1, 6):
+        log_w, log_w1 = model.block_weights(1, 1 + width, set_bits)
+        want_w, want_w1 = brute_block_weights(scalar, 1, 1 + width, set_bits)
+        assert log_w.shape == (len(sets),) and log_w1.shape == (len(sets), width)
+        np.testing.assert_allclose(log_w, want_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_w1, want_w1, rtol=0, atol=1e-12)
+        allowed.append(model.block_allowed(1, 1 + width))
+    if cap == NEVER_BINDS:
+        assert all(allowed)
+    else:  # the cap removes the wider blocks
+        assert allowed[0] and not allowed[-1]
+
+
+def test_blocks_of_one_width_share_their_labellings_but_not_their_weights():
+    rng = np.random.default_rng(81)
+    ds = random_dataset(rng, 60, 50, 12)
+    set_bits = np.array([0, 0b1, 0b100001, 0b1000001], dtype=np.int64)  # local keys 0 and 1
+    model = JointModel(ds, flat_priors())
+    first = model.block_weights(0, 3, set_bits)
+    second = model.block_weights(5, 8, set_bits << 5)
+    assert len(model._shapes) == 1
+    scalar = JointModel(ds, flat_priors())
+    for got, a in ((first, 0), (second, 5)):
+        want = brute_block_weights(scalar, a, a + 3, set_bits << a)
+        for g, wnt in zip(got, want):
+            np.testing.assert_allclose(g, wnt, rtol=0, atol=1e-12)
+    assert first[0].tolist() != second[0].tolist()
 
 
 # -- joint ----------------------------------------------------------------------------
