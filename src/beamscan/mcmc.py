@@ -18,7 +18,7 @@ of them; a change of the group-2 set, which every conditional reads, still
 costs one full set. The sweep draws and decides exactly as the per-SNP form
 would, so outputs do not depend on the caching.
 
-:class:`ChainState` is the only writer of the labels, masks, label member
+:class:`ChainState` is the only writer of the labels, label key, label member
 lists, partition and running log joint. ``assign`` sets a whole state and
 recomputes everything derived from it. ``relabel`` and ``repartition`` mark
 stale the label rows each change invalidates, and add to the log joint the
@@ -44,11 +44,13 @@ will sweep labels, it first has the engine memoize every SNP's case/control
 singleton marginals in one array pass (``LikelihoodEngine.prefetch_singletons``),
 as ``ChainState`` does for the combined cohort before its cap check.
 
-Block k's ternary label mask is ``block_masks[k]``, aligned with ``starts``.
-A block proposal names the blocks it removes and adds and the index of the
-first removed one, so drawing one costs the same at any partition size;
-``accept`` cuts the added blocks' masks from the removed blocks' slice by
-ternary arithmetic, and ``repartition`` replaces that slice of both lists.
+The labels are kept a second time as one panel-wide ``label_key``,
+``mask_from_labels(labels, 0, n)``. The mask of any block is a bit slice of
+it (``ChainState.block_mask``) whatever the partition, so a block move reads
+its removed and added blocks' masks from the key, ``relabel`` sets one SNP's
+two bits, and ``repartition`` edits only the start list. A block proposal
+names the blocks it removes and adds and the index of the first removed one,
+so drawing one costs the same at any partition size.
 
 A chain draws from :class:`BlockDraws`, which reads the seeded generator's
 raw 64-bit words in blocks and returns exactly the numbers that
@@ -267,7 +269,7 @@ class LabelRows:
     whose differences are the log-joint changes of relabelling the SNP. A row
     depends only on the SNP's block, that block's mask and the group-2 set;
     :class:`ChainState` marks it ``stale`` whenever it changes one of those.
-    Masks stay Python ints: blocks of 40 or more SNPs overflow int64.
+    Masks stay Python ints: blocks of 32 or more SNPs overflow int64.
     """
 
     def __init__(self, n: int):
@@ -282,11 +284,10 @@ class LabelRows:
     def build(self, state: "ChainState", i: int, r: float) -> int:
         """Rebuild row ``i`` from the current state; return the label ``r`` picks."""
         model = state.model
-        k, a, b = state.block_of(i)
-        mask = state.block_masks[k]
+        a, b = state.block_of(i)
         cur = state.labels[i]
-        power = 3 ** (i - a)
-        base = mask - cur * power
+        shift = 2 * (i - a)
+        base = state.block_mask(a, b) - (cur << shift)
         if cur == 2:
             s2_without = tuple(v for v in state.s2 if v != i)
             s2_with = tuple(state.s2)
@@ -308,7 +309,7 @@ class LabelRows:
                 g2 = model.group2_term(s2_with)
             else:
                 g2 = g2_without
-            weights.append(model.block_term(a, b, base + lab * power) + g2 + log_label[lab])
+            weights.append(model.block_term(a, b, base + (lab << shift)) + g2 + log_label[lab])
         top = max(weights)
         probs = [math.exp(w - top) for w in weights]
         total = sum(probs)
@@ -328,9 +329,10 @@ class LabelRows:
 class ChainState:
     """Mutable sampler state bound to one :class:`JointModel`.
 
-    Tracks the partition (block start list), labels, per-block ternary label
-    masks (``block_masks``, aligned with ``starts``), the sorted SNP list of
-    each label (``members``; ``members[2]`` is the group-2 set ``s2``) and
+    Tracks the partition (block start list), labels, the panel-wide
+    ``label_key`` (``mask_from_labels(labels, 0, n)``, a Python int: 32 or
+    more SNPs overflow int64), the sorted SNP list of each label
+    (``members``; ``members[2]`` is the group-2 set ``s2``) and
     ``running_log_joint``, the joint log probability of the state, all kept
     up to date by the writers :meth:`assign`, :meth:`relabel` and
     :meth:`repartition`. ``repartitions`` counts the writes that changed the
@@ -360,8 +362,7 @@ class ChainState:
         n = self.model.n_snps
         self.starts: list[int] = [int(a) for a in starts]
         self.labels: list[int] = [int(v) for v in labels]
-        bounds = self.starts + [n]
-        self.block_masks = [mask_from_labels(self.labels, a, b) for a, b in zip(bounds, bounds[1:])]
+        self.label_key = mask_from_labels(self.labels, 0, n)
         self.members: list[list[int]] = [[], [], []]
         for i, lab in enumerate(self.labels):
             self.members[lab].append(i)
@@ -379,11 +380,15 @@ class ChainState:
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
 
-    def block_of(self, snp: int) -> tuple[int, int, int]:
-        """The index, start and end of the block that holds ``snp``."""
+    def block_of(self, snp: int) -> tuple[int, int]:
+        """The start and end of the block that holds ``snp``."""
         k = bisect_right(self.starts, snp) - 1
         end = self.starts[k + 1] if k + 1 < len(self.starts) else self.model.n_snps
-        return k, self.starts[k], end
+        return self.starts[k], end
+
+    def block_mask(self, a: int, b: int) -> int:
+        """The label mask of SNPs [a, b): a bit slice of ``label_key``."""
+        return self.label_key >> 2 * a & (1 << 2 * (b - a)) - 1
 
     def relabel(self, i: int, lab: int, delta: float) -> tuple[int, int]:
         """Give SNP ``i`` label ``lab``; return the label rows marked stale.
@@ -393,9 +398,9 @@ class ChainState:
         completes; a swap passes its whole log ratio with its first call.
         """
         cur = self.labels[i]
-        k, a, b = self.block_of(i)
+        a, b = self.block_of(i)
         self.labels[i] = lab
-        self.block_masks[k] += (lab - cur) * 3 ** (i - a)
+        self.label_key += (lab - cur) << 2 * i
         old = self.members[cur]
         del old[bisect_left(old, i)]
         insort(self.members[lab], i)
@@ -405,19 +410,17 @@ class ChainState:
         self.running_log_joint += delta
         return a, b
 
-    def repartition(self, proposal: BlockProposal, masks: list[int], delta: float) -> None:
-        """Apply an accepted block move whose added blocks have the label
-        ``masks`` and whose log-joint change is ``delta``.
+    def repartition(self, proposal: BlockProposal, delta: float) -> None:
+        """Apply an accepted block move whose log-joint change is ``delta``.
 
-        The added blocks' starts and masks replace the removed blocks' slice
-        of each list; the rows of the SNPs they cover go stale.
+        The added blocks' starts replace the removed blocks' slice of the
+        start list; the rows of the SNPs they cover go stale.
         """
         self.running_log_joint += delta
         self.repartitions += 1
         added = proposal.added
         k, r = proposal.first, len(proposal.removed)
         self.starts[k : k + r] = [a for a, _ in added]
-        self.block_masks[k : k + r] = masks
         self.label_rows.stale[added[0][0] : added[-1][1]] = True
 
     def log_joint(self) -> float:
@@ -486,41 +489,24 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
     raise ValueError(f"unknown move kind: {kind!r}")
 
 
-def added_masks(removed_masks: list[int], proposal: BlockProposal) -> list[int]:
-    """The label masks of the proposal's added blocks, in order, by ternary
-    digit arithmetic on the masks of its removed blocks: those are joined
-    into one mask over their SNPs, which is then cut at the added blocks."""
-    start = proposal.removed[0][0]
-    whole = 0
-    for (a, _), mask in zip(proposal.removed, removed_masks):
-        whole += mask * 3 ** (a - start)
-    masks = []
-    for a, b in proposal.added:
-        whole, mask = divmod(whole, 3 ** (b - a))
-        masks.append(mask)
-    return masks
-
-
 def accept(state: ChainState, proposal: BlockProposal) -> bool:
     """Metropolis-Hastings decision; exactly one uniform draw per call."""
-    model = state.model
-    k = proposal.first
-    old_masks = state.block_masks[k : k + len(proposal.removed)]
+    block_term = state.model.block_term
+    mask = state.block_mask
     old = 0.0
-    for (a, b), mask in zip(proposal.removed, old_masks):
-        old += model.block_term(a, b, mask)
-    new_masks = added_masks(old_masks, proposal)
+    for a, b in proposal.removed:
+        old += block_term(a, b, mask(a, b))
     new = 0.0
-    for (a, b), mask in zip(proposal.added, new_masks):
-        new += model.block_term(a, b, mask)
+    for a, b in proposal.added:
+        new += block_term(a, b, mask(a, b))
     delta_blocks = len(proposal.added) - len(proposal.removed)
-    delta = new - old + delta_blocks * model.boundary_odds
+    delta = new - old + delta_blocks * state.model.boundary_odds
     log_ratio = delta + proposal.log_q_ratio
     u = state.rng.random()
     # a -inf ratio rejects: exp(-inf) is 0, and nan (-inf on both sides) compares false
     ok = log_ratio >= 0.0 or u < math.exp(log_ratio)
     if ok:
-        state.repartition(proposal, new_masks, delta)
+        state.repartition(proposal, delta)
     return ok
 
 
@@ -577,10 +563,10 @@ def swap_membership_move(state: ChainState) -> int:
 
     Every step draws ``integers(n_pairs)`` and then ``random()``, whatever
     the outcome, so the pass binds what it reads once: the draw methods, the
-    model's term methods, the start list and the masks. The group-2 term of
-    the current set is evaluated at the first step that needs it and taken
-    over from the proposal after an accepted group-2 swap; the counters are
-    bumped once per pass.
+    model's term methods, the start list and the state's ``block_mask``. The
+    group-2 term of the current set is evaluated at the first step that
+    needs it and taken over from the proposal after an accepted group-2
+    swap; the counters are bumped once per pass.
     """
     members = state.members
     c0, c1, c2 = len(members[0]), len(members[1]), len(members[2])
@@ -596,7 +582,7 @@ def swap_membership_move(state: ChainState) -> int:
     random = state.rng.random
     exp = math.exp
     starts = state.starts
-    masks = state.block_masks
+    mask = state.block_mask
     s2 = members[2]  # the state's sorted group-2 list, which relabel keeps current
     nb = len(starts)
     n = model.n_snps
@@ -622,20 +608,18 @@ def swap_membership_move(state: ChainState) -> int:
         k = bisect_right(starts, i) - 1
         ai = starts[k]
         bi = starts[k + 1] if k + 1 < nb else n
-        mi = masks[k]
-        pi = 3 ** (i - ai)
+        mi = mask(ai, bi)
+        di = (lj - li) << 2 * (i - ai)
         old_terms = block_term(ai, bi, mi)
         if j < ai or j >= bi:
             k = bisect_right(starts, j) - 1
             aj = starts[k]
             bj = starts[k + 1] if k + 1 < nb else n
-            mj = masks[k]
-            pj = 3 ** (j - aj)
+            mj = mask(aj, bj)
             old_terms += block_term(aj, bj, mj)
-            new_terms = block_term(ai, bi, mi + (lj - li) * pi) + block_term(aj, bj, mj + (li - lj) * pj)
+            new_terms = block_term(ai, bi, mi + di) + block_term(aj, bj, mj + ((li - lj) << 2 * (j - aj)))
         else:
-            pj = 3 ** (j - ai)
-            new_terms = block_term(ai, bi, mi + (lj - li) * pi + (li - lj) * pj)
+            new_terms = block_term(ai, bi, mi + di + ((li - lj) << 2 * (j - ai)))
         if lj == 2:  # li < lj, so i takes j's place in the group-2 set
             tmp = [v for v in s2 if v != j]
             insort(tmp, i)

@@ -115,15 +115,16 @@ def default_priors(
 class JointModel:
     """Cached evaluator of the joint log probability for one dataset.
 
-    ``block_term`` evaluates one block's labels, given as a ternary mask: the
-    sampler's hot path, which revisits configurations, so its terms are
-    memoized by (start, end, mask), and the underlying diplotype marginals by
-    (SNP subset, cohort). ``block_terms`` evaluates a batch of one block's
-    labellings, which come as decoded labelled and group-2 subsets, not
-    masks; only the marginals they share are memoized. Its values are
-    bit-equal to ``block_term``'s. ``block_weights`` builds a block's
-    labellings per group-2 set, sums them with one ``block_terms`` call, and
-    keeps the labellings (not the weights) for blocks of the same shape.
+    ``block_term`` evaluates one block's labels, given as a
+    ``mask_from_labels`` mask: the sampler's hot path, which revisits
+    configurations, so its terms are memoized by (start, end, mask), and the
+    underlying diplotype marginals by (SNP subset, cohort). ``block_terms``
+    evaluates a batch of one block's labellings, which come as decoded
+    labelled and group-2 subsets, not masks; only the marginals they share
+    are memoized. Its values are bit-equal to ``block_term``'s.
+    ``block_weights`` builds a block's labellings per group-2 set, leaving
+    out those of zero prior mass, sums them with one ``block_terms`` call,
+    and keeps the labellings (not the weights) for blocks of the same shape.
     """
 
     def __init__(self, dataset: GenotypeDataset, priors: PriorConfig):
@@ -156,9 +157,8 @@ class JointModel:
     def block_term(self, a: int, b: int, mask: int) -> float:
         """Log conditional probability of one block's data given its labels.
 
-        ``mask`` encodes the block-local labels in ternary, SNP ``a`` in the
-        least significant digit. Returns -inf for a block over the diplotype
-        cap.
+        ``mask`` is ``mask_from_labels(labels, a, b)``: two bits per SNP,
+        SNP ``a`` lowest. Returns -inf for a block over the diplotype cap.
         """
         key = (a, b, mask)
         hit = self._block_terms.get(key)
@@ -171,8 +171,8 @@ class JointModel:
         x2: list[int] = []
         m = mask
         for snp in range(a, b):
-            lab = m % 3
-            m //= 3
+            lab = m & 3
+            m >>= 2
             if lab:
                 x.append(snp)
                 if lab == 2:
@@ -226,10 +226,10 @@ class JointModel:
 
         ``set_bits`` holds each group-2 set as an int64 bit key, SNP i at bit
         i. The block's group-2 SNPs keep label 2 and its free SNPs take every
-        0/1 labelling, each scored by its ``block_term`` plus the free SNPs'
-        label priors. Returns the log-sum-exp over the labellings per set, and
-        over those that hold each SNP at label 1 (sets x w), both bit-equal
-        to a labelling-by-labelling loop.
+        0/1 labelling of nonzero prior, each scored by its ``block_term`` plus
+        the free SNPs' label priors. Returns the log-sum-exp over the
+        labellings per set, and over those that hold each SNP at label 1
+        (sets x w), both bit-equal to a loop over every 0/1 labelling.
         """
         w = b - a
         keys, inverse = np.unique((set_bits >> a) & ((1 << w) - 1), return_inverse=True)
@@ -303,13 +303,14 @@ class JointModel:
 
 
 def mask_from_labels(labels, a: int, b: int) -> int:
-    """Ternary-encode labels[a:b], SNP ``a`` in the least significant digit."""
-    mask = 0
-    power = 1
-    for snp in range(a, b):
-        mask += labels[snp] * power
-        power *= 3
-    return mask
+    """The label mask of labels[a:b]: two bits per SNP (base 4), SNP a + j's
+    label in bits 2j and 2j + 1.
+
+    This is the one encoder. The chain state keeps ``mask_from_labels(labels,
+    0, n)`` as its panel-wide label key, and the mask of its block [a, b) is
+    the key's bit slice ``key >> 2*a & ((1 << 2*(b - a)) - 1)``.
+    """
+    return sum(int(lab) << 2 * j for j, lab in enumerate(labels[a:b]))
 
 
 def log_sum_exp(stack: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -328,11 +329,13 @@ def _offsets(w: int, keys: np.ndarray) -> list[tuple[int, ...]]:
 def _label_shapes(w: int, keys: np.ndarray, log_label01: np.ndarray):
     """The labellings of a width-``w`` block with the sorted, distinct local
     group-2 keys ``keys``, the free SNPs' 0/1 labels sigma in itertools.product
-    order (first free SNP slowest), prior terms added in SNP order. Per set
-    size: the rows of ``keys`` of that size, sigma's prior, and which
-    labellings hold each SNP at label 1 (sets x sigma x w). Then the (offset
-    subsets, inverse) pairs of the labellings' labelled SNPs (key | label-1
-    SNPs) and group-2 SNPs (key), as ``block_terms`` takes them.
+    order (first free SNP slowest), prior terms added in SNP order. Labellings
+    whose prior is -inf (label 1 under ``p1 = 0``) add nothing to any weight
+    and are left out; the all-zero sigma always stays. Per set size: the rows
+    of ``keys`` of that size, sigma's prior, and which labellings hold each
+    SNP at label 1 (sets x sigma x w). Then the (offset subsets, inverse)
+    pairs of the labellings' labelled SNPs (key | label-1 SNPs) and group-2
+    SNPs (key), as ``block_terms`` takes them.
     """
     bit = 1 << np.arange(w, dtype=np.int64)
     in_key = keys[:, None] & bit != 0
@@ -345,10 +348,12 @@ def _label_shapes(w: int, keys: np.ndarray, log_label01: np.ndarray):
         prior = np.zeros(2**f)
         for lab in sigma.T:
             prior = prior + log_label01[lab]
+        finite = np.isfinite(prior)
+        sigma, prior = sigma[finite], prior[finite]
         free = (~in_key[same]).nonzero()[1].reshape(len(same), f)
         ones = bit[free] @ sigma.T  # the label-1 SNPs' keys, sets x sigma
         groups.append((same, prior, ones[:, :, None] & bit != 0))
         labelled.append((keys[same, None] | ones).ravel())
-        group2.append(np.repeat(same, 2**f))
+        group2.append(np.repeat(same, prior.size))
     distinct, inverse = np.unique(np.concatenate(labelled), return_inverse=True)
     return groups, (_offsets(w, distinct), inverse), (_offsets(w, keys), np.concatenate(group2))

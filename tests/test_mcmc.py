@@ -47,21 +47,18 @@ def force_state(state, starts, labels):
     state.assign(starts, labels)
 
 
-def removed_masks(state, proposal):
-    """The masks of the proposal's removed blocks: one slice of the state's list."""
-    return state.block_masks[proposal.first : proposal.first + len(proposal.removed)]
-
-
 def apply_move(state, proposal):
     """Apply a proposal whatever its odds, with a log-joint change of 0."""
-    state.repartition(proposal, mcmc.added_masks(removed_masks(state, proposal), proposal), 0.0)
+    state.repartition(proposal, 0.0)
 
 
-def assert_masks_follow_labels(state):
-    """One mask per block, each equal to the one its labels encode."""
-    ends = state.starts[1:] + [state.model.n_snps]
-    assert len(state.block_masks) == len(state.starts)
-    assert state.block_masks == [mask_from_labels(state.labels, a, b) for a, b in zip(state.starts, ends)]
+def assert_key_follows_labels(state):
+    """The state's label key is the one its labels encode, and so is each
+    block's slice of it."""
+    n = state.model.n_snps
+    assert state.label_key == mask_from_labels(state.labels, 0, n)
+    for a, b in zip(state.starts, state.starts[1:] + [n]):
+        assert state.block_mask(a, b) == mask_from_labels(state.labels, a, b)
 
 
 # -- schedules -----------------------------------------------------------------------
@@ -437,7 +434,7 @@ def test_gibbs_sweep_is_exact_on_three_snps(monkeypatch, setting):
         changed = gibbs_membership_sweep(state)
         assert state.labels == path and state.starts == list(starts)
         assert changed == sum(x != y for x, y in zip(labels, path))
-        assert_masks_follow_labels(state)
+        assert_key_follows_labels(state)
         assert state.running_log_joint == pytest.approx(log_joint[starts, tuple(path)], rel=1e-12)
 
     # (b) from all-stale rows, and (c) from the rows' probabilities
@@ -870,11 +867,8 @@ def reference_gibbs_sweep(state):
     max_order = model.max_order
     changed = 0
     for i in range(model.n_snps):
-        k, a, b = state.block_of(i)
-        mask = state.block_masks[k]
+        a, b = state.block_of(i)
         cur = labels[i]
-        power = 3 ** (i - a)
-        base = mask - cur * power
         if cur == 2:
             s2_without = tuple(v for v in state.s2 if v != i)
             s2_with = tuple(state.s2)
@@ -896,7 +890,8 @@ def reference_gibbs_sweep(state):
                 g2 = model.group2_term(s2_with)
             else:
                 g2 = g2_without
-            w = model.block_term(a, b, base + lab * power) + g2 + log_label[lab]
+            mask = mask_from_labels(labels[:i] + [lab] + labels[i + 1 :], a, b)
+            w = model.block_term(a, b, mask) + g2 + log_label[lab]
             weights.append(w)
             labs.append(lab)
         top = max(weights)
@@ -915,7 +910,7 @@ def reference_gibbs_sweep(state):
             changed += 1
             state.bump("gibbs_changes")
             labels[i] = pick
-            state.block_masks[k] = base + pick * power
+            state.label_key = mask_from_labels(labels, 0, model.n_snps)
             state.members[cur].remove(i)
             insort(state.members[pick], i)
             state.running_log_joint += weights[labs.index(pick)] - weights[labs.index(cur)]
@@ -925,12 +920,12 @@ def reference_gibbs_sweep(state):
 def assert_same_state(ref, new):
     assert new.labels == ref.labels
     assert new.starts == ref.starts
-    assert new.block_masks == ref.block_masks
+    assert new.label_key == ref.label_key
     assert new.members == ref.members
     # both sides also agree with the labels themselves
     labels = np.asarray(new.labels)
     assert new.members == [np.flatnonzero(labels == v).tolist() for v in (0, 1, 2)]
-    assert_masks_follow_labels(new)
+    assert_key_follows_labels(new)
     assert [len(m) for m in new.members] == [len(m) for m in ref.members]
     assert new.counters == ref.counters
     assert list(new.counters) == list(ref.counters)
@@ -1053,14 +1048,14 @@ def test_incremental_sweep_matches_reference_after_force_state_rewrites():
 
 
 def test_incremental_sweep_matches_reference_on_a_block_wider_than_int64():
-    # 45 SNPs in one block: the ternary mask exceeds 3**40 > 2**63
+    # 45 SNPs in one block: the bits of SNPs 32 on lie past int64
     n = 45
     priors = PriorConfig(p_boundary=0.05, p1=0.3, p2=0.2, rho=1.5,
                          max_distinct_diplotypes=9, max_order=4)
     labels = [0] * (n - 1) + [1]
     ref, _, changed = run_pair(empty_dataset(n), priors, seed=12, steps=60,
                                moves=False, init=((0,), labels))
-    assert ref.starts == [0] and ref.block_masks[0] > 2**63 and changed > 100
+    assert ref.starts == [0] and ref.label_key > 2**63 and changed > 100
 
 
 def test_run_chain_is_unchanged_by_the_incremental_sweep(monkeypatch):
@@ -1104,19 +1099,18 @@ def reference_swap_move(state):
         i = members[li][ki]
         j = members[lj][kj]
         state.bump("swap_proposed")
-        bi, ai, ei = state.block_of(i)
-        bj, aj, ej = state.block_of(j)
-        mi, mj = state.block_masks[bi], state.block_masks[bj]
-        pi = 3 ** (i - ai)
-        pj = 3 ** (j - aj)
-        old_terms = model.block_term(ai, ei, mi)
-        if bj != bi:
-            old_terms += model.block_term(aj, ej, mj)
-            new_terms = model.block_term(ai, ei, mi + (lj - li) * pi) + model.block_term(
-                aj, ej, mj + (li - lj) * pj
+        ai, ei = state.block_of(i)
+        aj, ej = state.block_of(j)
+        swapped = list(state.labels)
+        swapped[i], swapped[j] = lj, li
+        old_terms = model.block_term(ai, ei, mask_from_labels(state.labels, ai, ei))
+        if aj != ai:
+            old_terms += model.block_term(aj, ej, mask_from_labels(state.labels, aj, ej))
+            new_terms = model.block_term(ai, ei, mask_from_labels(swapped, ai, ei)) + model.block_term(
+                aj, ej, mask_from_labels(swapped, aj, ej)
             )
         else:
-            new_terms = model.block_term(ai, ei, mi + (lj - li) * pi + (li - lj) * pj)
+            new_terms = model.block_term(ai, ei, mask_from_labels(swapped, ai, ei))
         if lj == 2:
             tmp = [v for v in state.s2 if v != j]
             insort(tmp, i)
@@ -1254,8 +1248,8 @@ def test_singleton_pass_leaves_the_memos_as_the_scalar_path_when_init_fails(monk
 
 def assert_valid_rows_are_fresh(state):
     """Every label row not marked stale equals a row rebuilt from the state now,
-    and every block mask the one its labels encode."""
-    assert_masks_follow_labels(state)
+    and the label key is the one the labels encode."""
+    assert_key_follows_labels(state)
     rows = state.label_rows
     fresh = mcmc.LabelRows(state.model.n_snps)
     for i in range(state.model.n_snps):
@@ -1297,25 +1291,28 @@ def rebuilt_starts(starts, proposal):
     return sorted(out | {a for a, _ in proposal.added})
 
 
-@pytest.mark.parametrize("kind", ["split", "merge", "shift"])
-def test_added_masks_equal_masks_from_labels(kind):
-    state = init_state(empty_dataset(40), flat_priors(), seed=5)
+def test_label_key_follows_labels_through_every_writer():
+    # 40 SNPs, so a block's mask and the key itself pass int64
+    n = 40
+    state = init_state(empty_dataset(n), flat_priors(), seed=5)
     side = np.random.default_rng(7)
-    made = 0
-    for _ in range(400):
-        starts, _ = random_force(side, 40, 40)
-        labels = [int(v) for v in side.integers(0, 3, size=40)]
-        force_state(state, starts, labels)
-        prop = propose_block_move(state, kind)
-        if prop is None:
-            continue
-        made += 1
-        ends = state.starts[1:] + [40]
-        first = prop.first
-        assert prop.removed == tuple(zip(state.starts, ends))[first : first + len(prop.removed)]
-        masks = mcmc.added_masks(removed_masks(state, prop), prop)
-        assert masks == [mask_from_labels(labels, a, b) for a, b in prop.added]
-    assert made > 100
+    moved = 0
+    for _ in range(200):
+        force_state(state, *random_force(side, n, n))
+        assert_key_follows_labels(state)
+        state.relabel(int(side.integers(n)), int(side.integers(3)), 0.0)
+        assert_key_follows_labels(state)
+        prop = propose_block_move(state, mcmc._choose_kind(state.rng))
+        if prop is not None:
+            apply_move(state, prop)
+            moved += 1
+            assert_key_follows_labels(state)
+        gibbs_membership_sweep(state)
+        assert_key_follows_labels(state)
+        swap_membership_move(state)
+        assert_key_follows_labels(state)
+    assert moved > 100
+    assert state.counters["gibbs_changes"] > 100 and state.counters["swap_accepted"] > 100
 
 
 def test_repartition_edits_starts_as_a_full_rebuild_would():
@@ -1336,12 +1333,10 @@ def test_repartition_edits_starts_as_a_full_rebuild_would():
             if accept(state, prop):
                 accepted[kind] += 1
                 assert state.starts == want
-                added = state.block_masks[prop.first : prop.first + len(prop.added)]
-                assert added == [mask_from_labels(state.labels, a, b) for a, b in prop.added]
-                labelled += any(added)
+                labelled += any(state.labels[prop.added[0][0] : prop.added[-1][1]])
             else:
                 assert state.starts == before
-        assert_masks_follow_labels(state)
+        assert_key_follows_labels(state)
         gibbs_membership_sweep(state)
         swap_membership_move(state)
         if t % 10 == 0:

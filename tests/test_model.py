@@ -162,11 +162,16 @@ def test_log_joint_rejects_malformed_states(starts, labels, message):
         model.log_joint(starts, labels)
 
 
-def test_mask_from_labels_ternary():
+def test_mask_from_labels_two_bits_per_snp():
     labels = [2, 0, 1, 2]
-    assert mask_from_labels(labels, 0, 4) == 2 + 0 * 3 + 1 * 9 + 2 * 27
-    assert mask_from_labels(labels, 2, 4) == 1 + 2 * 3
+    assert mask_from_labels(labels, 0, 4) == 0b10_01_00_10
     assert mask_from_labels(labels, 1, 2) == 0
+    # a block's mask is a bit slice of the whole panel's, also past int64
+    labels = [int(v) for v in np.random.default_rng(14).integers(0, 3, size=70)]
+    key = mask_from_labels(labels, 0, 70)
+    assert key > 2**64
+    for a, b in combinations(range(71), 2):
+        assert mask_from_labels(labels, a, b) == key >> 2 * a & (1 << 2 * (b - a)) - 1
 
 
 # -- block terms ---------------------------------------------------------------------
@@ -225,28 +230,32 @@ def test_block_term_never_positive():
         assert log_block_term(ds, (a, b), labels) <= 1e-12
 
 
-def labellings(width, masks):
+def labellings(rows):
     """The (subsets, inverse) pairs of the labelled and of the group-2 SNPs
-    of ternary ``masks``, subsets in order of first appearance."""
+    of the block-local label ``rows``, subsets in order of first appearance."""
 
-    def decoded(rows):
-        subsets = list(dict.fromkeys(rows))
-        return subsets, np.array([subsets.index(row) for row in rows], dtype=np.intp)
+    def decoded(subsets_per_row):
+        subsets = list(dict.fromkeys(subsets_per_row))
+        return subsets, np.array([subsets.index(row) for row in subsets_per_row], dtype=np.intp)
 
-    digits = [[m // 3**i % 3 for i in range(width)] for m in masks]
     return (
-        decoded([tuple(i for i, d in enumerate(row) if d) for row in digits]),
-        decoded([tuple(i for i, d in enumerate(row) if d == 2) for row in digits]),
+        decoded([tuple(i for i, d in enumerate(row) if d) for row in rows]),
+        decoded([tuple(i for i, d in enumerate(row) if d == 2) for row in rows]),
     )
 
 
-def assert_block_terms_match_block_term(ds, priors, a, b, masks):
+def scalar_terms(model, a, b, rows):
+    """``block_term`` of each block-local label row."""
+    return [model.block_term(a, b, mask_from_labels(row, 0, b - a)) for row in rows]
+
+
+def assert_block_terms_match_block_term(ds, priors, a, b, rows):
     """The batch gives the scalar's values, bit for bit, the same marginal
     memos and no block-term memo."""
     batch = JointModel(ds, priors)
     scalar = JointModel(ds, priors)
-    got = batch.block_terms(a, b, *labellings(b - a, masks))
-    assert got.tolist() == [scalar.block_term(a, b, m) for m in masks]
+    got = batch.block_terms(a, b, *labellings(rows))
+    assert got.tolist() == scalar_terms(scalar, a, b, rows)
     assert batch._block_terms == {}
     assert batch.engine._marg == scalar.engine._marg
     assert batch.engine._distinct == scalar.engine._distinct
@@ -257,33 +266,33 @@ def assert_block_terms_match_block_term(ds, priors, a, b, masks):
 def test_block_terms_are_bit_equal_to_block_term(width):
     rng = np.random.default_rng(60 + width)
     arms = [tuple(int(v) for v in rng.integers(1, 81, size=2)) for _ in range(2)]
-    masks = [0, 3**width - 1, *rng.integers(0, 3**width, size=80).tolist()]
-    masks += masks[2:7]  # repeated masks
+    rows = [[0] * width, [2] * width, *rng.integers(0, 3, size=(80, width)).tolist()]
+    rows += rows[2:7]  # repeated labellings
     priors = [flat_priors(), flat_priors(p1=0.0), flat_priors(p2=0.0)]
     for (n_cases, n_controls), prior in zip(arms + [(0, 0)], priors):
         ds = random_dataset(rng, n_cases, n_controls, width + 3)
         a = int(rng.integers(0, 4))
-        assert_block_terms_match_block_term(ds, prior, a, a + width, masks)
+        assert_block_terms_match_block_term(ds, prior, a, a + width, rows)
 
 
 def test_block_terms_of_a_block_wider_than_an_int64_mask():
     rng = np.random.default_rng(72)
     ds = random_dataset(rng, 3, 3, 42)
-    masks = [0, 3**41 - 1, 2 * 3**40, *(int(m) for m in rng.integers(0, 2**62, size=6))]
-    assert_block_terms_match_block_term(ds, flat_priors(), 1, 42, masks)
+    rows = [[0] * 41, [2] * 41, [0] * 40 + [2], *rng.integers(0, 3, size=(6, 41)).tolist()]
+    assert_block_terms_match_block_term(ds, flat_priors(), 1, 42, rows)
 
 
 def test_blocks_of_one_width_share_a_decode_but_not_its_values():
     rng = np.random.default_rng(73)
     ds = random_dataset(rng, 60, 50, 10)
-    masks = range(3**4)
-    decoded = labellings(4, masks)
+    rows = list(product(range(3), repeat=4))
+    decoded = labellings(rows)
     batch = JointModel(ds, flat_priors())
     scalar = JointModel(ds, flat_priors())
     first = batch.block_terms(0, 4, *decoded)
     second = batch.block_terms(5, 9, *decoded)
-    assert first.tolist() == [scalar.block_term(0, 4, m) for m in masks]
-    assert second.tolist() == [scalar.block_term(5, 9, m) for m in masks]
+    assert first.tolist() == scalar_terms(scalar, 0, 4, rows)
+    assert second.tolist() == scalar_terms(scalar, 5, 9, rows)
     assert first.tolist() != second.tolist()
     assert batch._block_terms == {}
     assert batch.engine._marg == scalar.engine._marg
@@ -292,12 +301,12 @@ def test_blocks_of_one_width_share_a_decode_but_not_its_values():
 def test_block_terms_of_a_block_over_the_cap_are_minus_infinity():
     rng = np.random.default_rng(71)
     ds = random_dataset(rng, 40, 40, 4)
-    masks = list(range(3**4))
+    rows = list(product(range(3), repeat=4))
     over = flat_priors(max_distinct_diplotypes=20, max_order=2)
-    capped = assert_block_terms_match_block_term(ds, over, 0, 4, masks)
+    capped = assert_block_terms_match_block_term(ds, over, 0, 4, rows)
     assert (capped == -math.inf).all()
     under = flat_priors(max_distinct_diplotypes=80, max_order=2)
-    within = assert_block_terms_match_block_term(ds, under, 0, 4, masks)
+    within = assert_block_terms_match_block_term(ds, under, 0, 4, rows)
     assert np.isfinite(within).all()
 
 

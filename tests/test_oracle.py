@@ -10,7 +10,7 @@ import pytest
 from scipy.special import logsumexp
 
 import helpers
-from beamscan.model import ConstraintError, JointModel
+from beamscan.model import ConstraintError, JointModel, mask_from_labels
 from beamscan.oracle import ORACLE_MAX_SNPS, OracleGuardError, enumerate_posterior
 
 
@@ -201,15 +201,14 @@ def reference_enumerate_posterior(dataset, priors, model_cls=JointModel):
             return weight_cache[key]
         w = b - a
         free = [j for j in range(w) if j not in t_local]
-        base = sum(2 * 3**j for j in t_local)
         terms, bits = [], []
         for sigma in product((0, 1), repeat=len(free)):
-            mask = base
+            labels = [2] * w
             prior = 0.0
             for j, lab in zip(free, sigma):
-                mask += lab * 3**j
+                labels[j] = lab
                 prior += log_label01[lab]
-            terms.append(model.block_term(a, b, mask) + prior)
+            terms.append(model.block_term(a, b, mask_from_labels(labels, 0, w)) + prior)
             bits.append(sigma)
         terms_arr = np.asarray(terms)
         log_w = float(logsumexp(terms_arr))
@@ -321,7 +320,7 @@ def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
     built = []
 
     class RecordingModel(JointModel):
-        """Records each ``block_terms`` value by (start, end, ternary mask)."""
+        """Records each ``block_terms`` value by (start, end, label mask)."""
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
@@ -332,7 +331,10 @@ def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
             values = super().block_terms(a, b, labelled, group2)
             (x, x_rows), (x2, x2_rows) = labelled, group2
             for i, j, value in zip(x_rows.tolist(), x2_rows.tolist(), values.tolist()):
-                mask = sum(3**k for k in x[i]) + sum(3**k for k in x2[j])
+                labels = [0] * (b - a)
+                for k in x[i] + x2[j]:
+                    labels[k] += 1
+                mask = mask_from_labels(labels, 0, b - a)
                 assert (a, b, mask) not in self.evaluated
                 self.evaluated[a, b, mask] = value
             return values
