@@ -16,7 +16,8 @@ byte-identical for canonical input.
 
 ``load_dataset`` decodes a data section in which every token is one of
 ``0``/``1``/``2`` and every line ends in a newline, so that every line has
-the same width, as one byte array through a 256-entry table. Any other data
+the same width, as one byte array: each code is its byte less that of
+``0``, in uint8, so any other byte wraps around to above 2. Any other data
 section (one with an error, a missing token, a blank line or no newline after
 its last line) goes to the per-line scan, which exists for those cases: it
 reports each error with its line number and, under the ``impute`` policy,
@@ -38,8 +39,6 @@ import numpy as np
 
 MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
-_BYTE_CODES = np.full(256, 255, dtype=np.uint8)  # byte value -> genotype code, 255 for none
-_BYTE_CODES[[ord(tok) for tok in _CODE_MAP]] = list(_CODE_MAP.values())
 _COUNT_CELLS = 1 << 22  # genotype codes compared at a time by genotype_counts
 
 
@@ -220,7 +219,8 @@ def _fixed_width_codes(raw: np.ndarray, n_snps: int) -> np.ndarray | None:
     separators[-1] = ord("\n")
     if not (lines[:, 1::2] == separators).all():
         return None
-    codes = _BYTE_CODES[lines[:, 0::2]]
+    # uint8 arithmetic: a byte below "0" wraps around to a code above 2
+    codes = lines[:, 0::2] - ord("0")
     if codes.size and (codes.max() > 2 or codes[:, 0].max() > 1):
         return None
     return codes.view(np.int8)

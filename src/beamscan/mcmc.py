@@ -76,6 +76,7 @@ import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on first use
@@ -201,6 +202,9 @@ KIND_SPLIT = "split"
 KIND_MERGE = "merge"
 KIND_SHIFT = "shift"
 _KIND_PROBS = ((KIND_SPLIT, 0.1), (KIND_MERGE, 0.1), (KIND_SHIFT, 0.8))
+# the running sums of _KIND_PROBS in order (0.1, 0.2): a uniform below the
+# first picks split, below the second merge, and any other shift
+_SPLIT_CUT, _MERGE_CUT, _ = accumulate(p for _, p in _KIND_PROBS)
 # each acceptance rate with the counters it divides: accepted (or changed) over proposed (or drawn)
 _RATES = (
     *((kind, f"{kind}_accepted", f"{kind}_proposed") for kind, _ in _KIND_PROBS),
@@ -244,7 +248,7 @@ class PosteriorSummary:
     kernel_s: dict[str, float] = field(default_factory=dict)  # seconds in block moves, sweeps and swap passes
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockProposal:
     """One proposed partition change with its Hastings log-ratio.
 
@@ -667,12 +671,9 @@ def _add_label_run(marg, epi, set_counts, m1, m2, run: int) -> None:
 
 def _choose_kind(rng: np.random.Generator) -> str:
     u = rng.random()
-    acc = 0.0
-    for kind, p in _KIND_PROBS:
-        acc += p
-        if u < acc:
-            return kind
-    return _KIND_PROBS[-1][0]
+    if u < _SPLIT_CUT:
+        return KIND_SPLIT
+    return KIND_MERGE if u < _MERGE_CUT else KIND_SHIFT
 
 
 def run_chain(

@@ -159,6 +159,9 @@ class JointModel:
 
         ``mask`` is ``mask_from_labels(labels, a, b)``: two bits per SNP,
         SNP ``a`` lowest. Returns -inf for a block over the diplotype cap.
+        An unlabelled block's term (``mask == 0``) is its combined-cohort
+        marginal: its other five marginals are the empty set's 0.0, and
+        adding or subtracting 0.0 leaves a marginal bit for bit as it is.
         """
         key = (a, b, mask)
         hit = self._block_terms.get(key)
@@ -167,6 +170,9 @@ class JointModel:
         if not self.block_allowed(a, b):
             self._block_terms[key] = NEG_INF
             return NEG_INF
+        if not mask:
+            value = self._block_terms[key] = self.engine.marginal(tuple(range(a, b)), WHO_BOTH)
+            return value
         x: list[int] = []
         x2: list[int] = []
         m = mask

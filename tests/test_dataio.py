@@ -399,6 +399,22 @@ def test_imputed_panels_load_alike_by_either_path(tmp_path, monkeypatch, tokens,
         load_dataset(path)
 
 
+def test_fixed_width_decode_declines_every_byte_but_the_codes():
+    section = b"1\t0\t1\t2\n0\t2\t2\t0\n"
+    got = dataio._fixed_width_codes(np.frombuffer(section, np.uint8), 3)
+    want = dataio._scan_rows(section.decode("ascii").splitlines(), 3, impute=False)
+    assert got.dtype == np.int8 and np.array_equal(got, want)
+    # each other byte, in the phenotype cell and the first and last code
+    # cells of the first and the last row
+    for row in (0, 1):
+        for col, valid in ((0, b"01"), (1, b"012"), (3, b"012")):
+            for byte in set(range(256)) - set(valid):
+                cells = bytearray(section)
+                cells[8 * row + 2 * col] = byte
+                raw = np.frombuffer(bytes(cells), np.uint8)
+                assert dataio._fixed_width_codes(raw, 3) is None, (row, col, byte)
+
+
 def test_invalid_code_on_the_last_of_four_thousand_rows_names_its_line(tmp_path):
     rng = np.random.default_rng(41)
     text, _, _ = random_panel_text(rng, 2000, 2000, 20)

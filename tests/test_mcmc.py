@@ -137,6 +137,32 @@ def test_inapplicable_moves_return_none():
         propose_block_move(two, "grow")
 
 
+class ScriptedUniforms:
+    """A draw source whose ``random()`` returns the given floats in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_move_kind_cut_points_are_the_running_sums_of_the_kind_probabilities():
+    draws = [math.nextafter(0.1, 0), 0.1, math.nextafter(0.2, 0), 0.2, math.nextafter(1.0, 0)]
+
+    def by_accumulation(u):
+        acc = 0.0
+        for kind, p in mcmc._KIND_PROBS:
+            acc += p
+            if u < acc:
+                return kind
+
+    rng = ScriptedUniforms(draws)
+    got = [mcmc._choose_kind(rng) for _ in draws]
+    assert got == ["split", "merge", "merge", "shift", "shift"]
+    assert got == [by_accumulation(u) for u in draws]
+
+
 def test_accept_probability_matches_log_ratio():
     # empty data, p = 1/3: splitting a 2-SNP block has acceptance odds
     # exp(log(p) - log(1-p)) = 1/2 exactly

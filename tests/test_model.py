@@ -185,6 +185,22 @@ def test_block_term_all_group0_collapses_to_marginal():
     assert got == pytest.approx(ref_marginal(both), abs=1e-10)
 
 
+@pytest.mark.parametrize("cap", [NEVER_BINDS, 6], ids=["no-cap", "cap-binds"])
+@pytest.mark.parametrize("width", range(1, 7))
+def test_unlabelled_block_term_is_the_combined_marginal_bit_for_bit(width, cap):
+    rng = np.random.default_rng(20 + width)
+    ds = random_dataset(rng, 8, 6, 8)
+    a, b = 1, 1 + width
+    whole = tuple(range(a, b))
+    model = JointModel(ds, flat_priors(max_distinct_diplotypes=cap))
+    got = model.block_term(a, b, 0)
+    marginal = model.engine.marginal(whole, "both")
+    assert got == (marginal if model.engine.distinct_count(whole) <= cap else -math.inf)
+    # the memos hold what the six-marginal sum left: the empty set's 0.0 is never memoized
+    assert list(model._block_terms) == [(a, b, 0)]
+    assert list(model.engine._marg) == [(whole, "both")]
+
+
 def test_block_term_all_group2_is_zero():
     rng = np.random.default_rng(3)
     ds = random_dataset(rng, 8, 6, 3)
