@@ -185,7 +185,7 @@ def test_block_term_all_group0_collapses_to_marginal():
     assert got == pytest.approx(ref_marginal(both), abs=1e-10)
 
 
-@pytest.mark.parametrize("cap", [NEVER_BINDS, 6], ids=["no-cap", "cap-binds"])
+@pytest.mark.parametrize("cap", [NEVER_BINDS, 6], ids=["no-cap", "cap-6"])
 @pytest.mark.parametrize("width", range(1, 7))
 def test_unlabelled_block_term_is_the_combined_marginal_bit_for_bit(width, cap):
     rng = np.random.default_rng(20 + width)
