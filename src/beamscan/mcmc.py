@@ -202,9 +202,9 @@ KIND_SPLIT = "split"
 KIND_MERGE = "merge"
 KIND_SHIFT = "shift"
 _KIND_PROBS = ((KIND_SPLIT, 0.1), (KIND_MERGE, 0.1), (KIND_SHIFT, 0.8))
-# the running sums of _KIND_PROBS in order (0.1, 0.2): a uniform below the
-# first picks split, below the second merge, and any other shift
-_SPLIT_CUT, _MERGE_CUT, _ = accumulate(p for _, p in _KIND_PROBS)
+# the running sums of _KIND_PROBS in order (0.1, 0.2, 1.0): a uniform picks
+# the first kind whose sum is above it
+_KIND_CUTS = tuple(accumulate(p for _, p in _KIND_PROBS))
 # each acceptance rate with the counters it divides: accepted (or changed) over proposed (or drawn)
 _RATES = (
     *((kind, f"{kind}_accepted", f"{kind}_proposed") for kind, _ in _KIND_PROBS),
@@ -248,7 +248,7 @@ class PosteriorSummary:
     kernel_s: dict[str, float] = field(default_factory=dict)  # seconds in block moves, sweeps and swap passes
 
 
-@dataclass(slots=True)
+@dataclass
 class BlockProposal:
     """One proposed partition change with its Hastings log-ratio.
 
@@ -670,10 +670,7 @@ def _add_label_run(marg, epi, set_counts, m1, m2, run: int) -> None:
 
 
 def _choose_kind(rng: np.random.Generator) -> str:
-    u = rng.random()
-    if u < _SPLIT_CUT:
-        return KIND_SPLIT
-    return KIND_MERGE if u < _MERGE_CUT else KIND_SHIFT
+    return _KIND_PROBS[bisect_right(_KIND_CUTS, rng.random())][0]
 
 
 def run_chain(

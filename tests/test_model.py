@@ -183,22 +183,20 @@ def test_block_term_all_group0_collapses_to_marginal():
     got = log_block_term(ds, (0, 3), [0, 0, 0])
     both = np.vstack([ds.cases, ds.controls])
     assert got == pytest.approx(ref_marginal(both), abs=1e-10)
-
-
-@pytest.mark.parametrize("cap", [NEVER_BINDS, 6], ids=["no-cap", "cap-6"])
-@pytest.mark.parametrize("width", range(1, 7))
-def test_unlabelled_block_term_is_the_combined_marginal_bit_for_bit(width, cap):
-    rng = np.random.default_rng(20 + width)
-    ds = random_dataset(rng, 8, 6, 8)
-    a, b = 1, 1 + width
-    whole = tuple(range(a, b))
-    model = JointModel(ds, flat_priors(max_distinct_diplotypes=cap))
-    got = model.block_term(a, b, 0)
-    marginal = model.engine.marginal(whole, "both")
-    assert got == (marginal if model.engine.distinct_count(whole) <= cap else -math.inf)
-    # the memos hold what the six-marginal sum left: the empty set's 0.0 is never memoized
-    assert list(model._block_terms) == [(a, b, 0)]
-    assert list(model.engine._marg) == [(whole, "both")]
+    # the five other marginals are the empty set's 0.0, so the six-marginal
+    # sum is the combined one bit for bit, and only the block's own entries
+    # are memoized; a cap of 6 binds from width 2 on
+    for width, cap in product(range(1, 7), (NEVER_BINDS, 6)):
+        ds = random_dataset(np.random.default_rng(20 + width), 8, 6, 8)
+        a, b = 1, 1 + width
+        whole = tuple(range(a, b))
+        model = JointModel(ds, flat_priors(max_distinct_diplotypes=cap))
+        got = model.block_term(a, b, 0)
+        marginal = model.engine.marginal(whole, "both")
+        want = marginal if model.engine.distinct_count(whole) <= cap else -math.inf
+        assert got == want, (width, cap)
+        assert list(model._block_terms) == [(a, b, 0)]
+        assert list(model.engine._marg) == [(whole, "both")]
 
 
 def test_block_term_all_group2_is_zero():
