@@ -46,11 +46,13 @@ import numpy as np
 from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on first use
 
 from .dataio import GenotypeDataset
-from .likelihood import _pack_matrix, log_marginal
+from .likelihood import RHO_DEFAULT, _pack_matrix, log_marginal
 from .model import ConstraintError
 
 PERM_BATCH = 256  # permutation replicates evaluated per batch
 MAX_SET_SIZE = 646  # the largest M whose 3^M - 1 degrees of freedom fit a float
+N_PERM_DEFAULT = 1000  # permutation replicates per set
+N_PERM_MIN = 500  # the fewest replicates that a calibration or a shift-constant fit takes
 
 
 @dataclass
@@ -126,7 +128,7 @@ def _validated_set(dataset: GenotypeDataset, snp_set) -> tuple[int, ...]:
     return snps
 
 
-def bstat(dataset: GenotypeDataset, snp_set, rho: float = 1.5) -> float:
+def bstat(dataset: GenotypeDataset, snp_set, rho: float = RHO_DEFAULT) -> float:
     """Log Bayes factor of joint association for ``snp_set``."""
     snps = _validated_set(dataset, snp_set)
     kernel = _SetKernel(dataset, snps, rho)
@@ -136,8 +138,8 @@ def bstat(dataset: GenotypeDataset, snp_set, rho: float = 1.5) -> float:
 def permutation_null(
     dataset: GenotypeDataset,
     snp_set,
-    rho: float = 1.5,
-    n_perm: int = 1000,
+    rho: float = RHO_DEFAULT,
+    n_perm: int = N_PERM_DEFAULT,
     seed: int = 0,
 ) -> np.ndarray:
     """Statistic values under ``n_perm`` random case/control relabelings."""
@@ -250,17 +252,17 @@ def analytic_shift(n_cases: int, n_controls: int, m: int, c: float) -> float:
 def fit_shift_constant(
     dataset: GenotypeDataset,
     snp_set,
-    rho: float = 1.5,
-    n_perm: int = 1000,
+    rho: float = RHO_DEFAULT,
+    n_perm: int = N_PERM_DEFAULT,
     seed: int = 0,
 ) -> float:
     """Fit the analytic shift constant c by matching the permutation median.
 
-    Like permutation calibration, the fit needs at least 500 replicates.
+    Like permutation calibration, the fit needs at least ``N_PERM_MIN`` replicates.
     """
     snps = _validated_set(dataset, snp_set)
-    if n_perm < 500:
-        raise ValueError("fitting the shift constant needs n_perm >= 500")
+    if n_perm < N_PERM_MIN:
+        raise ValueError(f"fitting the shift constant needs n_perm >= {N_PERM_MIN}")
     unit_shift = analytic_shift(dataset.n_cases, dataset.n_controls, len(snps), 1.0)
     if unit_shift == 0.0:
         raise ValueError(
@@ -275,16 +277,16 @@ def fit_shift_constant(
 def null_calibration(
     dataset: GenotypeDataset,
     snp_set,
-    rho: float = 1.5,
+    rho: float = RHO_DEFAULT,
     mode: str = "permutation",
-    n_perm: int = 1000,
+    n_perm: int = N_PERM_DEFAULT,
     seed: int = 0,
     shift_constant: float | None = None,
 ) -> NullCalibration:
     """Build the null reference for ``snp_set`` in ``dataset``.
 
     The cohort sizes and the set size come from the two. Permutation mode
-    (the default) needs at least 500 replicates. Analytic mode needs
+    (the default) needs at least ``N_PERM_MIN`` replicates. Analytic mode needs
     ``shift_constant``, as returned by :func:`fit_shift_constant` for a set
     of the same size.
     """
@@ -292,8 +294,8 @@ def null_calibration(
     _check_cohorts(dataset.n_cases, dataset.n_controls)
     df = 3 ** len(snps) - 1
     if mode == "permutation":
-        if n_perm < 500:
-            raise ValueError("permutation calibration needs n_perm >= 500")
+        if n_perm < N_PERM_MIN:
+            raise ValueError(f"permutation calibration needs n_perm >= {N_PERM_MIN}")
         null = permutation_null(dataset, snps, rho=rho, n_perm=n_perm, seed=seed)
         shift = _median_shift(null, df)
         return NullCalibration(mode="permutation", df=df, shift=shift, null_values=null)

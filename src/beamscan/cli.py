@@ -26,6 +26,8 @@ import numpy as np
 
 from . import __version__
 from .bstat import (
+    N_PERM_DEFAULT,
+    N_PERM_MIN,
     BStatResult,
     bstat,
     fit_shift_constant,
@@ -41,7 +43,7 @@ from .dataio import (
     read_text,
     write_dataset,
 )
-from .likelihood import RHO_RULE, rho_is_valid
+from .likelihood import RHO_DEFAULT, RHO_RULE, rho_is_valid
 from .mcmc import Schedule, default_schedule, run_chains
 from .model import ConstraintError, PriorConfig, default_priors
 from .oracle import enumerate_posterior
@@ -111,7 +113,7 @@ def _add_io_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_prior_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rho", type=_rho_arg, default=1.5, help="Dirichlet scale")
+    sub.add_argument("--rho", type=_rho_arg, default=RHO_DEFAULT, help="Dirichlet scale")
     sub.add_argument(
         "--prior-blocks",
         type=_positive_float,
@@ -371,9 +373,9 @@ def score_sets(
     sets,
     alpha: float,
     n_tests: int | None = None,
-    rho: float = 1.5,
+    rho: float = RHO_DEFAULT,
     mode: str = "permutation",
-    n_perm: int = 1000,
+    n_perm: int = N_PERM_DEFAULT,
     seed: int = 0,
 ) -> list[BStatResult]:
     """Test each SNP set in order and flag Bonferroni significance.
@@ -526,13 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--calibration", choices=("permutation", "analytic"), default="permutation"
     )
     p_bstat.add_argument(
-        "--n-perm", type=_int_at_least(500), default=1000, help="permutation replicates"
+        "--n-perm", type=_int_at_least(N_PERM_MIN), default=N_PERM_DEFAULT, help="permutation replicates"
     )
     p_bstat.add_argument("--alpha", type=_unit_open, default=0.05, help="family-wise level")
     p_bstat.add_argument(
         "--n-tests", type=_positive_int, default=None, help="Bonferroni divisor (default C(L, M))"
     )
-    p_bstat.add_argument("--rho", type=_rho_arg, default=1.5, help="Dirichlet scale")
+    p_bstat.add_argument("--rho", type=_rho_arg, default=RHO_DEFAULT, help="Dirichlet scale")
     p_bstat.add_argument("--seed", type=_nonneg_int, default=0, help="permutation RNG seed")
     p_bstat.set_defaults(func=cmd_bstat)
 

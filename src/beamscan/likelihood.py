@@ -206,6 +206,7 @@ def _lngamma(a: float, k):
     return _LNGAMMA[a][k]
 
 
+RHO_DEFAULT = 1.5
 RHO_MAX = 1e8
 RHO_RULE = "must be finite and positive, with a finite lnGamma(rho), and at most 1e8"
 
@@ -312,7 +313,7 @@ class LikelihoodEngine:
     identical subsets are never recounted.
     """
 
-    def __init__(self, dataset: GenotypeDataset, rho: float = 1.5):
+    def __init__(self, dataset: GenotypeDataset, rho: float = RHO_DEFAULT):
         self.rho = checked_rho(rho)  # before any table is built for it
         self.n_cases = dataset.n_cases
         self.n_controls = dataset.n_controls

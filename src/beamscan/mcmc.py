@@ -35,20 +35,22 @@ reads once, finds both blocks by bisection, evaluates the current group-2
 term only when a step first needs it and again after an accepted swap
 changed the set, and bumps its counters once.
 
-``run_chain`` tallies samples in runs, as it does for the partition: it
-holds the label-1 and label-2 lists of the last change with the number of
-samples taken of them, and adds that run to the label tallies and the
-interaction-set counts when either list differs from the held one. Counts
-are integers, so the float sums equal a per-sample tally exactly. When it
-will sweep labels, it first has the engine memoize every SNP's case/control
-singleton marginals in one array pass (``LikelihoodEngine.prefetch_singletons``),
-as ``ChainState`` does for the combined cohort before its cap check.
+``run_chain`` tallies samples in runs. It holds one record, the block starts
+and the label-1 and label-2 lists as they stood after the state's last write,
+with the number of samples taken of it, and adds that run to the boundary
+and label tallies and the interaction-set counts whenever the state's
+``version`` shows a write since. Counts are integers, so the float sums equal
+a per-sample tally exactly, also when a write left the record as it was.
+When it will sweep labels, it first has the engine memoize every SNP's
+case/control singleton marginals in one array pass
+(``LikelihoodEngine.prefetch_singletons``), as ``ChainState`` does for the
+combined cohort before the model's singleton cap check.
 
 The labels are kept a second time as one panel-wide ``label_key``,
 ``mask_from_labels(labels, 0, n)``. The mask of any block is a bit slice of
 it (``ChainState.block_mask``) whatever the partition, so a block move reads
 its removed and added blocks' masks from the key, ``relabel`` sets one SNP's
-two bits, and ``repartition`` edits only the start list. A block proposal
+two bits, and ``repartition`` edits only the boundary list. A block proposal
 names the blocks it removes and adds and the index of the first removed one,
 so drawing one costs the same at any partition size.
 
@@ -83,12 +85,7 @@ from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on
 
 from .dataio import GenotypeDataset
 from .likelihood import WHO_BOTH, WHO_CASES
-from .model import (
-    ConstraintError,
-    JointModel,
-    PriorConfig,
-    mask_from_labels,
-)
+from .model import JointModel, PriorConfig, mask_from_labels
 
 _BLOCK_WORDS = 64  # the raw words a draw source reads at a time
 _REWIND = 1 << 128  # PCG64's period: advancing by _REWIND - k steps the state back k words
@@ -333,15 +330,17 @@ class LabelRows:
 class ChainState:
     """Mutable sampler state bound to one :class:`JointModel`.
 
-    Tracks the partition (block start list), labels, the panel-wide
+    Tracks the partition as ``bounds``, the block starts followed by n, so
+    block k is ``[bounds[k], bounds[k + 1])``; the labels; the panel-wide
     ``label_key`` (``mask_from_labels(labels, 0, n)``, a Python int: 32 or
-    more SNPs overflow int64), the sorted SNP list of each label
+    more SNPs overflow int64); the sorted SNP list of each label
     (``members``; ``members[2]`` is the group-2 set ``s2``) and
-    ``running_log_joint``, the joint log probability of the state, all kept
-    up to date by the writers :meth:`assign`, :meth:`relabel` and
-    :meth:`repartition`. ``repartitions`` counts the writes that changed the
-    partition. ``state.model.log_joint(state.starts, state.labels)``
-    recomputes the log joint from scratch.
+    ``running_log_joint``, the joint log probability of the state. The
+    writers :meth:`assign`, :meth:`relabel` and :meth:`repartition` keep them
+    all up to date, and each bumps ``version``, so a reader that holds a
+    ``version`` knows whether anything changed since.
+    ``state.model.log_joint(state.bounds[:-1], state.labels)`` recomputes the
+    log joint from scratch.
     """
 
     def __init__(self, model: JointModel, rng: BlockDraws | np.random.Generator):
@@ -349,30 +348,26 @@ class ChainState:
         self.rng = rng
         n = model.n_snps
         self.counters: dict[str, int] = {}
-        self.repartitions = 0
+        self.version = 0
         self.label_rows = LabelRows(n)
         model.engine.prefetch_singletons(WHO_BOTH)  # every singleton block's cap check reads one
-        for i in range(n):
-            if not model.block_allowed(i, i + 1):
-                raise ConstraintError(
-                    f"SNP {i} exceeds the diplotype cap even as a singleton block; "
-                    "no admissible state exists"
-                )
+        model.check_singletons()
         self.assign(range(n), [0] * n)
 
     def assign(self, starts, labels) -> None:
         """Put the state at the partition with block ``starts`` and the per-SNP
         ``labels``, recomputing every derived field and the log joint."""
         n = self.model.n_snps
-        self.starts: list[int] = [int(a) for a in starts]
+        starts = [int(a) for a in starts]
+        self.bounds: list[int] = starts + [n]
         self.labels: list[int] = [int(v) for v in labels]
         self.label_key = mask_from_labels(self.labels, 0, n)
         self.members: list[list[int]] = [[], [], []]
         for i, lab in enumerate(self.labels):
             self.members[lab].append(i)
         self.label_rows.stale[:] = True
-        self.repartitions += 1
-        self.running_log_joint = self.model.log_joint(self.starts, self.labels)
+        self.version += 1
+        self.running_log_joint = self.model.log_joint(starts, self.labels)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -386,9 +381,9 @@ class ChainState:
 
     def block_of(self, snp: int) -> tuple[int, int]:
         """The start and end of the block that holds ``snp``."""
-        k = bisect_right(self.starts, snp) - 1
-        end = self.starts[k + 1] if k + 1 < len(self.starts) else self.model.n_snps
-        return self.starts[k], end
+        bounds = self.bounds
+        k = bisect_right(bounds, snp) - 1
+        return bounds[k], bounds[k + 1]
 
     def block_mask(self, a: int, b: int) -> int:
         """The label mask of SNPs [a, b): a bit slice of ``label_key``."""
@@ -412,19 +407,20 @@ class ChainState:
             a, b = 0, self.model.n_snps
         self.label_rows.stale[a:b] = True
         self.running_log_joint += delta
+        self.version += 1
         return a, b
 
     def repartition(self, proposal: BlockProposal, delta: float) -> None:
         """Apply an accepted block move whose log-joint change is ``delta``.
 
-        The added blocks' starts replace the removed blocks' slice of the
-        start list; the rows of the SNPs they cover go stale.
+        The added blocks' starts replace the removed blocks' starts in
+        ``bounds``; the rows of the SNPs they cover go stale.
         """
         self.running_log_joint += delta
-        self.repartitions += 1
+        self.version += 1
         added = proposal.added
         k, r = proposal.first, len(proposal.removed)
-        self.starts[k : k + r] = [a for a, _ in added]
+        self.bounds[k : k + r] = [a for a, _ in added]
         self.label_rows.stale[added[0][0] : added[-1][1]] = True
 
     def log_joint(self) -> float:
@@ -444,14 +440,13 @@ def init_state(dataset: GenotypeDataset, priors: PriorConfig, seed: int) -> Chai
 
 def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
     """Draw one partition proposal; ``None`` marks an inapplicable no-op."""
-    starts = state.starts
-    nb = len(starts)
-    n = state.model.n_snps
+    bounds = state.bounds
+    nb = len(bounds) - 1
     rng = state.rng
     if kind == KIND_SPLIT:
         k = int(rng.integers(nb))
-        a = starts[k]
-        b = starts[k + 1] if k + 1 < nb else n
+        a = bounds[k]
+        b = bounds[k + 1]
         w = b - a
         if w < 2:
             return None
@@ -464,9 +459,9 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         if nb < 2:
             return None
         k = int(rng.integers(nb - 1))
-        a = starts[k]
-        mid = starts[k + 1]
-        b = starts[k + 2] if k + 2 < nb else n
+        a = bounds[k]
+        mid = bounds[k + 1]
+        b = bounds[k + 2]
         # forward: pick pair (1/(nb-1)); reverse split picks the merged block
         # (1/(nb-1)) and the former cut (1/(w-1)).
         log_q_ratio = -math.log(b - a - 1)
@@ -475,18 +470,15 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         if nb < 2:
             return None
         k = 1 + int(rng.integers(nb - 1))  # never the fixed first boundary
-        t = starts[k]
-        lo = starts[k - 1] + 1
-        hi = (starts[k + 1] if k + 1 < nb else n) - 1
-        n_targets = hi - lo  # positions in [lo, hi] minus the current one
+        a = bounds[k - 1]
+        t = bounds[k]
+        b = bounds[k + 1]
+        n_targets = b - a - 2  # positions in [a + 1, b - 1] minus the current one
         if n_targets < 1:
             return None
-        pick = int(rng.integers(n_targets))
-        new_t = lo + pick
+        new_t = a + 1 + int(rng.integers(n_targets))
         if new_t >= t:
             new_t += 1
-        a = starts[k - 1]
-        b = starts[k + 1] if k + 1 < nb else n
         # neighbours are unchanged, so the reverse move has the same n_targets
         # choices and the proposal is symmetric
         return BlockProposal(kind, k - 1, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
@@ -567,7 +559,7 @@ def swap_membership_move(state: ChainState) -> int:
 
     Every step draws ``integers(n_pairs)`` and then ``random()``, whatever
     the outcome, so the pass binds what it reads once: the draw methods, the
-    model's term methods, the start list and the state's ``block_mask``. The
+    model's term methods, the boundary list and the state's ``block_mask``. The
     group-2 term of the current set is evaluated at the first step that
     needs it and taken over from the proposal after an accepted group-2
     swap; the counters are bumped once per pass.
@@ -585,11 +577,9 @@ def swap_membership_move(state: ChainState) -> int:
     integers = state.rng.integers
     random = state.rng.random
     exp = math.exp
-    starts = state.starts
+    bounds = state.bounds
     mask = state.block_mask
     s2 = members[2]  # the state's sorted group-2 list, which relabel keeps current
-    nb = len(starts)
-    n = model.n_snps
     # the pass's own copies: an accepted swap puts each SNP in the other's place
     members = [list(m) for m in members]
     g2_cur = None  # group2_term of the current group-2 set, once a step needed it
@@ -609,16 +599,16 @@ def swap_membership_move(state: ChainState) -> int:
         i = members[li][ki]
         j = members[lj][kj]
 
-        k = bisect_right(starts, i) - 1
-        ai = starts[k]
-        bi = starts[k + 1] if k + 1 < nb else n
+        k = bisect_right(bounds, i) - 1
+        ai = bounds[k]
+        bi = bounds[k + 1]
         mi = mask(ai, bi)
         di = (lj - li) << 2 * (i - ai)
         old_terms = block_term(ai, bi, mi)
         if j < ai or j >= bi:
-            k = bisect_right(starts, j) - 1
-            aj = starts[k]
-            bj = starts[k + 1] if k + 1 < nb else n
+            k = bisect_right(bounds, j) - 1
+            aj = bounds[k]
+            bj = bounds[k + 1]
             mj = mask(aj, bj)
             old_terms += block_term(aj, bj, mj)
             new_terms = block_term(ai, bi, mi + di) + block_term(aj, bj, mj + ((li - lj) << 2 * (j - aj)))
@@ -657,13 +647,27 @@ _PROPOSED = {kind: f"{kind}_proposed" for kind, _ in _KIND_PROBS}
 _ACCEPTED = {kind: f"{kind}_accepted" for kind, _ in _KIND_PROBS}
 
 
-def _add_label_run(marg, epi, set_counts, m1, m2, run: int) -> None:
-    """Add ``run`` samples of the label-1 list ``m1`` and the label-2 list
-    ``m2`` to the label tallies, and of ``m2`` to the interaction-set counts
-    when it holds two SNPs or more."""
+def _record(state: ChainState) -> tuple[list[int], list[int], list[int]]:
+    """Copies of what a sample tallies: the block starts and the label-1 and label-2 lists."""
+    return state.bounds[:-1], list(state.members[1]), list(state.members[2])
+
+
+def _add_run(bound, marg, epi, set_counts, record, run: int) -> None:
+    """Add ``run`` samples of ``record`` to the boundary and label tallies,
+    and of its label-2 list to the interaction-set counts when it holds two
+    SNPs or more.
+
+    The tallies are Python lists: adding to a few hundred entries by a loop
+    costs about a fifth of numpy's indexed add from a list of indices.
+    """
     if run:
-        marg[m1] += run
-        epi[m2] += run
+        starts, m1, m2 = record
+        for i in starts:
+            bound[i] += run
+        for i in m1:
+            marg[i] += run
+        for i in m2:
+            epi[i] += run
         if len(m2) >= 2:
             key = tuple(m2)
             set_counts[key] = set_counts.get(key, 0) + run
@@ -693,17 +697,14 @@ def run_chain(
     if sample_membership and total_iters:
         state.model.engine.prefetch_singletons(WHO_CASES)
     n = dataset.n_snps
-    marg = np.zeros(n)
-    epi = np.zeros(n)
-    bound = np.zeros(n)
+    marg = [0] * n
+    epi = [0] * n
+    bound = [0] * n
     set_counts: dict[tuple[int, ...], int] = {}
     trace: list[float] = []
-    # Samples taken of the partition ``held_starts`` since it last changed,
-    # which was at the state's ``held_version``-th repartition.
-    held_starts, held_version, held = list(state.starts), state.repartitions, 0
-    # Samples taken of the label-1 and label-2 lists ``held_m1`` and ``held_m2``
-    # since either last changed; a change is seen by comparing the lists.
-    held_m1, held_m2, held_labels = list(state.members[1]), list(state.members[2]), 0
+    # ``run`` samples taken of the record ``held`` since the state's
+    # ``held_version``-th write, the last one before them
+    held, held_version, run = _record(state), state.version, 0
     progress = max(1, total_iters // 10)
     rng = state.rng
     clock = time.perf_counter
@@ -728,32 +729,25 @@ def run_chain(
             swap_s += clock() - swept
         if t >= schedule.burnin:
             trace.append(state.log_joint())
-            if state.repartitions != held_version:
-                bound[held_starts] += held
-                held_starts, held_version, held = list(state.starts), state.repartitions, 0
-            held += 1
-            if sample_membership:
-                members = state.members
-                if members[1] != held_m1 or members[2] != held_m2:
-                    _add_label_run(marg, epi, set_counts, held_m1, held_m2, held_labels)
-                    held_m1, held_m2, held_labels = list(members[1]), list(members[2]), 0
-                held_labels += 1
+            if state.version != held_version:
+                _add_run(bound, marg, epi, set_counts, held, run)
+                held, held_version, run = _record(state), state.version, 0
+            run += 1
         if (t + 1) % progress == 0:
             # one write per line, so lines from chains in worker processes do not interleave
             sys.stderr.write(
                 f"chain {seed} iteration {t + 1}/{total_iters} log_joint={state.running_log_joint:.4f} "
                 f"counters={state.counters}\n"
             )
-    bound[held_starts] += held
-    _add_label_run(marg, epi, set_counts, held_m1, held_m2, held_labels)
+    _add_run(bound, marg, epi, set_counts, held, run)
 
     counters = {key: state.counters.get(key, 0) for key in COUNTERS}
     acceptance = {name: counters[num] / counters[den] if counters[den] else 0.0 for name, num, den in _RATES}
     # with no samples every count is 0, and so is every estimate
     per = max(schedule.iterations, 1)
-    marg /= per
-    epi /= per
-    bound /= per
+    marg = np.array(marg) / per
+    epi = np.array(epi) / per
+    bound = np.array(bound) / per
     return PosteriorSummary(
         marginal_posterior=marg,
         epistatic_posterior=epi,

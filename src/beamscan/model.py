@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import GenotypeDataset
-from .likelihood import WHO_BOTH, WHO_CASES, WHO_CONTROLS, LikelihoodEngine, checked_rho
+from .likelihood import RHO_DEFAULT, WHO_BOTH, WHO_CASES, WHO_CONTROLS, LikelihoodEngine, checked_rho
 
 NEG_INF = float("-inf")
 
@@ -47,7 +47,7 @@ class PriorConfig:
     p2: float
     max_distinct_diplotypes: int
     max_order: int
-    rho: float = 1.5
+    rho: float = RHO_DEFAULT
 
     def __post_init__(self):
         if not 0.0 < self.p_boundary <= 0.5:
@@ -73,7 +73,7 @@ def default_priors(
     n_cases: int,
     n_controls: int,
     prior_blocks: float = 50_000.0,
-    rho: float = 1.5,
+    rho: float = RHO_DEFAULT,
     p1: float | None = None,
     p2: float | None = None,
     max_order: int | None = None,
@@ -130,6 +130,7 @@ class JointModel:
     def __init__(self, dataset: GenotypeDataset, priors: PriorConfig):
         self.engine = LikelihoodEngine(dataset, priors.rho)
         self.n_snps = dataset.n_snps
+        self.snp_ids = dataset.snp_ids
         self.max_distinct_diplotypes = priors.max_distinct_diplotypes
         self.max_order = priors.max_order
         self._log_p = math.log(priors.p_boundary)
@@ -151,6 +152,18 @@ class JointModel:
     def block_allowed(self, a: int, b: int) -> bool:
         """True when the block's observed diplotype diversity is within cap."""
         return self.engine.distinct_count(tuple(range(a, b))) <= self.max_distinct_diplotypes
+
+    def check_singletons(self) -> None:
+        """Raise ConstraintError, naming the first SNP over the diplotype cap
+        even as a singleton block. A block's distinct-diplotype count bounds
+        those of its sub-blocks, so some partition satisfies the cap exactly
+        when every singleton block does."""
+        for i in range(self.n_snps):
+            if not self.block_allowed(i, i + 1):
+                raise ConstraintError(
+                    f"SNP {self.snp_ids[i]} (index {i}) is over the diplotype cap even as a "
+                    "singleton block, so every partition violates the diplotype cap"
+                )
 
     # -- model terms ----------------------------------------------------------
 

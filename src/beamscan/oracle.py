@@ -92,14 +92,12 @@ def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> Oracle
     set_bits = np.array([sum(1 << i for i in s) for s in subsets], dtype=np.int64)
     in_set = (set_bits[:, None] >> np.arange(n) & 1).astype(float)
 
-    # A block's distinct-diplotype count bounds those of its sub-blocks, so some
-    # partition satisfies the cap exactly when every single-SNP block does, and
-    # then every allowed block lies on an allowed partition.
+    # Once every singleton block is within the cap, every allowed block lies
+    # on an allowed partition.
+    model.check_singletons()
     allowed = [
         (a, b) for a in range(n) for b in range(a + 1, n + 1) if model.block_allowed(a, b)
     ]
-    if sum(b == a + 1 for a, b in allowed) < n:
-        raise ConstraintError("every partition violates the diplotype cap")
 
     # Per block and group-2 set: log weight plus the boundary odds (the
     # partition prior is n * log(1 - p) + blocks * log(p / (1 - p))), and the

@@ -132,7 +132,7 @@ def kernel_transitions(state, run, starts, labels):
         draws = state.rng.draws
         p = math.prod(d[2] for d in draws)
         if p > 0.0:
-            key = (tuple(state.starts), tuple(state.labels))
+            key = (tuple(state.bounds[:-1]), tuple(state.labels))
             out[key] = out.get(key, 0.0) + p
         for pos in range(len(script), len(draws)):
             if draws[pos][2] == 1.0:  # the other choices have probability 0

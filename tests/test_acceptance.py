@@ -173,7 +173,7 @@ def test_03_partition_moves_hit_the_exact_conditional():
         if proposal is not None:
             accept(state, proposal)
         if t >= 100_000:
-            visits[tuple(state.starts)] += 1
+            visits[tuple(state.bounds[:-1])] += 1
     steps = sum(visits.values())
     assert steps == 1_000_000
     tv = 0.5 * sum(abs(visits[p] / steps - exact[p]) for p in parts)

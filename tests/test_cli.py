@@ -428,7 +428,13 @@ def test_oracle_guard_exit_code(workdir):
     assert rc == 4
 
 
-def test_oracle_with_every_partition_over_the_cap_exits_4(workdir, capsys):
+@pytest.mark.parametrize("command", [
+    ["oracle"],
+    ["map"],
+    ["partition"],
+    ["map", "--chains", "2", "--threads", "2"],
+], ids=["oracle", "map", "partition", "map-two-workers"])
+def test_every_partition_over_the_cap_exits_4(workdir, capfd, command, request):
     # 30 individuals give a cap of 2 distinct diplotypes per block; SNP 1 shows
     # all three genotypes, so every block that holds it is over the cap.
     rng = np.random.default_rng(80)
@@ -443,12 +449,16 @@ def test_oracle_with_every_partition_over_the_cap_exits_4(workdir, capsys):
     )
     infile = workdir / "over_cap.tsv"
     write_dataset(ds, infile)
-    capsys.readouterr()
-    rc = main(["oracle", "--in", str(infile), "--out", str(workdir / "over_cap_out.tsv")])
-    err = capsys.readouterr().err
+    outdir = workdir / f"over_cap_{request.node.callspec.id}"
+    outdir.mkdir()
+    capfd.readouterr()
+    rc = main([*command, "--in", str(infile), "--out", str(outdir / "out.tsv")])
+    err = capfd.readouterr().err
     assert rc == 4
+    assert "SNP b (index 1) is over the diplotype cap" in err
     assert "every partition violates the diplotype cap" in err
     assert "Traceback" not in err
+    assert list(outdir.iterdir()) == []  # no TSV and no manifest
 
 
 # -- bstat -----------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def assert_key_follows_labels(state):
     block's slice of it."""
     n = state.model.n_snps
     assert state.label_key == mask_from_labels(state.labels, 0, n)
-    for a, b in zip(state.starts, state.starts[1:] + [n]):
+    for a, b in zip(state.bounds, state.bounds[1:]):
         assert state.block_mask(a, b) == mask_from_labels(state.labels, a, b)
 
 
@@ -84,7 +84,7 @@ def test_split_proposal_two_snps():
     assert prop.added == ((0, 1), (1, 2))
     assert prop.log_q_ratio == pytest.approx(0.0)
     apply_move(state, prop)
-    assert state.starts == [0, 1]
+    assert state.bounds[:-1] == [0, 1]
 
 
 def test_merge_proposal_two_snps():
@@ -95,7 +95,7 @@ def test_merge_proposal_two_snps():
     assert prop.added == ((0, 2),)
     assert prop.log_q_ratio == pytest.approx(0.0)
     apply_move(state, prop)
-    assert state.starts == [0]
+    assert state.bounds[:-1] == [0]
 
 
 def test_split_merge_ratio_scales_with_width():
@@ -120,7 +120,7 @@ def test_shift_targets_and_symmetric_ratio():
         assert (a, b) == (0, 6) and new_t == new_t2
         assert new_t in {1, 2, 4, 5}
         apply_move(state, prop)
-        assert state.starts == [0, new_t]
+        assert state.bounds[:-1] == [0, new_t]
         seen.add(new_t)
     assert seen == {1, 2, 4, 5}
 
@@ -175,9 +175,9 @@ def test_accept_probability_matches_log_ratio():
         prop = propose_block_move(state, "split")
         if accept(state, prop):
             hits += 1
-            assert state.starts == [0, 1]
+            assert state.bounds[:-1] == [0, 1]
         else:
-            assert state.starts == [0]
+            assert state.bounds[:-1] == [0]
     assert hits / trials == pytest.approx(0.5, abs=0.01)
 
 
@@ -189,12 +189,12 @@ def test_capped_merge_never_accepted():
     for _ in range(500):
         prop = propose_block_move(state, "merge")
         assert not accept(state, prop)
-        assert state.starts == [0, 1]
+        assert state.bounds[:-1] == [0, 1]
 
 
 def test_singleton_over_cap_is_rejected_at_init():
     ds = make_dataset([[0], [1], [2]], [[0]])
-    with pytest.raises(ConstraintError):
+    with pytest.raises(ConstraintError, match=r"SNP s0 \(index 0\) .* every partition violates"):
         init_state(ds, flat_priors(max_distinct_diplotypes=2, max_order=1), seed=0)
 
 
@@ -448,7 +448,7 @@ def test_gibbs_sweep_is_exact_on_three_snps(monkeypatch, setting):
     # and every row that a sweep below builds
     def checked_build(rows, st, i, r, _build=mcmc.LabelRows.build):
         lab = _build(rows, st, i, r)
-        assert_row_is(rows, i, conditional(st.starts, st.labels, i))
+        assert_row_is(rows, i, conditional(st.bounds[:-1], st.labels, i))
         return lab
 
     monkeypatch.setattr(mcmc.LabelRows, "build", checked_build)
@@ -458,7 +458,7 @@ def test_gibbs_sweep_is_exact_on_three_snps(monkeypatch, setting):
     def sweep_along(starts, labels, uniforms, path):
         state.rng = StubRng(uniforms)
         changed = gibbs_membership_sweep(state)
-        assert state.labels == path and state.starts == list(starts)
+        assert state.labels == path and state.bounds[:-1] == list(starts)
         assert changed == sum(x != y for x, y in zip(labels, path))
         assert_key_follows_labels(state)
         assert state.running_log_joint == pytest.approx(log_joint[starts, tuple(path)], rel=1e-12)
@@ -501,7 +501,7 @@ def test_gibbs_sweep_is_exact_on_three_snps(monkeypatch, setting):
                 sweep_along(before, labels, keep, labels)
                 state.rng = StubRng(choices=choices)
                 assert accept(state, propose_block_move(state, kind))
-                assert tuple(state.starts) == after
+                assert tuple(state.bounds[:-1]) == after
                 cached += int((~state.label_rows.stale).sum())
                 sweep_along(after, labels, uniforms, path)
     assert cached > 0
@@ -752,7 +752,7 @@ def test_cached_log_joint_stays_coherent_during_sampling():
         gibbs_membership_sweep(state)
         swap_membership_move(state)
         if t % 10 == 0:
-            direct = state.model.log_joint(state.starts, state.labels)
+            direct = state.model.log_joint(state.bounds[:-1], state.labels)
             assert state.log_joint() == pytest.approx(direct, abs=1e-8)
 
 
@@ -769,7 +769,7 @@ def test_running_log_joint_matches_a_full_recompute_in_run_chain(monkeypatch, sa
         value = running(state)
         calls.append(None)
         if len(calls) % 7 == 0:
-            full = state.model.log_joint(state.starts, state.labels)
+            full = state.model.log_joint(state.bounds[:-1], state.labels)
             assert value == pytest.approx(full, rel=1e-9, abs=0)
             checked.append(len(calls))
         return value
@@ -799,8 +799,8 @@ def test_boundary_posterior_equals_a_per_sample_tally(monkeypatch, sample_member
     def tallying_log_joint(state):
         # run_chain reads the log joint once per retained iteration, after its
         # moves, and records every retained iteration as a sample
-        tally[state.starts] += 1
-        sampled.append(tuple(state.starts))
+        tally[state.bounds[:-1]] += 1
+        sampled.append(tuple(state.bounds[:-1]))
         return running(state)
 
     monkeypatch.setattr(ChainState, "log_joint", tallying_log_joint)
@@ -940,12 +940,13 @@ def reference_gibbs_sweep(state):
             state.members[cur].remove(i)
             insort(state.members[pick], i)
             state.running_log_joint += weights[labs.index(pick)] - weights[labs.index(cur)]
+            state.version += 1
     return changed
 
 
 def assert_same_state(ref, new):
     assert new.labels == ref.labels
-    assert new.starts == ref.starts
+    assert new.bounds[:-1] == ref.bounds[:-1]
     assert new.label_key == ref.label_key
     assert new.members == ref.members
     # both sides also agree with the labels themselves
@@ -1022,7 +1023,7 @@ def test_incremental_sweep_matches_reference_with_moves_and_swaps():
         accepted["block"] += ref.counters.get("split_accepted", 0)
         accepted["block"] += ref.counters.get("merge_accepted", 0)
         accepted["swap"] += ref.counters.get("swap_accepted", 0)
-        wide = wide or len(ref.starts) < ds.n_snps  # some block is wider than one SNP
+        wide = wide or len(ref.bounds[:-1]) < ds.n_snps  # some block is wider than one SNP
     assert accepted["block"] > 0
     assert accepted["swap"] > 0
     assert wide
@@ -1081,7 +1082,7 @@ def test_incremental_sweep_matches_reference_on_a_block_wider_than_int64():
     labels = [0] * (n - 1) + [1]
     ref, _, changed = run_pair(empty_dataset(n), priors, seed=12, steps=60,
                                moves=False, init=((0,), labels))
-    assert ref.starts == [0] and ref.label_key > 2**63 and changed > 100
+    assert ref.bounds[:-1] == [0] and ref.label_key > 2**63 and changed > 100
 
 
 def test_run_chain_is_unchanged_by_the_incremental_sweep(monkeypatch):
@@ -1193,7 +1194,7 @@ def test_run_chain_is_unchanged_by_the_swap_pass(monkeypatch, capsys):
     assert new.cache["block_terms"] == ref.cache["block_terms"]
     for got, want in zip(memos(new_state.model), memos(ref_state.model)):
         assert got == want
-    assert new_state.labels == ref_state.labels and new_state.starts == ref_state.starts
+    assert new_state.labels == ref_state.labels and new_state.bounds[:-1] == ref_state.bounds[:-1]
     # many swaps were accepted, group-2 sets changed, and blocks merged and split
     assert new.counters["swap_accepted"] > 300 and len(new.interaction_sets) > 10
     assert new.counters["merge_accepted"] > 0 and new.counters["split_accepted"] > 0
@@ -1323,20 +1324,32 @@ def test_label_key_follows_labels_through_every_writer():
     state = init_state(empty_dataset(n), flat_priors(), seed=5)
     side = np.random.default_rng(7)
     moved = 0
+    version = state.version
+
+    def assert_written(wrote=True):
+        """The key follows the labels, the boundary list is 0, the block
+        starts in order and n, and ``version`` advanced if and only if the
+        state was written."""
+        nonlocal version
+        assert_key_follows_labels(state)
+        bounds = state.bounds
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert (state.version > version) == bool(wrote)
+        version = state.version
+
     for _ in range(200):
         force_state(state, *random_force(side, n, n))
-        assert_key_follows_labels(state)
+        assert_written()
         state.relabel(int(side.integers(n)), int(side.integers(3)), 0.0)
-        assert_key_follows_labels(state)
+        assert_written()
         prop = propose_block_move(state, mcmc._choose_kind(state.rng))
         if prop is not None:
             apply_move(state, prop)
             moved += 1
-            assert_key_follows_labels(state)
-        gibbs_membership_sweep(state)
-        assert_key_follows_labels(state)
-        swap_membership_move(state)
-        assert_key_follows_labels(state)
+            assert_written()
+        assert_written(gibbs_membership_sweep(state))
+        assert_written(swap_membership_move(state))
     assert moved > 100
     assert state.counters["gibbs_changes"] > 100 and state.counters["swap_accepted"] > 100
 
@@ -1354,19 +1367,19 @@ def test_repartition_edits_starts_as_a_full_rebuild_would():
         kind = mcmc._choose_kind(state.rng)
         prop = propose_block_move(state, kind)
         if prop is not None:
-            want = rebuilt_starts(state.starts, prop)
-            before = list(state.starts)
+            want = rebuilt_starts(state.bounds[:-1], prop)
+            before = state.bounds[:-1]
             if accept(state, prop):
                 accepted[kind] += 1
-                assert state.starts == want
+                assert state.bounds[:-1] == want
                 labelled += any(state.labels[prop.added[0][0] : prop.added[-1][1]])
             else:
-                assert state.starts == before
+                assert state.bounds[:-1] == before
         assert_key_follows_labels(state)
         gibbs_membership_sweep(state)
         swap_membership_move(state)
         if t % 10 == 0:
-            full = state.model.log_joint(state.starts, state.labels)
+            full = state.model.log_joint(state.bounds[:-1], state.labels)
             assert state.log_joint() == pytest.approx(full, rel=1e-9)
     assert min(accepted.values()) > 20
     assert labelled > 50
