@@ -165,6 +165,23 @@ class JointModel:
                     "singleton block, so every partition violates the diplotype cap"
                 )
 
+    def allowed_ends(self) -> list[int]:
+        """For each start a, the end of its widest block within the diplotype
+        cap, after ``check_singletons``: the allowed blocks are exactly the
+        [a, b) with b up to that end. The ends never decrease, since a
+        block's distinct-diplotype count bounds its sub-blocks', so each
+        start extends the last end until the first block over the cap, at
+        most 2n ``block_allowed`` calls."""
+        self.check_singletons()
+        ends = []
+        b = 1
+        for a in range(self.n_snps):
+            b = max(b, a + 1)
+            while b < self.n_snps and self.block_allowed(a, b + 1):
+                b += 1
+            ends.append(b)
+        return ends
+
     # -- model terms ----------------------------------------------------------
 
     def block_term(self, a: int, b: int, mask: int) -> float:
@@ -240,18 +257,19 @@ class JointModel:
         mb_whole = eng.marginal(tuple(range(a, b)), WHO_BOTH)
         return mc_x + mu_x + mb_whole - mb_x - mc_x2 - mu_x2
 
-    def block_weights(self, a: int, b: int, set_bits: np.ndarray):
+    def block_weights(self, a: int, b: int, keys: np.ndarray):
         """Label-summed log weights of the block [a, b), per group-2 set.
 
-        ``set_bits`` holds each group-2 set as an int64 bit key, SNP i at bit
-        i. The block's group-2 SNPs keep label 2 and its free SNPs take every
+        ``keys`` holds each group-2 set as a block-local int64 bit key, SNP
+        a + j at bit j; bits at or past the block's width are ignored. The
+        block's group-2 SNPs keep label 2 and its free SNPs take every
         0/1 labelling of nonzero prior, each scored by its ``block_term`` plus
         the free SNPs' label priors. Returns the log-sum-exp over the
         labellings per set, and over those that hold each SNP at label 1
         (sets x w), both bit-equal to a loop over every 0/1 labelling.
         """
         w = b - a
-        keys, inverse = np.unique((set_bits >> a) & ((1 << w) - 1), return_inverse=True)
+        keys, inverse = np.unique(keys & ((1 << w) - 1), return_inverse=True)
         shape = (w, keys.tobytes())
         if shape not in self._shapes:
             self._shapes[shape] = _label_shapes(w, keys, np.array(self.log_label[:2]))

@@ -7,10 +7,10 @@ then a product of block weights, as in a product-partition model, so one
 recursion over block boundaries (``tilings``), run forward and over the
 mirrored blocks, sums every partition that satisfies the diplotype cap, for
 all group-2 sets at once (one array entry per set). The mass covered is
-identical to the brute-force state sum. The recursion costs O(n^2 * group-2
-sets) array operations and one ``block_weights`` call per allowed block,
-instead of one weight lookup per (partition, group-2 set, block). Every
-output matches a labelling-by-labelling loop bit for bit.
+identical to the brute-force state sum. The recursion costs one array
+operation over the group-2 sets and one ``block_weights`` call per allowed
+block, instead of one weight lookup per (partition, group-2 set, block).
+Every output matches a labelling-by-labelling loop bit for bit.
 """
 
 from __future__ import annotations
@@ -58,18 +58,21 @@ def tilings(blocks) -> np.ndarray:
     lo to hi, the least block start and the greatest block end.
 
     ``blocks`` lists (start, end, weight) triples, each weight an array over
-    group-2 sets; some block ends at each point after lo, and the blocks
-    ending at a point are summed in list order. Over the mirrored blocks
-    (lo + hi - end, lo + hi - start, weight), the rows are the sums over the
-    tilings of [i, hi), last i first.
+    group-2 sets. The blocks ending at a point are summed in list order; a
+    point where none ends has no tiling, and its row is -inf. Over the
+    mirrored blocks (lo + hi - end, lo + hi - start, weight), the rows are
+    the sums over the tilings of [i, hi), last i first.
     """
     lo = min(a for a, _, _ in blocks)
     hi = max(b for _, b, _ in blocks)
+    ending = [[] for _ in range(hi - lo + 1)]
+    for a, b, w in blocks:
+        ending[b - lo].append((a - lo, w))
     f = np.full((hi - lo + 1, len(blocks[0][2])), NEG_INF)
     f[0] = 0.0
-    for end in range(lo + 1, hi + 1):
-        rows = [f[a - lo] + w for a, b, w in blocks if b == end]
-        f[end - lo] = log_sum_exp(np.stack(rows))
+    for i in range(1, hi - lo + 1):
+        if ending[i]:
+            f[i] = log_sum_exp(np.stack([f[a] + w for a, w in ending[i]]))
     return f
 
 
@@ -92,21 +95,15 @@ def enumerate_posterior(dataset: GenotypeDataset, priors: PriorConfig) -> Oracle
     set_bits = np.array([sum(1 << i for i in s) for s in subsets], dtype=np.int64)
     in_set = (set_bits[:, None] >> np.arange(n) & 1).astype(float)
 
-    # Once every singleton block is within the cap, every allowed block lies
-    # on an allowed partition.
-    model.check_singletons()
-    allowed = [
-        (a, b) for a in range(n) for b in range(a + 1, n + 1) if model.block_allowed(a, b)
-    ]
-
-    # Per block and group-2 set: log weight plus the boundary odds (the
-    # partition prior is n * log(1 - p) + blocks * log(p / (1 - p))), and the
-    # same with each SNP of the block held at label 1.
+    # Per allowed block and group-2 set: log weight plus the boundary odds
+    # (the partition prior is n * log(1 - p) + blocks * log(p / (1 - p))),
+    # and the same with each SNP of the block held at label 1.
     blocks, held = [], []
-    for a, b in allowed:
-        log_w, log_w1 = model.block_weights(a, b, set_bits)
-        blocks.append((a, b, model.boundary_odds + log_w))
-        held.append(model.boundary_odds + log_w1)
+    for a, end in enumerate(model.allowed_ends()):
+        for b in range(a + 1, end + 1):
+            log_w, log_w1 = model.block_weights(a, b, set_bits >> a)
+            blocks.append((a, b, model.boundary_odds + log_w))
+            held.append(model.boundary_odds + log_w1)
 
     # fwd[i]: log sum over splits of SNPs [0, i); bwd[i]: of SNPs [i, n).
     fwd = tilings(blocks)

@@ -34,6 +34,13 @@ def empty_dataset(n_snps, spacing):
     return make_dataset(np.zeros((0, n_snps)), np.zeros((0, n_snps)), spacing)
 
 
+def capped_panel(seed=41, n_snps=8, n_per_arm=150):
+    """Random genotypes: blocks of four or more SNPs exceed a cap of 29."""
+    rng = np.random.default_rng(seed)
+    return make_dataset(rng.integers(0, 3, (n_per_arm, n_snps)),
+                        rng.integers(0, 3, (n_per_arm, n_snps)), spacing=5)
+
+
 # a cap that no test panel reaches: no block holds this many distinct
 # diplotypes and no group-2 set this many SNPs
 NEVER_BINDS = 10**9

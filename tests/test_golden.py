@@ -64,10 +64,10 @@ PANELS = {
 MEMO_SIZES = {
     "map": [(2660, 1290)],
     "map-chains": [(2660, 1290), (1356, 1212)],
-    "oracle": [(339, 1977)],
-    "oracle-order-1": [(319, 1223)],
-    "oracle-p1-zero": [(153, 251)],
-    "oracle-p2-zero": [(319, 394)],
+    "oracle": [(333, 1977)],
+    "oracle-order-1": [(313, 1223)],
+    "oracle-p1-zero": [(147, 251)],
+    "oracle-p2-zero": [(313, 394)],
     "partition": [(321, 321)],
     "partition-hwe": [(310, 310)],
 }

@@ -327,14 +327,15 @@ def test_block_terms_of_a_block_over_the_cap_are_minus_infinity():
 # -- label-summed block weights -------------------------------------------------------
 
 
-def brute_block_weights(model, a, b, set_bits):
-    """Per set, the log-sum-exp over the block's 0/1 labellings of the scalar
-    ``block_term`` plus the free SNPs' label priors, and the same over the
-    labellings that hold each SNP at label 1."""
+def brute_block_weights(model, a, b, keys):
+    """Per block-local set key (SNP a + i at bit i), the log-sum-exp over the
+    block's 0/1 labellings of the scalar ``block_term`` plus the free SNPs'
+    label priors, and the same over the labellings that hold each SNP at
+    label 1."""
     w = b - a
     log_w, log_w1 = [], []
-    for bits in set_bits.tolist():
-        free = [i for i in range(w) if not bits >> (a + i) & 1]
+    for bits in keys.tolist():
+        free = [i for i in range(w) if not bits >> i & 1]
         scores, at_one = [], [[] for _ in range(w)]
         for sigma in product((0, 1), repeat=len(free)):
             labels = [2] * w
@@ -384,14 +385,81 @@ def test_blocks_of_one_width_share_their_labellings_but_not_their_weights():
     set_bits = np.array([0, 0b1, 0b100001, 0b1000001], dtype=np.int64)  # local keys 0 and 1
     model = JointModel(ds, flat_priors())
     first = model.block_weights(0, 3, set_bits)
-    second = model.block_weights(5, 8, set_bits << 5)
+    second = model.block_weights(5, 8, set_bits)
     assert len(model._shapes) == 1
     scalar = JointModel(ds, flat_priors())
     for got, a in ((first, 0), (second, 5)):
-        want = brute_block_weights(scalar, a, a + 3, set_bits << a)
+        want = brute_block_weights(scalar, a, a + 3, set_bits)
         for g, wnt in zip(got, want):
             np.testing.assert_allclose(g, wnt, rtol=0, atol=1e-12)
     assert first[0].tolist() != second[0].tolist()
+
+
+def test_block_weights_take_block_local_keys_past_snp_63():
+    rng = np.random.default_rng(82)
+    ds = random_dataset(rng, 40, 40, 70)
+    keys = np.array([0, 0b1, 0b1010, 0b1100], dtype=np.int64)
+    got = JointModel(ds, flat_priors()).block_weights(64, 68, keys)
+    want = brute_block_weights(JointModel(ds, flat_priors()), 64, 68, keys)
+    for g, wnt in zip(got, want):
+        np.testing.assert_allclose(g, wnt, rtol=0, atol=1e-12)
+    assert len(set(got[0].tolist())) == len(keys)
+
+
+# -- the allowed-block scan -----------------------------------------------------------
+
+
+class CountingModel(JointModel):
+    """Counts its ``block_allowed`` calls."""
+
+    calls = 0
+
+    def block_allowed(self, a, b):
+        self.calls += 1
+        return super().block_allowed(a, b)
+
+
+def monomorphic_run_panel():
+    """Ten random SNPs but for a monomorphic run at SNPs 2-6, so that blocks
+    spanning the run stay within a cap of 29."""
+    rng = np.random.default_rng(83)
+    cases, controls = rng.integers(0, 3, (150, 10)), rng.integers(0, 3, (150, 10))
+    cases[:, 2:7] = controls[:, 2:7] = 1
+    return helpers.make_dataset(cases, controls, spacing=100)
+
+
+@pytest.mark.parametrize(
+    "ds, cap, widest",
+    [
+        (helpers.capped_panel(), 29, 3),
+        (random_dataset(np.random.default_rng(80), 40, 40, 7), 8, 1),
+        (monomorphic_run_panel(), 29, 8),
+    ],
+    ids=["capped", "cap-binds", "monomorphic-run"],
+)
+def test_allowed_ends_list_exactly_the_blocks_within_the_cap(ds, cap, widest):
+    n = ds.n_snps
+    priors = flat_priors(max_distinct_diplotypes=cap)
+    ends = JointModel(ds, priors).allowed_ends()
+    brute = JointModel(ds, priors)
+    want = [(a, b) for a in range(n) for b in range(a + 1, n + 1) if brute.block_allowed(a, b)]
+    assert [(a, b) for a, end in enumerate(ends) for b in range(a + 1, end + 1)] == want
+    assert ends[0] < n and max(end - a for a, end in enumerate(ends)) == widest
+
+
+def test_allowed_ends_check_at_most_3n_blocks():
+    ds = helpers.capped_panel(n_snps=60)
+    model = CountingModel(ds, flat_priors(max_distinct_diplotypes=29))
+    ends = model.allowed_ends()
+    assert 0 < model.calls <= 3 * 60
+    assert all(a < end < 60 for a, end in enumerate(ends[:50]))
+
+
+def test_allowed_ends_refuse_a_panel_whose_every_singleton_is_over_the_cap():
+    ds = helpers.make_dataset([[0, 0], [1, 1], [2, 2]], [[0, 1], [1, 2]], spacing=100)
+    model = JointModel(ds, flat_priors(max_distinct_diplotypes=2))
+    with pytest.raises(ConstraintError, match="every partition violates the diplotype cap"):
+        model.allowed_ends()
 
 
 # -- joint ----------------------------------------------------------------------------

@@ -10,11 +10,12 @@ import pytest
 from scipy.special import logsumexp
 
 import helpers
-from beamscan.model import ConstraintError, JointModel, mask_from_labels
-from beamscan.oracle import ORACLE_MAX_SNPS, OracleGuardError, enumerate_posterior
+from beamscan.model import ConstraintError, JointModel, log_sum_exp, mask_from_labels
+from beamscan.oracle import ORACLE_MAX_SNPS, OracleGuardError, enumerate_posterior, tilings
 
 
 make_dataset = partial(helpers.make_dataset, spacing=5)
+capped_panel = helpers.capped_panel
 empty_dataset = partial(helpers.empty_dataset, spacing=5)
 flat_priors = partial(helpers.flat_priors, p_boundary=0.3, p1=0.2, p2=0.1)
 
@@ -257,13 +258,6 @@ def reference_enumerate_posterior(dataset, priors, model_cls=JointModel):
     return p1 / z_rel, p2 / z_rel, boundary / z_rel, top + math.log(z_rel)
 
 
-def capped_panel(seed=41, n_snps=8, n_per_arm=150):
-    """Random genotypes: blocks of four or more SNPs exceed a cap of 29."""
-    rng = np.random.default_rng(seed)
-    return make_dataset(rng.integers(0, 3, (n_per_arm, n_snps)),
-                        rng.integers(0, 3, (n_per_arm, n_snps)))
-
-
 def assert_matches_reference(ds, priors):
     res = enumerate_posterior(ds, priors)
     p1, p2, boundary, log_z = reference_enumerate_posterior(ds, priors)
@@ -348,7 +342,46 @@ def test_forward_backward_evaluates_the_reference_block_terms(monkeypatch):
     assert new.evaluated == ref._block_terms
     assert new._block_terms == {}
     assert result.cache["block_terms"] == len(new.evaluated)
-    assert new.engine._marg == ref.engine._marg
+    # The reference checks the cap of every block; the oracle's scan stops
+    # each start at its first block over the cap, so the combined-cohort
+    # marginals of the blocks past that one are all it leaves out.
+    n = ds.n_snps
+    skipped = {
+        (tuple(range(a, b)), "both")
+        for a in range(n) for b in range(a + 2, n + 1) if not ref.block_allowed(a, b - 1)
+    }
+    assert skipped and skipped <= ref.engine._marg.keys()
+    assert new.engine._marg == {k: v for k, v in ref.engine._marg.items() if k not in skipped}
+
+
+def brute_tilings(blocks, i):
+    """Log sums, per weight entry, over every sequence of blocks tiling [0, i)."""
+    paths = [(0, 0.0)]
+    sums = []
+    while paths:
+        at, total = paths.pop()
+        if at == i:
+            sums.append(total)
+        paths.extend((b, total + w) for a, b, w in blocks if a == at and b <= i)
+    return logsumexp(np.array(sums), axis=0) if sums else np.full(2, -math.inf)
+
+
+def test_tilings_give_minus_infinity_where_no_block_ends():
+    rng = np.random.default_rng(44)
+    spans = [(0, 1), (0, 2), (1, 2), (2, 4), (1, 4), (3, 4), (4, 5), (4, 7), (2, 7), (5, 7)]
+    blocks = [(a, b, rng.normal(size=2)) for a, b in spans]
+    mirrored = [(7 - b, 7 - a, w) for a, b, w in blocks]
+    for tiles, gaps in ((blocks, {3, 6}), (mirrored, {1})):
+        f = tilings(tiles)
+        assert f.shape == (8, 2) and f[0].tolist() == [0.0, 0.0]
+        for i in range(1, 8):
+            rows = [f[a] + w for a, b, w in tiles if b == i]
+            if i in gaps:
+                assert not rows and (f[i] == -math.inf).all()
+                continue
+            # the blocks ending at i are summed in list order, bit for bit
+            assert f[i].tolist() == log_sum_exp(np.stack(rows)).tolist()
+            np.testing.assert_allclose(f[i], brute_tilings(tiles, i), rtol=0, atol=1e-12)
 
 
 def test_factorized_sum_matches_brute_force_when_the_cap_removes_partitions():
