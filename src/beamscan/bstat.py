@@ -27,14 +27,15 @@ permutation that reproduces the observed count table therefore ties with the
 observed value exactly, which the ``null >= b`` count of the p-value relies
 on.
 
-``permutation_null`` shuffles cell labels, not individuals: each batch fills
-the ``PERM_BATCH`` rows of one reused buffer with every individual's joint
-cell, shuffles each row with ``Generator.permuted``, and offsets row i's case
-columns by i cells. The shuffle's draws depend on the row length only, never
-on the values, so row i's case columns hold the cells of exactly the
-individuals that the i-th successive ``Generator.permutation`` call would put
-first: the stream and every null value are those of one such call per
-replicate, whatever the batch size.
+``permutation_null`` shuffles cell labels, not individuals, so no gather
+follows the shuffle: each batch fills the ``PERM_BATCH`` rows of one reused
+buffer with every individual's joint cell, shuffles each row with
+``Generator.permuted``, and offsets row i's case columns by i cells. The
+shuffle's draws depend on the row length only, never on the values, so row
+i's case columns hold the cells of exactly the individuals that the i-th
+successive ``Generator.permutation`` call would put first: the stream and
+every null value are those of one such call per replicate, whatever the
+batch size.
 """
 
 from __future__ import annotations

@@ -660,17 +660,16 @@ def _add_run(bound, marg, epi, set_counts, record, run: int) -> None:
     The tallies are Python lists: adding to a few hundred entries by a loop
     costs about a fifth of numpy's indexed add from a list of indices.
     """
-    if run:
-        starts, m1, m2 = record
-        for i in starts:
-            bound[i] += run
-        for i in m1:
-            marg[i] += run
-        for i in m2:
-            epi[i] += run
-        if len(m2) >= 2:
-            key = tuple(m2)
-            set_counts[key] = set_counts.get(key, 0) + run
+    starts, m1, m2 = record
+    for i in starts:
+        bound[i] += run
+    for i in m1:
+        marg[i] += run
+    for i in m2:
+        epi[i] += run
+    if len(m2) >= 2:
+        key = tuple(m2)
+        set_counts[key] = set_counts.get(key, 0) + run
 
 
 def _choose_kind(rng: np.random.Generator) -> str:

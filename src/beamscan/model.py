@@ -121,10 +121,12 @@ class JointModel:
     underlying diplotype marginals by (SNP subset, cohort). ``block_terms``
     evaluates a batch of one block's labellings, which come as decoded
     labelled and group-2 subsets, not masks; only the marginals they share
-    are memoized. Its values are bit-equal to ``block_term``'s.
-    ``block_weights`` builds a block's labellings per group-2 set, leaving
-    out those of zero prior mass, sums them with one ``block_terms`` call,
-    and keeps the labellings (not the weights) for blocks of the same shape.
+    are memoized, since the exact enumerator asks for each block term once.
+    Its values are bit-equal to ``block_term``'s. ``block_weights`` builds a
+    block's labellings per group-2 set, leaving out those of zero prior
+    mass, which add nothing to a weight, sums them with one ``block_terms``
+    call, and keeps the labellings (not the weights) for blocks of the same
+    shape, the width and block-local group-2 sets on which alone they depend.
     """
 
     def __init__(self, dataset: GenotypeDataset, priors: PriorConfig):
@@ -170,8 +172,9 @@ class JointModel:
         cap, after ``check_singletons``: the allowed blocks are exactly the
         [a, b) with b up to that end. The ends never decrease, since a
         block's distinct-diplotype count bounds its sub-blocks', so each
-        start extends the last end until the first block over the cap, at
-        most 2n ``block_allowed`` calls."""
+        start extends the last end until the first block over the cap: at
+        most 2n ``block_allowed`` calls in the scan, plus the n of
+        ``check_singletons``, 3n in all."""
         self.check_singletons()
         ends = []
         b = 1

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,12 +15,15 @@ import pytest
 
 import beamscan
 from beamscan.bstat import bstat, null_calibration
-from beamscan.cli import build_parser, main
+from beamscan.cli import EXIT_CODES, build_parser, main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
 from beamscan.mcmc import COUNTERS
 from beamscan.model import default_priors
 from beamscan.oracle import enumerate_posterior
 from beamscan.simulate import read_truth
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_posterior(path):
@@ -272,6 +276,19 @@ def test_chain_manifest_records_per_chain_kernel_seconds(workdir, signal_panel, 
     assert "kernel_s" not in table and "block_move_s" not in table
 
 
+def manifest_keys(value):
+    """Every key of a manifest value, nested ones included; the keys of
+    ``parameters`` are argparse destinations, documented as their flags."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield key
+            if key != "parameters":
+                yield from manifest_keys(inner)
+    elif isinstance(value, list):
+        for inner in value:
+            yield from manifest_keys(inner)
+
+
 def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signal_panel):
     small = workdir / "observe_small.tsv"
     ds = load_dataset(signal_panel)
@@ -291,10 +308,12 @@ def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signa
         "bstat": ["bstat", "--in", str(signal_panel), "--sets", str(sets_path),
                   "--n-perm", "500"],
     }
+    keys = set()
     for name, argv in runs.items():
         out = workdir / f"observe_{name}.tsv"
         assert main([*argv, "--out", str(out)]) == 0, name
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        keys.update(manifest_keys(manifest))
         phases = manifest["phases"]
         assert set(phases) == {"load_s", "compute_s", "write_s"}, name
         assert all(math.isfinite(v) and v >= 0.0 for v in phases.values()), name
@@ -317,6 +336,24 @@ def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signa
         table = out.read_text()
         assert "peak_rss" not in table and "phases" not in table, name
         assert "marginal_cold_s" not in table, name
+
+    # the README, the user contract, names every manifest key, flag and exit code
+    readme = README.read_text(encoding="utf-8")
+    assert sorted(keys - set(re.findall(r"`([^`\n]+)`", readme))) == []
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for p in (parser, *subparsers.choices.values())
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert "--version" in options and "--n-tests" in options
+    # a whole token, so that --in cannot match inside --iters
+    assert [o for o in sorted(options) if not re.search(rf"(?<![\w-]){o}(?![\w-])", readme)] == []
+    for kind, code in EXIT_CODES:
+        assert re.search(rf"^\| {code} \|.*`{kind.__name__}`", readme, re.M), kind
 
 
 def test_map_on_null_panel_stays_quiet(workdir):
