@@ -75,9 +75,8 @@ class _SetKernel:
     def __init__(self, dataset: GenotypeDataset, snps: tuple[int, ...], rho: float):
         self.rho = rho
         self.width = len(snps)
-        cols = list(snps)
-        # SNP-major codes of the set only, cases before controls
-        codes = np.hstack([dataset.cases[:, cols].T, dataset.controls[:, cols].T])
+        # the set's rows of GenotypeDataset.codes: SNP-major, cases before controls
+        codes = dataset.codes[list(snps)]
         keys = _pack_matrix(codes)
         _, first, inv, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True

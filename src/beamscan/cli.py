@@ -153,8 +153,9 @@ def _load(args) -> GenotypeDataset:
 
 def _priors(args, dataset: GenotypeDataset) -> PriorConfig:
     """The prior, whose caps bound its support, from the model flags and the panel's
-    shape; `partition` keeps every label 0 and takes ``default_priors``' label priors."""
-    return default_priors(
+    shape; `partition` keeps every label 0 and takes ``default_priors``' label priors.
+    Where the command has label flags, they take the values that ran, for the manifest."""
+    priors = default_priors(
         dataset.n_snps,
         dataset.region_length,
         dataset.n_cases,
@@ -165,13 +166,20 @@ def _priors(args, dataset: GenotypeDataset) -> PriorConfig:
         p2=getattr(args, "p2", None),
         max_order=getattr(args, "max_order", None),
     )
+    if hasattr(args, "p1"):
+        args.p1, args.p2, args.max_order = priors.p1, priors.p2, priors.max_order
+    return priors
 
 
 def _resolved_schedule(dataset: GenotypeDataset, args) -> Schedule:
+    """The run length the flags give, the panel's default where they give none;
+    the flags take the values that ran, for the manifest."""
     base = default_schedule(dataset.n_snps)
-    burnin = base.burnin if args.burnin is None else args.burnin
-    iters = base.iterations if args.iters is None else args.iters
-    return Schedule(burnin=burnin, iterations=iters)
+    if args.burnin is None:
+        args.burnin = base.burnin
+    if args.iters is None:
+        args.iters = base.iterations
+    return Schedule(burnin=args.burnin, iterations=args.iters)
 
 
 class _PhaseClock:
@@ -250,7 +258,8 @@ def cmd_chains(args, clock: _PhaseClock):
     clock.lap("load_s")
     priors = _priors(args, dataset)
     schedule = _resolved_schedule(dataset, args)
-    threads = args.threads if args.threads is not None else _default_threads()
+    if args.threads is None:
+        args.threads = _default_threads()
     sample_membership = args.subcommand == "map"
     summary, chains = run_chains(
         dataset,
@@ -259,7 +268,7 @@ def cmd_chains(args, clock: _PhaseClock):
         n_chains=args.chains,
         base_seed=args.seed,
         sample_membership=sample_membership,
-        threads=threads,
+        threads=args.threads,
     )
     clock.lap("compute_s")
     if not schedule.iterations:

@@ -27,12 +27,22 @@ fixed-width decode then decodes only the two header lines as UTF-8, and the
 line scan the whole file. Both paths return one (individuals, 1 + SNPs)
 matrix of phenotype and codes, in file order; ``load_dataset`` alone fills
 the -1 cells with their column's mode and splits the rows into cases and
-controls.
+controls, after the file bytes and the line list are gone, so that the
+dataset's own matrix is never built beside them.
+
+The panel is held once, in ``GenotypeDataset.codes``: one read-only,
+C-contiguous int8 matrix of (SNPs, individuals), row j SNP j's codes, cases
+before controls. A SNP set's codes are then a few contiguous rows, which is
+what the likelihood engine, ``bstat`` and the Hardy-Weinberg filter count.
+``cases`` and ``controls`` are read-only (individuals, SNPs) views of its two
+column ranges. The constructor fills the matrix from 256-individual slices
+of each cohort, which transpose in cache; one strided copy of a whole cohort
+does not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +50,7 @@ import numpy as np
 MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
 _COUNT_CELLS = 1 << 22  # genotype codes compared at a time by genotype_counts
+_FILL_ROWS = 256  # individuals transposed at a time into the SNP-major matrix
 
 
 class DataFormatError(ValueError):
@@ -68,18 +79,25 @@ def _decode(data: bytes, path: str | Path) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GenotypeDataset:
-    """Immutable case/control genotype matrices plus SNP metadata."""
+    """Immutable case/control genotype panel plus SNP metadata.
+
+    ``codes`` is the one copy of the panel: (n_snps, n_cases + n_controls)
+    int8, SNP-major, cases first, read-only and C-contiguous. ``cases`` and
+    ``controls`` are read-only (individuals, n_snps) views of its columns,
+    so they share its memory; the constructor takes them as any integer
+    arrays whose every value is 0, 1 or 2. A pickle carries the two cohorts
+    once and rebuilds the rest through the constructor.
+    """
 
     cases: np.ndarray  # (n_cases, n_snps) int8 codes in {0,1,2}
     controls: np.ndarray  # (n_controls, n_snps)
     snp_ids: tuple[str, ...]
     positions: tuple[int, ...]
+    codes: np.ndarray = field(init=False, repr=False)  # (n_snps, individuals), cases first
 
     def __post_init__(self):
-        cases = np.asarray(self.cases, dtype=np.int8)
-        controls = np.asarray(self.controls, dtype=np.int8)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "controls", controls)
+        cases = np.asarray(self.cases)
+        controls = np.asarray(self.controls)
         object.__setattr__(self, "snp_ids", tuple(self.snp_ids))
         object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
         n = len(self.snp_ids)
@@ -97,10 +115,20 @@ class GenotypeDataset:
             raise DataFormatError("positions must be strictly increasing")
         if self.positions[0] < 0:
             raise DataFormatError("positions must be non-negative")
-        for mat in (cases, controls):
-            if mat.size and (mat.min() < 0 or mat.max() > 2):
-                raise DataFormatError("genotype codes must be 0, 1 or 2")
-            mat.setflags(write=False)
+        n_cases = len(cases)
+        codes = np.empty((n, n_cases + len(controls)), dtype=np.int8)
+        for offset, cohort in ((0, cases), (n_cases, controls)):
+            cohort = _genotype_codes(cohort)
+            for i in range(0, len(cohort), _FILL_ROWS):
+                rows = cohort[i : i + _FILL_ROWS]
+                codes[:, offset + i : offset + i + len(rows)] = rows.T
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "cases", codes[:, :n_cases].T)
+        object.__setattr__(self, "controls", codes[:, n_cases:].T)
+
+    def __reduce__(self):
+        return GenotypeDataset, (self.cases, self.controls, self.snp_ids, self.positions)
 
     @property
     def n_cases(self) -> int:
@@ -121,12 +149,24 @@ class GenotypeDataset:
 
     def select(self, keep: list[int]) -> "GenotypeDataset":
         """The panel restricted to the SNP columns ``keep``, in that order."""
+        rows = self.codes[keep]
         return GenotypeDataset(
-            cases=self.cases[:, keep],
-            controls=self.controls[:, keep],
+            cases=rows[:, : self.n_cases].T,
+            controls=rows[:, self.n_cases :].T,
             snp_ids=tuple(self.snp_ids[j] for j in keep),
             positions=tuple(self.positions[j] for j in keep),
         )
+
+
+def _genotype_codes(values: np.ndarray) -> np.ndarray:
+    """``values`` as int8, checked before they are narrowed: a
+    ``DataFormatError`` unless every value is an integer in {0, 1, 2}."""
+    if values.size and not (0 <= values.min() and values.max() <= 2):  # false for nan too
+        raise DataFormatError("genotype codes must be 0, 1 or 2")
+    codes = values.astype(np.int8, copy=False)
+    if codes is not values and not np.array_equal(codes, values):
+        raise DataFormatError("genotype codes must be 0, 1 or 2")
+    return codes
 
 
 def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDataset:
@@ -139,12 +179,21 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
     """
     if missing_policy not in ("reject", "impute"):
         raise ValueError(f"unknown missing policy: {missing_policy!r}")
-    impute = missing_policy == "impute"
+    # the file bytes and any line list die with _read_table's frame, and the
+    # table below goes before the dataset builds its own matrix
+    snp_ids, positions, table = _read_table(path, missing_policy == "impute")
+    phenotype = table[:, 0]
+    cases, controls = table[phenotype == 1, 1:], table[phenotype == 0, 1:]
+    del table, phenotype
+    return GenotypeDataset(cases=cases, controls=controls, snp_ids=snp_ids, positions=positions)
 
+
+def _read_table(path: str | Path, impute: bool):
+    """SNP ids, positions and the (individuals, 1 + SNPs) phenotype-and-code
+    matrix of the file at ``path``, missing cells filled under ``impute``."""
     raw = Path(path).read_bytes()
     if b"\r" in raw:  # universal newlines, as text mode reads them
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    codes = None
     first = raw.find(b"\n")
     second = raw.find(b"\n", first + 1)
     if second >= 0:
@@ -156,25 +205,16 @@ def load_dataset(path: str | Path, missing_policy: str = "reject") -> GenotypeDa
             header = _decode(raw[: second + 1], path).split("\n")[:2]
             # they end at the first two newlines when splitlines cuts them there too
             if all(line.splitlines() == [line] for line in header):
-                snp_ids, positions = _parse_header(*header)
-            else:
-                codes = None
-    if codes is None:
-        lines = _decode(raw, path).splitlines()
-        del raw
-        if len(lines) < 2:
-            raise DataFormatError("file must contain #snp and #pos header lines", line=1)
-        snp_ids, positions = _parse_header(lines[0], lines[1])
-        codes = _scan_rows(lines[2:], len(snp_ids), impute)
-        if impute:
-            _impute_modes(codes[:, 1:], snp_ids)
-    phenotype = codes[:, 0]
-    return GenotypeDataset(
-        cases=codes[phenotype == 1, 1:],
-        controls=codes[phenotype == 0, 1:],
-        snp_ids=snp_ids,
-        positions=positions,
-    )
+                return (*_parse_header(*header), codes)
+    lines = _decode(raw, path).splitlines()
+    del raw
+    if len(lines) < 2:
+        raise DataFormatError("file must contain #snp and #pos header lines", line=1)
+    snp_ids, positions = _parse_header(lines[0], lines[1])
+    codes = _scan_rows(lines[2:], len(snp_ids), impute)
+    if impute:
+        _impute_modes(codes[:, 1:], snp_ids)
+    return snp_ids, positions, codes
 
 
 def _parse_header(first: str, second: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -321,7 +361,7 @@ def hwe_filter(dataset: GenotypeDataset, threshold: float) -> tuple[GenotypeData
         return dataset, []
     from scipy.special import chdtrc  # off every command's start-up, as in bstat.chi2_sf
 
-    counts = genotype_counts(dataset.controls.T)
+    counts = genotype_counts(dataset.codes[:, dataset.n_cases :])
     q = (2 * counts[:, 2] + counts[:, 1]) / (2.0 * m)
     expected = m * np.stack([(1 - q) ** 2, 2 * q * (1 - q), q**2], axis=1)
     terms = np.zeros_like(expected)

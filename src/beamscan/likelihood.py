@@ -10,7 +10,8 @@ double precision past w ~ 650, so per-cell terms use the exact identity
 
 with ln(a) formed as ln(rho) - w * ln(3).
 
-Genotypes are held SNP-major, one row of codes per SNP, so a SNP set's codes
+The engine and ``bstat`` read ``GenotypeDataset.codes``, the panel's one
+SNP-major matrix (one row of codes per SNP, cases first), so a SNP set's codes
 are a few contiguous rows. ``_pack_matrix`` packs each individual's codes over
 the set into one key per individual, ordered as the code sequences are with
 the set's last SNP most significant: up to ``FLOAT_KEY_WIDTH`` SNPs the key is
@@ -317,14 +318,7 @@ class LikelihoodEngine:
         self.rho = checked_rho(rho)  # before any table is built for it
         self.n_cases = dataset.n_cases
         self.n_controls = dataset.n_controls
-        # One SNP-major matrix: row j holds SNP j's codes, cases before controls.
-        # It is filled from 256-individual slices of each cohort, which
-        # transpose in cache; one strided copy of a whole cohort does not.
-        self._codes = np.empty((dataset.n_snps, self.n_cases + self.n_controls), dtype=np.int8)
-        for offset, cohort in ((0, dataset.cases), (self.n_cases, dataset.controls)):
-            for i in range(0, len(cohort), 256):
-                rows = cohort[i : i + 256]
-                self._codes[:, offset + i : offset + i + len(rows)] = rows.T
+        self._codes = dataset.codes  # the dataset's SNP-major panel, not a copy
         # the cohorts a cold request evaluates, each with its columns and
         # lnG(size + rho): the model always asks for a set's case and control
         # marginals together

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import beamscan
+from beamscan import cli
 from beamscan.bstat import bstat, null_calibration
 from beamscan.cli import EXIT_CODES, build_parser, main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
-from beamscan.mcmc import COUNTERS
+from beamscan.mcmc import COUNTERS, default_schedule
 from beamscan.model import default_priors
 from beamscan.oracle import enumerate_posterior
 from beamscan.simulate import read_truth
@@ -309,10 +310,11 @@ def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signa
                   "--n-perm", "500"],
     }
     keys = set()
+    manifests = {}
     for name, argv in runs.items():
         out = workdir / f"observe_{name}.tsv"
         assert main([*argv, "--out", str(out)]) == 0, name
-        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        manifest = manifests[name] = json.loads(Path(str(out) + ".manifest.json").read_text())
         keys.update(manifest_keys(manifest))
         phases = manifest["phases"]
         assert set(phases) == {"load_s", "compute_s", "write_s"}, name
@@ -336,6 +338,27 @@ def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signa
         table = out.read_text()
         assert "peak_rss" not in table and "phases" not in table, name
         assert "marginal_cold_s" not in table, name
+
+    # the parameters are the values that ran, the panel's defaults resolved
+    assert main(["map", "--in", str(small), "--out", str(workdir / "observe_defaults.tsv")]) == 0
+    defaults = workdir / "observe_defaults.tsv.manifest.json"
+    manifests["map-defaults"] = json.loads(defaults.read_text())
+    six = load_dataset(small)
+    schedule = default_schedule(six.n_snps)
+    priors = default_priors(six.n_snps, six.region_length, six.n_cases, six.n_controls)
+    for name, (burnin, iters, threads) in {
+        "map": (20, 60, 1), "partition": (20, 60, 1),
+        "map-defaults": (schedule.burnin, schedule.iterations, cli._default_threads()),
+    }.items():
+        params = manifests[name]["parameters"]
+        ran = (params["burnin"], params["iters"], params["threads"])
+        assert ran == (burnin, iters, threads), name
+    for name in ("map-defaults", "oracle"):
+        params = manifests[name]["parameters"]
+        assert (params["p1"], params["p2"], params["max_order"]) == (
+            priors.p1, priors.p2, priors.max_order
+        ), name
+    assert manifests["bstat"]["parameters"]["n_tests"] is None  # C(L, M) per set
 
     # the README, the user contract, names every manifest key, flag and exit code
     readme = README.read_text(encoding="utf-8")

@@ -1,5 +1,8 @@
 """Genotype table parsing, validation, writing and Hardy-Weinberg filtering."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -12,6 +15,7 @@ from beamscan.dataio import (
     load_dataset,
     write_dataset,
 )
+from beamscan.simulate import DiseaseModel, disease_pool, simulate_dataset
 
 CANONICAL = (
     "#snp\trs1\trs2\trs3\n"
@@ -66,6 +70,97 @@ def test_matrices_are_read_only():
     )
     with pytest.raises(ValueError):
         ds.cases[0, 0] = 1
+
+
+def assert_one_matrix(ds):
+    """``codes`` is the one read-only SNP-major matrix, cases first, and the
+    cohorts are read-only views of its columns."""
+    codes = ds.codes
+    assert codes.dtype == np.int8 and codes.flags.c_contiguous and not codes.flags.writeable
+    assert codes.shape == (ds.n_snps, ds.n_cases + ds.n_controls)
+    cohorts = ((ds.cases, codes[:, : ds.n_cases]), (ds.controls, codes[:, ds.n_cases :]))
+    for cohort, columns in cohorts:
+        assert cohort.base is codes and not cohort.flags.writeable
+        assert cohort.size == 0 or np.shares_memory(cohort, codes)
+        assert cohort.shape == columns.T.shape and np.array_equal(cohort, columns.T)
+
+
+def test_every_dataset_holds_its_panel_once(tmp_path):
+    ds = load_dataset(write_tmp(tmp_path, CANONICAL))
+    assert_one_matrix(ds)
+    assert ds.codes.tolist() == [[0, 1, 2, 0], [1, 1, 0, 0], [2, 0, 0, 1]]
+    picked = ds.select([0, 2])
+    assert_one_matrix(picked)
+    assert picked.codes.tolist() == [[0, 1, 2, 0], [2, 0, 0, 1]]
+    pool, loci = disease_pool(20, 0.25, seed=7)
+    sim = simulate_dataset(pool, DiseaseModel.from_theta(1, 1.0, 0.25, loci), 40, 50, seed=1)
+    assert_one_matrix(sim.dataset)
+    for n_cases, n_controls in ((0, 3), (3, 0), (0, 0)):
+        empty = GenotypeDataset(np.ones((n_cases, 2)), np.zeros((n_controls, 2)), "ab", (1, 2))
+        assert_one_matrix(empty)
+
+
+@pytest.mark.parametrize("bad", [258, -254, 3, -1, 0.5, float("nan")])
+@pytest.mark.parametrize("cohort", ["cases", "controls"])
+def test_codes_are_checked_before_they_are_narrowed(bad, cohort):
+    # 258 and -254 are 2 in int8, and 0.5 truncates to 0
+    cells = {"cases": np.array([[2, 1]], type(bad)), "controls": np.array([[0, 2]], type(bad))}
+    cells[cohort][0, 0] = bad
+    with pytest.raises(DataFormatError, match="genotype codes must be 0, 1 or 2"):
+        GenotypeDataset(cells["cases"], cells["controls"], ["a", "b"], [1, 2])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.float64, np.float32])
+def test_integer_valued_codes_of_any_dtype_load(dtype):
+    cases, controls = np.array([[2, 1]], dtype), np.array([[0, 2], [1, 0]], dtype)
+    ds = GenotypeDataset(cases, controls, ["a", "b"], [1, 2])
+    assert ds.codes.dtype == np.int8 and ds.codes.tolist() == [[2, 0, 1], [1, 2, 0]]
+
+
+def test_a_pickle_carries_the_panel_once():
+    rng = np.random.default_rng(9)
+    n_snps = 2000
+    ds = GenotypeDataset(
+        rng.integers(0, 3, size=(700, n_snps)),
+        rng.integers(0, 3, size=(800, n_snps)),
+        tuple(f"rs{j}" for j in range(n_snps)),
+        range(1, n_snps + 1),
+    )
+    data = pickle.dumps(ds)
+    # the two cohorts once; the ids and positions add about 1%
+    assert ds.codes.nbytes < len(data) < 1.05 * ds.codes.nbytes
+    back = pickle.loads(data)
+    assert_one_matrix(back)
+    assert back.codes.tobytes() == ds.codes.tobytes()
+    assert np.array_equal(back.cases, ds.cases) and np.array_equal(back.controls, ds.controls)
+    assert back.snp_ids == ds.snp_ids and back.positions == ds.positions
+
+
+def test_loading_holds_at_most_the_file_and_two_panels(tmp_path):
+    # a canonical 2,000-SNP panel of 1,000 people, written byte by byte
+    rng = np.random.default_rng(17)
+    n_snps, n_people = 2000, 1000
+    table = np.empty((n_people, 1 + n_snps), dtype=np.uint8)
+    table[:, 0] = np.arange(n_people) < n_people // 2  # cases first
+    table[:, 1:] = rng.integers(0, 3, size=(n_people, n_snps))
+    lines = np.full((n_people, 2 * (1 + n_snps)), ord("\t"), dtype=np.uint8)
+    lines[:, 0::2] = table + ord("0")
+    lines[:, -1] = ord("\n")
+    header = "#snp\t" + "\t".join(f"rs{j}" for j in range(n_snps)) + "\n"
+    header += "#pos\t" + "\t".join(str(10 * (j + 1)) for j in range(n_snps)) + "\n"
+    path = tmp_path / "panel.tsv"
+    path.write_bytes(header.encode("ascii") + lines.tobytes())
+    del lines
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.codes.tobytes() == np.ascontiguousarray(table[:, 1:].T).view(np.int8).tobytes()
+    # the file bytes and one panel besides the dataset's own, never a third copy
+    panel = n_snps * n_people
+    assert peak <= path.stat().st_size + 2 * panel + 10**6, peak
 
 
 def test_invalid_code_names_line(tmp_path):
@@ -260,6 +355,7 @@ def test_hwe_filter_removes_violations():
     assert removed == ["b"]
     assert filtered.snp_ids == ("a", "c")
     assert np.array_equal(filtered.controls[:, 0], good1)
+    assert_one_matrix(filtered)
 
     unchanged, removed0 = hwe_filter(ds, 0.0)
     assert removed0 == [] and unchanged is ds

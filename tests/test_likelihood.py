@@ -533,11 +533,12 @@ def test_engine_panel_is_the_stacked_transpose_byte_for_byte(n_cases, n_controls
         snp_ids=tuple(f"s{i}" for i in range(7)),
         positions=tuple(range(1, 8)),
     )
-    codes = LikelihoodEngine(ds, rho=RHO)._codes
     want = np.hstack([cases.T, controls.T])
-    assert codes.dtype == np.int8 and codes.flags.c_contiguous
-    assert codes.shape == want.shape
-    assert codes.tobytes() == want.tobytes()
+    assert ds.codes.dtype == np.int8 and ds.codes.flags.c_contiguous
+    assert ds.codes.shape == want.shape
+    assert ds.codes.tobytes() == want.tobytes()
+    # the engine reads the dataset's matrix itself, not a copy
+    assert LikelihoodEngine(ds, rho=RHO)._codes is ds.codes
 
 
 def test_engine_empty_inputs():
