@@ -45,7 +45,7 @@ from .dataio import (
 )
 from .likelihood import RHO_DEFAULT, RHO_RULE, rho_is_valid
 from .mcmc import Schedule, default_schedule, run_chains
-from .model import ConstraintError, PriorConfig, default_priors
+from .model import PRIOR_BLOCKS_DEFAULT, ConstraintError, PriorConfig, default_priors
 from .oracle import enumerate_posterior
 
 # the per-SNP posterior columns and the result attributes they print
@@ -117,7 +117,7 @@ def _add_prior_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--prior-blocks",
         type=_positive_float,
-        default=50_000.0,
+        default=PRIOR_BLOCKS_DEFAULT,
         help="expected genome-wide block count behind the boundary prior",
     )
 
@@ -462,9 +462,20 @@ def cmd_bstat(args, clock: _PhaseClock):
 
 
 def cmd_simulate(args, clock: _PhaseClock):
-    # imported here, off every command's start-up
-    from .simulate import DiseaseModel, disease_pool, drop_loci, simulate_dataset, write_truth
+    # imported here, off every command's start-up, so the parser leaves the
+    # pool-shape flags at None and they take simulate's defaults here
+    from .simulate import (
+        BLOCK_WIDTH_DEFAULT,
+        N_FOUNDERS_DEFAULT,
+        DiseaseModel,
+        disease_pool,
+        drop_loci,
+        simulate_dataset,
+        write_truth,
+    )
 
+    args.block_width = args.block_width or BLOCK_WIDTH_DEFAULT
+    args.founders = args.founders or N_FOUNDERS_DEFAULT
     # no input: the load phase stays 0
     n_generated = args.snps if args.keep_loci else args.snps + 2
     pool, loci = disease_pool(
@@ -562,8 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--cases", type=_positive_int, default=1000)
     p_sim.add_argument("--controls", type=_positive_int, default=1000)
     p_sim.add_argument("--snps", type=_positive_int, default=100, help="SNPs in the written panel")
-    p_sim.add_argument("--block-width", type=_positive_int, default=5)
-    p_sim.add_argument("--founders", type=_int_at_least(2), default=4)
+    # None: cmd_simulate takes simulate.BLOCK_WIDTH_DEFAULT and simulate.N_FOUNDERS_DEFAULT
+    p_sim.add_argument("--block-width", type=_positive_int, default=None)
+    p_sim.add_argument("--founders", type=_int_at_least(2), default=None)
     p_sim.add_argument(
         "--keep-loci",
         action="store_true",

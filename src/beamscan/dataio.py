@@ -12,7 +12,9 @@ The on-disk format is UTF-8, tab-separated:
 
 Canonical files list all cases before all controls and end with a newline;
 ``write_dataset`` emits exactly that shape, so load/write round-trips are
-byte-identical for canonical input.
+byte-identical for canonical input. A canonical data line is a digit byte and
+a separator byte (``_separators``) per field: the writer builds the lines as
+that uint8 matrix, and the fixed-width decode below reads it.
 
 ``load_dataset`` decodes a data section in which every token is one of
 ``0``/``1``/``2`` and every line ends in a newline, so that every line has
@@ -50,7 +52,7 @@ import numpy as np
 MISSING_TOKENS = frozenset({"NA", ".", "-1", "N"})
 _CODE_MAP = {"0": 0, "1": 1, "2": 2}
 _COUNT_CELLS = 1 << 22  # genotype codes compared at a time by genotype_counts
-_FILL_ROWS = 256  # individuals transposed at a time into the SNP-major matrix
+_FILL_ROWS = 256  # individuals transposed at a time into, or out of, the SNP-major matrix
 
 
 class DataFormatError(ValueError):
@@ -255,15 +257,21 @@ def _fixed_width_codes(raw: np.ndarray, n_snps: int) -> np.ndarray | None:
     if raw.size % width:
         return None
     lines = raw.reshape(-1, width)
-    separators = np.full(n_snps + 1, ord("\t"), dtype=np.uint8)
-    separators[-1] = ord("\n")
-    if not (lines[:, 1::2] == separators).all():
+    if not (lines[:, 1::2] == _separators(n_snps)).all():
         return None
     # uint8 arithmetic: a byte below "0" wraps around to a code above 2
     codes = lines[:, 0::2] - ord("0")
     if codes.size and (codes.max() > 2 or codes[:, 0].max() > 1):
         return None
     return codes.view(np.int8)
+
+
+def _separators(n_snps: int) -> np.ndarray:
+    """The byte after each field of a canonical data line of ``n_snps`` codes:
+    a tab after the phenotype and every code but the last, a newline after it."""
+    separators = np.full(n_snps + 1, ord("\t"), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    return separators
 
 
 def _scan_rows(rows: list[str], n_snps: int, impute: bool) -> np.ndarray:
@@ -316,14 +324,21 @@ def _impute_modes(codes: np.ndarray, snp_ids: tuple[str, ...]) -> None:
 
 
 def write_dataset(dataset: GenotypeDataset, path: str | Path) -> None:
-    """Write the canonical tab-separated form (cases first, then controls)."""
-    out = ["#snp\t" + "\t".join(dataset.snp_ids)]
-    out.append("#pos\t" + "\t".join(str(p) for p in dataset.positions))
-    for row in dataset.cases:
-        out.append("1\t" + "\t".join(str(int(g)) for g in row))
-    for row in dataset.controls:
-        out.append("0\t" + "\t".join(str(int(g)) for g in row))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    """Write the canonical tab-separated form (cases first, then controls),
+    the data lines of ``_FILL_ROWS`` individuals at a time as one uint8 matrix."""
+    header = "#snp\t" + "\t".join(dataset.snp_ids) + "\n"
+    header += "#pos\t" + "\t".join(str(p) for p in dataset.positions) + "\n"
+    n_people = dataset.codes.shape[1]
+    lines = np.empty((min(n_people, _FILL_ROWS), 2 * (dataset.n_snps + 1)), dtype=np.uint8)
+    lines[:, 1::2] = _separators(dataset.n_snps)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8"))
+        for lo in range(0, n_people, _FILL_ROWS):
+            rows = lines[: min(_FILL_ROWS, n_people - lo)]
+            rows[:, 0] = np.arange(lo, lo + len(rows)) < dataset.n_cases
+            rows[:, 2::2] = dataset.codes[:, lo : lo + len(rows)].T
+            rows[:, 0::2] += ord("0")
+            fh.write(rows.tobytes())
 
 
 def genotype_counts(rows: np.ndarray) -> np.ndarray:

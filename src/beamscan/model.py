@@ -26,6 +26,7 @@ from .dataio import GenotypeDataset
 from .likelihood import RHO_DEFAULT, WHO_BOTH, WHO_CASES, WHO_CONTROLS, LikelihoodEngine, checked_rho
 
 NEG_INF = float("-inf")
+PRIOR_BLOCKS_DEFAULT = 50_000.0  # expected genome-wide block count behind the boundary prior
 
 
 class ConstraintError(ValueError):
@@ -72,7 +73,7 @@ def default_priors(
     region_length: int,
     n_cases: int,
     n_controls: int,
-    prior_blocks: float = 50_000.0,
+    prior_blocks: float = PRIOR_BLOCKS_DEFAULT,
     rho: float = RHO_DEFAULT,
     p1: float | None = None,
     p2: float | None = None,

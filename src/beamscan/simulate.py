@@ -14,15 +14,17 @@ carried by exactly one founder (its frequency equals the requested MAF) and at
 least one other SNP in the block tags that founder, mirroring panels in which
 dropped disease SNPs remain tagged.
 
-The simulator's fixed choices are the module constants
-``MIN_FOUNDER_FREQUENCY``, ``MIN_TAG_R2``, ``POSITION_SPACING``,
-``TRUTH_WINDOW`` and ``THETA_TOL``.
+The simulator's fixed choices are the module constants below the model ids,
+two of them (``BLOCK_WIDTH_DEFAULT``, ``N_FOUNDERS_DEFAULT``) defaults that
+``random_pool``, ``disease_pool`` and ``beamscan simulate`` share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +34,18 @@ from .dataio import GenotypeDataset
 from .model import ConstraintError
 
 MODEL_IDS = (1, 2, 3)
+BLOCK_WIDTH_DEFAULT = 5  # SNPs per founder block (the last block takes the rest)
+N_FOUNDERS_DEFAULT = 4  # founder haplotypes per block
+DIRICHLET_CONCENTRATION = 2.0  # of the symmetric Dirichlet that draws founder frequencies
+DIRICHLET_ATTEMPTS = 1000  # draws before the last one is clipped to the floor instead
 MIN_FOUNDER_FREQUENCY = 0.05  # floor on a neutral block's founder frequencies
+MIN_DISEASE_BLOCK_WIDTH = 3  # SNPs a block needs to hold a disease locus
+OTHER_FOUNDER_FLOOR = 0.02  # floor on a disease block's non-carrier founders, before scaling
+TAG_ATTEMPTS = 50  # haplotype draws a disease block makes for a tagging SNP
 MIN_TAG_R2 = 0.5  # founder-level r^2 a disease block's best tagging SNP must reach
+POOL_OVER_FLOOR = 1.5  # the unaffected pool's first size, over min_pool_size ...
+POOL_OVER_COHORTS = 2  # ... or over the cohorts, whichever is larger
+MAX_POOL_DOUBLINGS = 8  # times the pool may double to cover the case quota
 POSITION_SPACING = 1000  # base pairs between consecutive simulated SNPs
 TRUTH_WINDOW = 5  # SNPs on each side of a dropped locus that its truth window spans
 THETA_TOL = 1e-10  # root tolerance of solve_theta
@@ -79,35 +91,26 @@ class FounderBlock:
 
 @dataclass(frozen=True)
 class FounderPool:
-    """Ordered founder blocks covering the panel."""
+    """Ordered founder blocks covering the panel; block i starts at SNP
+    ``block_starts[i]``, a layout worked out once from the block widths."""
 
     blocks: tuple[FounderBlock, ...]
+    block_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    n_snps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("pool needs at least one block")
-
-    @property
-    def n_snps(self) -> int:
-        return sum(b.width for b in self.blocks)
-
-    @property
-    def block_starts(self) -> tuple[int, ...]:
-        starts = []
-        at = 0
-        for b in self.blocks:
-            starts.append(at)
-            at += b.width
-        return tuple(starts)
+        *starts, end = accumulate((b.width for b in self.blocks), initial=0)
+        object.__setattr__(self, "block_starts", tuple(starts))
+        object.__setattr__(self, "n_snps", end)
 
     def block_of(self, snp: int) -> int:
-        at = 0
-        for idx, b in enumerate(self.blocks):
-            if snp < at + b.width:
-                return idx
-            at += b.width
-        raise IndexError("SNP index out of range")
+        """The block holding SNP ``snp``; ``IndexError`` outside ``[0, n_snps)``."""
+        if not 0 <= snp < self.n_snps:
+            raise IndexError("SNP index out of range")
+        return bisect_right(self.block_starts, snp) - 1
 
 
 def _block_widths(n_snps: int, block_width: int, n_founders: int) -> list[int]:
@@ -123,8 +126,8 @@ def _block_widths(n_snps: int, block_width: int, n_founders: int) -> list[int]:
 
 
 def _draw_frequencies(rng: np.random.Generator, k: int, floor: float) -> np.ndarray:
-    for _ in range(1000):
-        f = rng.dirichlet(np.full(k, 2.0))
+    for _ in range(DIRICHLET_ATTEMPTS):
+        f = rng.dirichlet(np.full(k, DIRICHLET_CONCENTRATION))
         if f.min() >= floor:
             return f
     f = np.clip(f, floor, None)
@@ -147,7 +150,7 @@ def _neutral_block(rng: np.random.Generator, n_founders: int, width: int) -> Fou
 
 
 def random_pool(
-    n_snps: int, block_width: int = 5, n_founders: int = 4, seed: int = 0
+    n_snps: int, block_width: int = BLOCK_WIDTH_DEFAULT, n_founders: int = N_FOUNDERS_DEFAULT, seed: int = 0
 ) -> FounderPool:
     """Random founder pool with polymorphic SNPs in every block."""
     widths = _block_widths(n_snps, block_width, n_founders)
@@ -158,8 +161,6 @@ def random_pool(
 def _founder_r2(freqs: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     px = float(freqs @ x)
     py = float(freqs @ y)
-    if px <= 0 or px >= 1 or py <= 0 or py >= 1:
-        return 0.0
     cov = float(freqs @ (x * y)) - px * py
     return cov * cov / (px * (1 - px) * py * (1 - py))
 
@@ -172,25 +173,25 @@ def _disease_block(
     locus_local: int,
 ) -> FounderBlock:
     """Block whose locus allele rides a single founder of frequency ``maf``."""
-    rest = _draw_frequencies(rng, n_founders - 1, 0.02) * (1.0 - maf)
+    rest = _draw_frequencies(rng, n_founders - 1, OTHER_FOUNDER_FLOOR) * (1.0 - maf)
     freqs = np.concatenate([[maf], rest])
     carrier = np.zeros(n_founders, dtype=np.int8)
     carrier[0] = 1
     best = None
-    for _ in range(50):
+    for _ in range(TAG_ATTEMPTS):
         haps = _random_haplotypes(rng, n_founders, width)
         haps[:, locus_local] = carrier
         r2 = max(
             _founder_r2(freqs, carrier.astype(float), haps[:, j].astype(float))
             for j in range(width)
             if j != locus_local
-        ) if width > 1 else 0.0
+        )
         if best is None or r2 > best[0]:
             best = (r2, haps)
         if r2 >= MIN_TAG_R2:
             break
     r2, haps = best
-    if width > 1 and r2 < MIN_TAG_R2:
+    if r2 < MIN_TAG_R2:
         # force one tagging SNP so the locus stays visible after dropping it
         spots = [j for j in range(width) if j != locus_local]
         haps[:, spots[int(rng.integers(len(spots)))]] = carrier
@@ -200,14 +201,16 @@ def _disease_block(
 def disease_pool(
     n_snps: int,
     maf: float,
-    block_width: int = 5,
-    n_founders: int = 4,
+    block_width: int = BLOCK_WIDTH_DEFAULT,
+    n_founders: int = N_FOUNDERS_DEFAULT,
     seed: int = 0,
 ) -> tuple[FounderPool, tuple[int, int]]:
     """Founder pool with two disease loci at block-interior positions.
 
-    The loci sit near the centers of the blocks at roughly 1/4 and 3/4 of
-    the panel; their allele frequencies equal ``maf`` exactly.
+    The loci sit at the centers of the blocks at least
+    ``MIN_DISEASE_BLOCK_WIDTH`` wide nearest 1/4 and 3/4 of the panel's
+    blocks; the first comes before the second, and their allele frequencies
+    equal ``maf`` exactly.
     """
     if not 0.0 < maf <= 0.5:
         raise ValueError("maf must lie in (0, 0.5]")
@@ -219,39 +222,31 @@ def disease_pool(
     def nearest_wide(anchor: int, taken: set[int]) -> int:
         order = sorted(range(len(widths)), key=lambda i: (abs(i - anchor), i))
         for i in order:
-            if widths[i] >= 3 and i not in taken:
+            if widths[i] >= MIN_DISEASE_BLOCK_WIDTH and i not in taken:
                 return i
-        raise ValueError("need two blocks at least 3 SNPs wide for the disease loci")
+        raise ValueError(f"need two blocks of at least {MIN_DISEASE_BLOCK_WIDTH} SNPs for the disease loci")
 
+    # every block but the last is block_width wide, so d1 < d2
     d1 = nearest_wide(len(widths) // 4, set())
     d2 = nearest_wide((3 * len(widths)) // 4, {d1})
-    if d1 > d2:
-        d1, d2 = d2, d1
-    blocks = []
-    at = 0
-    loci = []
-    for idx, w in enumerate(widths):
-        if idx in (d1, d2):
-            local = w // 2
-            blocks.append(_disease_block(rng, w, n_founders, maf, local))
-            loci.append(at + local)
-        else:
-            blocks.append(_neutral_block(rng, n_founders, w))
-        at += w
-    return FounderPool(tuple(blocks)), (loci[0], loci[1])
+    pool = FounderPool(tuple(
+        _disease_block(rng, w, n_founders, maf, w // 2)
+        if i in (d1, d2)
+        else _neutral_block(rng, n_founders, w)
+        for i, w in enumerate(widths)
+    ))
+    return pool, tuple(pool.block_starts[d] + widths[d] // 2 for d in (d1, d2))
 
 
 def sample_pool_genotypes(pool: FounderPool, n_individuals: int, rng: np.random.Generator) -> np.ndarray:
     """Draw unaffected individuals: two independent founder picks per block."""
     out = np.empty((n_individuals, pool.n_snps), dtype=np.int8)
-    at = 0
-    for block in pool.blocks:
+    for at, block in zip(pool.block_starts, pool.blocks):
         k = block.haplotypes.shape[0]
         picks = rng.choice(k, size=(n_individuals, 2), p=block.frequencies)
         out[:, at : at + block.width] = (
             block.haplotypes[picks[:, 0]] + block.haplotypes[picks[:, 1]]
         )
-        at += block.width
     return out
 
 
@@ -322,13 +317,12 @@ def solve_theta(model_id: int, marginal_effect: float, maf: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DiseaseModel:
-    """Two-locus relative-risk model with its realized penetrance table."""
+    """Two-locus relative-risk model at two loci."""
 
     model_id: int
     theta: float
     maf: float
     loci: tuple[int, int]
-    penetrance: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "loci", tuple(int(v) for v in self.loci))
@@ -336,13 +330,16 @@ class DiseaseModel:
             raise ValueError("need two distinct loci")
         if not 0.0 < self.maf <= 0.5:
             raise ValueError("maf must lie in (0, 0.5]")
-        pen = np.asarray(self.penetrance, dtype=float)
-        object.__setattr__(self, "penetrance", pen)
-        pen.setflags(write=False)
+        risk_table(self.model_id, self.theta)  # rejects an unknown model or a negative theta
+
+    @property
+    def penetrance(self) -> np.ndarray:
+        """The 3x3 relative-risk table, ``risk_table(model_id, theta)``."""
+        return risk_table(self.model_id, self.theta)
 
     @classmethod
     def from_theta(cls, model_id: int, theta: float, maf: float, loci) -> "DiseaseModel":
-        return cls(model_id, float(theta), maf, tuple(loci), risk_table(model_id, theta))
+        return cls(model_id, float(theta), maf, tuple(loci))
 
     @classmethod
     def from_effect(cls, model_id: int, marginal_effect: float, maf: float, loci) -> "DiseaseModel":
@@ -396,40 +393,41 @@ def simulate_dataset(
 ) -> SimulatedDataset:
     """Draw a case-control panel from the pool under the disease model.
 
-    The unaffected pool starts at the larger of 1.5 times
-    :func:`min_pool_size` and twice the cohorts, and doubles (at most eight
-    times) until every diplotype stratum covers its drawn case quota.
+    The unaffected pool starts at the larger of ``POOL_OVER_FLOOR`` times
+    :func:`min_pool_size` and ``POOL_OVER_COHORTS`` times the cohorts, and
+    doubles (at most ``MAX_POOL_DOUBLINGS`` times) until every diplotype
+    stratum covers its drawn case quota.
     """
     if n_cases < 1 or n_controls < 1:
         raise ValueError("both cohorts must be non-empty")
     n_snps = pool.n_snps
     l1, l2 = model.loci
-    if not (0 <= l1 < n_snps and 0 <= l2 < n_snps):
-        raise ValueError("loci outside the panel")
-    if pool.block_of(l1) == pool.block_of(l2):
+    try:
+        blocks = [pool.block_of(locus) for locus in model.loci]
+    except IndexError:
+        raise ValueError("loci outside the panel") from None
+    if blocks[0] == blocks[1]:
         raise ValueError("loci must sit in different founder blocks")
-    for locus in model.loci:
-        b = pool.blocks[pool.block_of(locus)]
-        local = locus - pool.block_starts[pool.block_of(locus)]
-        if abs(b.allele_frequency(local) - model.maf) > 1e-9:
+    for locus, b in zip(model.loci, blocks):
+        local = locus - pool.block_starts[b]
+        if abs(pool.blocks[b].allele_frequency(local) - model.maf) > 1e-9:
             raise ValueError(
                 f"pool allele frequency at locus {locus} differs from the model MAF"
             )
 
     floor = min_pool_size(model, n_cases, n_controls)
     rng = default_rng(seed)
-    genotypes = sample_pool_genotypes(
-        pool, max(int(math.ceil(1.5 * floor)), 2 * (n_cases + n_controls)), rng
-    )
+    size = max(int(math.ceil(POOL_OVER_FLOOR * floor)), POOL_OVER_COHORTS * (n_cases + n_controls))
+    genotypes = sample_pool_genotypes(pool, size, rng)
     demand = rng.multinomial(n_cases, case_diplotype_probs(model))
     # the floor covers stratum demand only in expectation, so double the pool
     # until it covers the drawn quota
-    for grows in range(9):
+    for grows in range(MAX_POOL_DOUBLINGS + 1):
         strata = genotypes[:, l1].astype(np.int64) * 3 + genotypes[:, l2]
         if np.all(np.bincount(strata, minlength=9) >= demand):
             break
-        if grows == 8:
-            raise PoolError("pool regrow limit reached before the case quota")
+        if grows == MAX_POOL_DOUBLINGS:
+            raise PoolError(f"pool regrow limit reached after {MAX_POOL_DOUBLINGS} doublings")
         extra = sample_pool_genotypes(pool, genotypes.shape[0], rng)
         genotypes = np.vstack([genotypes, extra])
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import beamscan
-from beamscan import cli
+from beamscan import cli, simulate
 from beamscan.bstat import bstat, null_calibration
 from beamscan.cli import EXIT_CODES, build_parser, main
 from beamscan.dataio import GenotypeDataset, load_dataset, write_dataset
@@ -377,6 +377,10 @@ def test_every_manifest_records_phases_peak_memory_and_memo_sizes(workdir, signa
     assert [o for o in sorted(options) if not re.search(rf"(?<![\w-]){o}(?![\w-])", readme)] == []
     for kind, code in EXIT_CODES:
         assert re.search(rf"^\| {code} \|.*`{kind.__name__}`", readme, re.M), kind
+    # and every fixed choice of the simulator, a numeric constant of its module
+    fixed = [n for n, v in vars(simulate).items() if n.isupper() and isinstance(v, (int, float))]
+    assert "OTHER_FOUNDER_FLOOR" in fixed and "BLOCK_WIDTH_DEFAULT" in fixed
+    assert [n for n in fixed if not re.search(rf"`(simulate\.)?{n}`", readme)] == []
 
 
 def test_map_on_null_panel_stays_quiet(workdir):

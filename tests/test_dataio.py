@@ -161,6 +161,10 @@ def test_loading_holds_at_most_the_file_and_two_panels(tmp_path):
     # the file bytes and one panel besides the dataset's own, never a third copy
     panel = n_snps * n_people
     assert peak <= path.stat().st_size + 2 * panel + 10**6, peak
+    # and the writer builds the same bytes back from the dataset's own matrix
+    copy = tmp_path / "copy.tsv"
+    write_dataset(ds, copy)
+    assert copy.read_bytes() == path.read_bytes()
 
 
 def test_invalid_code_names_line(tmp_path):
@@ -333,8 +337,11 @@ def test_noncanonical_order_is_canonicalized(tmp_path):
 
 
 def test_empty_cohorts_load(tmp_path):
-    ds = load_dataset(write_tmp(tmp_path, "#snp\ta\tb\n#pos\t1\t2\n"))
+    src = write_tmp(tmp_path, "#snp\ta\tb\n#pos\t1\t2\n")
+    ds = load_dataset(src)
     assert ds.n_cases == 0 and ds.n_controls == 0 and ds.n_snps == 2
+    write_dataset(ds, tmp_path / "copy.tsv")
+    assert (tmp_path / "copy.tsv").read_bytes() == src.read_bytes()  # the two header lines
 
 
 def hw_controls(rng, q, m):

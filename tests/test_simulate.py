@@ -120,6 +120,9 @@ def test_random_pool_layout():
     assert [b.width for b in pool.blocks] == [5, 5, 5, 5, 3]
     assert pool.block_of(12) == 2
     assert pool.block_of(22) == 4
+    for outside in (-1, 23):
+        with pytest.raises(IndexError):
+            pool.block_of(outside)
     for block in pool.blocks:
         haps = block.haplotypes
         assert haps.min() >= 0 and haps.max() <= 1
