@@ -256,13 +256,11 @@ def fit_shift_constant(
     n_perm: int = N_PERM_DEFAULT,
     seed: int = 0,
 ) -> float:
-    """Fit the analytic shift constant c by matching the permutation median.
-
-    Like permutation calibration, the fit needs at least ``N_PERM_MIN`` replicates.
+    """Fit the analytic shift constant c by matching the permutation median:
+    the permutation calibration's shift over the analytic shift at c = 1,
+    so the fit needs at least ``N_PERM_MIN`` replicates.
     """
     snps = _validated_set(dataset, snp_set)
-    if n_perm < N_PERM_MIN:
-        raise ValueError(f"fitting the shift constant needs n_perm >= {N_PERM_MIN}")
     unit_shift = analytic_shift(dataset.n_cases, dataset.n_controls, len(snps), 1.0)
     if unit_shift == 0.0:
         raise ValueError(
@@ -270,8 +268,8 @@ def fit_shift_constant(
             f"{dataset.n_controls} controls, so its constant cannot be fit; "
             "use permutation calibration"
         )
-    null = permutation_null(dataset, snps, rho=rho, n_perm=n_perm, seed=seed)
-    return _median_shift(null, 3 ** len(snps) - 1) / unit_shift
+    null = null_calibration(dataset, snps, rho=rho, mode="permutation", n_perm=n_perm, seed=seed)
+    return null.shift / unit_shift
 
 
 def null_calibration(

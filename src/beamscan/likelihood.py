@@ -40,14 +40,19 @@ both values. The engine, ``bstat`` and the tests all count through
 ``_pack_matrix``; since both key forms sort like the code sequences, counts
 come out in the same cell order at every width.
 
-A chain asks for nearly every SNP's single-SNP marginals at its start: the
-diplotype-cap check reads each combined-cohort count, and the first label
-sweep most case/control pairs. ``prefetch_singletons`` evaluates all of one
-kind in one array pass, counting each SNP's codes per cohort with
+Every client that reads one singleton of a cohort kind reads them all: the
+diplotype-cap check reads each SNP's combined-cohort count, and a label sweep
+or the exact enumerator each SNP's case/control pair. Counted per command,
+``map`` (400 SNPs x 1,000 people) reads 400 of 400 singletons of each
+cohort, ``partition`` (400 x 4,000) 400 of 400 combined and none of the pair,
+and ``oracle`` (10 SNPs) 10 of 10 of each. So the engine's first cold width-1
+request of a kind, the combined cohort or the case/control pair, evaluates
+every SNP's singletons of that kind in one array pass
+(``_batch_singletons``), counting each SNP's codes per cohort with
 ``dataio.genotype_counts`` and evaluating the count matrix by
 ``log_marginal``'s row form, bit-equal to one-at-a-time evaluation. The
 values go straight into the memo, the combined cohort's distinct counts with
-them, so the memo may hold singletons that no one has asked for yet.
+them, and later width-1 requests of that kind are memo hits.
 
 Counts are integers, so every lnG the marginal needs is lnG(k + a) for an
 integer k and one of a few offsets a: alpha_h of each width, and rho itself
@@ -333,10 +338,9 @@ class LikelihoodEngine:
         self._distinct: dict[tuple[int, ...], int] = {}
         self.cold_s = 0.0  # seconds spent evaluating marginals that were not memoized
 
-    def prefetch_singletons(self, who: str) -> None:
-        """Evaluate every SNP's singleton marginal in the cohorts that a cold
-        ``who`` request evaluates, in one array pass, and memoize each value
-        that is not memoized yet, with the combined cohort's distinct counts.
+    def _batch_singletons(self, cohorts) -> None:
+        """Evaluate and memoize every SNP's singleton marginal in ``cohorts``,
+        in one array pass, with the combined cohort's distinct counts.
 
         The values come from ``_log_marginal_rows``, the row form behind
         ``log_marginal``, and equal ``_log_marginal_present``'s bit for bit:
@@ -344,16 +348,14 @@ class LikelihoodEngine:
         ``np.add.reduce``'s order, and the same operations after the sum.
         """
         started = time.perf_counter()
-        for cohort, columns, log_g_total in self._cohorts[who]:
+        for cohort, columns, log_g_total in cohorts:
             counts = genotype_counts(self._codes[:, columns])
             values = _log_marginal_rows(counts, 1, self.rho, log_g_total)
             present = np.count_nonzero(counts, axis=1)
             for snp, (value, distinct) in enumerate(zip(values.tolist(), present.tolist())):
-                key = ((snp,), cohort)
-                if key not in self._marg:
-                    self._marg[key] = value
-                    if cohort == WHO_BOTH:
-                        self._distinct[(snp,)] = distinct
+                self._marg[(snp,), cohort] = value
+                if cohort == WHO_BOTH:
+                    self._distinct[(snp,)] = distinct
         self.cold_s += time.perf_counter() - started
 
     def marginal(self, snps: tuple[int, ...], who: str) -> float:
@@ -361,8 +363,9 @@ class LikelihoodEngine:
         ``who``; 0 for an empty set or cohort.
 
         A cold case or control request evaluates and memoizes both cohorts
-        from one pack of the set's rows; ``prefetch_singletons`` may have
-        memoized a singleton's values before it is asked for.
+        from one pack of the set's rows. The first cold single-SNP request of
+        a kind memoizes every SNP's singletons of that kind in one pass; a
+        singleton that the pass did not memoize is packed on its own.
         """
         if not snps:
             return 0.0
@@ -373,6 +376,11 @@ class LikelihoodEngine:
         cohorts = self._cohorts.get(who)
         if cohorts is None:
             raise ValueError(f"unknown cohort selector: {who!r}")
+        if len(snps) == 1:  # the first singleton of its kind: every SNP's, in one pass
+            self._batch_singletons(cohorts)
+            hit = self._marg.get(key)
+            if hit is not None:
+                return hit
         started = time.perf_counter()
         width = len(snps)
         first = snps[0]

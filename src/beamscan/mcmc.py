@@ -41,10 +41,6 @@ with the number of samples taken of it, and adds that run to the boundary
 and label tallies and the interaction-set counts whenever the state's
 ``version`` shows a write since. Counts are integers, so the float sums equal
 a per-sample tally exactly, also when a write left the record as it was.
-When it will sweep labels, it first has the engine memoize every SNP's
-case/control singleton marginals in one array pass
-(``LikelihoodEngine.prefetch_singletons``), as ``ChainState`` does for the
-combined cohort before the model's singleton cap check.
 
 The labels are kept a second time as one panel-wide ``label_key``,
 ``mask_from_labels(labels, 0, n)``. The mask of any block is a bit slice of
@@ -84,7 +80,6 @@ import numpy as np
 from numpy.random import default_rng  # at import: numpy 2 loads numpy.random on first use
 
 from .dataio import GenotypeDataset
-from .likelihood import WHO_BOTH, WHO_CASES
 from .model import JointModel, PriorConfig, mask_from_labels
 
 _BLOCK_WORDS = 64  # the raw words a draw source reads at a time
@@ -253,7 +248,6 @@ class BlockProposal:
     first of them block ``first``; ``added`` tile the same SNPs after the move.
     """
 
-    kind: str
     first: int
     removed: tuple[tuple[int, int], ...]
     added: tuple[tuple[int, int], ...]
@@ -350,7 +344,6 @@ class ChainState:
         self.counters: dict[str, int] = {}
         self.version = 0
         self.label_rows = LabelRows(n)
-        model.engine.prefetch_singletons(WHO_BOTH)  # every singleton block's cap check reads one
         model.check_singletons()
         self.assign(range(n), [0] * n)
 
@@ -454,7 +447,7 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         # forward: pick block (1/nb) and cut (1/(w-1)); reverse merge picks the
         # new adjacent pair among nb pairs.
         log_q_ratio = math.log(w - 1)
-        return BlockProposal(kind, k, ((a, b),), ((a, cut), (cut, b)), log_q_ratio)
+        return BlockProposal(k, ((a, b),), ((a, cut), (cut, b)), log_q_ratio)
     if kind == KIND_MERGE:
         if nb < 2:
             return None
@@ -465,7 +458,7 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
         # forward: pick pair (1/(nb-1)); reverse split picks the merged block
         # (1/(nb-1)) and the former cut (1/(w-1)).
         log_q_ratio = -math.log(b - a - 1)
-        return BlockProposal(kind, k, ((a, mid), (mid, b)), ((a, b),), log_q_ratio)
+        return BlockProposal(k, ((a, mid), (mid, b)), ((a, b),), log_q_ratio)
     if kind == KIND_SHIFT:
         if nb < 2:
             return None
@@ -481,7 +474,7 @@ def propose_block_move(state: ChainState, kind: str) -> BlockProposal | None:
             new_t += 1
         # neighbours are unchanged, so the reverse move has the same n_targets
         # choices and the proposal is symmetric
-        return BlockProposal(kind, k - 1, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
+        return BlockProposal(k - 1, ((a, t), (t, b)), ((a, new_t), (new_t, b)), 0.0)
     raise ValueError(f"unknown move kind: {kind!r}")
 
 
@@ -691,10 +684,6 @@ def run_chain(
     """
     state = init_state(dataset, priors, seed)
     total_iters = schedule.burnin + schedule.iterations
-    # the first sweep asks for most SNPs' case/control marginals; a chain
-    # that never sweeps reads none of them
-    if sample_membership and total_iters:
-        state.model.engine.prefetch_singletons(WHO_CASES)
     n = dataset.n_snps
     marg = [0] * n
     epi = [0] * n

@@ -300,7 +300,7 @@ def marginal_log_odds_ratio(model_id: int, theta: float, maf: float) -> float:
 
 def solve_theta(model_id: int, marginal_effect: float, maf: float) -> float:
     """Invert the marginal log-odds-ratio map; monotone in theta."""
-    from scipy.optimize import brentq  # imported here: every CLI command imports this module
+    from scipy.optimize import brentq  # imported here, so that `simulate --theta` loads no scipy
 
     if marginal_effect < 0:
         raise ValueError("marginal_effect must be non-negative")

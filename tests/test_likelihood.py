@@ -553,8 +553,9 @@ def test_engine_distinct_count():
     engine = LikelihoodEngine(ds, rho=RHO)
     assert engine.distinct_count((0, 1)) == 3
     assert engine.distinct_count((1,)) == 2
-    # the count comes with the combined-cohort marginal, which is now memoized
-    assert set(engine._marg) == {((0, 1), "both"), ((1,), "both")}
+    # the count comes with the combined-cohort marginal, which is now memoized;
+    # the first singleton's brings every SNP's
+    assert set(engine._marg) == {((0, 1), "both"), ((0,), "both"), ((1,), "both")}
     assert engine.marginal((0, 1), "both") == pytest.approx(
         predictive_log_marginal([2, 1, 1], 2), abs=1e-12
     )
@@ -601,14 +602,21 @@ def test_cohort_pair_memo_is_bit_equal_to_a_per_cohort_reference(n_cases, n_cont
     for w in range(1, 41):
         sets.append(tuple(range(2, 2 + w)))
         sets.append(tuple(sorted(int(v) for v in rng.choice(n_snps, size=w, replace=False))))
-    for snps in sets:
+    # the two singletons once more with the singleton pass off, each packed on its own
+    for snps, batched in [(snps, True) for snps in sets] + [(snps, False) for snps in sets[:2]]:
         engine = LikelihoodEngine(ds, rho=RHO)
+        pair = LikelihoodEngine(ds, rho=RHO)
+        if not batched:
+            engine._batch_singletons = pair._batch_singletons = lambda cohorts: None
         for first in ("cases", "controls", "both"):
             engine.marginal(snps, first)
-        # one cold request for either cohort of the pair memoizes both
-        pair = LikelihoodEngine(ds, rho=RHO)
+        # one cold request for either cohort of the pair memoizes both, and a
+        # singleton's every SNP's singletons of both
         pair.marginal(snps, "controls")
-        assert set(pair._marg) == {(snps, "cases"), (snps, "controls")}
+        if len(snps) == 1 and batched:
+            assert set(pair._marg) == {((i,), who) for i in range(n_snps) for who in ("cases", "controls")}
+        else:
+            assert set(pair._marg) == {(snps, "cases"), (snps, "controls")}
         for who in ("cases", "controls", "both"):
             want = reference_marginal(ds, snps, who)
             assert engine._marg[(snps, who)] == want, (snps, who)
@@ -649,9 +657,10 @@ def test_prefetched_singletons_equal_the_scalar_path(monkeypatch, case, cells):
     singletons = {(snp, who) for snp in snps for who in ("cases", "controls", "both")}
     for rho in (RHO, 0.01, 1e8):
         scalar = LikelihoodEngine(ds, rho=rho)
+        scalar._batch_singletons = lambda cohorts: None  # one singleton at a time
         fetched = LikelihoodEngine(ds, rho=rho)
-        fetched.prefetch_singletons("both")
-        fetched.prefetch_singletons("cases")
+        fetched.marginal(snps[-1], "both")
+        fetched.marginal(snps[-1], "cases")
         # the two passes memoize every singleton, and the combined distinct counts
         assert fetched._marg.keys() == singletons
         assert fetched._distinct.keys() == set(snps)
@@ -665,20 +674,6 @@ def test_prefetched_singletons_equal_the_scalar_path(monkeypatch, case, cells):
             assert fetched.distinct_count(snp) == fetched._distinct[snp]
         assert fetched._marg.keys() == singletons and fetched._distinct.keys() == set(snps)
         assert fetched._marg == scalar._marg and fetched._distinct == scalar._distinct
-
-
-def test_prefetch_leaves_memoized_singletons_alone():
-    ds = singleton_panel("random")
-    engine = LikelihoodEngine(ds, rho=RHO)
-    engine.marginal((3,), "cases")
-    engine.marginal((5,), "both")
-    before = dict(engine._marg)
-    assert before.keys() == {((3,), "cases"), ((3,), "controls"), ((5,), "both")}
-    engine.prefetch_singletons("cases")
-    engine.prefetch_singletons("both")
-    for key, value in before.items():
-        assert engine._marg[key] is value, key
-    assert len(engine._marg) == 3 * ds.n_snps
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 6, 8, 12])

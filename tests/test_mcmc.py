@@ -5,16 +5,18 @@ correct acceptance odds are known in closed form; chain-level tests compare
 against the exhaustive enumerator on panels small enough to enumerate.
 """
 
+import ast
 import math
 from bisect import insort
 from functools import partial
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from beamscan import mcmc
+from beamscan import mcmc, oracle
 from beamscan.likelihood import LikelihoodEngine
 from beamscan.mcmc import (
     ChainState,
@@ -78,7 +80,6 @@ def test_split_proposal_two_snps():
     state = init_state(empty_dataset(2), flat_priors(), seed=0)
     force_state(state, (0,), (0, 0))
     prop = propose_block_move(state, "split")
-    assert prop.kind == "split"
     assert prop.first == 0
     assert prop.removed == ((0, 2),)
     assert prop.added == ((0, 1), (1, 2))
@@ -112,7 +113,6 @@ def test_shift_targets_and_symmetric_ratio():
     for _ in range(200):
         force_state(state, (0, 3), (0,) * 6)
         prop = propose_block_move(state, "shift")
-        assert prop.kind == "shift"
         assert prop.log_q_ratio == pytest.approx(0.0)
         assert prop.first == 0
         assert prop.removed == ((0, 3), (3, 6))
@@ -1223,33 +1223,58 @@ def test_swap_pass_equals_the_reference_step_for_step():
         assert got == want
 
 
-# -- singleton marginals evaluated ahead ------------------------------------------------
+# -- singleton marginals in one pass ----------------------------------------------------
 
 
 def scalar_singletons(monkeypatch):
     """Turn the singleton pass off, so every marginal is evaluated on its own."""
-    monkeypatch.setattr(LikelihoodEngine, "prefetch_singletons", lambda engine, who: None)
+    monkeypatch.setattr(LikelihoodEngine, "_batch_singletons", lambda engine, cohorts: None)
 
 
-@pytest.mark.parametrize("sample_membership, iterations", [(False, 300), (True, 300), (True, 0)],
-                         ids=["partition", "map", "map-no-iterations"])
-def test_singleton_pass_leaves_the_memos_as_the_scalar_path(monkeypatch, sample_membership,
-                                                            iterations):
-    ds = random_signal_dataset(43, 60, 60, 14, hot=6)
+def captured_enumerate_posterior(monkeypatch, dataset, priors):
+    """``enumerate_posterior``'s result and the model it built."""
+    models = []
+
+    def capturing_model(*args, _model=oracle.JointModel):
+        models.append(_model(*args))
+        return models[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "JointModel", capturing_model)
+        result = enumerate_posterior(dataset, priors)
+    return result, models[0]
+
+
+@pytest.mark.parametrize("command", ["partition", "map", "map-no-iterations", "oracle"])
+def test_singleton_pass_leaves_the_memos_as_the_scalar_path(monkeypatch, command):
     priors = PriorConfig(p_boundary=0.3, p1=0.2, p2=0.2, rho=1.5,
                          max_distinct_diplotypes=9, max_order=3)
-    sched = Schedule(burnin=iterations // 5, iterations=iterations)
-    new, new_state = captured_run_chain(monkeypatch, ds, priors, sched, seed=5,
-                                        sample_membership=sample_membership)
+    ds = random_signal_dataset(43, 60, 60, 9 if command == "oracle" else 14, hot=6)
+
+    def run():
+        if command == "oracle":
+            return captured_enumerate_posterior(monkeypatch, ds, priors)
+        iterations = 0 if command == "map-no-iterations" else 300
+        sched = Schedule(burnin=iterations // 5, iterations=iterations)
+        summary, state = captured_run_chain(monkeypatch, ds, priors, sched, seed=5,
+                                            sample_membership=command != "partition")
+        return summary, state.model
+
+    new, new_model = run()
     with monkeypatch.context() as patch:
         scalar_singletons(patch)
-        ref, ref_state = captured_run_chain(monkeypatch, ds, priors, sched, seed=5,
-                                            sample_membership=sample_membership)
-    for got, want in zip(memos(new_state.model), memos(ref_state.model)):
+        ref, ref_model = run()
+    for got, want in zip(memos(new_model), memos(ref_model)):
         assert got == want
     assert new.cache["marginals"] == ref.cache["marginals"]
-    assert same_draw(new.log_joint_trace, ref.log_joint_trace)
-    assert new.counters == ref.counters
+    if command == "oracle":
+        for name in ("marginal_posterior", "epistatic_posterior", "boundary_posterior",
+                     "log_normalizer", "states_enumerated"):
+            assert same_draw(getattr(ref, name), getattr(new, name)), name
+        assert new.cache["block_terms"] == ref.cache["block_terms"]
+    else:
+        assert same_draw(new.log_joint_trace, ref.log_joint_trace)
+        assert new.counters == ref.counters
 
 
 def test_singleton_pass_leaves_the_memos_as_the_scalar_path_when_init_fails(monkeypatch):
@@ -1271,6 +1296,18 @@ def test_singleton_pass_leaves_the_memos_as_the_scalar_path_when_init_fails(monk
         assert {key: got[key] for key in want} == want
     extra = new.engine._marg.keys() - ref.engine._marg.keys()
     assert extra <= {((i,), "both") for i in range(ds.n_snps)}
+
+
+def test_mcmc_leaves_the_likelihood_engine_to_the_model():
+    # the model is the one client of the engine, so the chain neither imports
+    # from ``likelihood`` nor names an ``engine``
+    tree = ast.parse(Path(mcmc.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = (node.module or "").split(".") + [alias.name for alias in node.names]
+            assert "likelihood" not in modules, node.lineno
+        names = {getattr(node, "attr", None), getattr(node, "id", None)}
+        assert "engine" not in names, node.lineno
 
 
 def assert_valid_rows_are_fresh(state):

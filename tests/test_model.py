@@ -185,7 +185,8 @@ def test_block_term_all_group0_collapses_to_marginal():
     assert got == pytest.approx(ref_marginal(both), abs=1e-10)
     # the five other marginals are the empty set's 0.0, so the six-marginal
     # sum is the combined one bit for bit, and only the block's own entries
-    # are memoized; a cap of 6 binds from width 2 on
+    # are memoized, a singleton block's with every other SNP's singleton; a
+    # cap of 6 binds from width 2 on
     for width, cap in product(range(1, 7), (NEVER_BINDS, 6)):
         ds = random_dataset(np.random.default_rng(20 + width), 8, 6, 8)
         a, b = 1, 1 + width
@@ -196,7 +197,10 @@ def test_block_term_all_group0_collapses_to_marginal():
         want = marginal if model.engine.distinct_count(whole) <= cap else -math.inf
         assert got == want, (width, cap)
         assert list(model._block_terms) == [(a, b, 0)]
-        assert list(model.engine._marg) == [(whole, "both")]
+        if width == 1:
+            assert list(model.engine._marg) == [((i,), "both") for i in range(ds.n_snps)]
+        else:
+            assert list(model.engine._marg) == [(whole, "both")]
 
 
 def test_block_term_all_group2_is_zero():
@@ -526,7 +530,11 @@ def test_group2_term_is_the_engine_case_and_control_marginals():
         want = fresh.marginal(s2, "cases") + fresh.marginal(s2, "controls")
         model = JointModel(ds, flat_priors())
         cold = model.group2_term(s2)
-        assert set(model.engine._marg) == {(s2, "cases"), (s2, "controls")}
+        if len(s2) == 1:  # the first singleton pair brings every SNP's
+            singletons = {((i,), who) for i in range(ds.n_snps) for who in ("cases", "controls")}
+            assert set(model.engine._marg) == singletons
+        else:
+            assert set(model.engine._marg) == {(s2, "cases"), (s2, "controls")}
         warm = model.group2_term(s2)
         eng = model.engine
         assert cold == warm == eng.marginal(s2, "cases") + eng.marginal(s2, "controls") == want
